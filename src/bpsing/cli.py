@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from .singcat import (
     lemma_k_check,
     validate_resolution,
 )
-from .suspension import SuspensionError, fukaya_bp, suspend, verify_suspension
+from .suspension import SuspensionError, fukaya_bp, suspend, tower_label, verify_suspension
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,36 @@ def _parse_coords(text: str, n: int, what: str) -> tuple[int, ...]:
     if len(values) != n:
         raise ValueError(f"{what} must have {n} entries")
     return values
+
+
+def _window(args, L: LGroup) -> int:
+    window = 2 * L.ell if args.window is None else args.window
+    if window < 0:
+        raise ValueError("window must be nonnegative")
+    return window
+
+
+_COORD_OPTIONS = ("--source", "--target")
+_COORDS = re.compile(r"-?\d+(,-?\d+)*")
+
+
+def _attach_coords(argv: Sequence[str]) -> list[str]:
+    """Join ``--source -1,0`` into ``--source=-1,0``.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    negative number for an option, so a twist list like -1,0 must be
+    attached to its option before parsing.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in _COORD_OPTIONS and i + 1 < len(argv) and _COORDS.fullmatch(argv[i + 1]):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
 
 
 def _emit(text: str) -> None:
@@ -211,10 +242,11 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
             nonzero.append(list(d.raw()))
         if scanned == 50:
             break
+    # a short grid (one variable gives 27 twists) passes once it runs out
     detail = {"scanned": scanned}
     if nonzero:
         detail["nonzero"] = nonzero[:5]
-    checks.append(CheckResult("ext-vanishing", not nonzero and scanned == 50, detail))
+    checks.append(CheckResult("ext-vanishing", not nonzero and scanned > 0, detail))
 
     failing = []
     for axis in range(1, len(L.p) + 1):
@@ -291,14 +323,15 @@ def _cmd_suspend(args) -> int:
     if args.k < 2:
         raise ValueError("k must be >= 2")
     A = fukaya_bp(p)
-    S = suspend(A, args.k, label_fn=lambda x, j: x + (j,))
     code = 0
     verified = None
     if args.verify:
-        report = verify_suspension(A, args.k)
-        verified = report.ok
+        report = verify_suspension(A, args.k, tower_label)
+        S, verified = report.suspension, report.ok
         if not report.ok:
             code = 1
+    else:
+        S = suspend(A, args.k, label_fn=tower_label)
     if args.json:
         _emit(_dump_json(to_json_dict(S)))
     else:
@@ -423,9 +456,7 @@ def _cmd_singcat_ext(args) -> int:
 def _cmd_singcat_resolution(args) -> int:
     p = _parse_p(args.p)
     L = LGroup(p)
-    window = 2 * L.ell if args.window is None else args.window
-    if window < 0:
-        raise ValueError("window must be nonnegative")
+    window = _window(args, L)
     cplx = bp_resolution(p, args.length)
     rep = validate_resolution(cplx, window)
     if args.json:
@@ -472,7 +503,7 @@ def _cmd_singcat_resolution(args) -> int:
 def _cmd_singcat_lemma_k(args) -> int:
     p = _parse_p(args.p)
     L = LGroup(p)
-    window = 2 * L.ell if args.window is None else args.window
+    window = _window(args, L)
     rep = lemma_k_check(p, args.axis, args.j, window)
     if args.json:
         obj = {
@@ -615,7 +646,7 @@ def run(argv: Sequence[str]) -> int:
     """Parse argv (without the program name) and execute; returns the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_coords(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -46,7 +46,7 @@ class DirectedGradedCategory:
     Identity compositions are filled in strictly unless explicitly supplied.
     """
 
-    __slots__ = ("objects", "_index", "_homs", "_comp")
+    __slots__ = ("objects", "_index", "_homs", "_comp", "_from")
 
     def __init__(
         self,
@@ -82,6 +82,7 @@ class DirectedGradedCategory:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_homs", table)
         object.__setattr__(self, "_comp", comp_table)
+        object.__setattr__(self, "_from", None)
         self._fill_identity_compositions()
 
     def __setattr__(self, name, value):
@@ -137,6 +138,23 @@ class DirectedGradedCategory:
             for k in range(len(self._homs[(i, j)])):
                 yield MorRef(i, j, k)
 
+    def morphisms_from(self, i: int) -> tuple[MorRef, ...]:
+        """Basis morphisms with source i in canonical order, identity first.
+
+        The index is built once per category; walking g over
+        ``morphisms_from(f.tgt)`` visits the composable pairs (g, f) in the
+        same order as a scan of all g filtered on ``g.src == f.tgt``.
+        """
+        if self._from is None:
+            index = {
+                src: tuple(
+                    MorRef(src, tgt, k) for tgt in tgts for k in range(len(self._homs[(src, tgt)]))
+                )
+                for src, tgts in source_index(self._homs).items()
+            }
+            object.__setattr__(self, "_from", index)
+        return self._from.get(i, ())
+
     def degree(self, f: MorRef) -> int:
         return self._homs[(f.src, f.tgt)][f.idx]
 
@@ -160,6 +178,14 @@ class DirectedGradedCategory:
     def composition_entries(self):
         for key in sorted(self._comp, key=lambda gf: (gf[0], gf[1])):
             yield key, dict(self._comp[key])
+
+
+def source_index(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
+    """Targets of each source among (src, tgt) pairs, in ascending order."""
+    out: dict[int, list[int]] = {}
+    for src, tgt in sorted(pairs):
+        out.setdefault(src, []).append(tgt)
+    return {src: tuple(tgts) for src, tgts in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +246,9 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
         return out
 
     comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
-    pairs = sorted(C._homs)
-    for (i, j) in pairs:
-        for (j2, l) in pairs:
-            if j2 != j:
-                continue
+    targets = source_index(C._homs)
+    for (i, j) in sorted(C._homs):
+        for l in targets[j]:
             for kf, (f_a, f_b) in enumerate(pair_refs(i, j)):
                 for kg, (g_a, g_b) in enumerate(pair_refs(j, l)):
                     g = MorRef(j, l, kg)
@@ -434,14 +458,10 @@ def validate(C: DirectedGradedCategory) -> ValidationReport:
         if C.compose(f, C.identity(f.src)) != {f.idx: Fraction(1)}:
             bad.append(f"right unit fails for {C.name(f)}")
 
-    morphs = list(C.morphisms())
-    by_src: dict[int, list[MorRef]] = {}
-    for f in morphs:
-        by_src.setdefault(f.src, []).append(f)
-    for f in morphs:
-        for g in by_src.get(f.tgt, []):
+    for f in C.morphisms():
+        for g in C.morphisms_from(f.tgt):
             gf = C.compose(g, f)
-            for h in by_src.get(g.tgt, []):
+            for h in C.morphisms_from(g.tgt):
                 hg = C.compose(h, g)
                 lhs: dict[int, Fraction] = {}
                 for idx, coeff in gf.items():
@@ -534,12 +554,8 @@ def gauge_isomorphic(
     var = {f: i for i, f in enumerate(morphs)}
 
     equations: list[tuple[MorRef, MorRef, MorRef, Fraction]] = []
-    seen_pairs = set()
     for f in morphs:
-        for g in morphs:
-            if g.src != f.tgt:
-                continue
-            seen_pairs.add((g, f))
+        for g in C.morphisms_from(f.tgt):
             cc = C.compose(g, f)
             gD = MorRef(g.src, g.tgt, match(g.src, g.tgt, g.idx))
             fD = MorRef(f.src, f.tgt, match(f.src, f.tgt, f.idx))

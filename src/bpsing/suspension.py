@@ -29,6 +29,7 @@ from .dgcat import (
     tensor,
     tensor_bp,
     relabel,
+    source_index,
     validate,
 )
 from .grading import exponent_seq
@@ -89,9 +90,7 @@ def directed_extension(A: DirectedGradedCategory, k: int) -> DirectedGradedCateg
     E_shell = DirectedGradedCategory(objects, homs)
     comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
     for f in E_shell.morphisms():
-        for g in E_shell.morphisms():
-            if g.src != f.tgt:
-                continue
+        for g in E_shell.morphisms_from(f.tgt):
             if E_shell.is_identity(g) or E_shell.is_identity(f):
                 continue
             base = A.compose(u(g), u(f))
@@ -118,8 +117,13 @@ def connector(E: DirectedGradedCategory, x, j: int) -> MorRef:
 
 @dataclass(frozen=True)
 class SuspensionReport:
-    """Checks of one suspension step against the tensor model."""
+    """Checks of one suspension step against the tensor model.
 
+    ``suspension`` is the category that was checked, so callers use it
+    instead of suspending again.
+    """
+
+    suspension: DirectedGradedCategory
     ok: bool
     dims_ok: bool
     gauge_ok: bool
@@ -194,10 +198,9 @@ def suspend(
         return out
 
     comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
+    targets = source_index(class_index)
     for (si, sj) in sorted(class_index):
-        for (sj2, sl) in sorted(class_index):
-            if sj2 != sj:
-                continue
+        for sl in targets.get(sj, ()):
             for fi in range(len(class_index[(si, sj)])):
                 for gi in range(len(class_index[(sj, sl)])):
                     value = compose_classes(
@@ -246,15 +249,23 @@ def suspend(
     return out
 
 
-def verify_suspension(A: DirectedGradedCategory, k: int) -> SuspensionReport:
-    """Compare suspend(A, k) against tensor(A, a_category(k - 1)).
+def verify_suspension(
+    A: DirectedGradedCategory,
+    k: int,
+    label_fn: Callable | None = None,
+) -> SuspensionReport:
+    """Compare suspend(A, k, label_fn) against tensor(A, a_category(k - 1)).
 
-    The canonical bijection matches (x, j) with the pair (x, j); the report
-    records graded-dimension agreement, gauge equivalence with its witness,
-    and the anticommuting-square audit of the suspension output.
+    The tensor model's pair (x, j) is relabelled with ``label_fn`` like the
+    suspension's, and the canonical bijection matches equal labels; the
+    report carries the suspension itself, graded-dimension agreement, gauge
+    equivalence with its witness, and the anticommuting-square audit of the
+    suspension output.
     """
-    S = suspend(A, k)
+    S = suspend(A, k, label_fn)
     T = tensor(A, a_category(k - 1))
+    if label_fn is not None:
+        T = relabel(T, {label: label_fn(*label) for label in T.objects})
     messages: list[str] = []
     dims_ok = True
     for i in range(len(S.objects)):
@@ -276,6 +287,7 @@ def verify_suspension(A: DirectedGradedCategory, k: int) -> SuspensionReport:
         messages.extend(audit)
     ok = dims_ok and gauge.ok and not audit
     return SuspensionReport(
+        suspension=S,
         ok=ok,
         dims_ok=dims_ok,
         gauge_ok=gauge.ok,
@@ -285,18 +297,34 @@ def verify_suspension(A: DirectedGradedCategory, k: int) -> SuspensionReport:
     )
 
 
-def suspension_tower(p: Iterable[int]) -> list[DirectedGradedCategory]:
+def tower_label(x: tuple, j: int) -> tuple:
+    """Label of the cone at level j over x in a tower stage: x flattened with j."""
+    return x + (j,)
+
+
+def suspension_tower(p: Iterable[int], verify: bool = False) -> list[DirectedGradedCategory]:
     """All stages of the iterated suspension for an exponent sequence.
 
     Stage 0 is the linear quiver on p_1 - 1 objects with 1-tuple labels; each
     later stage suspends the previous one with k = p_i, flattening labels to
-    tuples, so stage t has objects indexed by (i_1, ..., i_{t+1}).
+    tuples, so stage t has objects indexed by (i_1, ..., i_{t+1}).  With
+    ``verify`` each step is built once by ``verify_suspension``, checked
+    against the tensor of the previous stage with a linear quiver, and the
+    checked category becomes the next stage; a failed step raises
+    SuspensionError.
     """
     p = exponent_seq(p)
-    stage = relabel(a_category(p[0] - 1), {x: (x,) for x in a_category(p[0] - 1).objects})
+    base = a_category(p[0] - 1)
+    stage = relabel(base, {x: (x,) for x in base.objects})
     tower = [stage]
     for pi in p[1:]:
-        stage = suspend(stage, pi, label_fn=lambda x, j: x + (j,))
+        if verify:
+            report = verify_suspension(stage, pi, tower_label)
+            if not report.ok:
+                raise SuspensionError("; ".join(report.messages) or "suspension step failed")
+            stage = report.suspension
+        else:
+            stage = suspend(stage, pi, label_fn=tower_label)
         tower.append(stage)
     return tower
 
@@ -305,24 +333,20 @@ def fukaya_bp(p: Iterable[int], verify: bool = False) -> DirectedGradedCategory:
     """Iterated suspension attached to an exponent sequence.
 
     With ``verify`` each step is checked gauge-isomorphic to the tensor of
-    the previous stage with a linear quiver, and the final category against
-    ``tensor_bp(p)`` including the anticommuting-square audit; any failure
-    raises SuspensionError.
+    the previous stage with a linear quiver, including the anticommuting-
+    square audit of the stage it returns, and the final category against
+    ``tensor_bp(p)``; any failure raises SuspensionError.
     """
     p = exponent_seq(p)
+    C = suspension_tower(p, verify)[-1]
     if not verify:
-        return suspension_tower(p)[-1]
-    prev = relabel(a_category(p[0] - 1), {x: (x,) for x in a_category(p[0] - 1).objects})
-    for pi in p[1:]:
-        report = verify_suspension(prev, pi)
-        if not report.ok:
-            raise SuspensionError("; ".join(report.messages) or "suspension step failed")
-        prev = suspend(prev, pi, label_fn=lambda x, j: x + (j,))
-    model = tensor_bp(p)
-    final = gauge_isomorphic(prev, model, {x: x for x in prev.objects})
+        return C
+    final = gauge_isomorphic(C, tensor_bp(p), {x: x for x in C.objects})
     if not final.ok:
         raise SuspensionError(f"final comparison failed: {final.reason}")
-    audit = square_sign_audit(prev)
-    if audit:
-        raise SuspensionError("; ".join(audit))
-    return prev
+    if len(p) == 1:
+        # no step ran, so the audit of the last step has not seen C
+        audit = square_sign_audit(C)
+        if audit:
+            raise SuspensionError("; ".join(audit))
+    return C

@@ -48,6 +48,13 @@ def test_suspend_subcommand(capsys):
     assert "k must be >= 2" in err
 
 
+def test_suspend_verify_prints_the_checked_category(capsys):
+    _, plain, _ = run_cli(capsys, "suspend", "--p", "2,3", "--k", "3")
+    code, checked, _ = run_cli(capsys, "suspend", "--p", "2,3", "--k", "3", "--verify")
+    assert code == 0
+    assert checked == plain + "verification: PASS\n"
+
+
 def test_lattice_json_schema(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--p", "2,3", "--json")
     assert code == 0
@@ -92,6 +99,25 @@ def test_singcat_ext_subcommand(capsys):
     assert "must have 2 entries" in err
 
 
+def test_singcat_ext_negative_twists_as_separate_values(capsys):
+    attached = run_cli(
+        capsys, "singcat", "ext", "--p", "3,4", "--source=-1,0", "--target=0,0"
+    )
+    separate = run_cli(
+        capsys, "singcat", "ext", "--p", "3,4", "--source", "-1,0", "--target", "0,0"
+    )
+    assert separate == attached
+    code, out, _ = separate
+    assert code == 0
+    assert out.endswith("agree: True\n")
+    code, out, _ = run_cli(
+        capsys, "singcat", "ext", "--p", "3,4", "--source", "-1,-2", "--target", "-1,0", "--json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["source"] == [-1, -2] and data["target"] == [-1, 0]
+
+
 def test_singcat_resolution_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "singcat", "resolution", "--p", "2,3", "--length", "4", "--json"
@@ -120,6 +146,12 @@ def test_singcat_lemma_k_subcommand(capsys):
     code, _, err = run_cli(capsys, "singcat", "lemma-k", "--p", "2,3", "--axis", "5", "--j", "2")
     assert code == 2
     assert "axis" in err
+    code, out, err = run_cli(
+        capsys, "singcat", "lemma-k", "--p", "2,3", "--axis", "2", "--j", "3", "--window", "-5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "window must be nonnegative" in err
 
 
 def test_verify_suites(capsys):
@@ -132,6 +164,19 @@ def test_verify_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "2,2", "--suite", "all")
     assert code == 0
     assert out.strip().endswith("verify: PASS")
+
+
+def test_verify_singcat_one_variable(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--p", "7", "--suite", "singcat", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    checks = {c["name"]: c for c in data["suites"][0]["checks"]}
+    # the one-variable twist grid runs out before 50 twists outside the monoid
+    assert checks["ext-vanishing"] == {"name": "ext-vanishing", "ok": True, "detail": {"scanned": 27}}
+    code, out, _ = run_cli(capsys, "verify", "--p", "7", "--suite", "singcat")
+    assert code == 0
+    assert out.endswith("verify: PASS\n")
 
 
 def test_usage_errors_and_help(capsys):

@@ -2,13 +2,16 @@
 
 import pytest
 
-from bpsing.dgcat import a_category, gauge_isomorphic, tensor, tensor_bp
+from bpsing import suspension
+from bpsing.dgcat import DirectedGradedCategory, a_category, gauge_isomorphic, tensor, tensor_bp
 from bpsing.suspension import (
+    SuspensionError,
     connector,
     directed_extension,
     fukaya_bp,
     suspend,
     suspension_tower,
+    tower_label,
     verify_suspension,
 )
 
@@ -108,3 +111,59 @@ def test_swapping_two_exponents_relabels_the_category():
     D = fukaya_bp((3, 2))
     swap = {(1, 1): (1, 1), (1, 2): (2, 1)}
     assert gauge_isomorphic(C, D, swap).ok
+
+
+def test_verified_fukaya_suspends_each_stage_once(monkeypatch):
+    real = suspension.suspend
+    calls = []
+
+    def counting(A, k, label_fn=None):
+        calls.append(k)
+        return real(A, k, label_fn)
+
+    monkeypatch.setattr(suspension, "suspend", counting)
+    p = (2, 3, 4)
+    fukaya_bp(p, verify=True)
+    # one call per stage: len(p) - 1 in all
+    assert calls == list(p[1:])
+
+
+def test_verified_fukaya_returns_the_unverified_category():
+    for p in [(4,), (2, 2), (3, 3), (2, 3, 4), (2, 2, 2)]:
+        assert fukaya_bp(p, verify=True) == fukaya_bp(p)
+        assert suspension_tower(p, verify=True) == suspension_tower(p)
+
+
+def test_verify_suspension_reports_the_checked_suspension():
+    A = fukaya_bp((2, 3))
+    report = verify_suspension(A, 3, tower_label)
+    assert report.ok
+    assert report.suspension == suspend(A, 3, tower_label)
+    assert report.suspension.objects == tensor_bp((2, 3, 3)).objects
+    plain = verify_suspension(a_category(2), 3)
+    assert plain.suspension == suspend(a_category(2), 3)
+
+
+def _drop_one_composite(C):
+    """C with its first composite of two non-identity morphisms removed, if any."""
+    entries = dict(C.composition_entries())
+    victims = [(g, f) for (g, f) in entries if not (C.is_identity(g) or C.is_identity(f))]
+    if not victims:
+        return C
+    del entries[victims[0]]
+    n = len(C.objects)
+    homs = {(i, j): C.hom(i, j) for i in range(n) for j in range(i + 1, n) if C.hom(i, j)}
+    return DirectedGradedCategory(C.objects, homs, entries)
+
+
+def test_verified_fukaya_rejects_a_broken_suspension(monkeypatch):
+    real = suspension.suspend
+
+    def broken(A, k, label_fn=None):
+        return _drop_one_composite(real(A, k, label_fn))
+
+    monkeypatch.setattr(suspension, "suspend", broken)
+    # (2, 3) has no composite, so for (2, 3, 4) only the returned last stage is broken
+    for p in [(3, 3), (2, 3, 4)]:
+        with pytest.raises(SuspensionError):
+            fukaya_bp(p, verify=True)
