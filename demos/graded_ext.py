@@ -37,7 +37,7 @@ for m in twists:
         assert dims == ext_formula(p, m, t)
         print("  ", m.raw(), "->", t.raw(), ":", dims)
 
-d = L.combination((-1, 0, 0))
+d = L.normalize((-1, 0, 0))
 print()
 print("twist difference outside the monoid, Ext vanishes:",
       ext_k_k(p, d, L.zero()))

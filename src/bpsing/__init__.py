@@ -106,101 +106,8 @@ from .singcat import (
     monomial_label,
     quotient_by_variables,
     resolution_generators,
-    ring_piece,
     truncated_module,
     validate_resolution,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Cohomology",
-    "ComplexError",
-    "IntMatrix",
-    "RatMatrix",
-    "complex_cohomology",
-    "det",
-    "integer_kernel",
-    "invariant_factors",
-    "rank_kernel",
-    "rref",
-    "smith_normal_form",
-    "solve",
-    "solve_integer",
-    "solve_mod2",
-    "CyReport",
-    "FiniteAbelianGroup",
-    "LDegree",
-    "LGroup",
-    "cy_check",
-    "exponent_seq",
-    "orlov_group",
-    "DirectedGradedCategory",
-    "EulerMatrix",
-    "GaugeResult",
-    "MorRef",
-    "ValidationReport",
-    "a_category",
-    "euler_matrix",
-    "formality_check",
-    "from_json",
-    "from_json_dict",
-    "gauge_isomorphic",
-    "relabel",
-    "square_sign_audit",
-    "tensor",
-    "tensor_bp",
-    "to_json",
-    "to_json_dict",
-    "validate",
-    "HomComplex",
-    "TwistedCohomology",
-    "TwistedHom",
-    "TwistedObject",
-    "cohomology",
-    "compose_classes",
-    "compose_cochains",
-    "cone",
-    "hom_complex",
-    "identity_class",
-    "single",
-    "twisted_hom",
-    "SuspensionError",
-    "SuspensionReport",
-    "connector",
-    "directed_extension",
-    "fukaya_bp",
-    "suspend",
-    "suspension_tower",
-    "verify_suspension",
-    "BilinearLattice",
-    "LatticeComparison",
-    "compare",
-    "euler_gram",
-    "index_tuples",
-    "one_var_form",
-    "st_gram",
-    "ExtRingReport",
-    "FreeComplex",
-    "GradedModule",
-    "GradedRing",
-    "KoszulReport",
-    "ModuleMap",
-    "ResolutionReport",
-    "SequenceReport",
-    "bp_resolution",
-    "exact_sequence_check",
-    "ext_formula",
-    "ext_k_k",
-    "ext_k_ring",
-    "graded_module_iso",
-    "index_set",
-    "koszul_perfect_check",
-    "lemma_k_check",
-    "monomial_label",
-    "quotient_by_variables",
-    "resolution_generators",
-    "ring_piece",
-    "truncated_module",
-    "validate_resolution",
-]

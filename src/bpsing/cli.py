@@ -39,7 +39,14 @@ from .singcat import (
     lemma_k_check,
     validate_resolution,
 )
-from .suspension import SuspensionError, fukaya_bp, suspend, tower_label, verify_suspension
+from .suspension import (
+    SuspensionError,
+    fukaya_bp,
+    suspend,
+    suspension_tower,
+    tower_label,
+    verify_suspension,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +189,9 @@ def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
     checks: list[CheckResult] = []
     C = None
     try:
-        C = fukaya_bp(p, verify=True)
+        # each step is checked in the tower; the checks against tensor_bp(p)
+        # and the square audit of C run once, below
+        C = suspension_tower(p, verify=True)[-1]
         checks.append(CheckResult("suspension-pipeline", True))
     except SuspensionError as exc:
         checks.append(CheckResult("suspension-pipeline", False, {"error": str(exc)}))
@@ -234,7 +243,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     nonzero = []
     zero = L.zero()
     for raw in _twist_grid(len(p)):
-        d = L.combination(raw)
+        d = L.normalize(raw)
         if L.is_in_monoid(d):
             continue
         scanned += 1
@@ -419,8 +428,8 @@ def _cmd_singcat_ext(args) -> int:
     L = LGroup(p)
     src = _parse_coords(args.source, len(p), "--source")
     tgt = _parse_coords(args.target, len(p), "--target")
-    m = L.combination(src + (0,))
-    n = L.combination(tgt + (0,))
+    m = L.normalize(src + (0,))
+    n = L.normalize(tgt + (0,))
     dims = ext_k_k(p, m, n)
     try:
         formula = ext_formula(p, m, n)

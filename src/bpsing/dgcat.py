@@ -73,9 +73,7 @@ class DirectedGradedCategory:
         if comp:
             for (g, f), result in comp.items():
                 g, f = _as_ref(g), _as_ref(f)
-                entry = {
-                    int(k): Fraction(v) for k, v in result.items() if Fraction(v) != 0
-                }
+                entry = {int(k): c for k, v in result.items() if (c := Fraction(v))}
                 if entry:
                     comp_table[(g, f)] = entry
         object.__setattr__(self, "objects", objs)

@@ -127,10 +127,6 @@ class LGroup:
     def scale(self, k: int, d: LDegree) -> LDegree:
         return self.normalize(tuple(k * u for u in d.raw()))
 
-    def combination(self, coeffs: Sequence[int]) -> LDegree:
-        """Shorthand: normalize raw coefficients (x_1, ..., x_n, c)."""
-        return self.normalize(coeffs)
-
     # -- degree map and structure --------------------------------------
 
     def z_degree(self, d: LDegree) -> int:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .dgcat import a_category
 from .exactlin import ComplexError, RatMatrix, rank_kernel, rref, solve
 from .grading import LDegree, LGroup, exponent_seq
 
@@ -139,17 +138,13 @@ class GradedRing:
         )
 
 
-def ring_piece(ring: GradedRing, d: LDegree) -> tuple[Monomial, ...]:
-    """Monomial basis of the ring piece at d, as exponent vectors in lex order."""
-    return ring.piece(d)
-
-
 class FreeComplex:
     """Bounded-above complex of free graded modules over a GradedRing.
 
-    ``terms`` maps cohomological degree i <= 0 to the generator degrees of
-    the i-th term; ``diffs[i]`` is the matrix of the map from level i to
-    level i + 1, rows indexed by target generators, entries polynomials.  A
+    ``terms`` maps cohomological degree i (i <= 0 for a resolution, i >= 0
+    for its dual) to the generator degrees of the i-th term; ``diffs[i]`` is
+    the matrix of the map from level i to level i + 1, rows indexed by
+    target generators, entries polynomials.  A
     degree-zero map between shifts multiplies by an element of degree
     (source generator degree) - (target generator degree).  Nothing is
     verified at construction so that broken fixtures can be built and then
@@ -182,12 +177,6 @@ class FreeComplex:
 
     def generator_degrees(self, i: int) -> tuple[LDegree, ...]:
         return self.terms.get(i, ())
-
-    def differential(self, i: int):
-        mat = self.diffs.get(i)
-        if mat is not None:
-            return mat
-        return tuple(tuple({} for _ in range(self.rank(i))) for _ in range(self.rank(i + 1)))
 
     # -- symbolic checks -------------------------------------------------
 
@@ -239,7 +228,7 @@ class FreeComplex:
         src = self.piece_basis(i, d)
         tgt = self.piece_basis(i + 1, d)
         index = {bm: r for r, bm in enumerate(tgt)}
-        mat = self.differential(i)
+        mat = self.diffs[i]
         entries = [[Fraction(0)] * len(src) for _ in tgt]
         for cidx, (c, mono) in enumerate(src):
             for r in range(len(mat)):
@@ -249,6 +238,26 @@ class FreeComplex:
                         raise ComplexError("differential is not degree homogeneous")
                     entries[ridx][cidx] += co
         return RatMatrix(entries, cols=len(src))
+
+    def cohomology_dims(self, d: LDegree, levels: range) -> dict[int, int]:
+        """Dimensions of H^i in degree d for each i in levels.
+
+        H^i = dim - rank(d_i) - rank(d_{i-1}), an absent map having rank
+        zero.  A level's dimension is read off its outgoing matrix; only a
+        level without one has its piece basis built.
+        """
+        ranks: dict[int, int] = {}
+        dims: dict[int, int] = {}
+        for i in range(levels.start - 1, levels.stop):
+            if i in self.diffs:
+                mat = self.piece_matrix(i, d)
+                ranks[i] = len(rref(mat)[1])
+                dims[i] = mat.cols
+        h = {}
+        for i in levels:
+            dim = dims[i] if i in dims else len(self.piece_basis(i, d))
+            h[i] = dim - ranks.get(i, 0) - ranks.get(i - 1, 0)
+        return h
 
 
 def resolution_generators(n: int, i: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -271,53 +280,57 @@ def resolution_generators(n: int, i: int) -> tuple[tuple[tuple[int, ...], int], 
 
 
 def _generator_degree(L: LGroup, n: int, I: tuple[int, ...], j: int) -> LDegree:
-    return L.combination(tuple(int(t in I) for t in range(1, n + 1)) + (j,))
+    return L.normalize(tuple(int(t in I) for t in range(1, n + 1)) + (j,))
+
+
+def _form_complex(ring: GradedRing, gens: Sequence[tuple]) -> FreeComplex:
+    """Complex of differential forms with level -i free on the pairs gens[i].
+
+    A generator dx_I|j has degree sum(x_t, t in I) + j c.  The differential
+    contracts against the Euler vector field (terms +-x_t) and, for j >= 1,
+    wedges with the one-form sum x_t^{p_t - 1} dx_t whose Euler pairing is
+    the defining polynomial.
+    """
+    L, n = ring.L, ring.n
+
+    def power(t: int, e: int) -> Monomial:
+        return tuple(e * int(u == t) for u in range(1, n + 1))
+
+    terms = {-i: tuple(_generator_degree(L, n, I, j) for I, j in gs) for i, gs in enumerate(gens)}
+    labels = {
+        -i: tuple(("^".join(f"dx{t}" for t in I) if I else "1") + f"|{j}" for I, j in gs)
+        for i, gs in enumerate(gens)
+    }
+    diffs: dict[int, list[list[Poly]]] = {}
+    for i in range(1, len(gens)):
+        pos = {g: r for r, g in enumerate(gens[i - 1])}
+        mat: list[list[Poly]] = [[{} for _ in gens[i]] for _ in gens[i - 1]]
+        for cidx, (I, j) in enumerate(gens[i]):
+            for r_pos, t in enumerate(I):
+                row = pos[(tuple(s for s in I if s != t), j)]
+                mat[row][cidx] = {power(t, 1): Fraction((-1) ** r_pos)}
+            if j >= 1:
+                for t in range(1, n + 1):
+                    if t not in I:
+                        row = pos[(tuple(sorted(I + (t,))), j - 1)]
+                        sign = (-1) ** sum(s < t for s in I)
+                        mat[row][cidx] = {power(t, ring.p[t - 1] - 1): Fraction(sign)}
+        diffs[-i] = mat
+    return FreeComplex(ring, terms, diffs, labels=labels)
 
 
 def bp_resolution(p: Iterable[int], length: int) -> FreeComplex:
     """Free resolution of the residue field over GradedRing(p).
 
     Level -i has one generator dx_I|j per pair with |I| + 2j = i, of degree
-    sum(x_t, t in I) + j c.  The differential contracts against the Euler
-    vector field (terms +-x_t) and wedges with the one-form
-    sum x_t^{p_t - 1} dx_t whose Euler pairing is the defining polynomial;
-    the cross terms of the square multiply by that polynomial, hence vanish
-    in the quotient.
+    sum(x_t, t in I) + j c; the differential is that of _form_complex.  The
+    cross terms of the square multiply by the defining polynomial, hence
+    vanish in the quotient.
     """
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ValueError("length must be a positive integer")
     ring = GradedRing(p)
-    L, n = ring.L, ring.n
-    terms: dict[int, tuple[LDegree, ...]] = {}
-    labels: dict[int, tuple[str, ...]] = {}
-    gens: dict[int, tuple] = {}
-    for i in range(length + 1):
-        gs = resolution_generators(n, i)
-        gens[-i] = gs
-        terms[-i] = tuple(_generator_degree(L, n, I, j) for I, j in gs)
-        labels[-i] = tuple(
-            ("^".join(f"dx{t}" for t in I) if I else "1") + f"|{j}" for I, j in gs
-        )
-    diffs: dict[int, list[list[Poly]]] = {}
-    for i in range(1, length + 1):
-        src = gens[-i]
-        pos = {g: r for r, g in enumerate(gens[-i + 1])}
-        mat: list[list[Poly]] = [[{} for _ in src] for _ in gens[-i + 1]]
-        for cidx, (I, j) in enumerate(src):
-            for r_pos, t in enumerate(I):
-                entry = mat[pos[(tuple(s for s in I if s != t), j)]][cidx]
-                mono = tuple(int(u == t) for u in range(1, n + 1))
-                entry[mono] = entry.get(mono, Fraction(0)) + Fraction((-1) ** r_pos)
-            if j >= 1:
-                for t in range(1, n + 1):
-                    if t in I:
-                        continue
-                    before = sum(1 for s in I if s < t)
-                    entry = mat[pos[(tuple(sorted(I + (t,))), j - 1)]][cidx]
-                    mono = tuple((ring.p[t - 1] - 1) * int(u == t) for u in range(1, n + 1))
-                    entry[mono] = entry.get(mono, Fraction(0)) + Fraction((-1) ** before)
-        diffs[-i] = mat
-    return FreeComplex(ring, terms, diffs, labels=labels)
+    return _form_complex(ring, [resolution_generators(ring.n, i) for i in range(length + 1)])
 
 
 def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
@@ -333,6 +346,27 @@ def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
                 for mono in by_weight[z]:
                     seen.add(L.add(g, ring.monomial_degree(mono)))
     return sorted(seen, key=ring.sort_key)
+
+
+def _exactness_scan(
+    cplx: FreeComplex, window: int, first: int, h0_degrees, what: str
+) -> tuple[int, list[str]]:
+    """Degrees scanned and failures of exactness at levels first..-1.
+
+    Per graded piece of z-degree <= window, H^i must vanish for first <= i
+    < 0, and H^0 must be one-dimensional on h0_degrees and zero elsewhere.
+    """
+    degrees = _support_degrees(cplx, window)
+    failures = []
+    for d in degrees:
+        h = cplx.cohomology_dims(d, range(first, 1))
+        for i in range(first, 0):
+            if h[i]:
+                failures.append(f"{what} at level {i} in degree {d.raw()}")
+        want = 1 if d in h0_degrees else 0
+        if h[0] != want:
+            failures.append(f"cokernel dimension {h[0]} != {want} in degree {d.raw()}")
+    return len(degrees), failures
 
 
 @dataclass(frozen=True)
@@ -355,27 +389,13 @@ def validate_resolution(cplx: FreeComplex, window: int) -> ResolutionReport:
     zero elsewhere.  The leftmost level has no incoming map to compare
     against, so no kernel condition is imposed there.
     """
-    failures: list[str] = []
     hom_bad = cplx.homogeneity_violations()
-    failures.extend(hom_bad)
     sq_bad = cplx.square_defects()
-    failures.extend(sq_bad)
+    failures = list(hom_bad + sq_bad)
     count = 0
     if not failures:
-        zero = cplx.ring.L.zero()
-        low = min(cplx.levels())
-        degrees = _support_degrees(cplx, window)
-        count = len(degrees)
-        for d in degrees:
-            info = {i: rank_kernel(cplx.piece_matrix(i, d)) for i in range(low, 0)}
-            for i in range(low + 1, 0):
-                if len(info[i][1]) != info[i - 1][0]:
-                    failures.append(f"not exact at level {i} in degree {d.raw()}")
-            top_rank = info[-1][0] if -1 in info else 0
-            h0 = len(cplx.piece_basis(0, d)) - top_rank
-            want = 1 if d == zero else 0
-            if h0 != want:
-                failures.append(f"cokernel dimension {h0} != {want} in degree {d.raw()}")
+        first = min(min(cplx.levels()) + 1, 0)
+        count, failures = _exactness_scan(cplx, window, first, {cplx.ring.L.zero()}, "not exact")
     return ResolutionReport(
         ok=not failures,
         square_zero=not sq_bad,
@@ -421,7 +441,7 @@ def index_set(p: Iterable[int]) -> list[LDegree]:
     """
     L = LGroup(exponent_seq(p))
     ranges = [range(0, -pi + 1, -1) for pi in L.p]
-    return [L.combination(tuple(coords) + (0,)) for coords in product(*ranges)]
+    return [L.normalize(tuple(coords) + (0,)) for coords in product(*ranges)]
 
 
 def _box_coordinates(L: LGroup, d: LDegree) -> tuple[int, ...]:
@@ -447,23 +467,16 @@ def ext_formula(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
 
     Factorizes along the axes: the i-th factor is the graded hom of the
     linear quiver with p_i - 1 objects, taken between objects -a_i + 1 and
-    -b_i + 1, and the result is the convolution of the factors.  Twists
+    -b_i + 1, which is one-dimensional in degree a_i - b_i when that gap is
+    0 or 1 and zero otherwise.  So the product is one-dimensional in the
+    sum of the gaps when every gap is 0 or 1, and zero otherwise.  Twists
     outside the index set are rejected.
     """
     L = LGroup(exponent_seq(p))
     a = _box_coordinates(L, L.normalize(m.raw()))
     b = _box_coordinates(L, L.normalize(n.raw()))
-    dims = {0: 1}
-    for ai, bi, pi in zip(a, b, L.p):
-        factor = a_category(pi - 1).graded_dims(-ai, -bi)
-        nxt: dict[int, int] = {}
-        for d1, c1 in dims.items():
-            for d2, c2 in factor.items():
-                nxt[d1 + d2] = nxt.get(d1 + d2, 0) + c1 * c2
-        dims = nxt
-        if not dims:
-            break
-    return dims
+    gaps = [ai - bi for ai, bi in zip(a, b)]
+    return {sum(gaps): 1} if all(g in (0, 1) for g in gaps) else {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,45 +492,32 @@ def ext_k_ring(p: Iterable[int], m: LDegree, n: LDegree, window: int) -> ExtRing
     """Cohomology of the dualized resolution against a twisted free module.
 
     Applies Hom(-, A(n)) to the resolution of the residue field twisted by
-    m and takes the internal-degree-zero part: the term in cohomological
-    degree i is the sum over level-i generators g of the ring piece in
-    degree n + deg(g) - m.  Dims are reported for 0 <= i <= window together
+    m and takes the internal-degree-zero part: the cohomology in degree
+    n - m of the dual complex, whose level i has the level -i generators
+    with degrees negated and whose differentials are the transposes.  Its
+    term i is the sum over those generators g of the ring piece in degree
+    n + deg(g) - m.  Dims are reported for 0 <= i <= window together
     with whether the vanishing hypothesis m != -c + x_1 + ... + x_n + n
     holds.
     """
     if not isinstance(window, int) or isinstance(window, bool) or window < 0:
         raise ValueError("window must be a nonnegative integer")
-    cplx = bp_resolution(p, window + 1)
-    ring = cplx.ring
+    res = bp_resolution(p, window + 1)
+    ring = res.ring
     L = ring.L
     mm = L.normalize(m.raw())
     nn = L.normalize(n.raw())
-    shift = L.sub(nn, mm)
-    basis: dict[int, tuple] = {}
-    for i in range(window + 2):
-        basis[i] = tuple(
-            (gidx, mono)
-            for gidx, g in enumerate(cplx.generator_degrees(-i))
-            for mono in ring.piece(L.add(shift, g))
-        )
-    mats: dict[int, RatMatrix] = {}
-    for i in range(window + 1):
-        src, tgt = basis[i], basis[i + 1]
-        delta = cplx.differential(-i - 1)
-        index = {bm: r for r, bm in enumerate(tgt)}
-        entries = [[Fraction(0)] * len(src) for _ in tgt]
-        for cidx, (g, mono) in enumerate(src):
-            for h in range(cplx.rank(-i - 1)):
-                for m2, co in ring.multiply(delta[g][h], {mono: Fraction(1)}).items():
-                    entries[index[(h, m2)]][cidx] += co
-        mats[i] = RatMatrix(entries, cols=len(src))
-    dims: dict[int, int] = {}
-    for i in range(window + 1):
-        incoming = rank_kernel(mats[i - 1])[0] if i > 0 else 0
-        dim = len(rank_kernel(mats[i])[1]) - incoming
-        if dim:
-            dims[i] = dim
-    special = L.add(L.combination((1,) * ring.n + (-1,)), nn)
+    dual = FreeComplex(
+        ring,
+        {-i: tuple(L.neg(g) for g in degs) for i, degs in res.terms.items()},
+        {
+            -i - 1: [[row[c] for row in mat] for c in range(res.rank(i))]
+            for i, mat in res.diffs.items()
+        },
+    )
+    h = dual.cohomology_dims(L.sub(nn, mm), range(window + 1))
+    dims = {i: dim for i, dim in h.items() if dim}
+    special = L.add(L.normalize((1,) * ring.n + (-1,)), nn)
     return ExtRingReport(dims=dims, window=window, hypothesis_holds=mm != special)
 
 
@@ -894,55 +894,23 @@ class KoszulReport:
 def koszul_perfect_check(p: Iterable[int], window: int) -> KoszulReport:
     """Exactness of the Koszul complex on x_2, ..., x_n over the ring.
 
-    The complex resolves the quotient of the ring by the last n - 1
-    variables, which is spanned by powers of x_1.  Per graded piece of
-    z-degree <= window: cohomology vanishes at every negative level
-    (including injectivity at the leftmost) and the cokernel dims match
-    the powers x_1^s with s < p_1.  Success certifies a finite free
-    resolution, i.e. perfectness of that quotient.
+    The complex is the j = 0 part of the resolution, on the forms dx_I with
+    I in {2..n}.  It resolves the quotient of the ring by x_2, ..., x_n,
+    which is spanned by powers of x_1.  Per graded piece of z-degree <=
+    window: cohomology vanishes at every negative level (including
+    injectivity at the leftmost) and the cokernel dims match the powers
+    x_1^s with s < p_1.  Success certifies a finite free resolution, i.e.
+    perfectness of that quotient.
     """
     ring = GradedRing(p)
     if ring.n < 2:
         raise ValueError("need at least two variables")
     L = ring.L
-    vars2 = tuple(range(2, ring.n + 1))
-    terms: dict[int, tuple[LDegree, ...]] = {}
-    labels: dict[int, tuple[str, ...]] = {}
-    gens: dict[int, tuple] = {}
-    for size in range(ring.n):
-        gs = tuple(combinations(vars2, size))
-        gens[-size] = gs
-        terms[-size] = tuple(_generator_degree(L, ring.n, I, 0) for I in gs)
-        labels[-size] = tuple(
-            "^".join(f"dx{t}" for t in I) if I else "1" for I in gs
-        )
-    diffs: dict[int, list[list[Poly]]] = {}
-    for size in range(1, ring.n):
-        src = gens[-size]
-        pos = {g: r for r, g in enumerate(gens[-size + 1])}
-        mat: list[list[Poly]] = [[{} for _ in src] for _ in gens[-size + 1]]
-        for cidx, I in enumerate(src):
-            for r_pos, t in enumerate(I):
-                entry = mat[pos[tuple(s for s in I if s != t)]][cidx]
-                mono = tuple(int(u == t) for u in range(1, ring.n + 1))
-                entry[mono] = entry.get(mono, Fraction(0)) + Fraction((-1) ** r_pos)
-        diffs[-size] = mat
-    cplx = FreeComplex(ring, terms, diffs, labels=labels)
+    vars2 = range(2, ring.n + 1)
+    cplx = _form_complex(ring, [[(I, 0) for I in combinations(vars2, k)] for k in range(ring.n)])
     failures = list(cplx.homogeneity_violations()) + list(cplx.square_defects())
     count = 0
     if not failures:
-        degrees = _support_degrees(cplx, window)
-        count = len(degrees)
         expected = {L.scale(s, L.x(1)) for s in range(ring.p[0])}
-        low = -(ring.n - 1)
-        for d in degrees:
-            info = {i: rank_kernel(cplx.piece_matrix(i, d)) for i in range(low, 0)}
-            for i in range(low, 0):
-                incoming = info[i - 1][0] if i > low else 0
-                if len(info[i][1]) != incoming:
-                    failures.append(f"cohomology at level {i} in degree {d.raw()}")
-            h0 = len(cplx.piece_basis(0, d)) - info[-1][0]
-            want = 1 if d in expected else 0
-            if h0 != want:
-                failures.append(f"cokernel dimension {h0} != {want} in degree {d.raw()}")
+        count, failures = _exactness_scan(cplx, window, -(ring.n - 1), expected, "cohomology")
     return KoszulReport(ok=not failures, degrees_checked=count, failures=tuple(failures))

@@ -139,7 +139,7 @@ def test_06_ext_routes_agree_and_vanishing_scan():
         scanned = 0
         for coeffs in product(range(-9, 10), repeat=n):
             for b in (-1, 0, 1):
-                d = L.combination(coeffs + (b,))
+                d = L.normalize(coeffs + (b,))
                 if L.is_in_monoid(d):
                     continue
                 t = twists[scanned % len(twists)]

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import bpsing.cli
+import bpsing.suspension
 from bpsing.cli import main
 from bpsing.dgcat import from_json_dict, tensor_bp
 
@@ -164,6 +166,21 @@ def test_verify_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "2,2", "--suite", "all")
     assert code == 0
     assert out.strip().endswith("verify: PASS")
+
+
+def test_verify_fukaya_builds_the_tensor_model_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_tensor_bp(p):
+        calls.append(p)
+        return tensor_bp(p)
+
+    monkeypatch.setattr(bpsing.cli, "tensor_bp", counting_tensor_bp)
+    monkeypatch.setattr(bpsing.suspension, "tensor_bp", counting_tensor_bp)
+    code, out, _ = run_cli(capsys, "verify", "--p", "3,3,3", "--suite", "fukaya")
+    assert code == 0
+    assert "PASS gauge-vs-tensor" in out
+    assert calls == [(3, 3, 3)]
 
 
 def test_verify_singcat_one_variable(capsys):

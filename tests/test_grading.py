@@ -129,7 +129,7 @@ def test_monoid_membership():
 def test_l_plus_membership():
     L = LGroup((2, 3))
     assert not L.is_in_L_plus(L.zero())
-    interior = L.combination((1, 1, -1))
+    interior = L.normalize((1, 1, -1))
     assert L.is_in_L_plus(interior)
     assert L.is_in_L_plus(L.add(interior, L.x(2)))
     # -c would need a positive combination of the x_i summing to zero

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from bpsing.dgcat import a_category
 from bpsing.grading import LGroup
 from bpsing.singcat import (
     FreeComplex,
@@ -60,7 +61,7 @@ def test_ring_pieces():
     L = R.L
     assert R.piece(L.zero()) == ((0, 0),)
     assert R.piece(L.scale(3, L.x(2))) == ((0, 3),)
-    assert R.piece(L.combination((1, 2, 0))) == ((1, 2),)
+    assert R.piece(L.normalize((1, 2, 0))) == ((1, 2),)
     assert R.piece(L.neg(L.x(1))) == ()
     assert R.monomials_of_weight(6) == ((0, 3),)
     assert R.monomials_of_weight(5) == ((1, 1),)
@@ -143,6 +144,15 @@ def test_validate_resolution_flags_wrong_degree_entry():
     assert not rep.ok and not rep.homogeneous
 
 
+def test_validate_resolution_flags_missing_differential():
+    cplx = bp_resolution((2, 3), 4)
+    diffs = dict(cplx.diffs)
+    diffs[-2] = tuple(tuple({} for _ in row) for row in diffs[-2])
+    rep = validate_resolution(FreeComplex(cplx.ring, cplx.terms, diffs, cplx.labels), 12)
+    assert rep.square_zero and rep.homogeneous and not rep.ok
+    assert "not exact at level -1 in degree (1, 1, 0)" in rep.failures
+
+
 def test_index_set_contents():
     assert [d.raw() for d in index_set((2, 3))] == [(0, 0, 0), (0, 2, -1)]
     assert [d.raw() for d in index_set((2, 2))] == [(0, 0, 0)]
@@ -163,6 +173,49 @@ def test_ext_routes_agree_on_the_index_set():
                 assert ext_k_k(p, m, n) == ext_formula(p, m, n), (p, m, n)
 
 
+def quiver_convolution(p, m, n):
+    """Ext dims over the index set as the convolution of linear-quiver homs.
+
+    Axis i contributes the graded hom of the linear quiver with p_i - 1
+    objects between the objects fixed by the box coordinates of m and n;
+    ext_formula replaced this with its closed form.
+    """
+    L = LGroup(p)
+    dims = {0: 1}
+    for ai, bi, pi in zip(m.raw(), n.raw(), L.p):
+        # a box coordinate a <= 0 normalizes to a % p, so the object is -a
+        factor = a_category(pi - 1).graded_dims(-ai % pi, -bi % pi)
+        nxt = {}
+        for d1, c1 in dims.items():
+            for d2, c2 in factor.items():
+                nxt[d1 + d2] = nxt.get(d1 + d2, 0) + c1 * c2
+        dims = nxt
+    return dims
+
+
+def test_ext_formula_matches_quiver_convolution():
+    for p in [(2, 3), (3, 3), (2, 2, 2), (3, 4, 5), (5, 5)]:
+        twists = index_set(p)
+        for m in twists:
+            for n in twists:
+                assert ext_formula(p, m, n) == quiver_convolution(p, m, n), (p, m, n)
+
+
+def test_ext_routes_agree_on_random_index_set_twists():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.integers(2, 5), min_size=1, max_size=3), st.data())
+    def check(p, data):
+        twists = index_set(p)
+        m = data.draw(st.sampled_from(twists))
+        n = data.draw(st.sampled_from(twists))
+        assert ext_k_k(p, m, n) == ext_formula(p, m, n)
+
+    check()
+
+
 def test_ext_known_values():
     L = LGroup((2, 3))
     zero = L.zero()
@@ -181,7 +234,7 @@ def test_ext_vanishing_outside_the_monoid():
         scanned = 0
         for coeffs in product(range(-9, 10), repeat=len(p)):
             for b in (-1, 0, 1):
-                d = L.combination(coeffs + (b,))
+                d = L.normalize(coeffs + (b,))
                 if L.is_in_monoid(d):
                     continue
                 assert ext_k_k(p, d, zero) == {}, (p, d.raw())
@@ -197,7 +250,7 @@ def test_ext_k_ring_window_profiles():
     L = LGroup((2, 3))
     plain = ext_k_ring((2, 3), L.zero(), L.zero(), 6)
     assert plain.dims == {} and plain.hypothesis_holds and plain.window == 6
-    special = ext_k_ring((2, 3), L.zero(), L.combination((-1, -1, 1)), 6)
+    special = ext_k_ring((2, 3), L.zero(), L.normalize((-1, -1, 1)), 6)
     assert special.dims == {1: 1}
     assert not special.hypothesis_holds
     L2 = LGroup((2, 2))
