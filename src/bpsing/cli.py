@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -62,15 +61,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One suite run: named checks plus wall time.
-
-    The elapsed field stays on the object only; it is never serialized, so
-    repeated runs stay byte-identical.
-    """
+    """One suite run: its name and its named checks."""
 
     suite: str
     checks: tuple[CheckResult, ...]
-    elapsed: float
 
     @property
     def ok(self) -> bool:
@@ -185,7 +179,6 @@ def _twist_grid(n: int):
 
 
 def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
-    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     C = None
     try:
@@ -213,11 +206,10 @@ def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
         checks.append(
             CheckResult("square-sign-audit", not audit, {} if not audit else {"problems": audit[:5]})
         )
-    return VerificationReport("fukaya", tuple(checks), time.perf_counter() - t0)
+    return VerificationReport("fukaya", tuple(checks))
 
 
 def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
-    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     L = LGroup(p)
     window = 2 * L.ell
@@ -272,7 +264,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
         if not krep.ok:
             detail["failures"] = list(krep.failures)[:5]
         checks.append(CheckResult("koszul-perfect", krep.ok, detail))
-    return VerificationReport("singcat", tuple(checks), time.perf_counter() - t0)
+    return VerificationReport("singcat", tuple(checks))
 
 
 def _shape_ok(entries, symmetric: bool) -> bool:
@@ -289,7 +281,6 @@ def _shape_ok(entries, symmetric: bool) -> bool:
 
 
 def _suite_lattice(p: tuple[int, ...]) -> VerificationReport:
-    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     odd = len(p) % 2 == 1
     s = st_gram(p)
@@ -306,7 +297,7 @@ def _suite_lattice(p: tuple[int, ...]) -> VerificationReport:
             {"disagreements": len(cmpr.disagreements), "agree": cmpr.agree},
         )
     )
-    return VerificationReport("lattice", tuple(checks), time.perf_counter() - t0)
+    return VerificationReport("lattice", tuple(checks))
 
 
 _SUITES = {"fukaya": _suite_fukaya, "singcat": _suite_singcat, "lattice": _suite_lattice}

@@ -106,12 +106,6 @@ class RatMatrix:
             for i in range(self.rows)
         )
 
-    def transpose(self) -> RatMatrix:
-        return RatMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 

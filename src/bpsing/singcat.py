@@ -38,14 +38,20 @@ def monomial_label(mono: Monomial) -> str:
 
 
 class GradedRing:
-    """Polynomial arithmetic in the quotient ring with graded-piece bases."""
+    """Polynomial arithmetic in the quotient ring with graded-piece bases.
 
-    __slots__ = ("p", "n", "L")
+    Pieces are kept per instance: the first request for a piece of
+    z-degree z splits all monomials of that z-degree by degree, and every
+    later request at z reads the result.
+    """
+
+    __slots__ = ("p", "n", "L", "_pieces")
 
     def __init__(self, p: Iterable[int]):
         self.p = exponent_seq(p)
         self.n = len(self.p)
         self.L = LGroup(self.p)
+        self._pieces: dict[int, dict[LDegree, tuple[Monomial, ...]]] = {}
 
     def __repr__(self) -> str:
         return f"GradedRing({self.p})"
@@ -97,15 +103,6 @@ class GradedRing:
     def monomial_degree(self, mono: Monomial) -> LDegree:
         return self.L.normalize(tuple(mono) + (0,))
 
-    def poly_degree(self, poly: Poly) -> LDegree | None:
-        """Common degree of all terms; None for the zero polynomial."""
-        degs = {self.monomial_degree(m) for m in poly}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous polynomial")
-        return degs.pop()
-
     def sort_key(self, d: LDegree):
         return (self.L.z_degree(d), d.raw())
 
@@ -130,12 +127,19 @@ class GradedRing:
         rec(0, z, ())
         return tuple(found)
 
+    def pieces_of_weight(self, z: int) -> dict[LDegree, tuple[Monomial, ...]]:
+        """The nonzero pieces of z-degree z, keyed by degree, each in lex order."""
+        pieces = self._pieces.get(z)
+        if pieces is None:
+            buckets: dict[LDegree, list[Monomial]] = {}
+            for m in self.monomials_of_weight(z):
+                buckets.setdefault(self.monomial_degree(m), []).append(m)
+            pieces = self._pieces[z] = {d: tuple(ms) for d, ms in buckets.items()}
+        return pieces
+
     def piece(self, d: LDegree) -> tuple[Monomial, ...]:
         """Monomial basis of the graded piece at degree d."""
-        z = self.L.z_degree(d)
-        return tuple(
-            m for m in self.monomials_of_weight(z) if self.monomial_degree(m) == d
-        )
+        return self.pieces_of_weight(self.L.z_degree(d)).get(d, ())
 
 
 class FreeComplex:
@@ -229,10 +233,12 @@ class FreeComplex:
         tgt = self.piece_basis(i + 1, d)
         index = {bm: r for r, bm in enumerate(tgt)}
         mat = self.diffs[i]
+        # the nonzero entries of each column; a zero entry adds nothing
+        column = [[(r, row[c]) for r, row in enumerate(mat) if row[c]] for c in range(self.rank(i))]
         entries = [[Fraction(0)] * len(src) for _ in tgt]
         for cidx, (c, mono) in enumerate(src):
-            for r in range(len(mat)):
-                for m2, co in self.ring.multiply(mat[r][c], {mono: Fraction(1)}).items():
+            for r, entry in column[c]:
+                for m2, co in self.ring.multiply(entry, {mono: Fraction(1)}).items():
                     ridx = index.get((r, m2))
                     if ridx is None:
                         raise ComplexError("differential is not degree homogeneous")
@@ -337,14 +343,13 @@ def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
     """Degrees of z-degree <= window where some term has a nonzero piece."""
     ring = cplx.ring
     L = ring.L
-    by_weight = {z: ring.monomials_of_weight(z) for z in range(window + 1)}
+    gens = {g for i in cplx.levels() for g in cplx.generator_degrees(i)}
     seen = set()
-    for i in cplx.levels():
-        for g in cplx.generator_degrees(i):
-            zg = L.z_degree(g)
-            for z in range(max(0, -zg), window - zg + 1):
-                for mono in by_weight[z]:
-                    seen.add(L.add(g, ring.monomial_degree(mono)))
+    for g in gens:
+        zg = L.z_degree(g)
+        for z in range(max(0, -zg), window - zg + 1):
+            for d in ring.pieces_of_weight(z):
+                seen.add(L.add(g, d))
     return sorted(seen, key=ring.sort_key)
 
 
@@ -414,19 +419,19 @@ def ext_k_k(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
     Generator z-degrees grow linearly with the level, which bounds the
     levels that can contribute.
     """
-    ring = GradedRing(p)
-    L = ring.L
+    L = LGroup(p)
     target = L.sub(L.normalize(m.raw()), L.normalize(n.raw()))
     dims: dict[int, int] = {}
     zt = L.z_degree(target)
     if zt < 0:
         return dims
-    top = ring.n + 2 * (zt // L.ell) + 2
+    top = L.n + 2 * (zt // L.ell) + 2
+    # (I, j) has raw degree (indicator of I, j), already a normal form
+    # because every p_t >= 2
     for i in range(top + 1):
         count = sum(
-            1
-            for I, j in resolution_generators(ring.n, i)
-            if _generator_degree(L, ring.n, I, j) == target
+            j == target.b and tuple(int(t in I) for t in range(1, L.n + 1)) == target.a
+            for I, j in resolution_generators(L.n, i)
         )
         if count:
             dims[i] = count
@@ -715,15 +720,9 @@ def quotient_by_variables(
     killed = tuple(sorted({int(t) for t in killed}))
     if any(not 1 <= t <= ring.n for t in killed):
         raise ValueError("killed variable out of range")
-    degrees: list[LDegree] = []
-    seen = set()
-    for z in range(window + 1):
-        for mono in ring.monomials_of_weight(z):
-            d = ring.monomial_degree(mono)
-            if d not in seen:
-                seen.add(d)
-                degrees.append(d)
-    degrees.sort(key=ring.sort_key)
+    degrees = sorted(
+        (d for z in range(window + 1) for d in ring.pieces_of_weight(z)), key=ring.sort_key
+    )
 
     piece_data = {}
     for d in degrees:

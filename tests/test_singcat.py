@@ -1,12 +1,14 @@
 """Graded quotient ring machinery: resolution, Ext routes, module checks."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from math import lcm
 
 import pytest
 
+from bpsing.cli import _twist_grid
 from bpsing.dgcat import a_category
-from bpsing.grading import LGroup
+from bpsing.grading import LDegree, LGroup
 from bpsing.singcat import (
     FreeComplex,
     GradedModule,
@@ -25,6 +27,7 @@ from bpsing.singcat import (
     resolution_generators,
     truncated_module,
     validate_resolution,
+    _generator_degree,
 )
 
 
@@ -65,6 +68,66 @@ def test_ring_pieces():
     assert R.piece(L.neg(L.x(1))) == ()
     assert R.monomials_of_weight(6) == ((0, 3),)
     assert R.monomials_of_weight(5) == ((1, 1),)
+
+
+def degrees_of_weight(L, z):
+    """Every normal form of z-degree z: each a_i < p_i, and b fixed by z."""
+    out = []
+    for a in product(*(range(pi) for pi in L.p)):
+        rest = z - sum(ai * wi for ai, wi in zip(a, L.weights))
+        if rest % L.ell == 0:
+            out.append(LDegree(a, rest // L.ell))
+    return out
+
+
+def lex_monomials(p, z):
+    """Normal-form monomials of z-degree z by filtering every exponent vector."""
+    L = LGroup(p)
+    if z < 0:
+        return ()
+    ranges = [range(z // w + 1) for w in L.weights]
+    return tuple(
+        m for m in product(*ranges)
+        if m[0] < p[0] and sum(e * w for e, w in zip(m, L.weights)) == z
+    )
+
+
+def filtered_piece(p, d):
+    """The piece at d as an unmemoized filter, in lex order."""
+    L = LGroup(p)
+    return tuple(
+        m for m in lex_monomials(p, L.z_degree(d)) if L.normalize(m + (0,)) == d
+    )
+
+
+@pytest.mark.parametrize("p", [(2, 3), (3, 3, 3), (2, 3, 4), (5, 7), (7,)])
+def test_pieces_kept_per_ring_match_the_filter(p):
+    L = LGroup(p)
+    weights = range(-2, 2 * L.ell + 1)
+    degrees = [d for z in weights for d in degrees_of_weight(L, z)]
+    want = {d: filtered_piece(p, d) for d in degrees}
+    assert any(want.values()) and not all(want.values())
+    for d in degrees:
+        assert GradedRing(p).piece(d) == want[d], (p, d.raw())
+    warm = GradedRing(p)
+    for d in reversed(degrees):
+        warm.piece(d)
+    for z in weights:
+        assert warm.monomials_of_weight(z) == lex_monomials(p, z), (p, z)
+    for d in degrees:
+        assert warm.piece(d) == want[d], (p, d.raw())
+        assert warm.piece(d) is warm.piece(d)
+
+
+@pytest.mark.parametrize("p, q", [((2, 3), (3, 2)), ((3, 3, 3), (2, 3, 4)), ((5, 7), (7, 5))])
+def test_rings_with_different_exponents_share_no_pieces(p, q):
+    first, second = GradedRing(p), GradedRing(q)
+    for z in range(2 * first.L.ell + 1):
+        first.pieces_of_weight(z)
+    for z in range(2 * second.L.ell + 1):
+        assert second.monomials_of_weight(z) == lex_monomials(q, z), (q, z)
+        for d in degrees_of_weight(second.L, z):
+            assert second.piece(d) == filtered_piece(q, d), (q, d.raw())
 
 
 def test_hilbert_series_of_the_quotient_ring():
@@ -153,6 +216,46 @@ def test_validate_resolution_flags_missing_differential():
     assert "not exact at level -1 in degree (1, 1, 0)" in rep.failures
 
 
+def dense_piece_matrix(cplx, i, d):
+    """The level-i map on degree-d pieces, multiplying every entry, zeros included."""
+    src = cplx.piece_basis(i, d)
+    index = {bm: r for r, bm in enumerate(cplx.piece_basis(i + 1, d))}
+    entries = [[Fraction(0)] * len(src) for _ in index]
+    for cidx, (c, mono) in enumerate(src):
+        for r, row in enumerate(cplx.diffs[i]):
+            for m2, co in cplx.ring.multiply(row[c], {mono: Fraction(1)}).items():
+                entries[index[(r, m2)]][cidx] += co
+    return entries
+
+
+def test_piece_matrix_matches_the_dense_product():
+    cplx = bp_resolution((2, 3, 4), 6)
+    L = cplx.ring.L
+    assert any(not e for mat in cplx.diffs.values() for row in mat for e in row)
+    nonzero = 0
+    for z in range(L.ell + 1):
+        for d in degrees_of_weight(L, z):
+            for i in sorted(cplx.diffs):
+                mat = cplx.piece_matrix(i, d)
+                dense = dense_piece_matrix(cplx, i, d)
+                assert [list(r) for r in mat.entries] == dense, (i, d.raw())
+                assert mat.cols == len(cplx.piece_basis(i, d))
+                nonzero += not mat.is_zero()
+    assert nonzero > 0
+
+
+def test_resolution_is_exact_on_random_sequences():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    def check(p):
+        assert validate_resolution(bp_resolution(p, len(p) + 2), lcm(*p)).ok
+
+    check()
+
+
 def test_index_set_contents():
     assert [d.raw() for d in index_set((2, 3))] == [(0, 0, 0), (0, 2, -1)]
     assert [d.raw() for d in index_set((2, 2))] == [(0, 0, 0)]
@@ -171,6 +274,44 @@ def test_ext_routes_agree_on_the_index_set():
         for m in twists:
             for n in twists:
                 assert ext_k_k(p, m, n) == ext_formula(p, m, n), (p, m, n)
+
+
+def ext_k_k_by_normal_forms(p, m, n):
+    """Ext dims counted by normalizing every generator's degree at every level."""
+    L = LGroup(p)
+    target = L.sub(L.normalize(m.raw()), L.normalize(n.raw()))
+    dims = {}
+    zt = L.z_degree(target)
+    if zt < 0:
+        return dims
+    for i in range(L.n + 2 * (zt // L.ell) + 3):
+        count = sum(
+            1
+            for I, j in resolution_generators(L.n, i)
+            if _generator_degree(L, L.n, I, j) == target
+        )
+        if count:
+            dims[i] = count
+    return dims
+
+
+@pytest.mark.parametrize("p", [(2, 3), (3, 3), (2, 2, 2), (3, 4, 5), (7,)])
+def test_ext_k_k_matches_the_normal_form_count(p):
+    twists = index_set(p)
+    for m in twists:
+        for n in twists:
+            assert ext_k_k(p, m, n) == ext_k_k_by_normal_forms(p, m, n), (p, m, n)
+    L = LGroup(p)
+    zero = L.zero()
+    grid = [L.normalize(raw) for raw in islice(_twist_grid(len(p)), 60)]
+    assert any(L.z_degree(d) < 0 for d in grid)
+    found = 0
+    for d in grid:
+        for m, n in [(d, zero), (zero, d)]:
+            got = ext_k_k(p, m, n)
+            assert got == ext_k_k_by_normal_forms(p, m, n), (p, m, n)
+            found += bool(got)
+    assert found > 0
 
 
 def quiver_convolution(p, m, n):
