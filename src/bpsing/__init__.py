@@ -10,7 +10,6 @@ rationals); everything is deterministic.
 from .exactlin import (
     Cohomology,
     ComplexError,
-    IntMatrix,
     RatMatrix,
     complex_cohomology,
     det,
@@ -41,14 +40,12 @@ from .dgcat import (
     a_category,
     euler_matrix,
     formality_check,
-    from_json,
     from_json_dict,
     gauge_isomorphic,
     relabel,
     square_sign_audit,
     tensor,
     tensor_bp,
-    to_json,
     to_json_dict,
     validate,
 )

@@ -291,13 +291,32 @@ def _suite_lattice(p: tuple[int, ...]) -> VerificationReport:
     e = euler_gram(p)
     checks.append(CheckResult("euler-gram-shape", e.symmetric == odd and _shape_ok(e.entries, odd)))
     cmpr = compare(p)
-    checks.append(
-        CheckResult(
-            "comparison-report", True,
-            {"disagreements": len(cmpr.disagreements), "agree": cmpr.agree},
-        )
-    )
+    detail = {"disagreements": len(cmpr.disagreements), "agree": cmpr.agree}
+    mismatch = _sebastiani_thom_mismatch(cmpr)
+    if mismatch:
+        detail["first_mismatch"] = mismatch
+    checks.append(CheckResult("comparison-report", not mismatch, detail))
     return VerificationReport("lattice", tuple(checks))
+
+
+def _sebastiani_thom_mismatch(cmpr) -> dict | None:
+    """First upper-triangle entry where st and euler break their law, or None.
+
+    On an off-diagonal pair i <= j coordinatewise, st = euler * 2^(number of
+    equal coordinates), since the product form is multiplicative and its
+    symmetrization is not (Sebastiani-Thom 1971); elsewhere the forms agree.
+    """
+    labels, st, euler = cmpr.labels, cmpr.st.entries, cmpr.euler.entries
+    for a, i in enumerate(labels):
+        for b in range(a, len(labels)):
+            j = labels[b]
+            expected = euler[a][b]
+            if a < b and expected and all(x <= y for x, y in zip(i, j)):
+                expected *= 2 ** sum(x == y for x, y in zip(i, j))
+            found = st[a][b]
+            if found != expected:
+                return {"pair": [list(i), list(j)], "expected": expected, "found": found}
+    return None
 
 
 _SUITES = {"fukaya": _suite_fukaya, "singcat": _suite_singcat, "lattice": _suite_lattice}

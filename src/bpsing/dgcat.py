@@ -12,12 +12,11 @@ so deliberately broken tables can be built and then caught by ``validate``.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactlin import IntMatrix, solve_integer, solve_mod2
+from .exactlin import RatMatrix, solve_integer, solve_mod2
 from .grading import exponent_seq
 
 CompTable = Mapping[tuple["MorRef", "MorRef"], Mapping[int, Fraction]]
@@ -114,9 +113,6 @@ class DirectedGradedCategory:
     def hom(self, i: int, j: int) -> tuple[int, ...]:
         """Degree sequence of the hom basis from object i to object j."""
         return self._homs.get((i, j), ())
-
-    def hom_by_labels(self, a, b) -> tuple[int, ...]:
-        return self.hom(self._index[a], self._index[b])
 
     def graded_dims(self, i: int, j: int) -> dict[int, int]:
         dims: dict[int, int] = {}
@@ -602,7 +598,7 @@ def gauge_isomorphic(
                 _prime_factors(ratio.numerator).get(prime, 0)
                 - _prime_factors(ratio.denominator).get(prime, 0)
             )
-        sol = solve_integer(IntMatrix(rows, cols=nvars), rhs) if rows else tuple([0] * nvars)
+        sol = solve_integer(RatMatrix(rows, cols=nvars), rhs) if rows else tuple([0] * nvars)
         if sol is None:
             return GaugeResult(False, None, f"magnitude system inconsistent at prime {prime}")
         exponents[prime] = list(sol)
@@ -669,10 +665,6 @@ def to_json_dict(C: DirectedGradedCategory) -> dict:
     }
 
 
-def to_json(C: DirectedGradedCategory) -> str:
-    return json.dumps(to_json_dict(C), indent=2, sort_keys=False)
-
-
 def from_json_dict(data: Mapping) -> DirectedGradedCategory:
     objects = tuple(_label_from_str(s) for s in data["objects"])
     index = {label: i for i, label in enumerate(objects)}
@@ -696,7 +688,3 @@ def from_json_dict(data: Mapping) -> DirectedGradedCategory:
     return DirectedGradedCategory(
         objects, {k: tuple(v) for k, v in homs.items()}, comp
     )
-
-
-def from_json(text: str) -> DirectedGradedCategory:
-    return from_json_dict(json.loads(text))

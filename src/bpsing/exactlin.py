@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and the integers.
 
-Dense matrices with ``Fraction`` entries, integer matrices with Smith normal
-form, and cohomology of a two-step complex with deterministic representative
+One dense matrix type with ``Fraction`` entries; the integer routines (Smith
+normal form, integer kernels and solutions) take matrices whose entries are
+integers.  Also the cohomology of a two-step complex with deterministic representative
 choices.  Everything here is exact: no floats ever enter, and identical inputs
 produce identical outputs (pivots are chosen by fixed scan order).
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -215,118 +215,63 @@ def det(M: RatMatrix) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices and Smith normal form
+# integer routines: Smith normal form of an integral RatMatrix
 
 
-class IntMatrix:
-    """Immutable dense integer matrix."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        for row in rows:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("integer entries required")
-        if rows:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            inferred = widths.pop()
-            if cols is not None and cols != inferred:
-                raise ValueError("cols does not match row width")
-            cols = inferred
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.entries]}, cols={self.cols})"
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)))
-            out.append(row)
-        return IntMatrix(out, cols=other.cols)
-
-    def to_rational(self) -> RatMatrix:
-        return RatMatrix(self.entries, cols=self.cols)
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
+def _int_rows(M: RatMatrix) -> list[list[int]]:
+    """Entries of M as lists of ints; raises ValueError on a non-integer entry."""
+    if any(x.denominator != 1 for row in M.entries for x in row):
+        raise ValueError("integer entries required")
+    return [[x.numerator for x in row] for row in M.entries]
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, r) with s a + r b = g = gcd(a, b) >= 0."""
+    s0, s1, r0, r1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        r0, r1 = r1, r0 - q * r1
+    return (a, s0, r0) if a >= 0 else (-a, -s0, -r0)
+
+
+def smith_normal_form(M: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     """Smith normal form with transforms: returns (D, U, V) with U M V = D.
 
-    D is diagonal with nonnegative entries satisfying d1 | d2 | ... ; U and V
-    are unimodular.  Pivots are picked as the smallest nonzero absolute value
-    in the remaining block, first occurrence wins, so the reduction is
+    M must have integer entries.  D is diagonal with nonnegative entries
+    satisfying d1 | d2 | ... ; U and V are unimodular.  The pivot starts as
+    the smallest nonzero absolute value in the remaining block, first
+    occurrence wins, and row t and column t are cleared by unimodular 2x2
+    extended-gcd steps, so entries stay small and the reduction is
     deterministic.
     """
-    d = [list(row) for row in M.entries]
+    d = _int_rows(M)
     nr, nc = M.rows, M.cols
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    def mix_rows(i, j, a, b, c, e):
+        # (row_i, row_j) <- (a row_i + b row_j, c row_i + e row_j)
+        for m in (d, u):
+            m[i], m[j] = ([a * x + b * y for x, y in zip(m[i], m[j])],
+                          [c * x + e * y for x, y in zip(m[i], m[j])])
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    def mix_cols(i, j, a, b, c, e):
+        for m in (d, v):
+            for row in m:
+                row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
 
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        d[i] = [a + q * b for a, b in zip(d[i], d[j])]
-        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
-
-    def add_col(i, j, q):
-        # col_i += q * col_j
-        for row in d:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
+    def clear(p, x):
+        # coefficients of a unimodular step taking (p, x) to (gcd, 0); a plain
+        # subtraction when p divides x
+        if x % p == 0:
+            return 1, 0, -(x // p), 1
+        g, s, r = _ext_gcd(p, x)
+        return s, r, -(x // g), p // g
 
     t = 0
     while t < min(nr, nc):
-        # locate smallest nonzero |entry| in the trailing block
         best = None
         for i in range(t, nr):
             for j in range(t, nc):
@@ -334,85 +279,66 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     best = (i, j)
         if best is None:
             break
-        i, j = best
-        if i != t:
-            swap_rows(t, i)
-        if j != t:
-            swap_cols(t, j)
-        # clear row and column t; restart whenever a remainder appears,
-        # since it is strictly smaller than the current pivot
-        dirty = True
-        while dirty:
-            dirty = False
+        if best[0] != t:
+            mix_rows(t, best[0], 0, 1, 1, 0)
+        if best[1] != t:
+            mix_cols(t, best[1], 0, 1, 1, 0)
+        # each step that is not a plain subtraction shrinks |d[t][t]|, and a
+        # column step refills column t only then, so this loop terminates
+        while True:
             for i in range(t + 1, nr):
                 if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
+                    mix_rows(t, i, *clear(d[t][t], d[i][t]))
             for j in range(t + 1, nc):
                 if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # force divisibility of the trailing block by the pivot
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
+                    mix_cols(t, j, *clear(d[t][t], d[t][j]))
+            if any(d[i][t] for i in range(t + 1, nr)):
+                continue
+            # force divisibility of the trailing block by the pivot
+            offender = next((i for i in range(t + 1, nr)
+                             if any(d[i][j] % d[t][t] for j in range(t + 1, nc))), None)
+            if offender is None:
                 break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue  # redo position t with the enlarged row
+            mix_rows(t, offender, 1, 1, 0, 1)
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
-
-    D = IntMatrix(d, cols=nc)
-    U = IntMatrix(u, cols=nr)
-    V = IntMatrix(v, cols=nc)
-    return D, U, V
+    return RatMatrix(d, cols=nc), RatMatrix(u, cols=nr), RatMatrix(v, cols=nc)
 
 
-def invariant_factors(M: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    D, _, _ = smith_normal_form(M)
-    return tuple(x for x in D.diagonal() if x != 0)
+def invariant_factors(M: RatMatrix) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith form of an integer matrix, in divisibility order."""
+    d = _int_rows(smith_normal_form(M)[0])
+    return tuple(d[i][i] for i in range(min(M.rows, M.cols)) if d[i][i] != 0)
 
 
-def integer_kernel(M: IntMatrix) -> list[tuple[int, ...]]:
+def integer_kernel(M: RatMatrix) -> list[tuple[int, ...]]:
     """Basis of the saturated integer kernel lattice {v : M v = 0}.
 
     The columns of V in U M V = D whose D-column vanishes form a basis of the
     full kernel lattice because V is unimodular.
     """
     D, _, V = smith_normal_form(M)
-    basis = []
-    for j in range(M.cols):
-        if all(D.entries[i][j] == 0 for i in range(M.rows)):
-            basis.append(tuple(V.entries[i][j] for i in range(M.cols)))
-    return basis
+    v = _int_rows(V)
+    return [tuple(row[j] for row in v) for j in range(M.cols)
+            if all(D.entries[i][j] == 0 for i in range(M.rows))]
 
 
-def solve_integer(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution of M x = b, or None.
+def solve_integer(M: RatMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
+    """One integer solution of M x = b for integer M and b, or None.
 
     Via U M V = D: solve D y = U b (each diagonal must divide the target,
     zero rows must meet zero), then x = V y.
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    D, U, V = smith_normal_form(M)
-    ub = [sum(U.entries[i][k] * int(b[k]) for k in range(M.rows)) for i in range(M.rows)]
+    (target,) = _int_rows(RatMatrix([b], cols=M.rows))
+    D, U, V = (_int_rows(X) for X in smith_normal_form(M))
+    ub = [sum(U[i][k] * target[k] for k in range(M.rows)) for i in range(M.rows)]
     y = [0] * M.cols
     for i in range(M.rows):
-        dii = D.entries[i][i] if i < M.cols else 0
+        dii = D[i][i] if i < M.cols else 0
         if dii == 0:
             if ub[i] != 0:
                 return None
@@ -420,7 +346,7 @@ def solve_integer(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
             if ub[i] % dii != 0:
                 return None
             y[i] = ub[i] // dii
-    return tuple(sum(V.entries[i][k] * y[k] for k in range(M.cols)) for i in range(M.cols))
+    return tuple(sum(V[i][k] * y[k] for k in range(M.cols)) for i in range(M.cols))
 
 
 def solve_mod2(rows: list[int], rhs: list[int], nvars: int) -> list[int] | None:
@@ -494,29 +420,19 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
         raise ComplexError("d_out composed with d_in is nonzero")
     n = d_in.rows  # dimension of the middle space
     _, kernel = rank_kernel(d_out)
-    _, in_pivots = rref(d_in)
-    image = [d_in.column(c) for c in in_pivots]
-    # grow the coboundary basis to a basis of the cocycles, scanning the
-    # deterministic kernel basis in order
-    span = [list(v) for v in image]
-    span, _ = _eliminate(span, n) if span else (span, [])
-    reps: list[Vec] = []
-    reduced = [row for row in span if any(x != 0 for x in row)]
-    for v in kernel:
-        candidate = reduced + [list(v)]
-        candidate, piv = _eliminate([list(r) for r in candidate], n)
-        nonzero = [row for row in candidate if any(x != 0 for x in row)]
-        if len(nonzero) > len(reduced):
-            reps.append(v)
-            reduced = nonzero
-    solver_cols = [list(v) for v in image] + [list(v) for v in reps]
-    solver = RatMatrix(
-        [[solver_cols[j][i] for j in range(len(solver_cols))] for i in range(n)], cols=len(solver_cols)
-    ) if n > 0 else RatMatrix([], cols=0)
+    # one elimination over [d_in | kernel]: the pivot columns are the first
+    # columns independent of those before them, so the pivots inside d_in
+    # give a coboundary basis and the rest the first kernel vectors that
+    # grow it to a basis of the cocycles
+    m = d_in.cols
+    stacked = [row + tuple(v[i] for v in kernel) for i, row in enumerate(d_in.entries)]
+    _, pivots = _eliminate([list(row) for row in stacked], m + len(kernel))
+    solver = RatMatrix([[row[c] for c in pivots] for row in stacked], cols=len(pivots))
+    reps = tuple(kernel[c - m] for c in pivots if c >= m)
     return Cohomology(
         dim=len(reps),
-        representatives=tuple(reps),
+        representatives=reps,
         _space_dim=n,
         _solver=solver,
-        _image_dim=len(image),
+        _image_dim=len(pivots) - len(reps),
     )

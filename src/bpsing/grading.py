@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .exactlin import IntMatrix, integer_kernel, invariant_factors, solve
+from .exactlin import RatMatrix, integer_kernel, invariant_factors, solve
 
 
 def exponent_seq(p: Iterable[int]) -> tuple[int, ...]:
@@ -133,7 +133,7 @@ class LGroup:
         """Image under z : L -> Z with z(x_i) = ell / p_i and z(c) = ell."""
         return sum(ai * wi for ai, wi in zip(d.a, self.weights)) + d.b * self.ell
 
-    def relation_matrix(self) -> IntMatrix:
+    def relation_matrix(self) -> RatMatrix:
         """Rows p_i e_i - e_c presenting L as a quotient of Z^(n+1)."""
         rows = []
         for i, pi in enumerate(self.p):
@@ -141,7 +141,7 @@ class LGroup:
             row[i] = pi
             row[-1] = -1
             rows.append(row)
-        return IntMatrix(rows, cols=self.n + 1)
+        return RatMatrix(rows, cols=self.n + 1)
 
     def torsion_subgroup(self) -> FiniteAbelianGroup:
         """Torsion of L, read off the Smith form of the relation matrix."""
@@ -225,7 +225,7 @@ def orlov_group(p: Iterable[int]) -> FiniteAbelianGroup:
     """
     L = LGroup(p)
     n = L.n
-    kernel = integer_kernel(IntMatrix([list(L.weights)], cols=n))
+    kernel = integer_kernel(RatMatrix([list(L.weights)], cols=n))
     if len(kernel) != n - 1:
         raise ArithmeticError("weight vector must have full rank one")
     relation_rows = []
@@ -235,22 +235,16 @@ def orlov_group(p: Iterable[int]) -> FiniteAbelianGroup:
         row[i + 1] = -L.p[i + 1]
         relation_rows.append(row)
     # express each relation row in the kernel basis; the basis is saturated,
-    # so rational coordinates of an integer kernel vector are integers
-    basis_cols = IntMatrix(
-        [[kernel[j][i] for j in range(n - 1)] for i in range(n)], cols=n - 1
-    ).to_rational()
+    # so rational coordinates of an integer kernel vector are integers, and
+    # invariant_factors raises if one is not
+    basis_cols = RatMatrix([[kernel[j][i] for j in range(n - 1)] for i in range(n)], cols=n - 1)
     coords = []
     for row in relation_rows:
         x = solve(basis_cols, row)
         if x is None:
             raise ArithmeticError("relation row escapes the weight kernel")
-        as_ints = []
-        for val in x:
-            if val.denominator != 1:
-                raise ArithmeticError("kernel basis is not saturated")
-            as_ints.append(val.numerator)
-        coords.append(as_ints)
-    factors = invariant_factors(IntMatrix(coords, cols=n - 1))
+        coords.append(x)
+    factors = invariant_factors(RatMatrix(coords, cols=n - 1))
     if len(factors) != n - 1:
         raise ArithmeticError("cokernel is infinite")
     return FiniteAbelianGroup(tuple(d for d in factors if d > 1))

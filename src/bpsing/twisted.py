@@ -141,9 +141,6 @@ class HomComplex:
     def dims(self) -> dict[int, int]:
         return {d: len(v) for d, v in self.basis.items()}
 
-    def chi(self) -> int:
-        return sum((-1) ** d * len(v) for d, v in self.basis.items())
-
     def differential(self, d: int) -> RatMatrix:
         got = self._diff.get(d)
         if got is not None:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import bpsing.cli
+import bpsing.lattice
 import bpsing.suspension
 from bpsing.cli import main
 from bpsing.dgcat import from_json_dict, tensor_bp
@@ -83,6 +84,9 @@ def test_orlov_json_values(capsys):
     data = json.loads(out)
     assert data["cy"] is False
     assert data["sum"] == "31/30"
+    code, out, _ = run_cli(capsys, "orlov", "--p", "7,8,5,11,12,10", "--json")
+    assert code == 0
+    assert json.loads(out)["group"] == [2, 20]
 
 
 def test_singcat_ext_subcommand(capsys):
@@ -166,6 +170,23 @@ def test_verify_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "2,2", "--suite", "all")
     assert code == 0
     assert out.strip().endswith("verify: PASS")
+
+
+def test_comparison_report_fails_when_the_product_form_changes_sign(capsys, monkeypatch):
+    one_var_form = bpsing.lattice.one_var_form
+
+    def flipped(p, i, j):
+        value = one_var_form(p, i, j)
+        return value if i == j else -value
+
+    monkeypatch.setattr(bpsing.lattice, "one_var_form", flipped)
+    code, out, _ = run_cli(capsys, "verify", "--p", "3,3", "--suite", "lattice", "--json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    assert [name for name, c in checks.items() if not c["ok"]] == ["comparison-report"]
+    assert checks["comparison-report"]["detail"]["first_mismatch"] == {
+        "pair": [[1, 1], [1, 2]], "expected": -2, "found": 2,
+    }
 
 
 def test_verify_fukaya_builds_the_tensor_model_once(capsys, monkeypatch):

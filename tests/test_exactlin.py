@@ -9,8 +9,8 @@ import pytest
 from bpsing.exactlin import (
     Cohomology,
     ComplexError,
-    IntMatrix,
     RatMatrix,
+    _eliminate,
     complex_cohomology,
     det,
     integer_kernel,
@@ -150,7 +150,7 @@ def test_smith_normal_form_properties():
     for _ in range(60):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        M = IntMatrix(random_int_matrix(rng, rows, cols))
+        M = RatMatrix(random_int_matrix(rng, rows, cols))
         D, U, V = smith_normal_form(M)
         assert U @ M @ V == D
         for i in range(D.rows):
@@ -162,14 +162,35 @@ def test_smith_normal_form_properties():
         for a, b in zip(diag, diag[1:]):
             if b != 0:
                 assert a != 0 and b % a == 0
-        assert abs(det(U.to_rational())) == 1
-        assert abs(det(V.to_rational())) == 1
+        assert abs(det(U)) == 1
+        assert abs(det(V)) == 1
+
+
+def test_smith_normal_form_finishes_where_repeated_subtraction_stalls():
+    # relation coordinates from orlov --p 7,8,5,11,12,10; clearing by repeated
+    # subtraction grew the trailing block without bound on this matrix
+    M = RatMatrix([[-48, -2201, -200, 35, 658], [48, 528, -980, 0, -5], [0, 1680, -1900, -11, -193],
+                   [-72, -2304, 3068, 11, 198], [62, 1954, 12, 0, -560]])
+    D, U, V = smith_normal_form(M)
+    assert U @ M @ V == D
+    assert abs(det(U)) == 1
+    assert abs(det(V)) == 1
+    assert D == RatMatrix([[int(i == j) * d for j in range(5)] for i, d in enumerate((1, 1, 1, 2, 20))])
+
+
+def test_integer_routines_reject_non_integer_entries():
+    with pytest.raises(ValueError, match="integer entries required"):
+        smith_normal_form(RatMatrix([[Fraction(1, 2)]]))
+    with pytest.raises(ValueError, match="integer entries required"):
+        invariant_factors(RatMatrix([[1, Fraction(3, 2)]]))
+    with pytest.raises(ValueError, match="integer entries required"):
+        solve_integer(RatMatrix([[1]]), (Fraction(3, 2),))
 
 
 def test_invariant_factors_known_values():
-    assert invariant_factors(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
-    assert invariant_factors(IntMatrix([[4, 0], [0, 6]])) == (2, 12)
-    assert invariant_factors(IntMatrix.zeros(2, 3)) == ()
+    assert invariant_factors(RatMatrix([[2, 0], [0, 3]])) == (1, 6)
+    assert invariant_factors(RatMatrix([[4, 0], [0, 6]])) == (2, 12)
+    assert invariant_factors(RatMatrix.zeros(2, 3)) == ()
 
 
 def test_integer_kernel_is_saturated():
@@ -177,16 +198,16 @@ def test_integer_kernel_is_saturated():
     for _ in range(40):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
-        M = IntMatrix(random_int_matrix(rng, rows, cols, bound=6))
+        M = RatMatrix(random_int_matrix(rng, rows, cols, bound=6))
         basis = integer_kernel(M)
-        rank = rank_kernel(M.to_rational())[0]
+        rank = rank_kernel(M)[0]
         assert len(basis) == cols - rank
         for v in basis:
             assert all(sum(M.entries[i][j] * v[j] for j in range(cols)) == 0
                        for i in range(rows))
         if basis:
             # a saturated lattice has a basis with all invariant factors 1
-            assert set(invariant_factors(IntMatrix([list(v) for v in basis], cols=cols))) == {1}
+            assert set(invariant_factors(RatMatrix([list(v) for v in basis], cols=cols))) == {1}
 
 
 def test_solve_integer_round_trip_and_failure():
@@ -194,14 +215,14 @@ def test_solve_integer_round_trip_and_failure():
     for _ in range(40):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        M = IntMatrix(random_int_matrix(rng, rows, cols, bound=6))
+        M = RatMatrix(random_int_matrix(rng, rows, cols, bound=6))
         x = [rng.randint(-4, 4) for _ in range(cols)]
         b = [sum(M.entries[i][j] * x[j] for j in range(cols)) for i in range(rows)]
         got = solve_integer(M, b)
         assert got is not None
         assert [sum(M.entries[i][j] * got[j] for j in range(cols)) for i in range(rows)] == b
-    assert solve_integer(IntMatrix([[2]]), (1,)) is None
-    assert solve_integer(IntMatrix([[1], [0]]), (0, 1)) is None
+    assert solve_integer(RatMatrix([[2]]), (1,)) is None
+    assert solve_integer(RatMatrix([[1], [0]]), (0, 1)) is None
 
 
 def test_solve_mod2_round_trip_and_failure():
@@ -246,3 +267,62 @@ def test_cohomology_quotients_by_the_image():
 def test_cohomology_rejects_non_complexes():
     with pytest.raises(ComplexError):
         complex_cohomology(RatMatrix([[1], [0]]), RatMatrix([[1, 0]]))
+
+
+def greedy_cohomology(d_in, d_out):
+    """The former routine: rref of d_in, then one elimination per kernel vector."""
+    n = d_in.rows
+    _, kernel = rank_kernel(d_out)
+    _, in_pivots = rref(d_in)
+    image = [d_in.column(c) for c in in_pivots]
+    span = [list(v) for v in image]
+    span, _ = _eliminate(span, n) if span else (span, [])
+    reps = []
+    reduced = [row for row in span if any(x != 0 for x in row)]
+    for v in kernel:
+        candidate = reduced + [list(v)]
+        candidate, piv = _eliminate([list(r) for r in candidate], n)
+        nonzero = [row for row in candidate if any(x != 0 for x in row)]
+        if len(nonzero) > len(reduced):
+            reps.append(v)
+            reduced = nonzero
+    solver_cols = [list(v) for v in image] + [list(v) for v in reps]
+    solver = RatMatrix(
+        [[solver_cols[j][i] for j in range(len(solver_cols))] for i in range(n)], cols=len(solver_cols)
+    ) if n > 0 else RatMatrix([], cols=0)
+    return Cohomology(dim=len(reps), representatives=tuple(reps), _space_dim=n,
+                      _solver=solver, _image_dim=len(image))
+
+
+def random_combination(rng, vectors, length):
+    coeffs = [rng.randint(-3, 3) for _ in vectors]
+    return [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(length)]
+
+
+def random_complex(rng):
+    """d_in, d_out with d_out d_in = 0: d_in mixes kernel vectors of a low-rank d_out."""
+    n = rng.randint(0, 5)
+    rows, inner = rng.randint(0, 4), rng.randint(0, 3)
+    A = RatMatrix(random_int_matrix(rng, rows, inner, bound=3), cols=inner)
+    B = RatMatrix(random_int_matrix(rng, inner, n, bound=3), cols=n)
+    d_out = A @ B
+    _, kernel = rank_kernel(d_out)
+    m = rng.randint(0, 4)
+    columns = [random_combination(rng, kernel, n) for _ in range(m)]
+    d_in = RatMatrix([[col[i] for col in columns] for i in range(n)], cols=m)
+    return d_in, d_out, kernel
+
+
+def test_cohomology_matches_the_greedy_oracle():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(250):
+        d_in, d_out, kernel = random_complex(rng)
+        coh, ref = complex_cohomology(d_in, d_out), greedy_cohomology(d_in, d_out)
+        assert coh.dim == ref.dim
+        assert coh.representatives == ref.representatives
+        seen.add((d_in.rows == 0, not kernel))
+        for _ in range(3):
+            z = random_combination(rng, kernel, d_in.rows)
+            assert coh.coordinates(z) == ref.coordinates(z)
+    assert {(True, True), (False, True), (False, False)} <= seen

@@ -26,8 +26,8 @@ def test_directed_extension_structure():
         degree_counts[E.degree(f)] = degree_counts.get(E.degree(f), 0) + 1
     assert degree_counts == {0: 2, 1: 3}
     # no morphisms run up the stacking direction
-    assert E.hom_by_labels((1, 1), (1, 2)) == ()
-    assert E.hom_by_labels((1, 2), (1, 1)) == (0,)
+    assert E.hom(E.object_index((1, 1)), E.object_index((1, 2))) == ()
+    assert E.hom(E.object_index((1, 2)), E.object_index((1, 1))) == (0,)
 
 
 def test_directed_extension_composition_squares_commute():
