@@ -28,7 +28,7 @@ from .dgcat import (
 )
 from .exactlin import ComplexError
 from .grading import LGroup, cy_check, exponent_seq, orlov_group
-from .lattice import compare, euler_gram, st_gram
+from .lattice import compare
 from .singcat import (
     bp_resolution,
     ext_formula,
@@ -283,14 +283,13 @@ def _shape_ok(entries, symmetric: bool) -> bool:
 def _suite_lattice(p: tuple[int, ...]) -> VerificationReport:
     checks: list[CheckResult] = []
     odd = len(p) % 2 == 1
-    s = st_gram(p)
+    cmpr = compare(p)
+    s, e = cmpr.st, cmpr.euler
     checks.append(
         CheckResult("st-gram-shape", s.symmetric == odd and _shape_ok(s.entries, odd),
                     {"rank": len(s.labels)})
     )
-    e = euler_gram(p)
     checks.append(CheckResult("euler-gram-shape", e.symmetric == odd and _shape_ok(e.entries, odd)))
-    cmpr = compare(p)
     detail = {"disagreements": len(cmpr.disagreements), "agree": cmpr.agree}
     mismatch = _sebastiani_thom_mismatch(cmpr)
     if mismatch:

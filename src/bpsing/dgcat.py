@@ -43,6 +43,9 @@ class DirectedGradedCategory:
     ``comp`` maps composable pairs (g, f) to sparse result coefficients over
     the basis of hom(f.src, g.tgt); absent entries are zero composites.
     Identity compositions are filled in strictly unless explicitly supplied.
+
+    Instances are immutable and no table changes after ``__init__``, which is
+    what lets ``relabel`` share the tables of the category it renames.
     """
 
     __slots__ = ("objects", "_index", "_homs", "_comp", "_from")
@@ -157,12 +160,6 @@ class DirectedGradedCategory:
             return f"id@{self.objects[f.src]}"
         return f"{self.objects[f.src]}->{self.objects[f.tgt]}#{f.idx}"
 
-    def morphism_by_name(self, name: str) -> MorRef:
-        for f in self.morphisms():
-            if self.name(f) == name:
-                return f
-        raise KeyError(name)
-
     def compose(self, g: MorRef, f: MorRef) -> dict[int, Fraction]:
         """Sparse coefficients of g after f over the basis of hom(f.src, g.tgt)."""
         if f.tgt != g.src:
@@ -212,6 +209,7 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
         return ia * nb + ib
 
     homs: dict[tuple[int, int], tuple[int, ...]] = {}
+    factors: dict[tuple[int, int], list[tuple[MorRef, MorRef]]] = {}
     for ia in range(na):
         for ja in range(na):
             ha = A.hom(ia, ja)
@@ -225,30 +223,19 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
                     i, j = oidx(ia, ib), oidx(ja, jb)
                     if i < j:
                         homs[(i, j)] = tuple(da + db for da in ha for db in hb)
-
-    C = DirectedGradedCategory(objects, homs)
-
-    def pair_refs(i: int, j: int):
-        """Split each basis morphism of hom(i, j) into its A and B factors."""
-        ia, ib = divmod(i, nb)
-        ja, jb = divmod(j, nb)
-        hb = B.hom(ib, jb)
-        out = []
-        for k in range(len(C.hom(i, j))):
-            ka, kb = divmod(k, len(hb))
-            out.append((MorRef(ia, ja, ka), MorRef(ib, jb, kb)))
-        return out
+                        # the A and B factors of each basis morphism of hom(i, j)
+                        factors[(i, j)] = [
+                            (MorRef(ia, ja, ka), MorRef(ib, jb, kb))
+                            for ka in range(len(ha))
+                            for kb in range(len(hb))
+                        ]
 
     comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
-    targets = source_index(C._homs)
-    for (i, j) in sorted(C._homs):
-        for l in targets[j]:
-            for kf, (f_a, f_b) in enumerate(pair_refs(i, j)):
-                for kg, (g_a, g_b) in enumerate(pair_refs(j, l)):
-                    g = MorRef(j, l, kg)
-                    f = MorRef(i, j, kf)
-                    if C.is_identity(g) or C.is_identity(f):
-                        continue
+    targets = source_index(homs)
+    for (i, j) in sorted(homs):
+        for l in targets.get(j, ()):
+            for kf, (f_a, f_b) in enumerate(factors[(i, j)]):
+                for kg, (g_a, g_b) in enumerate(factors[(j, l)]):
                     ca = A.compose(g_a, f_a)
                     cb = B.compose(g_b, f_b)
                     if not ca or not cb:
@@ -259,41 +246,26 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
                     for ra, va in ca.items():
                         for rb, vb in cb.items():
                             entry[ra * width + rb] = sign * va * vb
-                    comp[(g, f)] = entry
+                    comp[(MorRef(j, l, kg), MorRef(i, j, kf))] = entry
 
     return DirectedGradedCategory(objects, homs, comp)
 
 
-def relabel(
-    C: DirectedGradedCategory, mapping: Mapping, *, reorder: bool = False
-) -> DirectedGradedCategory:
-    """Rename objects; with ``reorder`` the new labels are sorted.
+def relabel(C: DirectedGradedCategory, mapping: Mapping) -> DirectedGradedCategory:
+    """Rename objects through ``mapping``, keeping their order.
 
-    Reordering must keep every nonzero hom pointing forward, otherwise the
-    result would not be directed and a ValueError is raised.
+    No index changes, so the result shares C's hom and composition tables;
+    only the labels and their index are new.
     """
-    new_labels = [mapping[label] for label in C.objects]
-    if len(set(new_labels)) != len(new_labels):
+    objects = tuple(mapping[label] for label in C.objects)
+    if len(set(objects)) != len(objects):
         raise ValueError("relabeling must be injective")
-    if reorder:
-        order = sorted(range(len(new_labels)), key=lambda i: new_labels[i])
-    else:
-        order = list(range(len(new_labels)))
-    position = {old: new for new, old in enumerate(order)}
-    homs: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (i, j), degs in C._homs.items():
-        if i == j:
-            continue
-        ni, nj = position[i], position[j]
-        if ni >= nj:
-            raise ValueError("reorder breaks directedness")
-        homs[(ni, nj)] = degs
-    comp = {}
-    for (g, f), entry in C._comp.items():
-        ng = MorRef(position[g.src], position[g.tgt], g.idx)
-        nf = MorRef(position[f.src], position[f.tgt], f.idx)
-        comp[(ng, nf)] = entry
-    return DirectedGradedCategory(tuple(new_labels[i] for i in order), homs, comp)
+    out = object.__new__(DirectedGradedCategory)
+    object.__setattr__(out, "objects", objects)
+    object.__setattr__(out, "_index", {label: i for i, label in enumerate(objects)})
+    for name in ("_homs", "_comp", "_from"):
+        object.__setattr__(out, name, getattr(C, name))
+    return out
 
 
 def tensor_bp(p: Iterable[int]) -> DirectedGradedCategory:

@@ -1,0 +1,174 @@
+"""The category builders against reference builders that walk a shell category.
+
+``reference_tensor`` and ``reference_directed_extension`` are the former
+implementations: each first builds the category without compositions (the
+"shell"), walks its composable pairs skipping identities, and then builds the
+category again with the composition table.  The library builders walk the hom
+table directly; both routes must give equal categories (objects, homs and the
+whole composition table).
+"""
+
+import pytest
+
+from bpsing.dgcat import (
+    DirectedGradedCategory,
+    MorRef,
+    a_category,
+    source_index,
+    tensor,
+    tensor_bp,
+)
+from bpsing.suspension import directed_extension
+
+
+def reference_tensor(A, B):
+    na, nb = len(A.objects), len(B.objects)
+    objects = tuple((a, b) for a in A.objects for b in B.objects)
+
+    def oidx(ia, ib):
+        return ia * nb + ib
+
+    homs = {}
+    for ia in range(na):
+        for ja in range(na):
+            ha = A.hom(ia, ja)
+            if not ha:
+                continue
+            for ib in range(nb):
+                for jb in range(nb):
+                    hb = B.hom(ib, jb)
+                    if not hb:
+                        continue
+                    i, j = oidx(ia, ib), oidx(ja, jb)
+                    if i < j:
+                        homs[(i, j)] = tuple(da + db for da in ha for db in hb)
+
+    C = DirectedGradedCategory(objects, homs)
+
+    def pair_refs(i, j):
+        ia, ib = divmod(i, nb)
+        ja, jb = divmod(j, nb)
+        hb = B.hom(ib, jb)
+        out = []
+        for k in range(len(C.hom(i, j))):
+            ka, kb = divmod(k, len(hb))
+            out.append((MorRef(ia, ja, ka), MorRef(ib, jb, kb)))
+        return out
+
+    comp = {}
+    targets = source_index(C._homs)
+    for (i, j) in sorted(C._homs):
+        for l in targets[j]:
+            for kf, (f_a, f_b) in enumerate(pair_refs(i, j)):
+                for kg, (g_a, g_b) in enumerate(pair_refs(j, l)):
+                    g = MorRef(j, l, kg)
+                    f = MorRef(i, j, kf)
+                    if C.is_identity(g) or C.is_identity(f):
+                        continue
+                    ca = A.compose(g_a, f_a)
+                    cb = B.compose(g_b, f_b)
+                    if not ca or not cb:
+                        continue
+                    sign = -1 if (B.degree(g_b) * A.degree(f_a)) % 2 else 1
+                    width = len(B.hom(f_b.src, g_b.tgt))
+                    entry = {}
+                    for ra, va in ca.items():
+                        for rb, vb in cb.items():
+                            entry[ra * width + rb] = sign * va * vb
+                    comp[(g, f)] = entry
+
+    return DirectedGradedCategory(objects, homs, comp)
+
+
+def reference_directed_extension(A, k):
+    na = len(A.objects)
+    objects = tuple((x, j) for j in range(k, 0, -1) for x in A.objects)
+
+    def oidx(ia, j):
+        return (k - j) * na + ia
+
+    homs = {}
+    underlying = {}
+    for j in range(k, 0, -1):
+        for j2 in range(j, 0, -1):
+            for ia in range(na):
+                for ia2 in range(na):
+                    if j == j2 and ia == ia2:
+                        continue
+                    base = A.hom(ia, ia2)
+                    if not base:
+                        continue
+                    src, tgt = oidx(ia, j), oidx(ia2, j2)
+                    homs[(src, tgt)] = base
+                    underlying[(src, tgt)] = {m: MorRef(ia, ia2, m) for m in range(len(base))}
+
+    def u(ref):
+        if ref.src == ref.tgt:
+            ia = ref.src % na
+            return MorRef(ia, ia, 0)
+        return underlying[(ref.src, ref.tgt)][ref.idx]
+
+    E_shell = DirectedGradedCategory(objects, homs)
+    comp = {}
+    for f in E_shell.morphisms():
+        for g in E_shell.morphisms_from(f.tgt):
+            if E_shell.is_identity(g) or E_shell.is_identity(f):
+                continue
+            base = A.compose(u(g), u(f))
+            if not base:
+                continue
+            back = {ref: idx for idx, ref in underlying[(f.src, g.tgt)].items()}
+            comp[(g, f)] = {
+                back[MorRef(u(f).src, u(g).tgt, ridx)]: coeff for ridx, coeff in base.items()
+            }
+    return DirectedGradedCategory(objects, homs, comp)
+
+
+def reference_tensor_bp(p):
+    C = a_category(p[0] - 1)
+    C = DirectedGradedCategory(
+        tuple((x,) for x in C.objects), {ij: C.hom(*ij) for ij in C._homs if ij[0] < ij[1]}
+    )
+    for pi in p[1:]:
+        T = reference_tensor(C, a_category(pi - 1))
+        C = DirectedGradedCategory(
+            tuple(x + (y,) for x, y in T.objects),
+            {ij: T.hom(*ij) for ij in T._homs if ij[0] < ij[1]},
+            dict(T.composition_entries()),
+        )
+    return C
+
+
+def assert_same_category(new, ref):
+    assert new.objects == ref.objects
+    assert new._homs == ref._homs
+    assert list(new.composition_entries()) == list(ref.composition_entries())
+    assert new == ref
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tensor_of_linear_quivers_matches_reference(m, n):
+    A, B = a_category(m), a_category(n)
+    assert_same_category(tensor(A, B), reference_tensor(A, B))
+
+
+def test_tensor_with_a_tensor_factor_matches_reference():
+    A, B = tensor_bp((2, 3)), a_category(3)
+    assert_same_category(tensor(A, B), reference_tensor(A, B))
+
+
+@pytest.mark.parametrize("p", [(2, 3), (3, 3, 3), (2, 3, 4), (3, 3, 3, 3)])
+def test_tensor_bp_matches_reference(p):
+    assert_same_category(tensor_bp(p), reference_tensor_bp(p))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [a_category(1), a_category(2), a_category(3), tensor_bp((2, 3)), tensor_bp((3, 3))],
+    ids=["A1", "A2", "A3", "bp23", "bp33"],
+)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_directed_extension_matches_reference(A, k):
+    assert_same_category(directed_extension(A, k), reference_directed_extension(A, k))
+

@@ -204,6 +204,20 @@ def test_verify_fukaya_builds_the_tensor_model_once(capsys, monkeypatch):
     assert calls == [(3, 3, 3)]
 
 
+def test_verify_lattice_builds_the_tensor_model_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_tensor_bp(p):
+        calls.append(p)
+        return tensor_bp(p)
+
+    monkeypatch.setattr(bpsing.lattice, "tensor_bp", counting_tensor_bp)
+    code, out, _ = run_cli(capsys, "verify", "--p", "3,3,3", "--suite", "lattice")
+    assert code == 0
+    assert "PASS euler-gram-shape" in out
+    assert calls == [(3, 3, 3)]
+
+
 def test_verify_singcat_one_variable(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "7", "--suite", "singcat", "--json")
     assert code == 0

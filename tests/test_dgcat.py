@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from bpsing.dgcat import (
+    DirectedGradedCategory,
     MorRef,
     a_category,
     euler_matrix,
@@ -20,6 +21,7 @@ from bpsing.dgcat import (
     to_json_dict,
     validate,
 )
+from helpers import morphism_by_name
 
 
 def kron(A, B):
@@ -94,17 +96,17 @@ def test_a_category_shape():
     for i in range(3):
         assert A.hom(i, i + 1) == (1,)
     assert A.hom(0, 2) == ()
-    step1 = A.morphism_by_name("1->2#0")
-    step2 = A.morphism_by_name("2->3#0")
+    step1 = morphism_by_name(A, "1->2#0")
+    step2 = morphism_by_name(A, "2->3#0")
     assert A.compose(step2, step1) == {}
     with pytest.raises(KeyError):
-        A.morphism_by_name("absent")
+        morphism_by_name(A, "absent")
 
 
 def test_tensor_bp_object_order_and_degrees():
     C = tensor_bp((3, 3))
     assert C.objects == ((1, 1), (1, 2), (2, 1), (2, 2))
-    diag = C.morphism_by_name("(1, 1)->(2, 2)#0")
+    diag = morphism_by_name(C, "(1, 1)->(2, 2)#0")
     assert C.degree(diag) == 2
     assert C.hom(C.object_index((1, 1)), C.object_index((2, 2))) == (2,)
     assert tensor(a_category(2), a_category(2)) == C
@@ -113,10 +115,10 @@ def test_tensor_bp_object_order_and_degrees():
 def test_tensor_square_anticommutes():
     C = tensor_bp((3, 3))
     up = C.compose(
-        C.morphism_by_name("(1, 2)->(2, 2)#0"), C.morphism_by_name("(1, 1)->(1, 2)#0")
+        morphism_by_name(C, "(1, 2)->(2, 2)#0"), morphism_by_name(C, "(1, 1)->(1, 2)#0")
     )
     over = C.compose(
-        C.morphism_by_name("(2, 1)->(2, 2)#0"), C.morphism_by_name("(1, 1)->(2, 1)#0")
+        morphism_by_name(C, "(2, 1)->(2, 2)#0"), morphism_by_name(C, "(1, 1)->(2, 1)#0")
     )
     assert up == {0: Fraction(1)}
     assert over == {0: Fraction(-1)}
@@ -203,6 +205,31 @@ def test_relabel_round_trip():
     assert gauge_isomorphic(C, D, mapping).ok
     with pytest.raises(KeyError):
         relabel(C, {(1, 1): "only"})
+    with pytest.raises(ValueError):
+        relabel(C, {(1, 1): "same", (1, 2): "same"})
+    # the result equals a fresh build with the new labels, shares the tables
+    # without touching its input, and indexes sources alike whether or not the
+    # input had built its index first
+    for index_first in (False, True):
+        C = tensor_bp((3, 3, 3))
+        if index_first:
+            C.morphisms_from(0)
+        before = to_json_dict(C)
+        mapping = {label: "x" + "".join(map(str, label)) for label in C.objects}
+        D = relabel(C, mapping)
+        n = len(C.objects)
+        fresh = DirectedGradedCategory(
+            tuple(mapping[x] for x in C.objects),
+            {(i, j): C.hom(i, j) for i in range(n) for j in range(i + 1, n)},
+            dict(C.composition_entries()),
+        )
+        assert D == fresh
+        assert to_json_dict(C) == before
+        assert C.object_index((2, 2, 2)) == D.object_index("x222") == 7
+        with pytest.raises(KeyError):
+            D.object_index((2, 2, 2))
+        for i in range(n):
+            assert D.morphisms_from(i) == fresh.morphisms_from(i) == C.morphisms_from(i)
 
 
 def test_formality_holds_for_tensor_models():

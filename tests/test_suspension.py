@@ -1,5 +1,7 @@
 """Suspension pipeline: stacked copies, cones, and the tensor-model check."""
 
+from math import prod
+
 import pytest
 
 from bpsing import suspension
@@ -70,8 +72,24 @@ def test_suspend_agrees_with_tensor_model():
     for A in [a_category(2), a_category(3), tensor_bp((2, 3))]:
         for k in (2, 3, 4):
             report = verify_suspension(A, k)
-            assert report.dims_ok, (A, k, report.messages)
-            assert report.gauge_ok and report.audit_ok and report.ok
+            assert report.ok and report.messages == (), (A, k, report.messages)
+
+
+def test_suspend_agrees_with_tensor_model_on_random_sequences():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # at most 12 objects in the category that is suspended
+    exponents = st.lists(st.integers(2, 7), min_size=1, max_size=3).filter(
+        lambda p: prod(pi - 1 for pi in p) <= 12
+    )
+
+    @hypothesis.settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(exponents, st.integers(2, 4))
+    def check(p, k):
+        report = verify_suspension(tensor_bp(p), k, tower_label)
+        assert report.ok and report.messages == (), (p, k, report.messages)
+
+    check()
 
 
 def test_suspend_small_examples():

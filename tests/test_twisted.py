@@ -16,6 +16,7 @@ from bpsing.twisted import (
     single,
     twisted_hom,
 )
+from helpers import morphism_by_name
 
 
 def shift_dims(dims, by):
@@ -39,7 +40,7 @@ def test_single_hom_matches_category_hom():
 
 def test_cone_requires_a_degree_zero_basis_morphism():
     C = tensor_bp((2, 3))
-    arrow = C.morphism_by_name("(1, 1)->(1, 2)#0")
+    arrow = morphism_by_name(C, "(1, 1)->(1, 2)#0")
     with pytest.raises(ValueError):
         cone(C, arrow)
 
