@@ -357,20 +357,17 @@ def square_sign_audit(C: DirectedGradedCategory) -> list[str]:
     morphisms P -> M_k -> Q, the two composites must be nonzero and negatives
     of each other.  Returns human-readable violations, empty when clean.
     """
-    n = len(C.objects)
     violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            paths = []  # (mid, composite dict)
-            for m in range(i + 1, j):
-                for kf, df in enumerate(C.hom(i, m)):
-                    if df != 1:
-                        continue
-                    for kg, dg in enumerate(C.hom(m, j)):
-                        if dg != 1:
-                            continue
-                        comp = C.compose(MorRef(m, j, kg), MorRef(i, m, kf))
-                        paths.append((m, comp))
+    for i in range(len(C.objects)):
+        # degree-1 paths i -> m -> j grouped by j, in (m, f, g) order
+        by_target: dict[int, list[tuple[int, dict[int, Fraction]]]] = {}
+        for f in C.morphisms_from(i):
+            if C.degree(f) != 1:
+                continue
+            for g in C.morphisms_from(f.tgt):
+                if C.degree(g) == 1:
+                    by_target.setdefault(g.tgt, []).append((f.tgt, C.compose(g, f)))
+        for j, paths in sorted(by_target.items()):
             for a in range(len(paths)):
                 for b in range(a + 1, len(paths)):
                     m1, c1 = paths[a]

@@ -354,32 +354,38 @@ def solve_mod2(rows: list[int], rhs: list[int], nvars: int) -> list[int] | None:
 
     Returns one solution as a 0/1 list (free variables zero), or None.
     """
-    system = [(rows[i], rhs[i] & 1) for i in range(len(rows))]
-    pivots: list[tuple[int, int, int]] = []  # (bit, row, rhs)
-    for row, b in system:
-        for bit, prow, pb in pivots:
-            if row >> bit & 1:
-                row ^= prow
-                b ^= pb
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (row, rhs), echelon form
+    for row, b in zip(rows, rhs):
+        b &= 1
+        while row and (row.bit_length() - 1) in pivots:
+            prow, pb = pivots[row.bit_length() - 1]
+            row ^= prow
+            b ^= pb
         if row == 0:
             if b:
                 return None
             continue
-        bit = row.bit_length() - 1
-        # keep pivot rows mutually reduced so each holds only its own pivot
-        for idx, (pbit, prow, pb) in enumerate(pivots):
-            if prow >> bit & 1:
-                pivots[idx] = (pbit, prow ^ row, pb ^ b)
-        pivots.append((bit, row, b))
-    # non-pivot variables are zero, so each pivot variable equals its rhs
+        pivots[row.bit_length() - 1] = (row, b)
+    # back substitution from the lowest pivot up: the other bits of a pivot
+    # row are lower pivots, already in ``known``, or free variables, zero
     x = [0] * nvars
-    for bit, _, b in pivots:
-        x[bit] = b
+    known = 0
+    for bit in sorted(pivots):
+        row, b = pivots[bit]
+        x[bit] = (b + (row & known).bit_count()) % 2
+        known |= x[bit] << bit
     return x
 
 
 # ---------------------------------------------------------------------------
 # cohomology of a two-step complex
+
+
+SparseRow = tuple[tuple[int, Fraction], ...]  # (column, nonzero coefficient)
+
+
+def _dot(row: SparseRow, vec: Sequence) -> Fraction:
+    return sum((c * vec[i] for i, c in row), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -389,27 +395,25 @@ class Cohomology:
     ``representatives`` are cocycles projecting to a basis of the quotient,
     chosen deterministically (first independent kernel vectors after the
     coboundary basis).  ``coordinates`` expresses any cocycle in that basis
-    modulo coboundaries.
+    modulo coboundaries, through a coordinate map fixed when the cohomology
+    is computed: ``_coord_rows`` give the coefficients over the
+    representatives, and ``_residual_rows`` vanish exactly on the span of
+    image and representatives.
     """
 
     dim: int
     representatives: tuple[Vec, ...]
     _space_dim: int
-    _solver: RatMatrix
-    _image_dim: int
+    _coord_rows: tuple[SparseRow, ...]
+    _residual_rows: tuple[SparseRow, ...]
 
     def coordinates(self, vec: Sequence) -> Vec:
         """Class of a cocycle as coefficients over ``representatives``."""
         if len(vec) != self._space_dim:
             raise ValueError("vector length mismatch")
-        if self.dim == 0 and self._image_dim == 0:
-            if any(Fraction(x) != 0 for x in vec):
-                raise ValueError("nonzero vector in a zero space")
-            return tuple()
-        x = solve(self._solver, vec)
-        if x is None:
+        if any(_dot(row, vec) for row in self._residual_rows):
             raise ValueError("vector is not in the span of image and representatives")
-        return tuple(x[self._image_dim :])
+        return tuple(_dot(row, vec) for row in self._coord_rows)
 
 
 def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
@@ -420,19 +424,24 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
         raise ComplexError("d_out composed with d_in is nonzero")
     n = d_in.rows  # dimension of the middle space
     _, kernel = rank_kernel(d_out)
-    # one elimination over [d_in | kernel]: the pivot columns are the first
-    # columns independent of those before them, so the pivots inside d_in
-    # give a coboundary basis and the rest the first kernel vectors that
-    # grow it to a basis of the cocycles
-    m = d_in.cols
-    stacked = [row + tuple(v[i] for v in kernel) for i, row in enumerate(d_in.entries)]
-    _, pivots = _eliminate([list(row) for row in stacked], m + len(kernel))
-    solver = RatMatrix([[row[c] for c in pivots] for row in stacked], cols=len(pivots))
+    # one elimination over [d_in | kernel | I_n], pivoting only left of I_n:
+    # the pivot columns are the first columns independent of those before
+    # them, so the pivots inside d_in give a coboundary basis and the rest
+    # the first kernel vectors that grow it to a basis of the cocycles.  The
+    # I_n block ends up holding the row operations E, and E maps a vector of
+    # the span to its coefficients over the pivot columns, padded with zeros
+    m, width = d_in.cols, d_in.cols + len(kernel)
+    stacked = [
+        list(row) + [v[i] for v in kernel] + [Fraction(int(i == t)) for t in range(n)]
+        for i, row in enumerate(d_in.entries)
+    ]
+    reduced, pivots = _eliminate(stacked, width)
     reps = tuple(kernel[c - m] for c in pivots if c >= m)
+    rows = [tuple((t, x) for t, x in enumerate(row[width:]) if x) for row in reduced]
     return Cohomology(
         dim=len(reps),
         representatives=reps,
         _space_dim=n,
-        _solver=solver,
-        _image_dim=len(pivots) - len(reps),
+        _coord_rows=tuple(rows[len(pivots) - len(reps) : len(pivots)]),
+        _residual_rows=tuple(rows[len(pivots) :]),
     )

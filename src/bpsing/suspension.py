@@ -11,6 +11,14 @@ all hom-complex cohomologies between them, and assembles a new directed
 graded category from the surviving classes with composition induced on
 representatives.  Iterating from a linear quiver builds the categories
 attached to exponent sequences: ``fukaya_bp``.
+
+The hom complex between S_{x,j} and S_{x',j'} is fixed, table for table, by
+its shape: the degree tuple of hom_A(x, x'), whether x = x', and j - j'
+clamped to [-2, 2].  The extension copies hom_A index for index and every
+connector is a copy of an identity, so the basis, the position table and
+every differential depend on nothing else, provided A's identities act
+strictly.  ``suspend`` checks that precondition, computes each shape once
+and rebinds the result to every later pair of that shape.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .twisted import (
     compose_classes,
     cone,
     identity_class,
+    rebind,
     twisted_hom,
 )
 
@@ -126,6 +135,11 @@ def suspend(
     """
     if k < 2:
         raise ValueError("suspension needs at least two levels")
+    # the hom complexes below are shared by shape, which needs strict units
+    for f in A.morphisms():
+        unit = {f.idx: 1}
+        if A.compose(A.identity(f.tgt), f) != unit or A.compose(f, A.identity(f.src)) != unit:
+            raise SuspensionError(f"identities do not act strictly on {A.name(f)}")
     E = directed_extension(A, k)
     fn = label_fn if label_fn is not None else (lambda x, j: (x, j))
     spots = [(ia, j) for ia in range(len(A.objects)) for j in range(1, k)]
@@ -135,9 +149,16 @@ def suspend(
     labels = tuple(fn(A.objects[ia], j) for ia, j in spots)
 
     homs_data: dict[tuple[int, int], TwistedHom] = {}
-    for si in range(len(spots)):
+    shapes: dict[tuple, TwistedHom] = {}
+    for si, (ia, j) in enumerate(spots):
         for sj in range(si, len(spots)):
-            homs_data[(si, sj)] = twisted_hom(cones[spots[si]], cones[spots[sj]])
+            ib, j2 = spots[sj]
+            key = (A.hom(ia, ib), ia == ib, max(-2, min(2, j - j2)))
+            X, Y = cones[(ia, j)], cones[(ib, j2)]
+            if key in shapes:
+                homs_data[(si, sj)] = rebind(shapes[key], X, Y)
+            else:
+                homs_data[(si, sj)] = shapes[key] = twisted_hom(X, Y)
 
     for si in range(len(spots)):
         end_dims = homs_data[(si, si)].cohomology.dims
@@ -161,9 +182,11 @@ def suspend(
             homs[(si, sj)] = tuple(degs)
             class_index[(si, sj)] = classes
 
+    units = [identity_class(homs_data[(si, si)]) for si in range(len(spots))]
+
     def as_class(si: int, sj: int, idx: int) -> Class:
         if si == sj:
-            return identity_class(homs_data[(si, si)])
+            return units[si]
         d, r = class_index[(si, sj)][idx]
         count = homs_data[(si, sj)].cohomology.dims[d]
         coeffs = tuple(Fraction(int(t == r)) for t in range(count))

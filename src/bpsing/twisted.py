@@ -195,10 +195,9 @@ def hom_complex(X: TwistedObject, Y: TwistedObject) -> HomComplex:
 class TwistedCohomology:
     """Per-degree cohomology of a hom complex with fixed representatives."""
 
-    __slots__ = ("complex", "dims", "_data")
+    __slots__ = ("dims", "_data")
 
     def __init__(self, H: HomComplex):
-        self.complex = H
         data: dict[int, Cohomology] = {}
         for d in H.degrees():
             data[d] = complex_cohomology(H.differential(d - 1), H.differential(d))
@@ -235,6 +234,20 @@ class TwistedHom:
 def twisted_hom(X: TwistedObject, Y: TwistedObject) -> TwistedHom:
     H = hom_complex(X, Y)
     return TwistedHom(X=X, Y=Y, complex=H, cohomology=cohomology(H))
+
+
+def rebind(h: TwistedHom, X: TwistedObject, Y: TwistedObject) -> TwistedHom:
+    """``h`` for another pair X, Y whose hom complex has the same tables.
+
+    The basis, position table, differentials and cohomology are h's, shared
+    and not copied; only X and Y are new, since composing cochains names
+    morphisms through them.  Nothing is recomputed, so the caller vouches
+    that ``twisted_hom(X, Y)`` would build the same tables.
+    """
+    H = object.__new__(HomComplex)
+    H.X, H.Y = X, Y
+    H.basis, H.position, H._diff = h.complex.basis, h.complex.position, h.complex._diff
+    return TwistedHom(X=X, Y=Y, complex=H, cohomology=h.cohomology)
 
 
 Class = tuple[int, tuple[Fraction, ...]]  # (degree, coefficients over representatives)

@@ -1,6 +1,7 @@
 """Directed graded categories: tensor signs, Euler matrices, gauge moves."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -124,6 +125,80 @@ def test_tensor_square_anticommutes():
     assert over == {0: Fraction(-1)}
     assert square_sign_audit(C) == []
     assert square_sign_audit(tensor_bp((2, 3, 4))) == []
+
+
+def scanning_square_audit(C):
+    """The former audit: every i < m < j through ``hom`` lookups, O(n^3)."""
+    n = len(C.objects)
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            paths = []
+            for m in range(i + 1, j):
+                for kf, df in enumerate(C.hom(i, m)):
+                    if df != 1:
+                        continue
+                    for kg, dg in enumerate(C.hom(m, j)):
+                        if dg != 1:
+                            continue
+                        paths.append((m, C.compose(MorRef(m, j, kg), MorRef(i, m, kf))))
+            for a in range(len(paths)):
+                for b in range(a + 1, len(paths)):
+                    (m1, c1), (m2, c2) = paths[a], paths[b]
+                    if m1 == m2:
+                        continue
+                    if not c1 or not c2 or c1 != {k: -v for k, v in c2.items()}:
+                        violations.append(
+                            f"square {C.objects[i]} -> {{{C.objects[m1]}, {C.objects[m2]}}} "
+                            f"-> {C.objects[j]} does not anticommute"
+                        )
+    return violations
+
+
+def _with_composites(C, entries):
+    n = len(C.objects)
+    homs = {(i, j): C.hom(i, j) for i in range(n) for j in range(i + 1, n) if C.hom(i, j)}
+    return DirectedGradedCategory(C.objects, homs, entries)
+
+
+def _random_category(rng, n):
+    """Several degree-0/1/2 morphisms per hom and random degree-1 composites."""
+    homs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                homs[(i, j)] = tuple(rng.choice((0, 1, 1, 2)) for _ in range(rng.randint(1, 3)))
+    C = DirectedGradedCategory(tuple(range(n)), homs)
+    comp = {}
+    for f in C.morphisms():
+        for g in C.morphisms_from(f.tgt):
+            if C.is_identity(f) or C.is_identity(g) or rng.random() < 0.2:
+                continue
+            degs = C.hom(f.src, g.tgt)
+            if degs:
+                comp[(g, f)] = {rng.randrange(len(degs)): rng.choice((-1, 1, 2))}
+    return _with_composites(C, comp)
+
+
+def test_square_audit_matches_the_scanning_audit():
+    rng = random.Random(353)
+    categories = [tensor_bp(p) for p in [(3, 3), (3, 3, 3), (2, 3, 4), (3, 3, 3, 3)]]
+    categories += [_random_category(rng, rng.randint(2, 9)) for _ in range(40)]
+    for C in categories[:4]:
+        entries = dict(C.composition_entries())
+        squares = [(g, f) for (g, f), e in entries.items()
+                   if C.degree(g) == 1 and C.degree(f) == 1 and e]
+        flipped, zeroed = dict(entries), dict(entries)
+        key = rng.choice(squares)
+        flipped[key] = {k: -v for k, v in entries[key].items()}
+        del zeroed[rng.choice(squares)]
+        categories += [_with_composites(C, flipped), _with_composites(C, zeroed)]
+    broken = 0
+    for C in categories:
+        got = square_sign_audit(C)
+        assert got == scanning_square_audit(C)
+        broken += bool(got)
+    assert broken >= 8
 
 
 def test_euler_matrix_of_chain_category():

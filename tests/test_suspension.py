@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from bpsing import suspension
-from bpsing.dgcat import DirectedGradedCategory, a_category, gauge_isomorphic, tensor, tensor_bp
+from bpsing.dgcat import DirectedGradedCategory, MorRef, a_category, gauge_isomorphic, tensor, tensor_bp
 from bpsing.suspension import (
     SuspensionError,
     connector,
@@ -16,6 +16,7 @@ from bpsing.suspension import (
     tower_label,
     verify_suspension,
 )
+from bpsing.twisted import twisted_hom
 
 
 def test_directed_extension_structure():
@@ -185,3 +186,46 @@ def test_verified_fukaya_rejects_a_broken_suspension(monkeypatch):
     for p in [(3, 3), (2, 3, 4)]:
         with pytest.raises(SuspensionError):
             fukaya_bp(p, verify=True)
+
+
+def _same_tables(shared, fresh):
+    """Entry-by-entry comparison of two TwistedHoms; the first mismatch or None."""
+    H, F = shared.complex, fresh.complex
+    if (H.X, H.Y) != (fresh.X, fresh.Y):
+        return "bound objects"
+    if H.basis != F.basis or H.position != F.position:
+        return "basis"
+    for d in set(H.degrees()) | {d - 1 for d in H.degrees()}:
+        if H.differential(d) != F.differential(d):
+            return f"differential {d}"
+    if H.dims() != F.dims() or shared.cohomology.dims != fresh.cohomology.dims:
+        return "dims"
+    for d in H.degrees():
+        if shared.cohomology.representatives(d) != fresh.cohomology.representatives(d):
+            return f"representatives {d}"
+    return None
+
+
+@pytest.mark.parametrize("p", [(2, 3), (3, 3, 3), (2, 3, 4), (4, 4, 4), (2, 3, 4, 5), (3, 3, 3, 3)])
+def test_hom_complexes_shared_by_shape_equal_fresh_ones(monkeypatch, p):
+    real = suspension.rebind
+    checked = []
+
+    def checking(h, X, Y):
+        shared = real(h, X, Y)
+        mismatch = _same_tables(shared, twisted_hom(X, Y))
+        assert mismatch is None, (p, X.components, Y.components, mismatch)
+        checked.append(shared)
+        return shared
+
+    monkeypatch.setattr(suspension, "rebind", checking)
+    fukaya_bp(p)
+    assert checked
+
+
+def test_suspend_rejects_identities_that_do_not_act_strictly():
+    f = MorRef(0, 1, 0)
+    # id_b after f is 2f: a unit that is not strict, supplied explicitly
+    A = DirectedGradedCategory(("a", "b"), {(0, 1): (1,)}, {(MorRef(1, 1, 0), f): {0: 2}})
+    with pytest.raises(SuspensionError, match=r"a->b#0"):
+        suspend(A, 2)
