@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactlin import RatMatrix, solve_integer, solve_mod2
 from .grading import exponent_seq
@@ -22,9 +22,12 @@ from .grading import exponent_seq
 CompTable = Mapping[tuple["MorRef", "MorRef"], Mapping[int, Fraction]]
 
 
-@dataclass(frozen=True, order=True)
-class MorRef:
-    """Reference to a basis morphism: object indices plus basis position."""
+class MorRef(NamedTuple):
+    """Reference to a basis morphism: object indices plus basis position.
+
+    A named tuple, so building, hashing and ordering a ref run at tuple speed;
+    ``hash(MorRef(s, t, i)) == hash((s, t, i))``.
+    """
 
     src: int
     tgt: int
@@ -75,7 +78,8 @@ class DirectedGradedCategory:
         if comp:
             for (g, f), result in comp.items():
                 g, f = _as_ref(g), _as_ref(f)
-                entry = {int(k): c for k, v in result.items() if (c := Fraction(v))}
+                entry = {int(k): c for k, v in result.items()
+                         if (c := v if isinstance(v, Fraction) else Fraction(v))}
                 if entry:
                     comp_table[(g, f)] = entry
         object.__setattr__(self, "objects", objs)
@@ -89,12 +93,12 @@ class DirectedGradedCategory:
         raise AttributeError("category is immutable")
 
     def _fill_identity_compositions(self):
+        comp, one = self._comp, Fraction(1)
+        ids = [self.identity(i) for i in range(len(self.objects))]
         for f in self.morphisms():
-            left = (self.identity(f.tgt), f)
-            right = (f, self.identity(f.src))
-            for key in (left, right):
-                if key not in self._comp:
-                    self._comp[key] = {f.idx: Fraction(1)}
+            for key in ((ids[f.tgt], f), (f, ids[f.src])):
+                if key not in comp:
+                    comp[key] = {f.idx: one}
 
     # -- basic access ---------------------------------------------------
 
@@ -202,51 +206,47 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
     factor outermost; compositions carry the sign (-1)^(|g1| |f2|) for
     (f1 (x) g1) after (f2 (x) g2).
     """
-    na, nb = len(A.objects), len(B.objects)
+    nb = len(B.objects)
     objects = tuple((a, b) for a in A.objects for b in B.objects)
 
-    def oidx(ia: int, ib: int) -> int:
-        return ia * nb + ib
-
     homs: dict[tuple[int, int], tuple[int, ...]] = {}
-    factors: dict[tuple[int, int], list[tuple[MorRef, MorRef]]] = {}
-    for ia in range(na):
-        for ja in range(na):
-            ha = A.hom(ia, ja)
-            if not ha:
-                continue
-            for ib in range(nb):
-                for jb in range(nb):
-                    hb = B.hom(ib, jb)
-                    if not hb:
-                        continue
-                    i, j = oidx(ia, ib), oidx(ja, jb)
-                    if i < j:
-                        homs[(i, j)] = tuple(da + db for da in ha for db in hb)
-                        # the A and B factors of each basis morphism of hom(i, j)
-                        factors[(i, j)] = [
-                            (MorRef(ia, ja, ka), MorRef(ib, jb, kb))
-                            for ka in range(len(ha))
-                            for kb in range(len(hb))
-                        ]
+    # each basis morphism of hom(i, j) with its A and B factors and their degrees
+    factors: dict[tuple[int, int], list[tuple[MorRef, MorRef, MorRef, int, int]]] = {}
+    pairs_b = sorted(B._homs.items())
+    for (ia, ja), ha in sorted(A._homs.items()):
+        for (ib, jb), hb in pairs_b:
+            i, j = ia * nb + ib, ja * nb + jb
+            if i < j:
+                homs[(i, j)] = tuple(da + db for da in ha for db in hb)
+                factors[(i, j)] = [
+                    (MorRef(i, j, ka * len(hb) + kb), MorRef(ia, ja, ka), MorRef(ib, jb, kb),
+                     da, db)
+                    for ka, da in enumerate(ha)
+                    for kb, db in enumerate(hb)
+                ]
 
+    # the factors are composable by construction, so their tables are read
+    # directly rather than through the checking, copying ``compose``
+    comp_a, comp_b, homs_b = A._comp, B._comp, B._homs
     comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
     targets = source_index(homs)
     for (i, j) in sorted(homs):
         for l in targets.get(j, ()):
-            for kf, (f_a, f_b) in enumerate(factors[(i, j)]):
-                for kg, (g_a, g_b) in enumerate(factors[(j, l)]):
-                    ca = A.compose(g_a, f_a)
-                    cb = B.compose(g_b, f_b)
-                    if not ca or not cb:
+            for f, f_a, f_b, deg_fa, _ in factors[(i, j)]:
+                for g, g_a, g_b, _, deg_gb in factors[(j, l)]:
+                    ca = comp_a.get((g_a, f_a))
+                    if not ca:
                         continue
-                    sign = -1 if (B.degree(g_b) * A.degree(f_a)) % 2 else 1
-                    width = len(B.hom(f_b.src, g_b.tgt))
+                    cb = comp_b.get((g_b, f_b))
+                    if not cb:
+                        continue
+                    odd = deg_gb * deg_fa % 2
+                    width = len(homs_b.get((f_b.src, g_b.tgt), ()))
                     entry: dict[int, Fraction] = {}
                     for ra, va in ca.items():
                         for rb, vb in cb.items():
-                            entry[ra * width + rb] = sign * va * vb
-                    comp[(MorRef(j, l, kg), MorRef(i, j, kf))] = entry
+                            entry[ra * width + rb] = -(va * vb) if odd else va * vb
+                    comp[(g, f)] = entry
 
     return DirectedGradedCategory(objects, homs, comp)
 
@@ -304,13 +304,10 @@ class EulerMatrix:
 
 def euler_matrix(C: DirectedGradedCategory) -> EulerMatrix:
     n = len(C.objects)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(sum((-1) ** d for d in C.hom(i, j)))
-        rows.append(tuple(row))
-    return EulerMatrix(objects=C.objects, entries=tuple(rows))
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), degrees in C._homs.items():
+        rows[i][j] = sum((-1) ** d for d in degrees)
+    return EulerMatrix(objects=C.objects, entries=tuple(map(tuple, rows)))
 
 
 def formality_check(C: DirectedGradedCategory) -> bool:
@@ -426,6 +423,8 @@ def validate(C: DirectedGradedCategory) -> ValidationReport:
             gf = C.compose(g, f)
             for h in C.morphisms_from(g.tgt):
                 hg = C.compose(h, g)
+                if not gf and not hg:
+                    continue  # both sides are empty sums
                 lhs: dict[int, Fraction] = {}
                 for idx, coeff in gf.items():
                     for ridx, rcoeff in C.compose(h, MorRef(f.src, g.tgt, idx)).items():

@@ -12,17 +12,28 @@ The form below the diagonal is antisymmetric when the number of variables is
 even (with zero diagonal) and symmetric with diagonal 2 when odd.  The same
 data can be produced from the Euler matrix of the tensor category by
 (anti)symmetrization, and ``compare`` reports where the two routes differ.
+
+``st_gram`` calls ``one_var_form`` once per entry of each factor's A_{p_k-1}
+table and takes the Kronecker product of those tables; it never reads the
+tensor category, so the two routes stay independent.  Both Gram builders
+refuse a rank prod(p_k - 1) above ``MAX_RANK`` with a ``ValueError`` before
+allocating anything.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 from .dgcat import euler_matrix, tensor_bp
 from .exactlin import RatMatrix, det
 from .grading import exponent_seq
+
+# largest Gram rank either route builds; a dense rank-r Gram holds r^2 entries
+MAX_RANK = 4096
 
 
 @dataclass(frozen=True)
@@ -59,27 +70,33 @@ def index_tuples(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(1, pi) for pi in p)))
 
 
+def _check_rank(p: tuple[int, ...]) -> None:
+    rank = math.prod(pi - 1 for pi in p)
+    if rank > MAX_RANK:
+        raise ValueError(f"lattice rank prod(p_i - 1) = {rank} exceeds the limit {MAX_RANK}")
+
+
 def st_gram(p: Iterable[int]) -> BilinearLattice:
     """Gram matrix of the product lattice on the distinguished basis."""
     p = exponent_seq(p)
+    _check_rank(p)
     labels = index_tuples(p)
-    n = len(p)
-    odd = n % 2 == 1
-    size = len(labels)
-    entries = [[0] * size for _ in range(size)]
-    for a in range(size):
-        entries[a][a] = 2 if odd else 0
-        for b in range(a + 1, size):
-            i, j = labels[a], labels[b]
-            if all(ik <= jk for ik, jk in zip(i, j)):
-                value = 1
-                for pk, ik, jk in zip(p, i, j):
-                    value *= one_var_form(pk, ik, jk)
-            else:
-                value = 0
-            entries[a][b] = value
-            entries[b][a] = value if odd else -value
-    return BilinearLattice(tuple(labels), tuple(tuple(r) for r in entries), symmetric=odd)
+    odd = len(p) % 2 == 1
+    # one table per factor: (C_i, C_j) for i <= j, zero where i > j, so their
+    # Kronecker product holds every comparable product above the diagonal
+    upper = [[1]]
+    for pk in p:
+        table = [
+            [one_var_form(pk, i, j) if i <= j else 0 for j in range(1, pk)] for i in range(1, pk)
+        ]
+        upper = [[x * t for x in row for t in t_row] for row in upper for t_row in table]
+    mirror = operator.add if odd else operator.sub
+    entries = []
+    for a, (row, col) in enumerate(zip(upper, zip(*upper))):
+        entry = list(map(mirror, row, col))  # upper is zero below its diagonal
+        entry[a] = 2 if odd else 0
+        entries.append(tuple(entry))
+    return BilinearLattice(tuple(labels), tuple(entries), symmetric=odd)
 
 
 def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
@@ -91,21 +108,15 @@ def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
     if orientation not in ("E-Et", "Et-E"):
         raise ValueError("orientation must be 'E-Et' or 'Et-E'")
     p = exponent_seq(p)
+    _check_rank(p)
     E = euler_matrix(tensor_bp(p))
-    size = len(E.objects)
     odd = len(p) % 2 == 1
-    entries = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if odd:
-                row.append(E.entry(i, j) + E.entry(j, i))
-            elif orientation == "E-Et":
-                row.append(E.entry(i, j) - E.entry(j, i))
-            else:
-                row.append(E.entry(j, i) - E.entry(i, j))
-        entries.append(tuple(row))
-    return BilinearLattice(E.objects, tuple(entries), symmetric=odd)
+    rows, cols = E.entries, tuple(zip(*E.entries))  # the rows of E and of Et
+    if not odd and orientation == "Et-E":
+        rows, cols = cols, rows
+    mirror = operator.add if odd else operator.sub
+    entries = tuple(tuple(map(mirror, r, c)) for r, c in zip(rows, cols))
+    return BilinearLattice(E.objects, entries, symmetric=odd)
 
 
 @dataclass(frozen=True)
@@ -127,11 +138,12 @@ def compare(p: Iterable[int], orientation: str = "E-Et") -> LatticeComparison:
     p = exponent_seq(p)
     s = st_gram(p)
     e = euler_gram(p, orientation)
+    labels = s.labels
     bad = []
-    for a in range(len(s.labels)):
-        for b in range(a, len(s.labels)):
-            if s.entry(a, b) != e.entry(a, b):
-                bad.append((s.labels[a], s.labels[b], s.entry(a, b), e.entry(a, b)))
+    for a, (s_row, e_row) in enumerate(zip(s.entries, e.entries)):
+        for b in range(a, len(labels)):
+            if s_row[b] != e_row[b]:
+                bad.append((labels[a], labels[b], s_row[b], e_row[b]))
     return LatticeComparison(
         labels=s.labels, st=s, euler=e, disagreements=tuple(bad)
     )

@@ -8,17 +8,22 @@ table directly; both routes must give equal categories (objects, homs and the
 whole composition table).
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from bpsing.dgcat import (
     DirectedGradedCategory,
     MorRef,
     a_category,
+    from_json_dict,
     source_index,
     tensor,
     tensor_bp,
+    to_json_dict,
 )
-from bpsing.suspension import directed_extension
+from bpsing.suspension import directed_extension, suspend
 
 
 def reference_tensor(A, B):
@@ -172,3 +177,59 @@ def test_tensor_bp_matches_reference(p):
 def test_directed_extension_matches_reference(A, k):
     assert_same_category(directed_extension(A, k), reference_directed_extension(A, k))
 
+
+
+def random_rational_category(rng, n):
+    """Homs of dimension 1 or 2 and non-unit rational composites, as plain ints and strs."""
+    homs = {
+        (i, j): tuple(rng.choice((0, 1, 2)) for _ in range(rng.randint(1, 2)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.8
+    }
+    coeffs = (Fraction(2, 3), -5, "1/2", 3, -1, 0)
+    comp = {}
+    for (i, j), hf in homs.items():
+        for (j2, l), hg in homs.items():
+            if j2 != j or (i, l) not in homs:
+                continue
+            for kf in range(len(hf)):
+                for kg in range(len(hg)):
+                    comp[((j, l, kg), (i, j, kf))] = {
+                        r: rng.choice(coeffs)
+                        for r in range(len(homs[(i, l)]))
+                        if rng.random() < 0.7
+                    }
+    return DirectedGradedCategory(tuple(range(n)), homs, comp)
+
+
+def test_tensor_with_rational_coefficients_matches_reference():
+    rng = random.Random(20091)
+    for _ in range(25):
+        A = random_rational_category(rng, rng.randint(1, 4))
+        B = random_rational_category(rng, rng.randint(1, 4))
+        new, ref = tensor(A, B), reference_tensor(A, B)
+        assert_same_category(new, ref)
+        assert list(new._comp.items()) == list(ref._comp.items())
+
+
+def coefficients(C):
+    return [v for entry in C._comp.values() for v in entry.values()]
+
+
+def test_every_stored_coefficient_is_a_fraction():
+    rng = random.Random(7)
+    A, B = random_rational_category(rng, 3), random_rational_category(rng, 3)
+    C = tensor_bp((3, 3))
+    built = [
+        A,
+        tensor(A, B),
+        tensor_bp((2, 3, 4)),
+        directed_extension(C, 3),
+        suspend(C, 3),
+        from_json_dict(to_json_dict(tensor(A, B))),
+    ]
+    assert any(v.denominator != 1 for v in coefficients(built[1]))
+    for D in built:
+        assert coefficients(D)
+        assert all(type(v) is Fraction for v in coefficients(D))

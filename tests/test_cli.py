@@ -11,6 +11,7 @@ import bpsing.lattice
 import bpsing.suspension
 from bpsing.cli import main
 from bpsing.dgcat import from_json_dict, tensor_bp
+from bpsing.lattice import MAX_RANK
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +188,22 @@ def test_comparison_report_fails_when_the_product_form_changes_sign(capsys, monk
     assert checks["comparison-report"]["detail"]["first_mismatch"] == {
         "pair": [[1, 1], [1, 2]], "expected": -2, "found": 2,
     }
+
+
+def test_lattice_routes_reject_huge_ranks_before_building(capsys, monkeypatch):
+    def unreachable(p):
+        raise AssertionError(f"a Gram basis of {p} was built before the rank check")
+
+    # without the check these builders would try to allocate 99999^2 entries
+    monkeypatch.setattr(bpsing.lattice, "index_tuples", unreachable)
+    monkeypatch.setattr(bpsing.lattice, "tensor_bp", unreachable)
+    for argv in [("lattice", "--p", "100000"), ("verify", "--suite", "lattice", "--p", "100000")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: lattice rank prod(p_i - 1) = 99999 exceeds the limit {MAX_RANK}\n"
+    code, out, _ = run_cli(capsys, "orlov", "--p", "100000")
+    assert code == 0 and out
 
 
 def test_verify_fukaya_builds_the_tensor_model_once(capsys, monkeypatch):

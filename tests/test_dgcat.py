@@ -10,6 +10,7 @@ import pytest
 from bpsing.dgcat import (
     DirectedGradedCategory,
     MorRef,
+    ValidationReport,
     a_category,
     euler_matrix,
     formality_check,
@@ -22,6 +23,7 @@ from bpsing.dgcat import (
     to_json_dict,
     validate,
 )
+from bpsing.twisted import cone
 from helpers import morphism_by_name
 
 
@@ -230,6 +232,80 @@ def test_validate_accepts_models_and_reports_corruption():
     report = validate(from_json_dict(data))
     assert not report.ok
     assert any("unit" in v for v in report.violations)
+
+
+def reference_validate(C):
+    """The former ``validate``: every associativity triple, zero or not."""
+    bad = []
+    for (g, f), entry in C.composition_entries():
+        if f.tgt != g.src:
+            bad.append(f"composition entry for non-composable pair ({C.name(g)}, {C.name(f)})")
+            continue
+        basis = C.hom(f.src, g.tgt)
+        total = C.degree(g) + C.degree(f)
+        for idx, coeff in entry.items():
+            if not 0 <= idx < len(basis):
+                bad.append(f"composition ({C.name(g)}, {C.name(f)}) hits invalid basis index {idx}")
+            elif basis[idx] != total:
+                bad.append(
+                    f"composition ({C.name(g)}, {C.name(f)}) lands in degree "
+                    f"{basis[idx]}, expected {total}"
+                )
+    for f in C.morphisms():
+        if C.compose(C.identity(f.tgt), f) != {f.idx: Fraction(1)}:
+            bad.append(f"left unit fails for {C.name(f)}")
+        if C.compose(f, C.identity(f.src)) != {f.idx: Fraction(1)}:
+            bad.append(f"right unit fails for {C.name(f)}")
+    for f in C.morphisms():
+        for g in C.morphisms_from(f.tgt):
+            gf = C.compose(g, f)
+            for h in C.morphisms_from(g.tgt):
+                hg = C.compose(h, g)
+                lhs = {}
+                for idx, coeff in gf.items():
+                    for ridx, rcoeff in C.compose(h, MorRef(f.src, g.tgt, idx)).items():
+                        lhs[ridx] = lhs.get(ridx, Fraction(0)) + coeff * rcoeff
+                rhs = {}
+                for idx, coeff in hg.items():
+                    for ridx, rcoeff in C.compose(MorRef(g.src, h.tgt, idx), f).items():
+                        rhs[ridx] = rhs.get(ridx, Fraction(0)) + coeff * rcoeff
+                lhs = {k: v for k, v in lhs.items() if v != 0}
+                rhs = {k: v for k, v in rhs.items() if v != 0}
+                if lhs != rhs:
+                    bad.append(f"associativity fails on ({C.name(h)}, {C.name(g)}, {C.name(f)})")
+    return ValidationReport(tuple(bad))
+
+
+def test_validate_matches_the_full_triple_scan_on_models_and_corruptions():
+    broken = 0
+    for p in [(2, 3), (3, 3, 3), (2, 3, 4, 5)]:
+        C = tensor_bp(p)
+        entries = dict(C.composition_entries())
+        keys = [gf for gf in entries if not (C.is_identity(gf[0]) or C.is_identity(gf[1]))]
+        key = (keys or list(entries))[len(keys) // 2]
+        flipped, deleted = dict(entries), dict(entries)
+        flipped[key] = {k: -v for k, v in entries[key].items()}
+        del deleted[key]
+        for D in (C, _with_composites(C, flipped), _with_composites(C, deleted)):
+            got = validate(D)
+            assert got == reference_validate(D)
+            broken += not got.ok
+    # (2, 3) has no composite of two non-identities; an identity entry cannot
+    # be deleted, since the constructor fills it back in
+    assert broken == 5
+
+
+def test_morphism_refs_order_hash_and_immutability():
+    refs = list(tensor_bp((3, 3, 3)).morphisms())
+    shuffled = refs[::-1]
+    random.Random(5).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(shuffled, key=lambda r: (r.src, r.tgt, r.idx)) == refs
+    for r in refs:
+        assert hash(r) == hash((r.src, r.tgt, r.idx))
+    with pytest.raises(AttributeError):
+        refs[0].idx = 1
+    with pytest.raises(TypeError):
+        cone(a_category(2), (0, 1, 0))
 
 
 def test_gauge_squares_with_opposite_signs_are_equivalent():

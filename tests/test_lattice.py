@@ -2,7 +2,12 @@
 
 import pytest
 
+import bpsing.lattice
+from bpsing.dgcat import EulerMatrix, euler_matrix, tensor_bp
 from bpsing.lattice import (
+    MAX_RANK,
+    BilinearLattice,
+    LatticeComparison,
     compare,
     euler_gram,
     index_tuples,
@@ -94,3 +99,83 @@ def test_compare_3_3_disagreements_follow_the_same_pattern():
     assert len(report.disagreements) == 4
     for _, _, st_val, euler_val in report.disagreements:
         assert (st_val, euler_val) == (-2, -1)
+
+
+# The former builders, kept as reference code: one ``one_var_form`` call per
+# factor of each entry, a dense Euler matrix read through ``hom``, and Gram
+# entries read through ``entry``.
+
+
+def reference_st_gram(p):
+    labels = index_tuples(p)
+    odd = len(p) % 2 == 1
+    size = len(labels)
+    entries = [[0] * size for _ in range(size)]
+    for a in range(size):
+        entries[a][a] = 2 if odd else 0
+        for b in range(a + 1, size):
+            i, j = labels[a], labels[b]
+            if all(ik <= jk for ik, jk in zip(i, j)):
+                value = 1
+                for pk, ik, jk in zip(p, i, j):
+                    value *= one_var_form(pk, ik, jk)
+            else:
+                value = 0
+            entries[a][b] = value
+            entries[b][a] = value if odd else -value
+    return BilinearLattice(tuple(labels), tuple(tuple(r) for r in entries), symmetric=odd)
+
+
+def reference_euler_matrix(C):
+    n = len(C.objects)
+    rows = tuple(tuple(sum((-1) ** d for d in C.hom(i, j)) for j in range(n)) for i in range(n))
+    return EulerMatrix(objects=C.objects, entries=rows)
+
+
+def reference_euler_gram(p, orientation):
+    E = reference_euler_matrix(tensor_bp(p))
+    size = len(E.objects)
+    odd = len(p) % 2 == 1
+    entries = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            if odd:
+                row.append(E.entry(i, j) + E.entry(j, i))
+            elif orientation == "E-Et":
+                row.append(E.entry(i, j) - E.entry(j, i))
+            else:
+                row.append(E.entry(j, i) - E.entry(i, j))
+        entries.append(tuple(row))
+    return BilinearLattice(E.objects, tuple(entries), symmetric=odd)
+
+
+def reference_compare(p, orientation):
+    s = reference_st_gram(p)
+    e = reference_euler_gram(p, orientation)
+    bad = []
+    for a in range(len(s.labels)):
+        for b in range(a, len(s.labels)):
+            if s.entry(a, b) != e.entry(a, b):
+                bad.append((s.labels[a], s.labels[b], s.entry(a, b), e.entry(a, b)))
+    return LatticeComparison(labels=s.labels, st=s, euler=e, disagreements=tuple(bad))
+
+
+@pytest.mark.parametrize("orientation", ["E-Et", "Et-E"])
+@pytest.mark.parametrize("p", [(2,), (7,), (2, 3), (3, 3, 3), (2, 3, 4, 5), (4, 4, 4, 4)])
+def test_grams_and_comparison_match_the_entrywise_builders(p, orientation):
+    C = tensor_bp(p)
+    assert euler_matrix(C) == reference_euler_matrix(C)
+    want = reference_compare(p, orientation)
+    assert st_gram(p) == want.st
+    assert euler_gram(p, orientation) == want.euler
+    assert compare(p, orientation) == want
+
+
+def test_grams_refuse_ranks_above_the_limit(monkeypatch):
+    assert MAX_RANK >= 256
+    monkeypatch.setattr(bpsing.lattice, "MAX_RANK", 4)
+    assert len(st_gram((3, 3)).labels) == len(euler_gram((3, 3)).labels) == 4
+    for build in (st_gram, euler_gram, compare):
+        with pytest.raises(ValueError, match=r"rank prod\(p_i - 1\) = 5 exceeds the limit 4"):
+            build((2, 6))
