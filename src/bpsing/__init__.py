@@ -15,6 +15,7 @@ from .exactlin import (
     det,
     integer_kernel,
     invariant_factors,
+    rank,
     rank_kernel,
     rref,
     smith_normal_form,
@@ -83,7 +84,6 @@ from .lattice import (
     st_gram,
 )
 from .singcat import (
-    ExtRingReport,
     FreeComplex,
     GradedModule,
     GradedRing,
@@ -94,8 +94,9 @@ from .singcat import (
     bp_resolution,
     exact_sequence_check,
     ext_formula,
+    ext_formula_row,
     ext_k_k,
-    ext_k_ring,
+    ext_k_k_row,
     graded_module_iso,
     index_set,
     koszul_perfect_check,

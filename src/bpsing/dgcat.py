@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactlin import RatMatrix, solve_integer, solve_mod2
@@ -186,6 +187,11 @@ def source_index(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]
 # ---------------------------------------------------------------------------
 # constructors
 
+# largest object count a builder makes; tensor_bp(p) has prod(p_i - 1)
+# objects, the rank of the lattices built from it, so the lattice routes
+# share this limit
+MAX_RANK = 4096
+
 
 def a_category(m: int) -> DirectedGradedCategory:
     """Linear quiver category with m objects 1..m.
@@ -195,6 +201,8 @@ def a_category(m: int) -> DirectedGradedCategory:
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("object count must be a positive integer")
+    if m > MAX_RANK:
+        raise ValueError(f"object count {m} exceeds the limit {MAX_RANK}")
     homs = {(i, i + 1): (1,) for i in range(m - 1)}
     return DirectedGradedCategory(tuple(range(1, m + 1)), homs)
 
@@ -276,9 +284,9 @@ def tensor_bp(p: Iterable[int]) -> DirectedGradedCategory:
     0/1 vector, in degree equal to the number of increments.
     """
     p = exponent_seq(p)
-    for pi in p:
-        if pi - 1 < 1:
-            raise ValueError("each exponent must be at least 2")
+    count = prod(pi - 1 for pi in p)
+    if count > MAX_RANK:
+        raise ValueError(f"object count prod(p_i - 1) = {count} exceeds the limit {MAX_RANK}")
     C = a_category(p[0] - 1)
     C = relabel(C, {label: (label,) for label in C.objects})
     for pi in p[1:]:

@@ -150,6 +150,11 @@ def rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     return RatMatrix(entries, cols=M.cols), tuple(pivots)
 
 
+def rank(M: RatMatrix) -> int:
+    """Rank: the pivot count of the elimination in rref, without building the reduced matrix."""
+    return len(_eliminate([list(row) for row in M.entries], M.cols)[1])
+
+
 def rank_kernel(M: RatMatrix) -> tuple[int, list[Vec]]:
     """Rank and a deterministic kernel basis.
 

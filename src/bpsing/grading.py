@@ -116,10 +116,28 @@ class LGroup:
         return LDegree((0,) * self.n, 1)
 
     def add(self, d1: LDegree, d2: LDegree) -> LDegree:
-        return self.normalize(tuple(u + v for u, v in zip(d1.raw(), d2.raw())))
+        """Sum of two normal forms: each a_i sum lies in [0, 2 p_i), so one carry onto c."""
+        a = []
+        b = d1.b + d2.b
+        for u, v, pi in zip(d1.a, d2.a, self.p):
+            s = u + v
+            if s >= pi:
+                s -= pi
+                b += 1
+            a.append(s)
+        return LDegree(tuple(a), b)
 
     def sub(self, d1: LDegree, d2: LDegree) -> LDegree:
-        return self.normalize(tuple(u - v for u, v in zip(d1.raw(), d2.raw())))
+        """Difference of two normal forms: each a_i lies in (-p_i, p_i), so one borrow from c."""
+        a = []
+        b = d1.b - d2.b
+        for u, v, pi in zip(d1.a, d2.a, self.p):
+            s = u - v
+            if s < 0:
+                s += pi
+                b -= 1
+            a.append(s)
+        return LDegree(tuple(a), b)
 
     def neg(self, d: LDegree) -> LDegree:
         return self.normalize(tuple(-u for u in d.raw()))
@@ -182,15 +200,6 @@ class LGroup:
                 yield from rec(i + 1, remaining - mi * w, prefix + (mi,))
 
         yield from rec(0, target_z, ())
-
-    def is_in_L_plus(self, d: LDegree) -> bool:
-        """Membership in {-(n-1) c + sum a_i x_i : all a_i >= 1}.
-
-        Equivalent to d + (n-1) c - (x_1 + ... + x_n) lying in the monoid
-        generated by the x_i.
-        """
-        shifted_raw = tuple(ai - 1 for ai in d.a) + (d.b + self.n - 1,)
-        return self.is_in_monoid(self.normalize(shifted_raw))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ data can be produced from the Euler matrix of the tensor category by
 ``st_gram`` calls ``one_var_form`` once per entry of each factor's A_{p_k-1}
 table and takes the Kronecker product of those tables; it never reads the
 tensor category, so the two routes stay independent.  Both Gram builders
-refuse a rank prod(p_k - 1) above ``MAX_RANK`` with a ``ValueError`` before
-allocating anything.
+refuse a rank prod(p_k - 1) above ``MAX_RANK`` (the object limit of
+:mod:`bpsing.dgcat`) with a ``ValueError`` before allocating anything.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dgcat import euler_matrix, tensor_bp
+from .dgcat import MAX_RANK, euler_matrix, tensor_bp
 from .exactlin import RatMatrix, det
 from .grading import exponent_seq
-
-# largest Gram rank either route builds; a dense rank-r Gram holds r^2 entries
-MAX_RANK = 4096
 
 
 @dataclass(frozen=True)

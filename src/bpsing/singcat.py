@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add
 from typing import Iterable, Sequence
 
-from .exactlin import ComplexError, RatMatrix, rank_kernel, rref, solve
+from .exactlin import ComplexError, RatMatrix, rank, rank_kernel, rref
 from .grading import LDegree, LGroup, exponent_seq
 
 Monomial = tuple[int, ...]
@@ -227,18 +228,34 @@ class FreeComplex:
                 out.append((c, mono))
         return tuple(out)
 
-    def piece_matrix(self, i: int, d: LDegree) -> RatMatrix:
-        """Matrix of the level-i map on the degree-d pieces."""
-        src = self.piece_basis(i, d)
-        tgt = self.piece_basis(i + 1, d)
+    def piece_matrix(self, i: int, d: LDegree, src=None, tgt=None) -> RatMatrix:
+        """Matrix of the level-i map on the degree-d pieces.
+
+        ``src`` and ``tgt`` are the piece bases of levels i and i + 1 at d,
+        built here unless the caller already has them.  Each term of an
+        entry multiplies a basis monomial by adding exponents; only a
+        product with e_1 >= p_1 goes through the rewrite rule.
+        """
+        if src is None:
+            src = self.piece_basis(i, d)
+        if tgt is None:
+            tgt = self.piece_basis(i + 1, d)
         index = {bm: r for r, bm in enumerate(tgt)}
+        ring = self.ring
+        p1 = ring.p[0]
         mat = self.diffs[i]
-        # the nonzero entries of each column; a zero entry adds nothing
-        column = [[(r, row[c]) for r, row in enumerate(mat) if row[c]] for c in range(self.rank(i))]
-        entries = [[Fraction(0)] * len(src) for _ in tgt]
+        # the terms of each source column that has a basis element at d;
+        # integral coefficients as ints, which RatMatrix converts once
+        column = {
+            c: [(r, m1, c1.numerator if c1.denominator == 1 else c1)
+                for r, row in enumerate(mat) for m1, c1 in row[c].items()]
+            for c in {c for c, _ in src}
+        }
+        entries = [[0] * len(src) for _ in tgt]
         for cidx, (c, mono) in enumerate(src):
-            for r, entry in column[c]:
-                for m2, co in self.ring.multiply(entry, {mono: Fraction(1)}).items():
+            for r, m1, c1 in column[c]:
+                m = tuple(map(add, m1, mono))
+                for m2, co in (ring.reduce({m: c1}).items() if m[0] >= p1 else ((m, c1),)):
                     ridx = index.get((r, m2))
                     if ridx is None:
                         raise ComplexError("differential is not degree homogeneous")
@@ -249,21 +266,16 @@ class FreeComplex:
         """Dimensions of H^i in degree d for each i in levels.
 
         H^i = dim - rank(d_i) - rank(d_{i-1}), an absent map having rank
-        zero.  A level's dimension is read off its outgoing matrix; only a
-        level without one has its piece basis built.
+        zero.  Each level's piece basis at d is built once and serves both
+        maps that touch it.
         """
-        ranks: dict[int, int] = {}
-        dims: dict[int, int] = {}
-        for i in range(levels.start - 1, levels.stop):
-            if i in self.diffs:
-                mat = self.piece_matrix(i, d)
-                ranks[i] = len(rref(mat)[1])
-                dims[i] = mat.cols
-        h = {}
-        for i in levels:
-            dim = dims[i] if i in dims else len(self.piece_basis(i, d))
-            h[i] = dim - ranks.get(i, 0) - ranks.get(i - 1, 0)
-        return h
+        bases = {i: self.piece_basis(i, d) for i in range(levels.start - 1, levels.stop + 1)}
+        ranks = {
+            i: rank(self.piece_matrix(i, d, bases[i], bases[i + 1]))
+            for i in range(levels.start - 1, levels.stop)
+            if i in self.diffs
+        }
+        return {i: len(bases[i]) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in levels}
 
 
 def resolution_generators(n: int, i: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -325,8 +337,13 @@ def _form_complex(ring: GradedRing, gens: Sequence[tuple]) -> FreeComplex:
     return FreeComplex(ring, terms, diffs, labels=labels)
 
 
-def bp_resolution(p: Iterable[int], length: int) -> FreeComplex:
-    """Free resolution of the residue field over GradedRing(p).
+def _ring(p: Iterable[int] | GradedRing) -> GradedRing:
+    """The given ring, or a new ring on the exponent sequence p."""
+    return p if isinstance(p, GradedRing) else GradedRing(p)
+
+
+def bp_resolution(p: Iterable[int] | GradedRing, length: int) -> FreeComplex:
+    """Free resolution of the residue field over p, a GradedRing or its exponents.
 
     Level -i has one generator dx_I|j per pair with |I| + 2j = i, of degree
     sum(x_t, t in I) + j c; the differential is that of _form_complex.  The
@@ -335,7 +352,7 @@ def bp_resolution(p: Iterable[int], length: int) -> FreeComplex:
     """
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ValueError("length must be a positive integer")
-    ring = GradedRing(p)
+    ring = _ring(p)
     return _form_complex(ring, [resolution_generators(ring.n, i) for i in range(length + 1)])
 
 
@@ -410,32 +427,45 @@ def validate_resolution(cplx: FreeComplex, window: int) -> ResolutionReport:
     )
 
 
-def ext_k_k(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
-    """Graded Ext dims between the twisted residue fields at m and n.
+def ext_k_k_row(p: Iterable[int], m: LDegree, targets: Sequence[LDegree]) -> list[dict[int, int]]:
+    """Graded Ext dims from the twisted residue field at m to each of targets.
 
     Every entry of the resolution differential lies in the maximal ideal,
     so the induced complex on Hom(-, residue field) has zero differential
     and the i-th Ext dimension counts level-i generators of degree m - n.
     Generator z-degrees grow linearly with the level, which bounds the
-    levels that can contribute.
+    levels that can contribute.  The row shares one grading group and one
+    generator count per level among its targets.
     """
     L = LGroup(p)
-    target = L.sub(L.normalize(m.raw()), L.normalize(n.raw()))
-    dims: dict[int, int] = {}
-    zt = L.z_degree(target)
-    if zt < 0:
-        return dims
-    top = L.n + 2 * (zt // L.ell) + 2
-    # (I, j) has raw degree (indicator of I, j), already a normal form
-    # because every p_t >= 2
-    for i in range(top + 1):
-        count = sum(
-            j == target.b and tuple(int(t in I) for t in range(1, L.n + 1)) == target.a
-            for I, j in resolution_generators(L.n, i)
-        )
-        if count:
-            dims[i] = count
-    return dims
+    source = L.normalize(m.raw())
+    # level i -> generator count per raw degree (indicator of I, j), already
+    # a normal form because every p_t >= 2
+    counts: list[dict[tuple[tuple[int, ...], int], int]] = []
+    row = []
+    for n in targets:
+        target = L.sub(source, L.normalize(n.raw()))
+        dims: dict[int, int] = {}
+        zt = L.z_degree(target)
+        if zt >= 0:
+            top = L.n + 2 * (zt // L.ell) + 2
+            for i in range(len(counts), top + 1):
+                level: dict[tuple[tuple[int, ...], int], int] = {}
+                for I, j in resolution_generators(L.n, i):
+                    key = (tuple(int(t in I) for t in range(1, L.n + 1)), j)
+                    level[key] = level.get(key, 0) + 1
+                counts.append(level)
+            for i in range(top + 1):
+                count = counts[i].get((target.a, target.b), 0)
+                if count:
+                    dims[i] = count
+        row.append(dims)
+    return row
+
+
+def ext_k_k(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
+    """Graded Ext dims between the twisted residue fields at m and n."""
+    return ext_k_k_row(p, m, [n])[0]
 
 
 def index_set(p: Iterable[int]) -> list[LDegree]:
@@ -444,7 +474,7 @@ def index_set(p: Iterable[int]) -> list[LDegree]:
     These are prod(p_i - 1) pairwise distinct degrees; the coefficient
     boxes run in descending lex order, so the zero twist comes first.
     """
-    L = LGroup(exponent_seq(p))
+    L = LGroup(p)
     ranges = [range(0, -pi + 1, -1) for pi in L.p]
     return [L.normalize(tuple(coords) + (0,)) for coords in product(*ranges)]
 
@@ -467,8 +497,10 @@ def _box_coordinates(L: LGroup, d: LDegree) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def ext_formula(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
-    """Product formula for Ext dims between index-set twists.
+def ext_formula_row(
+    p: Iterable[int], m: LDegree, targets: Sequence[LDegree]
+) -> list[dict[int, int]]:
+    """Product formula for Ext dims from index-set twist m to each of targets.
 
     Factorizes along the axes: the i-th factor is the graded hom of the
     linear quiver with p_i - 1 objects, taken between objects -a_i + 1 and
@@ -477,53 +509,19 @@ def ext_formula(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
     sum of the gaps when every gap is 0 or 1, and zero otherwise.  Twists
     outside the index set are rejected.
     """
-    L = LGroup(exponent_seq(p))
+    L = LGroup(p)
     a = _box_coordinates(L, L.normalize(m.raw()))
-    b = _box_coordinates(L, L.normalize(n.raw()))
-    gaps = [ai - bi for ai, bi in zip(a, b)]
-    return {sum(gaps): 1} if all(g in (0, 1) for g in gaps) else {}
+    row = []
+    for n in targets:
+        b = _box_coordinates(L, L.normalize(n.raw()))
+        gaps = [ai - bi for ai, bi in zip(a, b)]
+        row.append({sum(gaps): 1} if all(g in (0, 1) for g in gaps) else {})
+    return row
 
 
-@dataclass(frozen=True, eq=False)
-class ExtRingReport:
-    """Ext dims from a twisted residue field into a twisted free module."""
-
-    dims: dict[int, int]
-    window: int
-    hypothesis_holds: bool
-
-
-def ext_k_ring(p: Iterable[int], m: LDegree, n: LDegree, window: int) -> ExtRingReport:
-    """Cohomology of the dualized resolution against a twisted free module.
-
-    Applies Hom(-, A(n)) to the resolution of the residue field twisted by
-    m and takes the internal-degree-zero part: the cohomology in degree
-    n - m of the dual complex, whose level i has the level -i generators
-    with degrees negated and whose differentials are the transposes.  Its
-    term i is the sum over those generators g of the ring piece in degree
-    n + deg(g) - m.  Dims are reported for 0 <= i <= window together
-    with whether the vanishing hypothesis m != -c + x_1 + ... + x_n + n
-    holds.
-    """
-    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
-        raise ValueError("window must be a nonnegative integer")
-    res = bp_resolution(p, window + 1)
-    ring = res.ring
-    L = ring.L
-    mm = L.normalize(m.raw())
-    nn = L.normalize(n.raw())
-    dual = FreeComplex(
-        ring,
-        {-i: tuple(L.neg(g) for g in degs) for i, degs in res.terms.items()},
-        {
-            -i - 1: [[row[c] for row in mat] for c in range(res.rank(i))]
-            for i, mat in res.diffs.items()
-        },
-    )
-    h = dual.cohomology_dims(L.sub(nn, mm), range(window + 1))
-    dims = {i: dim for i, dim in h.items() if dim}
-    special = L.add(L.normalize((1,) * ring.n + (-1,)), nn)
-    return ExtRingReport(dims=dims, window=window, hypothesis_holds=mm != special)
+def ext_formula(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
+    """Product formula for Ext dims between index-set twists m and n."""
+    return ext_formula_row(p, m, [n])[0]
 
 
 class GradedModule:
@@ -705,6 +703,11 @@ def truncated_module(
     return GradedModule(ring, basis, action)
 
 
+def _shift(mono: Monomial, t: int) -> Monomial:
+    """Exponents of x_t * mono before reduction, t 1-indexed."""
+    return mono[: t - 1] + (mono[t - 1] + 1,) + mono[t:]
+
+
 def quotient_by_variables(
     ring: GradedRing, killed: Sequence[int], window: int
 ) -> GradedModule:
@@ -732,25 +735,12 @@ def quotient_by_variables(
         for t in killed:
             for m in ring.piece(L.sub(d, L.x(t))):
                 vec = [Fraction(0)] * len(monos)
-                for m2, co in ring.multiply(ring.variable(t), {m: Fraction(1)}).items():
+                for m2, co in ring.reduce({_shift(m, t): 1}).items():
                     vec[pos[m2]] += co
                 rows.append(vec)
-        if rows:
-            reduced, pivots = rref(RatMatrix(rows, cols=len(monos)))
-            basis_rows = [list(reduced.entries[r]) for r in range(len(pivots))]
-            pivot_set = set(pivots)
-        else:
-            basis_rows = []
-            pivot_set = set()
-        free = tuple(i for i in range(len(monos)) if i not in pivot_set)
-        cols = basis_rows + [
-            [Fraction(int(i == f)) for i in range(len(monos))] for f in free
-        ]
-        solver = RatMatrix(
-            [[cols[c][r] for c in range(len(cols))] for r in range(len(monos))],
-            cols=len(cols),
-        )
-        piece_data[d] = (monos, pos, free, solver, len(basis_rows))
+        reduced, pivots = rref(RatMatrix(rows, cols=len(monos)))
+        free = tuple(i for i in range(len(monos)) if i not in pivots)
+        piece_data[d] = (monos, pos, free, pivots, reduced.entries[: len(pivots)])
 
     basis = {
         d: tuple(monomial_label(piece_data[d][0][f]) for f in piece_data[d][2])
@@ -758,26 +748,26 @@ def quotient_by_variables(
     }
     action = {}
     for d in degrees:
-        monos, pos, free, solver, rank = piece_data[d]
+        monos, _, free, _, _ = piece_data[d]
         if not free:
             continue
         for t in range(1, ring.n + 1):
             up = L.add(d, L.x(t))
             if up not in piece_data:
                 continue
-            u_monos, u_pos, u_free, u_solver, u_rank = piece_data[up]
+            u_monos, u_pos, u_free, u_pivots, u_rows = piece_data[up]
             if not u_free:
                 continue
+            # coordinates of x_t m on the reduced ideal rows and the free
+            # monomials: a reduced row is 1 at its pivot and 0 at the other
+            # pivots, so its coefficient is the entry at its pivot
             cols = []
             for f in free:
                 vec = [Fraction(0)] * len(u_monos)
-                for m2, co in ring.multiply(
-                    ring.variable(t), {monos[f]: Fraction(1)}
-                ).items():
+                for m2, co in ring.reduce({_shift(monos[f], t): 1}).items():
                     vec[u_pos[m2]] += co
-                sol = solve(u_solver, vec)
-                assert sol is not None
-                cols.append([sol[u_rank + r] for r in range(len(u_free))])
+                ideal = [(vec[c], row) for c, row in zip(u_pivots, u_rows) if vec[c]]
+                cols.append([vec[g] - sum(a * row[g] for a, row in ideal) for g in u_free])
             action[(t, d)] = RatMatrix(
                 [[cols[c][r] for c in range(len(free))] for r in range(len(u_free))],
                 cols=len(free),
@@ -840,15 +830,18 @@ def graded_module_iso(M: GradedModule, N: GradedModule) -> bool:
     return True
 
 
-def lemma_k_check(p: Iterable[int], axis: int, j: int, window: int) -> SequenceReport:
+def lemma_k_check(
+    p: Iterable[int] | GradedRing, axis: int, j: int, window: int
+) -> SequenceReport:
     """Check 0 -> k(-(j-1) x_axis) -> k[x]/(x^j) -> k[x]/(x^{j-1}) -> 0.
 
     The inclusion hits the top power x^{j-1} and the projection discards
     it.  For j = p_axis the middle module is additionally compared with the
     quotient of the ring by the other variables, identifying it with a
-    module that has a finite free resolution.
+    module that has a finite free resolution.  p is a GradedRing or its
+    exponents.
     """
-    ring = GradedRing(p)
+    ring = _ring(p)
     L = ring.L
     if not 1 <= axis <= ring.n:
         raise ValueError("axis out of range")
@@ -890,7 +883,7 @@ class KoszulReport:
     failures: tuple[str, ...]
 
 
-def koszul_perfect_check(p: Iterable[int], window: int) -> KoszulReport:
+def koszul_perfect_check(p: Iterable[int] | GradedRing, window: int) -> KoszulReport:
     """Exactness of the Koszul complex on x_2, ..., x_n over the ring.
 
     The complex is the j = 0 part of the resolution, on the forms dx_I with
@@ -899,9 +892,9 @@ def koszul_perfect_check(p: Iterable[int], window: int) -> KoszulReport:
     window: cohomology vanishes at every negative level (including
     injectivity at the leftmost) and the cokernel dims match the powers
     x_1^s with s < p_1.  Success certifies a finite free resolution, i.e.
-    perfectness of that quotient.
+    perfectness of that quotient.  p is a GradedRing or its exponents.
     """
-    ring = GradedRing(p)
+    ring = _ring(p)
     if ring.n < 2:
         raise ValueError("need at least two variables")
     L = ring.L

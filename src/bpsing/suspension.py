@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .dgcat import (
+    MAX_RANK,
     DirectedGradedCategory,
     MorRef,
     a_category,
@@ -66,6 +67,8 @@ def directed_extension(A: DirectedGradedCategory, k: int) -> DirectedGradedCateg
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError("stacking needs at least two levels")
     na = len(A.objects)
+    if k * na > MAX_RANK:
+        raise ValueError(f"object count {k * na} exceeds the limit {MAX_RANK}")
     objects = tuple((x, j) for j in range(k, 0, -1) for x in A.objects)
 
     def oidx(ia: int, j: int) -> int:

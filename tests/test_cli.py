@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import bpsing.cli
+import bpsing.dgcat
 import bpsing.lattice
 import bpsing.suspension
 from bpsing.cli import main
@@ -206,6 +207,27 @@ def test_lattice_routes_reject_huge_ranks_before_building(capsys, monkeypatch):
     assert code == 0 and out
 
 
+def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch):
+    def unreachable(m):
+        raise AssertionError(f"a linear quiver with {m} objects was built before the check")
+
+    # without the check tensor_bp would build a dict of 9999999998 homs
+    monkeypatch.setattr(bpsing.dgcat, "a_category", unreachable)
+    code, out, err = run_cli(capsys, "category", "--p", "10000000000")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: object count prod(p_i - 1) = 9999999999 exceeds the limit {MAX_RANK}\n"
+    monkeypatch.undo()
+    # the stacked copies of a suspension step are bounded the same way
+    for argv, count in [
+        (("fukaya", "--p", "2,10000000000"), 10000000000),
+        (("suspend", "--p", "2,3", "--k", "10000000000"), 20000000000),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: object count {count} exceeds the limit {MAX_RANK}\n"
+
+
 def test_verify_fukaya_builds_the_tensor_model_once(capsys, monkeypatch):
     calls = []
 
@@ -241,8 +263,9 @@ def test_verify_singcat_one_variable(capsys):
     data = json.loads(out)
     assert data["ok"] is True
     checks = {c["name"]: c for c in data["suites"][0]["checks"]}
-    # the one-variable twist grid runs out before 50 twists outside the monoid
-    assert checks["ext-vanishing"] == {"name": "ext-vanishing", "ok": True, "detail": {"scanned": 27}}
+    # the one-variable twist grid runs out before 50 twists outside the monoid:
+    # its 27 such vectors have 16 distinct normal forms (a, b), b in {-3, -2, -1}
+    assert checks["ext-vanishing"] == {"name": "ext-vanishing", "ok": True, "detail": {"scanned": 16}}
     code, out, _ = run_cli(capsys, "verify", "--p", "7", "--suite", "singcat")
     assert code == 0
     assert out.endswith("verify: PASS\n")

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from bpsing import dgcat
 from bpsing.dgcat import (
     DirectedGradedCategory,
     MorRef,
@@ -104,6 +105,17 @@ def test_a_category_shape():
     assert A.compose(step2, step1) == {}
     with pytest.raises(KeyError):
         morphism_by_name(A, "absent")
+
+
+def test_builders_refuse_object_counts_above_the_limit(monkeypatch):
+    assert dgcat.MAX_RANK == 4096
+    monkeypatch.setattr(dgcat, "MAX_RANK", 6)
+    assert len(a_category(6).objects) == 6
+    assert len(tensor_bp((3, 4)).objects) == 6
+    with pytest.raises(ValueError, match="object count 7 exceeds the limit 6"):
+        a_category(7)
+    with pytest.raises(ValueError, match=r"object count prod\(p_i - 1\) = 8 exceeds the limit 6"):
+        tensor_bp((3, 5))
 
 
 def test_tensor_bp_object_order_and_degrees():

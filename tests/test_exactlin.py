@@ -15,6 +15,7 @@ from bpsing.exactlin import (
     det,
     integer_kernel,
     invariant_factors,
+    rank,
     rank_kernel,
     rref,
     smith_normal_form,
@@ -389,3 +390,21 @@ def test_cohomology_matches_the_greedy_oracle():
             z = random_combination(rng, kernel, d_in.rows)
             assert coh.coordinates(z) == coordinates(z)
     assert {(True, True), (False, True), (False, False)} <= seen
+
+
+def test_rank_matches_the_rref_pivot_count():
+    rng = random.Random(11)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 5), (5, 3), (6, 6)]
+    checked = 0
+    for rows, cols in shapes:
+        for _ in range(12):
+            # small entries with many zeros, so rank deficits are common
+            entries = [
+                [Fraction(rng.choice([0, 0, 0, 1, -1, 2]), rng.choice([1, 1, 3])) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            M = RatMatrix(entries, cols=cols)
+            assert rank(M) == len(rref(M)[1]), (rows, cols, entries)
+            checked += rank(M) < min(rows, cols)
+    assert checked > 0
+    assert rank(RatMatrix.zeros(0, 4)) == rank(RatMatrix.zeros(4, 0)) == 0

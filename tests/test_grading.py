@@ -9,6 +9,7 @@ import pytest
 
 from bpsing.grading import (
     FiniteAbelianGroup,
+    LDegree,
     LGroup,
     cy_check,
     exponent_seq,
@@ -126,14 +127,24 @@ def test_monoid_membership():
     assert not L.is_in_monoid(d)
 
 
+def is_in_L_plus(L, d):
+    """Membership in {-(n-1) c + sum a_i x_i : all a_i >= 1}.
+
+    Equivalent to d + (n-1) c - (x_1 + ... + x_n) lying in the monoid
+    generated by the x_i.
+    """
+    shifted_raw = tuple(ai - 1 for ai in d.a) + (d.b + L.n - 1,)
+    return L.is_in_monoid(L.normalize(shifted_raw))
+
+
 def test_l_plus_membership():
     L = LGroup((2, 3))
-    assert not L.is_in_L_plus(L.zero())
+    assert not is_in_L_plus(L, L.zero())
     interior = L.normalize((1, 1, -1))
-    assert L.is_in_L_plus(interior)
-    assert L.is_in_L_plus(L.add(interior, L.x(2)))
+    assert is_in_L_plus(L, interior)
+    assert is_in_L_plus(L, L.add(interior, L.x(2)))
     # -c would need a positive combination of the x_i summing to zero
-    assert not L.is_in_L_plus(L.neg(L.c()))
+    assert not is_in_L_plus(L, L.neg(L.c()))
 
 
 def test_torsion_subgroup_known_values():
@@ -181,3 +192,27 @@ def test_finite_abelian_group_validation():
         FiniteAbelianGroup((6, 2))
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
+
+
+def test_add_and_sub_match_the_normalized_sums():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def group_and_normal_forms(draw):
+        L = LGroup(draw(st.lists(st.integers(2, 9), min_size=1, max_size=4)))
+        forms = [
+            LDegree(tuple(draw(st.integers(0, pi - 1)) for pi in L.p), draw(st.integers(-5, 5)))
+            for _ in range(2)
+        ]
+        return L, forms[0], forms[1]
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(group_and_normal_forms())
+    def check(case):
+        L, d1, d2 = case
+        # the general normal form of the coordinatewise sum and difference
+        assert L.add(d1, d2) == L.normalize(tuple(u + v for u, v in zip(d1.raw(), d2.raw())))
+        assert L.sub(d1, d2) == L.normalize(tuple(u - v for u, v in zip(d1.raw(), d2.raw())))
+
+    check()

@@ -1,13 +1,19 @@
 """Graded quotient ring machinery: resolution, Ext routes, module checks."""
 
+import ast
+import inspect
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from math import lcm
 
 import pytest
 
+import bpsing.singcat
+
 from bpsing.cli import _twist_grid
 from bpsing.dgcat import a_category
+from bpsing.exactlin import ComplexError, RatMatrix, rref, solve
 from bpsing.grading import LDegree, LGroup
 from bpsing.singcat import (
     FreeComplex,
@@ -17,17 +23,22 @@ from bpsing.singcat import (
     bp_resolution,
     exact_sequence_check,
     ext_formula,
+    ext_formula_row,
     ext_k_k,
-    ext_k_ring,
+    ext_k_k_row,
     graded_module_iso,
     index_set,
     koszul_perfect_check,
     lemma_k_check,
+    monomial_label,
     quotient_by_variables,
     resolution_generators,
     truncated_module,
     validate_resolution,
+    _box_coordinates,
     _generator_degree,
+    _shift,
+    _support_degrees,
 )
 
 
@@ -244,6 +255,91 @@ def test_piece_matrix_matches_the_dense_product():
     assert nonzero > 0
 
 
+def piece_matrix_by_multiply(cplx, i, d):
+    """The level-i map on degree-d pieces, each product through ring.multiply."""
+    src = cplx.piece_basis(i, d)
+    tgt = cplx.piece_basis(i + 1, d)
+    index = {bm: r for r, bm in enumerate(tgt)}
+    mat = cplx.diffs[i]
+    column = [[(r, row[c]) for r, row in enumerate(mat) if row[c]] for c in range(cplx.rank(i))]
+    entries = [[Fraction(0)] * len(src) for _ in tgt]
+    for cidx, (c, mono) in enumerate(src):
+        for r, entry in column[c]:
+            for m2, co in cplx.ring.multiply(entry, {mono: Fraction(1)}).items():
+                ridx = index.get((r, m2))
+                if ridx is None:
+                    raise ComplexError("differential is not degree homogeneous")
+                entries[ridx][cidx] += co
+    return RatMatrix(entries, cols=len(src))
+
+
+def cohomology_dims_by_rref(cplx, d, levels):
+    """H^i dims from full rref pivots, each level's basis built per matrix."""
+    ranks, dims = {}, {}
+    for i in range(levels.start - 1, levels.stop):
+        if i in cplx.diffs:
+            mat = piece_matrix_by_multiply(cplx, i, d)
+            ranks[i] = len(rref(mat)[1])
+            dims[i] = mat.cols
+    return {
+        i: (dims[i] if i in dims else len(cplx.piece_basis(i, d)))
+        - ranks.get(i, 0) - ranks.get(i - 1, 0)
+        for i in levels
+    }
+
+
+ORACLE_SEQUENCES = [(2, 3), (3, 3, 3), (2, 3, 4), (3, 4, 5), (7,)]
+
+
+@pytest.mark.parametrize("p", ORACLE_SEQUENCES)
+def test_piece_matrix_and_cohomology_match_the_multiply_oracle(p):
+    cplx = bp_resolution(p, len(p) + 4)
+    L = cplx.ring.L
+    levels = range(min(cplx.levels()) + 1, 1)
+    degrees = _support_degrees(cplx, 2 * L.ell)
+    for d in degrees:
+        for i in sorted(cplx.diffs):
+            want = piece_matrix_by_multiply(cplx, i, d)
+            assert cplx.piece_matrix(i, d) == want, (i, d.raw())
+            src, tgt = cplx.piece_basis(i, d), cplx.piece_basis(i + 1, d)
+            assert cplx.piece_matrix(i, d, src, tgt) == want, (i, d.raw())
+        assert cplx.cohomology_dims(d, levels) == cohomology_dims_by_rref(cplx, d, levels), d.raw()
+    assert len(degrees) > 10
+
+
+def test_piece_matrix_multiplies_entries_with_several_terms():
+    ring = GradedRing((3, 3, 3))
+    L = ring.L
+    g = L.normalize((2, 0, 0, 1))
+    # x2^3 and x3^3 both have degree c; times x1 the terms rewrite through x1^3
+    entry = {(2, 3, 0): Fraction(1), (2, 0, 3): Fraction(1, 2)}
+    cplx = FreeComplex(ring, {-1: (g,), 0: (L.zero(),)}, {-1: [[entry]]})
+    nonzero = 0
+    for z in range(2 * L.ell + 1):
+        for d in degrees_of_weight(L, z):
+            mat = cplx.piece_matrix(-1, d)
+            assert mat == piece_matrix_by_multiply(cplx, -1, d), d.raw()
+            nonzero += not mat.is_zero()
+    assert nonzero > 0
+    # x1 has degree x1 but x2^2 does not
+    broken = FreeComplex(ring, {-1: (L.x(1),), 0: (L.zero(),)}, {-1: [[{(1, 0, 0): 1, (0, 2, 0): 1}]]})
+    d = L.add(L.x(1), L.x(2))
+    with pytest.raises(ComplexError, match="not degree homogeneous"):
+        broken.piece_matrix(-1, d)
+    with pytest.raises(ComplexError, match="not degree homogeneous"):
+        piece_matrix_by_multiply(broken, -1, d)
+
+
+def test_variable_shift_matches_multiplication_by_the_variable():
+    for p in ORACLE_SEQUENCES:
+        ring = GradedRing(p)
+        for z in range(2 * ring.L.ell + 1):
+            for mono in ring.monomials_of_weight(z):
+                for t in range(1, ring.n + 1):
+                    want = ring.multiply(ring.variable(t), {mono: Fraction(1)})
+                    assert ring.reduce({_shift(mono, t): 1}) == want, (p, mono, t)
+
+
 def test_resolution_is_exact_on_random_sequences():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -274,6 +370,106 @@ def test_ext_routes_agree_on_the_index_set():
         for m in twists:
             for n in twists:
                 assert ext_k_k(p, m, n) == ext_formula(p, m, n), (p, m, n)
+
+
+def ext_k_k_per_pair(p, m, n):
+    """Ext dims of one pair, one grading group and generator scan per call."""
+    L = LGroup(p)
+    target = L.sub(L.normalize(m.raw()), L.normalize(n.raw()))
+    dims = {}
+    zt = L.z_degree(target)
+    if zt < 0:
+        return dims
+    for i in range(L.n + 2 * (zt // L.ell) + 3):
+        count = sum(
+            j == target.b and tuple(int(t in I) for t in range(1, L.n + 1)) == target.a
+            for I, j in resolution_generators(L.n, i)
+        )
+        if count:
+            dims[i] = count
+    return dims
+
+
+def ext_formula_per_pair(p, m, n):
+    """The closed form for one pair of index-set twists."""
+    L = LGroup(p)
+    a = _box_coordinates(L, L.normalize(m.raw()))
+    b = _box_coordinates(L, L.normalize(n.raw()))
+    gaps = [ai - bi for ai, bi in zip(a, b)]
+    return {sum(gaps): 1} if all(g in (0, 1) for g in gaps) else {}
+
+
+@pytest.mark.parametrize("p", ORACLE_SEQUENCES)
+def test_ext_rows_match_the_per_pair_routes(p):
+    twists = index_set(p)
+    L = LGroup(p)
+    # twists outside the index set too, for the route that accepts them
+    others = [L.normalize(raw) for raw in islice(_twist_grid(len(p)), 40)]
+    for m in twists:
+        formula_row = ext_formula_row(p, m, twists)
+        assert formula_row == [ext_formula_per_pair(p, m, n) for n in twists], m.raw()
+        assert formula_row == [ext_formula(p, m, n) for n in twists], m.raw()
+        for targets in (twists, others):
+            row = ext_k_k_row(p, m, targets)
+            assert row == [ext_k_k_per_pair(p, m, n) for n in targets], m.raw()
+            assert row == [ext_k_k(p, m, n) for n in targets], m.raw()
+    for m in others:
+        assert ext_k_k_row(p, m, others) == [ext_k_k_per_pair(p, m, n) for n in others], m.raw()
+    assert ext_k_k_row(p, twists[0], []) == ext_formula_row(p, twists[0], []) == []
+
+
+@pytest.mark.parametrize("p", [(2, 3), (3, 3), (2, 2, 2), (2, 3, 4), (3, 4, 5)])
+def test_one_ring_gives_the_reports_of_fresh_rings(p):
+    ring = GradedRing(p)
+    window = 2 * ring.L.ell
+    length = len(p) + 4
+    assert validate_resolution(bp_resolution(ring, length), window) == validate_resolution(
+        bp_resolution(p, length), window
+    )
+    for axis in range(1, len(p) + 1):
+        for j in range(2, p[axis - 1] + 1):
+            assert lemma_k_check(ring, axis, j, window) == lemma_k_check(p, axis, j, window)
+    assert koszul_perfect_check(ring, window) == koszul_perfect_check(p, window)
+    assert bp_resolution(ring, 2).ring is ring
+
+
+def test_singcat_reads_no_other_route_and_the_ext_routes_stay_apart():
+    tree = ast.parse(inspect.getsource(bpsing.singcat))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert not imported & {"dgcat", "twisted", "suspension"}, imported
+
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names_reached(name):
+        """Every name in the body of name and of the module functions it names."""
+        seen, todo, found = set(), [name], set()
+        while todo:
+            fn = todo.pop()
+            if fn in seen:
+                continue
+            seen.add(fn)
+            for node in ast.walk(functions[fn]):
+                word = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    found.add(word)
+                    if word in functions:
+                        todo.append(word)
+        return found
+
+    for route in ("ext_formula", "ext_formula_row"):
+        reached = names_reached(route)
+        assert not {w for w in reached if w.startswith("ext_k_k")}, route
+        assert "resolution_generators" not in reached, route
+    for route in ("ext_k_k", "ext_k_k_row"):
+        reached = names_reached(route)
+        assert not {w for w in reached if w.startswith("ext_formula")}, route
+        assert "_box_coordinates" not in reached, route
 
 
 def ext_k_k_by_normal_forms(p, m, n):
@@ -387,6 +583,48 @@ def test_ext_vanishing_outside_the_monoid():
         assert scanned == 50
 
 
+@dataclass(frozen=True, eq=False)
+class ExtRingReport:
+    """Ext dims from a twisted residue field into a twisted free module."""
+
+    dims: dict[int, int]
+    window: int
+    hypothesis_holds: bool
+
+
+def ext_k_ring(p, m, n, window):
+    """Cohomology of the dualized resolution against a twisted free module.
+
+    Applies Hom(-, A(n)) to the resolution of the residue field twisted by
+    m and takes the internal-degree-zero part: the cohomology in degree
+    n - m of the dual complex, whose level i has the level -i generators
+    with degrees negated and whose differentials are the transposes.  Its
+    term i is the sum over those generators g of the ring piece in degree
+    n + deg(g) - m.  Dims are reported for 0 <= i <= window together
+    with whether the vanishing hypothesis m != -c + x_1 + ... + x_n + n
+    holds.
+    """
+    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
+        raise ValueError("window must be a nonnegative integer")
+    res = bp_resolution(p, window + 1)
+    ring = res.ring
+    L = ring.L
+    mm = L.normalize(m.raw())
+    nn = L.normalize(n.raw())
+    dual = FreeComplex(
+        ring,
+        {-i: tuple(L.neg(g) for g in degs) for i, degs in res.terms.items()},
+        {
+            -i - 1: [[row[c] for row in mat] for c in range(res.rank(i))]
+            for i, mat in res.diffs.items()
+        },
+    )
+    h = dual.cohomology_dims(L.sub(nn, mm), range(window + 1))
+    dims = {i: dim for i, dim in h.items() if dim}
+    special = L.add(L.normalize((1,) * ring.n + (-1,)), nn)
+    return ExtRingReport(dims=dims, window=window, hypothesis_holds=mm != special)
+
+
 def test_ext_k_ring_window_profiles():
     L = LGroup((2, 3))
     plain = ext_k_ring((2, 3), L.zero(), L.zero(), 6)
@@ -420,6 +658,72 @@ def test_quotient_by_variables_matches_truncation():
     assert quot.validate() == ()
     assert graded_module_iso(quot, truncated_module(R, 1, 2))
     assert not graded_module_iso(quot, truncated_module(R, 1, 1))
+
+
+def quotient_by_variables_by_solve(ring, killed, window):
+    """The ring modulo the listed variables, each action column by a linear solve."""
+    L = ring.L
+    killed = tuple(sorted(set(killed)))
+    degrees = sorted(
+        (d for z in range(window + 1) for d in ring.pieces_of_weight(z)), key=ring.sort_key
+    )
+    piece_data = {}
+    for d in degrees:
+        monos = ring.piece(d)
+        pos = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for t in killed:
+            for m in ring.piece(L.sub(d, L.x(t))):
+                vec = [Fraction(0)] * len(monos)
+                for m2, co in ring.multiply(ring.variable(t), {m: Fraction(1)}).items():
+                    vec[pos[m2]] += co
+                rows.append(vec)
+        basis_rows, pivots = [], ()
+        if rows:
+            reduced, pivots = rref(RatMatrix(rows, cols=len(monos)))
+            basis_rows = [list(reduced.entries[r]) for r in range(len(pivots))]
+        free = tuple(i for i in range(len(monos)) if i not in pivots)
+        cols = basis_rows + [[Fraction(int(i == f)) for i in range(len(monos))] for f in free]
+        solver = RatMatrix(
+            [[cols[c][r] for c in range(len(cols))] for r in range(len(monos))], cols=len(cols)
+        )
+        piece_data[d] = (monos, pos, free, solver, len(basis_rows))
+    basis = {d: tuple(monomial_label(piece_data[d][0][f]) for f in piece_data[d][2]) for d in degrees}
+    action = {}
+    for d in degrees:
+        monos, pos, free, solver, rank = piece_data[d]
+        for t in range(1, ring.n + 1):
+            up = L.add(d, L.x(t))
+            if not free or up not in piece_data or not piece_data[up][2]:
+                continue
+            u_monos, u_pos, u_free, u_solver, u_rank = piece_data[up]
+            cols = []
+            for f in free:
+                vec = [Fraction(0)] * len(u_monos)
+                for m2, co in ring.multiply(ring.variable(t), {monos[f]: Fraction(1)}).items():
+                    vec[u_pos[m2]] += co
+                sol = solve(u_solver, vec)
+                cols.append([sol[u_rank + r] for r in range(len(u_free))])
+            action[(t, d)] = RatMatrix(
+                [[cols[c][r] for c in range(len(free))] for r in range(len(u_free))],
+                cols=len(free),
+            )
+    return GradedModule(ring, basis, action)
+
+
+@pytest.mark.parametrize("p", [(2, 3), (3, 3, 3), (2, 3, 4), (3, 4, 5), (2, 2, 2, 2)])
+def test_quotient_by_variables_matches_the_solve_oracle(p):
+    ring = GradedRing(p)
+    window = ring.L.ell + 4
+    kill_sets = [(), (1,), tuple(range(2, len(p) + 1)), tuple(range(1, len(p)))]
+    nontrivial = 0
+    for killed in kill_sets:
+        got = quotient_by_variables(ring, killed, window)
+        want = quotient_by_variables_by_solve(ring, killed, window)
+        assert got.basis == want.basis, (p, killed)
+        assert got.action == want.action, (p, killed)
+        nontrivial += bool(got.action)
+    assert nontrivial > 0
 
 
 def test_graded_module_iso_needs_thin_pieces():

@@ -19,6 +19,13 @@ from bpsing.suspension import (
 from bpsing.twisted import twisted_hom
 
 
+def test_directed_extension_refuses_object_counts_above_the_limit(monkeypatch):
+    monkeypatch.setattr(suspension, "MAX_RANK", 8)
+    assert len(directed_extension(a_category(2), 4).objects) == 8
+    with pytest.raises(ValueError, match="object count 10 exceeds the limit 8"):
+        directed_extension(a_category(2), 5)
+
+
 def test_directed_extension_structure():
     E = directed_extension(a_category(2), 2)
     assert E.objects == ((1, 2), (2, 2), (1, 1), (2, 1))
