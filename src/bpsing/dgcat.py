@@ -122,6 +122,10 @@ class DirectedGradedCategory:
         """Degree sequence of the hom basis from object i to object j."""
         return self._homs.get((i, j), ())
 
+    def hom_pairs(self):
+        """The pairs (i, j) with a nonzero hom, diagonal included, as a set view."""
+        return self._homs.keys()
+
     def graded_dims(self, i: int, j: int) -> dict[int, int]:
         dims: dict[int, int] = {}
         for d in self.hom(i, j):
@@ -402,51 +406,72 @@ class ValidationReport:
 
 
 def validate(C: DirectedGradedCategory) -> ValidationReport:
-    """Check degree additivity, unit strictness and associativity of the table."""
-    bad: list[str] = []
+    """Check degree additivity, unit strictness and associativity of the table.
 
-    for (g, f), entry in C.composition_entries():
+    Violations are reported in the order of a full scan: table entries in
+    sorted order, then the unit laws per basis morphism, then every
+    composable triple (h, g, f).  Two kinds of triple are settled without
+    being evaluated.  A triple whose two composites g.f and h.g are both
+    zero holds always, both sides being empty sums.  A triple with an
+    identity in some slot holds whenever the checks before it found nothing:
+    strict units on every basis morphism, with every composite landing on a
+    basis index, make both sides the same composite.  After any earlier
+    violation those triples are evaluated like the rest.
+    """
+    comp, homs, name = C._comp, C._homs, C.name
+    entry_bad: list[tuple[tuple[MorRef, MorRef], list[str]]] = []
+    for (g, f), entry in comp.items():
         if f.tgt != g.src:
-            bad.append(f"composition entry for non-composable pair ({C.name(g)}, {C.name(f)})")
+            message = f"composition entry for non-composable pair ({name(g)}, {name(f)})"
+            entry_bad.append(((g, f), [message]))
             continue
-        basis = C.hom(f.src, g.tgt)
-        total = C.degree(g) + C.degree(f)
-        for idx, coeff in entry.items():
+        basis = homs.get((f.src, g.tgt), ())
+        total = homs[(g.src, g.tgt)][g.idx] + homs[(f.src, f.tgt)][f.idx]
+        found = []
+        for idx in entry:
             if not 0 <= idx < len(basis):
-                bad.append(f"composition ({C.name(g)}, {C.name(f)}) hits invalid basis index {idx}")
+                found.append(f"composition ({name(g)}, {name(f)}) hits invalid basis index {idx}")
             elif basis[idx] != total:
-                bad.append(
-                    f"composition ({C.name(g)}, {C.name(f)}) lands in degree "
+                found.append(
+                    f"composition ({name(g)}, {name(f)}) lands in degree "
                     f"{basis[idx]}, expected {total}"
                 )
+        if found:
+            entry_bad.append(((g, f), found))
+    bad = [message for _, found in sorted(entry_bad) for message in found]
 
     for f in C.morphisms():
-        if C.compose(C.identity(f.tgt), f) != {f.idx: Fraction(1)}:
-            bad.append(f"left unit fails for {C.name(f)}")
-        if C.compose(f, C.identity(f.src)) != {f.idx: Fraction(1)}:
-            bad.append(f"right unit fails for {C.name(f)}")
+        unit = {f.idx: 1}  # the table holds no zero coefficient
+        if comp.get((MorRef(f.tgt, f.tgt, 0), f)) != unit:
+            bad.append(f"left unit fails for {name(f)}")
+        if comp.get((f, MorRef(f.src, f.src, 0))) != unit:
+            bad.append(f"right unit fails for {name(f)}")
 
+    # morphisms_from lists the identity first; skip it when units are settled
+    start = 0 if bad else 1
     for f in C.morphisms():
-        for g in C.morphisms_from(f.tgt):
-            gf = C.compose(g, f)
-            for h in C.morphisms_from(g.tgt):
-                hg = C.compose(h, g)
+        if start and f.src == f.tgt:
+            continue
+        for g in C.morphisms_from(f.tgt)[start:]:
+            gf = comp.get((g, f))
+            for h in C.morphisms_from(g.tgt)[start:]:
+                hg = comp.get((h, g))
                 if not gf and not hg:
                     continue  # both sides are empty sums
                 lhs: dict[int, Fraction] = {}
-                for idx, coeff in gf.items():
-                    for ridx, rcoeff in C.compose(h, MorRef(f.src, g.tgt, idx)).items():
-                        lhs[ridx] = lhs.get(ridx, Fraction(0)) + coeff * rcoeff
+                if gf:
+                    for idx, coeff in gf.items():
+                        for ridx, rcoeff in comp.get((h, MorRef(f.src, g.tgt, idx)), {}).items():
+                            lhs[ridx] = lhs.get(ridx, 0) + coeff * rcoeff
                 rhs: dict[int, Fraction] = {}
-                for idx, coeff in hg.items():
-                    for ridx, rcoeff in C.compose(MorRef(g.src, h.tgt, idx), f).items():
-                        rhs[ridx] = rhs.get(ridx, Fraction(0)) + coeff * rcoeff
+                if hg:
+                    for idx, coeff in hg.items():
+                        for ridx, rcoeff in comp.get((MorRef(g.src, h.tgt, idx), f), {}).items():
+                            rhs[ridx] = rhs.get(ridx, 0) + coeff * rcoeff
                 lhs = {k: v for k, v in lhs.items() if v != 0}
                 rhs = {k: v for k, v in rhs.items() if v != 0}
                 if lhs != rhs:
-                    bad.append(
-                        f"associativity fails on ({C.name(h)}, {C.name(g)}, {C.name(f)})"
-                    )
+                    bad.append(f"associativity fails on ({name(h)}, {name(g)}, {name(f)})")
     return ValidationReport(tuple(bad))
 
 
@@ -498,51 +523,57 @@ def gauge_isomorphic(
         if D.object_index(bijection[label]) != i:
             raise ValueError("bijection is not order-preserving")
 
+    # hom returns () for a pair that no table stores, so the stored pairs
+    # are the only ones where the two categories can differ
+    pairs = sorted(C.hom_pairs() | D.hom_pairs())
     for cat in (C, D):
-        for i in range(n):
-            for j in range(i, n):
-                dims = cat.graded_dims(i, j)
-                if any(v > 1 for v in dims.values()):
-                    raise ValueError("hom spaces must have dimension at most 1 per degree")
-
-    for i in range(n):
-        for j in range(i, n):
-            if C.graded_dims(i, j) != D.graded_dims(i, j):
-                return GaugeResult(
-                    False,
-                    None,
-                    f"graded dimensions differ at ({C.objects[i]}, {C.objects[j]})",
-                )
+        for degs in cat._homs.values():
+            if len(set(degs)) != len(degs):
+                raise ValueError("hom spaces must have dimension at most 1 per degree")
 
     # identify bases by degree: basis index k of C corresponds to the D basis
-    # element of the same degree
-    def match(i: int, j: int, k: int) -> int:
-        deg = C.hom(i, j)[k]
-        return D.hom(i, j).index(deg)
+    # element of the same degree, and back
+    to_d: dict[tuple[int, int], tuple[int, ...]] = {}
+    to_c: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (i, j) in pairs:
+        degs_c, degs_d = C.hom(i, j), D.hom(i, j)
+        if sorted(degs_c) != sorted(degs_d):
+            return GaugeResult(
+                False,
+                None,
+                f"graded dimensions differ at ({C.objects[i]}, {C.objects[j]})",
+            )
+        at_d = {deg: k for k, deg in enumerate(degs_d)}
+        at_c = {deg: k for k, deg in enumerate(degs_c)}
+        to_d[(i, j)] = tuple(at_d[deg] for deg in degs_c)
+        to_c[(i, j)] = tuple(at_c[deg] for deg in degs_d)
 
     morphs = list(C.morphisms())
     var = {f: i for i, f in enumerate(morphs)}
 
+    in_d = {m: MorRef(m.src, m.tgt, to_d[(m.src, m.tgt)][m.idx]) for m in morphs}
+    comp_c, comp_d = C._comp, D._comp
     equations: list[tuple[MorRef, MorRef, MorRef, Fraction]] = []
     for f in morphs:
+        fD = in_d[f]
         for g in C.morphisms_from(f.tgt):
-            cc = C.compose(g, f)
-            gD = MorRef(g.src, g.tgt, match(g.src, g.tgt, g.idx))
-            fD = MorRef(f.src, f.tgt, match(f.src, f.tgt, f.idx))
-            cd = D.compose(gD, fD)
+            cc = comp_c.get((g, f))
+            cd = comp_d.get((in_d[g], fD))
+            if not cc and not cd:
+                continue  # zero on both sides: no equation
+            cc = cc or {}
             cd_in_c = {}
-            for idx, vv in cd.items():
-                deg = D.hom(f.src, g.tgt)[idx]
-                cd_in_c[C.hom(f.src, g.tgt).index(deg)] = vv
-            if set(cc) != set(cd_in_c):
+            if cd:
+                back = to_c.get((f.src, g.tgt), ())
+                cd_in_c = {back[idx]: vv for idx, vv in cd.items()}
+            if cc.keys() != cd_in_c.keys():
                 return GaugeResult(
                     False,
                     None,
                     f"composition vanishing patterns differ at ({C.name(g)}, {C.name(f)})",
                 )
             for idx, vc in cc.items():
-                ratio = vc / cd_in_c[idx]
-                equations.append((g, f, MorRef(f.src, g.tgt, idx), ratio))
+                equations.append((g, f, MorRef(f.src, g.tgt, idx), vc / cd_in_c[idx]))
 
     nvars = len(morphs)
     sign_rows = []
@@ -581,15 +612,16 @@ def gauge_isomorphic(
 
     witness: dict[str, Fraction] = {}
     scalars: dict[MorRef, Fraction] = {}
+    plus, minus = Fraction(1), Fraction(-1)
     for m in morphs:
-        value = Fraction(-1 if signs[var[m]] else 1)
+        value = minus if signs[var[m]] else plus
         for prime, exps in exponents.items():
             value *= Fraction(prime) ** exps[var[m]]
         scalars[m] = value
         witness[C.name(m)] = value
 
     for (g, f, h, ratio) in equations:
-        if scalars[g] * scalars[f] / scalars[h] != ratio:
+        if scalars[g] * scalars[f] != ratio * scalars[h]:  # scalars are nonzero
             return GaugeResult(False, None, "witness verification failed")
 
     return GaugeResult(True, witness, None)

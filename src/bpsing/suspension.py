@@ -170,38 +170,29 @@ def suspend(
                 f"endomorphisms of cone {labels[si]} have dims {end_dims}, expected {{0: 1}}"
             )
 
+    # basis index idx of hom (si, sj) is the class basis_classes[(si, sj)][idx],
+    # the r-th representative in degree d, and class_index[(si, sj)][(d, r)] = idx
     homs: dict[tuple[int, int], tuple[int, ...]] = {}
-    class_index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    basis_classes: dict[tuple[int, int], tuple[Class, ...]] = {}
+    class_index: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for (si, sj), th in homs_data.items():
         if si == sj:
             continue
-        degs: list[int] = []
-        classes: list[tuple[int, int]] = []
-        for d in sorted(th.cohomology.dims):
-            for r in range(th.cohomology.dims[d]):
-                degs.append(d)
-                classes.append((d, r))
-        if degs:
-            homs[(si, sj)] = tuple(degs)
-            class_index[(si, sj)] = classes
-
-    units = [identity_class(homs_data[(si, si)]) for si in range(len(spots))]
-
-    def as_class(si: int, sj: int, idx: int) -> Class:
-        if si == sj:
-            return units[si]
-        d, r = class_index[(si, sj)][idx]
-        count = homs_data[(si, sj)].cohomology.dims[d]
-        coeffs = tuple(Fraction(int(t == r)) for t in range(count))
-        return (d, coeffs)
+        dims = th.cohomology.dims
+        pairs = [(d, r) for d in sorted(dims) for r in range(dims[d])]
+        if pairs:
+            homs[(si, sj)] = tuple(d for d, _ in pairs)
+            basis_classes[(si, sj)] = tuple(
+                (d, tuple(Fraction(int(t == r)) for t in range(dims[d]))) for d, r in pairs
+            )
+            class_index[(si, sj)] = {dr: idx for idx, dr in enumerate(pairs)}
+    for si in range(len(spots)):
+        basis_classes[(si, si)] = (identity_class(homs_data[(si, si)]),)
 
     def from_class(si: int, sj: int, value: Class) -> dict[int, Fraction]:
         d, coeffs = value
-        out: dict[int, Fraction] = {}
-        for t, coeff in enumerate(coeffs):
-            if coeff != 0:
-                out[class_index[(si, sj)].index((d, t))] = coeff
-        return out
+        index = class_index[(si, sj)]
+        return {index[(d, t)]: coeff for t, coeff in enumerate(coeffs) if coeff != 0}
 
     comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
     targets = source_index(class_index)
@@ -213,8 +204,8 @@ def suspend(
                         homs_data[(sj, sl)],
                         homs_data[(si, sj)],
                         homs_data[(si, sl)],
-                        as_class(sj, sl, gi),
-                        as_class(si, sj, fi),
+                        basis_classes[(sj, sl)][gi],
+                        basis_classes[(si, sj)][fi],
                     )
                     if (si, sl) in class_index:
                         entry = from_class(si, sl, value)
@@ -226,23 +217,22 @@ def suspend(
                         comp[(MorRef(sj, sl, gi), MorRef(si, sj, fi))] = entry
 
     # identities must act strictly on the chosen representatives
-    for (si, sj), classes in sorted(class_index.items()):
-        for fi in range(len(classes)):
+    for (si, sj) in sorted(class_index):
+        for expected in basis_classes[(si, sj)]:
             left = compose_classes(
                 homs_data[(sj, sj)],
                 homs_data[(si, sj)],
                 homs_data[(si, sj)],
-                as_class(sj, sj, 0),
-                as_class(si, sj, fi),
+                basis_classes[(sj, sj)][0],
+                expected,
             )
             right = compose_classes(
                 homs_data[(si, sj)],
                 homs_data[(si, si)],
                 homs_data[(si, sj)],
-                as_class(si, sj, fi),
-                as_class(si, si, 0),
+                expected,
+                basis_classes[(si, si)][0],
             )
-            expected = as_class(si, sj, fi)
             if left != expected or right != expected:
                 raise SuspensionError("identity classes do not act strictly")
 
@@ -274,13 +264,14 @@ def verify_suspension(
     if label_fn is not None:
         T = relabel(T, {label: label_fn(*label) for label in T.objects})
     messages: list[str] = []
-    for i in range(len(S.objects)):
-        for j in range(i, len(S.objects)):
-            if S.graded_dims(i, j) != T.graded_dims(i, j):
-                messages.append(
-                    f"graded dims differ at ({S.objects[i]}, {S.objects[j]}): "
-                    f"{S.graded_dims(i, j)} vs {T.graded_dims(i, j)}"
-                )
+    # both have len(A) * (k - 1) objects, and a pair that neither stores has
+    # empty homs on both sides
+    for (i, j) in sorted(S.hom_pairs() | T.hom_pairs()):
+        if S.graded_dims(i, j) != T.graded_dims(i, j):
+            messages.append(
+                f"graded dims differ at ({S.objects[i]}, {S.objects[j]}): "
+                f"{S.graded_dims(i, j)} vs {T.graded_dims(i, j)}"
+            )
     bijection = {label: label for label in S.objects}
     if tuple(T.objects) != tuple(S.objects):
         raise SuspensionError("object orders of suspension and tensor model differ")

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dgcat import DirectedGradedCategory, MorRef
-from .exactlin import Cohomology, ComplexError, RatMatrix, Vec, complex_cohomology
+from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, Vec, complex_cohomology
 
 Entry = tuple[int, int, int]  # (source component, target component, basis index)
 
@@ -106,7 +106,7 @@ def cone(C: DirectedGradedCategory, f: MorRef) -> TwistedObject:
 class HomComplex:
     """The hom cochain complex between two twisted objects."""
 
-    __slots__ = ("X", "Y", "basis", "position", "_diff")
+    __slots__ = ("X", "Y", "basis", "position", "_diff", "_cols")
 
     def __init__(self, X: TwistedObject, Y: TwistedObject):
         if X.category is not Y.category and X.category != Y.category:
@@ -130,6 +130,12 @@ class HomComplex:
         self._diff: dict[int, RatMatrix] = {}
         for d in self.basis:
             self._diff[d] = self._build_differential(d)
+        # the nonzero entries of each column of each differential, for sparse
+        # products with cochains
+        self._cols = {
+            d: tuple(tuple((r, x) for r, x in enumerate(m.column(c)) if x) for c in range(m.cols))
+            for d, m in self._diff.items()
+        }
         self._verify_square_zero()
 
     def degrees(self) -> tuple[int, ...]:
@@ -195,7 +201,7 @@ def hom_complex(X: TwistedObject, Y: TwistedObject) -> HomComplex:
 class TwistedCohomology:
     """Per-degree cohomology of a hom complex with fixed representatives."""
 
-    __slots__ = ("dims", "_data")
+    __slots__ = ("dims", "_data", "_sparse_reps")
 
     def __init__(self, H: HomComplex):
         data: dict[int, Cohomology] = {}
@@ -203,6 +209,11 @@ class TwistedCohomology:
             data[d] = complex_cohomology(H.differential(d - 1), H.differential(d))
         self._data = data
         self.dims = {d: c.dim for d, c in data.items() if c.dim > 0}
+        # the representatives as (position, nonzero coefficient) rows
+        self._sparse_reps = {
+            d: tuple(tuple((i, x) for i, x in enumerate(rep) if x) for rep in c.representatives)
+            for d, c in data.items()
+        }
 
     def representatives(self, d: int) -> tuple[Vec, ...]:
         got = self._data.get(d)
@@ -239,14 +250,15 @@ def twisted_hom(X: TwistedObject, Y: TwistedObject) -> TwistedHom:
 def rebind(h: TwistedHom, X: TwistedObject, Y: TwistedObject) -> TwistedHom:
     """``h`` for another pair X, Y whose hom complex has the same tables.
 
-    The basis, position table, differentials and cohomology are h's, shared
-    and not copied; only X and Y are new, since composing cochains names
-    morphisms through them.  Nothing is recomputed, so the caller vouches
+    The basis, position table, differentials (dense and by sparse column) and
+    cohomology are h's, shared and not copied; only X and Y are new, since
+    composing cochains names morphisms through them.  Nothing is recomputed, so the caller vouches
     that ``twisted_hom(X, Y)`` would build the same tables.
     """
     H = object.__new__(HomComplex)
     H.X, H.Y = X, Y
-    H.basis, H.position, H._diff = h.complex.basis, h.complex.position, h.complex._diff
+    G = h.complex
+    H.basis, H.position, H._diff, H._cols = G.basis, G.position, G._diff, G._cols
     return TwistedHom(X=X, Y=Y, complex=H, cohomology=h.cohomology)
 
 
@@ -269,29 +281,66 @@ def compose_cochains(
     h_yz: HomComplex,
     h_xy: HomComplex,
     h_xz: HomComplex,
-    psi: tuple[int, Sequence[Fraction]],
-    phi: tuple[int, Sequence[Fraction]],
-) -> tuple[int, Vec]:
-    """Componentwise composition of cochains psi . phi, no extra signs."""
-    cat = h_xy.X.category
-    dpsi, vpsi = psi
-    dphi, vphi = phi
+    psi: tuple[int, Iterable[tuple[int, Fraction]]],
+    phi: tuple[int, Iterable[tuple[int, Fraction]]],
+) -> tuple[int, dict[int, Fraction]]:
+    """Componentwise composition of cochains psi . phi, no extra signs.
+
+    A cochain is sparse: its degree and (basis position, coefficient) terms,
+    summed where a position repeats.  Only terms whose middle components
+    agree are composed.  The result maps positions of h_xz's basis in the
+    total degree to coefficients.
+    """
+    comp = h_xy.X.category._comp  # read directly: the table is immutable
+    dpsi, terms_psi = psi
+    dphi, terms_phi = phi
     total = dpsi + dphi
-    out = [Fraction(0)] * h_xz.dim(total)
-    for j, (b2, c, k2) in enumerate(h_yz.basis.get(dpsi, ())):
-        if vpsi[j] == 0:
+    basis_xy = h_xy.basis.get(dphi, ())
+    basis_yz = h_yz.basis.get(dpsi, ())
+    position = h_xz.position
+    X, Y, Y2, Z = h_xy.X, h_xy.Y, h_yz.X, h_yz.Y
+    # phi's nonzero terms grouped by their middle component
+    by_middle: dict[int, list[tuple[int, MorRef, Fraction]]] = {}
+    for i, v in terms_phi:
+        if v:
+            a, b, k1 = basis_xy[i]
+            by_middle.setdefault(b, []).append((a, MorRef(X._oidx(a), Y._oidx(b), k1), v))
+    out: dict[int, Fraction] = {}
+    for j, w in terms_psi:
+        if not w:
             continue
-        gref = MorRef(h_yz.X._oidx(b2), h_yz.Y._oidx(c), k2)
-        for i, (a, b, k1) in enumerate(h_xy.basis.get(dphi, ())):
-            if vphi[i] == 0 or b != b2:
+        b, c, k2 = basis_yz[j]
+        firsts = by_middle.get(b)
+        if not firsts:
+            continue
+        gref = MorRef(Y2._oidx(b), Z._oidx(c), k2)
+        for a, fref, v in firsts:
+            if fref.tgt != gref.src:
+                raise ValueError("morphisms are not composable")
+            result = comp.get((gref, fref))
+            if not result:
                 continue
-            fref = MorRef(h_xy.X._oidx(a), h_xy.Y._oidx(b), k1)
-            for ridx, rcoeff in cat.compose(gref, fref).items():
-                dd, pos = h_xz.position[(a, c, ridx)]
+            wv = w * v
+            for ridx, rcoeff in result.items():
+                dd, pos = position[(a, c, ridx)]
                 if dd != total:
                     raise ComplexError("composition is not degree additive")
-                out[pos] += vpsi[j] * vphi[i] * rcoeff
-    return total, tuple(out)
+                out[pos] = out.get(pos, 0) + wv * rcoeff
+    return total, out
+
+
+def _combine(
+    coeffs: Sequence[Fraction],
+    reps: Sequence[SparseRow],
+) -> Iterable[tuple[int, Fraction]]:
+    """The terms of sum(coeffs[t] * reps[t]), skipping zero coefficients.
+
+    A basis class, one coefficient 1 and the rest 0, is its representative.
+    """
+    terms = [(coeff, rep) for coeff, rep in zip(coeffs, reps) if coeff]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    return [(i, coeff * x) for coeff, rep in terms for i, x in rep]
 
 
 def compose_classes(
@@ -301,26 +350,29 @@ def compose_classes(
 
     ``alpha`` lives in H(hom(Y, Z)), ``beta`` in H(hom(X, Y)); the result is
     expressed over the chosen representatives of H(hom(X, Z)).  The composed
-    representative cocycle is checked to be closed before projecting.
+    representative cocycle is checked to be closed before projecting.  Every
+    step runs on sparse data: representatives and the differential's columns
+    are kept sparse once per hom complex, so once per shape under ``rebind``.
     """
     da, ca = alpha
     db, cb = beta
-    reps_a = h_yz.cohomology.representatives(da)
-    reps_b = h_xy.cohomology.representatives(db)
+    reps_a = h_yz.cohomology._sparse_reps.get(da, ())
+    reps_b = h_xy.cohomology._sparse_reps.get(db, ())
     if len(ca) != len(reps_a) or len(cb) != len(reps_b):
         raise ValueError("class coefficients do not match representative count")
-    va = [Fraction(0)] * h_yz.complex.dim(da)
-    for coeff, rep in zip(ca, reps_a):
-        for i, x in enumerate(rep):
-            va[i] += coeff * x
-    vb = [Fraction(0)] * h_xy.complex.dim(db)
-    for coeff, rep in zip(cb, reps_b):
-        for i, x in enumerate(rep):
-            vb[i] += coeff * x
+    H = h_xz.complex
     total, vec = compose_cochains(
-        h_yz.complex, h_xy.complex, h_xz.complex, (da, tuple(va)), (db, tuple(vb))
+        h_yz.complex, h_xy.complex, H, (da, _combine(ca, reps_a)), (db, _combine(cb, reps_b))
     )
-    boundary = h_xz.complex.differential(total).apply(vec)
-    if any(x != 0 for x in boundary):
+    cols = H._cols.get(total, ())
+    boundary: dict[int, Fraction] = {}
+    for pos, v in vec.items():
+        if v:
+            for r, x in cols[pos]:
+                boundary[r] = boundary.get(r, 0) + x * v
+    if any(boundary.values()):
         raise ComplexError("composite of cocycles is not closed")
-    return (total, tuple(h_xz.cohomology.coordinates(total, vec)))
+    dense = [0] * H.dim(total)
+    for pos, v in vec.items():
+        dense[pos] = v
+    return (total, tuple(h_xz.cohomology.coordinates(total, dense)))

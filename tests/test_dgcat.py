@@ -10,6 +10,7 @@ import pytest
 from bpsing import dgcat
 from bpsing.dgcat import (
     DirectedGradedCategory,
+    GaugeResult,
     MorRef,
     ValidationReport,
     a_category,
@@ -24,6 +25,8 @@ from bpsing.dgcat import (
     to_json_dict,
     validate,
 )
+from bpsing.exactlin import RatMatrix, solve_integer, solve_mod2
+from bpsing.suspension import fukaya_bp, suspension_tower
 from bpsing.twisted import cone
 from helpers import morphism_by_name
 
@@ -289,22 +292,37 @@ def reference_validate(C):
 
 
 def test_validate_matches_the_full_triple_scan_on_models_and_corruptions():
-    broken = 0
-    for p in [(2, 3), (3, 3, 3), (2, 3, 4, 5)]:
-        C = tensor_bp(p)
+    broken = identity_slots = 0
+    models = [tensor_bp(p) for p in [(2, 3), (3, 3, 3), (2, 3, 4, 5)]]
+    models.append(suspension_tower((3, 3, 3))[-1])
+    for C in models:
         entries = dict(C.composition_entries())
         keys = [gf for gf in entries if not (C.is_identity(gf[0]) or C.is_identity(gf[1]))]
         key = (keys or list(entries))[len(keys) // 2]
         flipped, deleted = dict(entries), dict(entries)
         flipped[key] = {k: -v for k, v in entries[key].items()}
         del deleted[key]
-        for D in (C, _with_composites(C, flipped), _with_composites(C, deleted)):
+        corrupted = [_with_composites(C, flipped), _with_composites(C, deleted)]
+        if keys:
+            # a unit with coefficient 2 as well, or a composite on a missing
+            # basis index with strict units: the triples with an identity slot
+            # are then scanned too, and some of them fail
+            g, f = key
+            unit, off_basis = dict(flipped), dict(entries)
+            unit[(C.identity(f.tgt), f)] = {f.idx: 2}
+            off_basis[key] = {len(C.hom(f.src, g.tgt)): 1}
+            corrupted += [_with_composites(C, unit), _with_composites(C, off_basis)]
+        for D in (C, *corrupted):
             got = validate(D)
             assert got == reference_validate(D)
             broken += not got.ok
-    # (2, 3) has no composite of two non-identities; an identity entry cannot
-    # be deleted, since the constructor fills it back in
-    assert broken == 5
+            identity_slots += any("associativity" in v and "id@" in v for v in got.violations)
+    # (2, 3) has no composite of two non-identities, so its flip breaks a
+    # unit; an identity entry cannot be deleted, since the constructor fills
+    # it back in.  Each broken unit and each off-basis composite fails
+    # triples with an identity slot
+    assert broken == 13
+    assert identity_slots == 7
 
 
 def test_morphism_refs_order_hash_and_immutability():
@@ -352,6 +370,177 @@ def test_gauge_handles_non_unit_rescaling():
     assert validate(D).ok
     result = gauge_isomorphic(C, D, {x: x for x in C.objects})
     assert result.ok
+
+
+def reference_gauge_isomorphic(C, D, bijection):
+    """The former ``gauge_isomorphic``: every object pair, bases matched by ``index``."""
+    n = len(C.objects)
+    if len(D.objects) != n:
+        return GaugeResult(False, None, "object counts differ")
+    if set(bijection.keys()) != set(C.objects):
+        raise ValueError("bijection must be defined exactly on the objects of C")
+    for i, label in enumerate(C.objects):
+        if bijection[label] not in D._index:
+            raise ValueError(f"bijection image {bijection[label]!r} is not an object")
+        if D.object_index(bijection[label]) != i:
+            raise ValueError("bijection is not order-preserving")
+    for cat in (C, D):
+        for i in range(n):
+            for j in range(i, n):
+                if any(v > 1 for v in cat.graded_dims(i, j).values()):
+                    raise ValueError("hom spaces must have dimension at most 1 per degree")
+    for i in range(n):
+        for j in range(i, n):
+            if C.graded_dims(i, j) != D.graded_dims(i, j):
+                return GaugeResult(
+                    False, None, f"graded dimensions differ at ({C.objects[i]}, {C.objects[j]})"
+                )
+
+    def match(i, j, k):
+        return D.hom(i, j).index(C.hom(i, j)[k])
+
+    morphs = list(C.morphisms())
+    var = {f: i for i, f in enumerate(morphs)}
+    equations = []
+    for f in morphs:
+        for g in C.morphisms_from(f.tgt):
+            cc = C.compose(g, f)
+            gD = MorRef(g.src, g.tgt, match(g.src, g.tgt, g.idx))
+            fD = MorRef(f.src, f.tgt, match(f.src, f.tgt, f.idx))
+            cd_in_c = {}
+            for idx, vv in D.compose(gD, fD).items():
+                cd_in_c[C.hom(f.src, g.tgt).index(D.hom(f.src, g.tgt)[idx])] = vv
+            if set(cc) != set(cd_in_c):
+                return GaugeResult(
+                    False,
+                    None,
+                    f"composition vanishing patterns differ at ({C.name(g)}, {C.name(f)})",
+                )
+            for idx, vc in cc.items():
+                equations.append((g, f, MorRef(f.src, g.tgt, idx), vc / cd_in_c[idx]))
+    nvars = len(morphs)
+    sign_rows, sign_rhs, primes = [], [], set()
+    for (g, f, h, ratio) in equations:
+        sign_rows.append((1 << var[g]) ^ (1 << var[f]) ^ (1 << var[h]))
+        sign_rhs.append(0 if ratio > 0 else 1)
+        primes.update(dgcat._prime_factors(ratio.numerator))
+        primes.update(dgcat._prime_factors(ratio.denominator))
+    signs = solve_mod2(sign_rows, sign_rhs, nvars)
+    if signs is None:
+        return GaugeResult(False, None, "sign system is inconsistent")
+    exponents = {}
+    for prime in sorted(primes):
+        rows, rhs = [], []
+        for (g, f, h, ratio) in equations:
+            row = [0] * nvars
+            row[var[g]] += 1
+            row[var[f]] += 1
+            row[var[h]] -= 1
+            rows.append(row)
+            rhs.append(
+                dgcat._prime_factors(ratio.numerator).get(prime, 0)
+                - dgcat._prime_factors(ratio.denominator).get(prime, 0)
+            )
+        sol = solve_integer(RatMatrix(rows, cols=nvars), rhs) if rows else tuple([0] * nvars)
+        if sol is None:
+            return GaugeResult(False, None, f"magnitude system inconsistent at prime {prime}")
+        exponents[prime] = list(sol)
+    witness, scalars = {}, {}
+    for m in morphs:
+        value = Fraction(-1 if signs[var[m]] else 1)
+        for prime, exps in exponents.items():
+            value *= Fraction(prime) ** exps[var[m]]
+        scalars[m] = value
+        witness[C.name(m)] = value
+    for (g, f, h, ratio) in equations:
+        if scalars[g] * scalars[f] / scalars[h] != ratio:
+            return GaugeResult(False, None, "witness verification failed")
+    return GaugeResult(True, witness, None)
+
+
+def _rotated_bases(C):
+    """C with basis element k of each hom moved to k + 1 and the last to 0.
+
+    Composites are carried along.  On a hom of dimension 3 the move is no
+    involution, so it and its inverse differ.
+    """
+    def move(f):
+        return MorRef(f.src, f.tgt, (f.idx + 1) % len(C.hom(f.src, f.tgt)))
+
+    n = len(C.objects)
+    homs = {
+        (i, j): C.hom(i, j)[-1:] + C.hom(i, j)[:-1]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if C.hom(i, j)
+    }
+    comp = {
+        (move(g), move(f)): {move(MorRef(f.src, g.tgt, k)).idx: v for k, v in entry.items()}
+        for (g, f), entry in C.composition_entries()
+    }
+    return DirectedGradedCategory(C.objects, homs, comp)
+
+
+def _distinct_degree_category(rng, n):
+    """Homs of dimension 1 to 3 in distinct degrees, random composites."""
+    homs = {
+        (i, j): tuple(rng.sample((0, 1, 2), rng.randint(1, 3)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.7
+    }
+    C = DirectedGradedCategory(tuple(range(n)), homs)
+    comp = {}
+    for f in C.morphisms():
+        for g in C.morphisms_from(f.tgt):
+            if not (C.is_identity(f) or C.is_identity(g)):
+                degs = C.hom(f.src, g.tgt)
+                if degs and rng.random() < 0.7:
+                    comp[(g, f)] = {rng.randrange(len(degs)): rng.choice((-2, -1, 1, 3))}
+    return _with_composites(C, comp)
+
+
+def test_gauge_matches_the_all_pairs_comparison_on_models_and_corruptions():
+    cases = []
+    for p in [(3, 3, 3), (2, 3, 4, 5)]:
+        C, T = fukaya_bp(p), tensor_bp(p)
+        n = len(T.objects)
+        homs = {(i, j): T.hom(i, j) for i in range(n) for j in range(i + 1, n) if T.hom(i, j)}
+        entries = dict(T.composition_entries())
+        keys = [gf for gf in entries if not (T.is_identity(gf[0]) or T.is_identity(gf[1]))]
+        key = keys[len(keys) // 2]
+        moved, added = dict(homs), dict(homs)
+        first = min(moved)
+        moved[first] = tuple(d + 1 for d in moved[first])
+        added[min((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in homs)] = (0,)
+        deleted, scaled, flipped = dict(entries), dict(entries), dict(entries)
+        del deleted[key]
+        scaled[key] = {k: 2 * v for k, v in entries[key].items()}
+        flipped[key] = {k: -v for k, v in entries[key].items()}
+        cases.append((C, T))
+        cases.append((C, DirectedGradedCategory(T.objects, moved, entries)))
+        # a hom that only one side has, on either side
+        extra = DirectedGradedCategory(T.objects, added, entries)
+        cases += [(C, extra), (extra, C)]
+        cases += [(C, _with_composites(T, e)) for e in (deleted, scaled, flipped)]
+    # bases in another order exercise the degree-to-index maps both ways
+    rng = random.Random(4242)
+    for _ in range(12):
+        C = _distinct_degree_category(rng, rng.randint(2, 6))
+        cases += [(C, _rotated_bases(C)), (_rotated_bases(C), C)]
+    reasons = set()
+    for C, D in cases:
+        bijection = {x: x for x in C.objects}
+        got = gauge_isomorphic(C, D, bijection)
+        assert got == reference_gauge_isomorphic(C, D, bijection)
+        reasons.add(got.reason and got.reason.split(" at ")[0].split(" is ")[0])
+    assert reasons >= {
+        None,
+        "graded dimensions differ",
+        "composition vanishing patterns differ",
+        "magnitude system inconsistent",
+        "sign system",
+    }
 
 
 def test_gauge_requires_a_complete_bijection():

@@ -1,5 +1,6 @@
 """Suspension pipeline: stacked copies, cones, and the tensor-model check."""
 
+import sys
 from math import prod
 
 import pytest
@@ -160,7 +161,7 @@ def test_verified_fukaya_returns_the_unverified_category():
         assert suspension_tower(p, verify=True) == suspension_tower(p)
 
 
-def test_verify_suspension_reports_the_checked_suspension():
+def test_verify_suspension_reports_the_checked_suspension(monkeypatch):
     A = fukaya_bp((2, 3))
     report = verify_suspension(A, 3, tower_label)
     assert report.ok
@@ -168,6 +169,38 @@ def test_verify_suspension_reports_the_checked_suspension():
     assert report.suspension.objects == tensor_bp((2, 3, 3)).objects
     plain = verify_suspension(a_category(2), 3)
     assert plain.suspension == suspend(a_category(2), 3)
+
+    # a suspension that lacks a hom the model has and has one the model
+    # lacks: one message for each, in the order of a scan over all pairs
+    real = suspension.suspend
+
+    def moved(A, k, label_fn=None):
+        S = real(A, k, label_fn)
+        n = len(S.objects)
+        homs = {(i, j): S.hom(i, j) for i in range(n) for j in range(i + 1, n) if S.hom(i, j)}
+        added = min((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in homs)
+        dropped = min(homs)
+        del homs[dropped]
+        homs[added] = (5,)
+        comp = {(g, f): e for (g, f), e in S.composition_entries()
+                if dropped not in ((g.src, g.tgt), (f.src, f.tgt), (f.src, g.tgt))}
+        return DirectedGradedCategory(S.objects, homs, comp)
+
+    monkeypatch.setattr(suspension, "suspend", moved)
+    report = verify_suspension(A, 3, tower_label)
+    S, T = report.suspension, tensor_bp((2, 3, 3))
+    n = len(S.objects)
+    scanned = [
+        f"graded dims differ at ({S.objects[i]}, {S.objects[j]}): "
+        f"{S.graded_dims(i, j)} vs {T.graded_dims(i, j)}"
+        for i in range(n)
+        for j in range(i, n)
+        if S.graded_dims(i, j) != T.graded_dims(i, j)
+    ]
+    assert len(scanned) == 2
+    assert list(report.messages[:3]) == scanned + [
+        f"gauge comparison failed: graded dimensions differ at ({S.objects[0]}, {S.objects[1]})"
+    ]
 
 
 def _drop_one_composite(C):
@@ -236,3 +269,38 @@ def test_suspend_rejects_identities_that_do_not_act_strictly():
     A = DirectedGradedCategory(("a", "b"), {(0, 1): (1,)}, {(MorRef(1, 1, 0), f): {0: 2}})
     with pytest.raises(SuspensionError, match=r"a->b#0"):
         suspend(A, 2)
+
+
+CHECKED = (
+    "suspend",
+    "validate",
+    "formality_check",
+    "gauge_isomorphic",
+    "square_sign_audit",
+    "compose_classes",
+)
+
+
+@pytest.mark.parametrize(
+    "p, counts",
+    [
+        ((3, 3, 3), (2, 2, 2, 3, 2, 68)),
+        ((2, 3, 4, 5), (3, 3, 3, 4, 3, 388)),
+    ],
+)
+def test_verified_fukaya_runs_every_check(monkeypatch, p, counts):
+    """No check is skipped: each one runs as often as the tower needs it."""
+    calls = dict.fromkeys(CHECKED, 0)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "bpsing"]
+    for name in CHECKED:
+        real = getattr(suspension, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    fukaya_bp(p, verify=True)
+    assert tuple(calls[name] for name in CHECKED) == counts

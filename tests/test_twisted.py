@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from bpsing.dgcat import a_category, tensor_bp
-from bpsing.suspension import connector, directed_extension
+from bpsing import suspension
+from bpsing.dgcat import DirectedGradedCategory, MorRef, a_category, tensor_bp
+from bpsing.exactlin import ComplexError
+from bpsing.suspension import connector, directed_extension, fukaya_bp, suspend, tower_label
 from bpsing.twisted import (
+    TwistedHom,
     TwistedObject,
     cohomology,
     compose_classes,
     cone,
     hom_complex,
     identity_class,
+    rebind,
     single,
     twisted_hom,
 )
@@ -180,3 +184,128 @@ def test_consecutive_generator_classes_compose_to_zero():
     assert h13.cohomology.dims == {}
     out = compose_classes(h23, h12, h13, (1, (Fraction(1),)), (1, (Fraction(1),)))
     assert out == (2, ())
+
+
+def reference_compose_cochains(h_yz, h_xy, h_xz, psi, phi):
+    """The former dense composition: every pair of basis entries, dense result."""
+    cat = h_xy.X.category
+    (dpsi, vpsi), (dphi, vphi) = psi, phi
+    total = dpsi + dphi
+    out = [Fraction(0)] * h_xz.dim(total)
+    for j, (b2, c, k2) in enumerate(h_yz.basis.get(dpsi, ())):
+        if vpsi[j] == 0:
+            continue
+        gref = MorRef(h_yz.X._oidx(b2), h_yz.Y._oidx(c), k2)
+        for i, (a, b, k1) in enumerate(h_xy.basis.get(dphi, ())):
+            if vphi[i] == 0 or b != b2:
+                continue
+            fref = MorRef(h_xy.X._oidx(a), h_xy.Y._oidx(b), k1)
+            for ridx, rcoeff in cat.compose(gref, fref).items():
+                dd, pos = h_xz.position[(a, c, ridx)]
+                if dd != total:
+                    raise ComplexError("composition is not degree additive")
+                out[pos] += vpsi[j] * vphi[i] * rcoeff
+    return total, tuple(out)
+
+
+def reference_compose_classes(h_yz, h_xy, h_xz, alpha, beta):
+    """The former dense ``compose_classes``: dense sums, dense closedness check."""
+    (da, ca), (db, cb) = alpha, beta
+    reps_a = h_yz.cohomology.representatives(da)
+    reps_b = h_xy.cohomology.representatives(db)
+    if len(ca) != len(reps_a) or len(cb) != len(reps_b):
+        raise ValueError("class coefficients do not match representative count")
+    va = [Fraction(0)] * h_yz.complex.dim(da)
+    for coeff, rep in zip(ca, reps_a):
+        for i, x in enumerate(rep):
+            va[i] += coeff * x
+    vb = [Fraction(0)] * h_xy.complex.dim(db)
+    for coeff, rep in zip(cb, reps_b):
+        for i, x in enumerate(rep):
+            vb[i] += coeff * x
+    total, vec = reference_compose_cochains(
+        h_yz.complex, h_xy.complex, h_xz.complex, (da, tuple(va)), (db, tuple(vb))
+    )
+    if any(x != 0 for x in h_xz.complex.differential(total).apply(vec)):
+        raise ComplexError("composite of cocycles is not closed")
+    return (total, tuple(h_xz.cohomology.coordinates(total, vec)))
+
+
+@pytest.mark.parametrize("A, k", [(a_category(3), 3), (fukaya_bp((2, 3)), 4)], ids=["A3", "bp23"])
+def test_compose_classes_matches_the_dense_composition(monkeypatch, A, k):
+    real = suspension.compose_classes
+    seen = []
+
+    def checking(h_yz, h_xy, h_xz, alpha, beta):
+        got = real(h_yz, h_xy, h_xz, alpha, beta)
+        assert got == reference_compose_classes(h_yz, h_xy, h_xz, alpha, beta)
+        # classes that are no basis classes: coefficients 1/2, 3/2, ... and -3, -2, ...
+        mix_a = (alpha[0], tuple(Fraction(1, 2) + i for i in range(len(alpha[1]))))
+        mix_b = (beta[0], tuple(Fraction(-3) + i for i in range(len(beta[1]))))
+        assert real(h_yz, h_xy, h_xz, mix_a, mix_b) == reference_compose_classes(
+            h_yz, h_xy, h_xz, mix_a, mix_b
+        )
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(suspension, "compose_classes", checking)
+    label_fn = tower_label if k == 4 else None
+    suspend(A, k, label_fn)
+    # composites and the unit checks, zero and nonzero classes among them
+    assert len(seen) > 10
+    assert any(any(c) for _, c in seen) and not all(any(c) for _, c in seen)
+
+
+def _connector_cones(E):
+    """S1 = Cone(e_{1,1}) and S2 = Cone(e_{2,1}) over a two-level extension of A_2."""
+    return cone(E, connector(E, 1, 1)), cone(E, connector(E, 2, 1))
+
+
+def _recomposed(E, changes):
+    """E with the composites in ``changes`` replaced (an empty entry deletes)."""
+    entries = dict(E.composition_entries())
+    entries.update(changes)
+    n = len(E.objects)
+    homs = {(i, j): E.hom(i, j) for i in range(n) for j in range(i + 1, n) if E.hom(i, j)}
+    return DirectedGradedCategory(E.objects, homs, {k: v for k, v in entries.items() if v})
+
+
+def test_compose_classes_rejects_a_composite_that_is_not_closed():
+    E = directed_extension(a_category(2), 2)
+    S1, S2 = _connector_cones(E)
+    h12, h22 = twisted_hom(S1, S2), twisted_hom(S2, S2)
+    alpha = (1, (Fraction(1),))
+    # the same cones over E with a unit that is not strict: id after x is 2x
+    # on the top level, so the unit class no longer fixes the cocycle
+    x = MorRef(E.object_index((1, 2)), E.object_index((2, 2)), 0)
+    bent = _recomposed(E, {(E.identity(x.tgt), x): {0: 2}})
+    B1, B2 = _connector_cones(bent)
+    bent12 = rebind(h12, B1, B2)
+    args = (rebind(h22, B2, B2), bent12, bent12, identity_class(h22), alpha)
+    for fn in (compose_classes, reference_compose_classes):
+        with pytest.raises(ComplexError, match="composite of cocycles is not closed"):
+            fn(*args)
+
+
+def test_compose_classes_rejects_a_vector_outside_the_span():
+    E = directed_extension(a_category(2), 2)
+    # without the composites through the connectors every cochain of
+    # hom(S1, S2) is closed, so each basis cochain is a representative
+    flat = _recomposed(
+        E,
+        {
+            (g, f): {}
+            for (g, f), _ in E.composition_entries()
+            if not (E.is_identity(g) or E.is_identity(f))
+        },
+    )
+    F1, F2 = _connector_cones(flat)
+    h12, h22 = twisted_hom(F1, F2), twisted_hom(F2, F2)
+    assert h12.cohomology.dims == {1: 2, 2: 1}
+    # projected with E's cohomology, where a single basis cochain is no cocycle
+    S1, S2 = _connector_cones(E)
+    target = TwistedHom(F1, F2, h12.complex, twisted_hom(S1, S2).cohomology)
+    args = (h22, h12, target, identity_class(h22), (1, (Fraction(1), Fraction(0))))
+    for fn in (compose_classes, reference_compose_classes):
+        with pytest.raises(ValueError, match="not in the span"):
+            fn(*args)
