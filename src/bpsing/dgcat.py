@@ -63,7 +63,6 @@ class DirectedGradedCategory:
         objs = tuple(objects)
         if len(set(objs)) != len(objs):
             raise ValueError("object labels must be unique")
-        index = {label: i for i, label in enumerate(objs)}
         table: dict[tuple[int, int], tuple[int, ...]] = {}
         for (i, j), degrees in homs.items():
             if not (0 <= i < len(objs) and 0 <= j < len(objs)):
@@ -83,12 +82,15 @@ class DirectedGradedCategory:
                          if (c := v if isinstance(v, Fraction) else Fraction(v))}
                 if entry:
                     comp_table[(g, f)] = entry
-        object.__setattr__(self, "objects", objs)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_homs", table)
-        object.__setattr__(self, "_comp", comp_table)
-        object.__setattr__(self, "_from", None)
+        self._keep(objs, table, comp_table)
         self._fill_identity_compositions()
+
+    def _keep(self, objects: tuple, homs: dict, comp: dict, from_index=None):
+        """Take tables already in the form ``__init__`` gives them, without copying."""
+        index = {label: i for i, label in enumerate(objects)}
+        for name, value in zip(self.__slots__, (objects, index, homs, comp, from_index)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("category is immutable")
@@ -196,6 +198,21 @@ def source_index(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]
 # share this limit
 MAX_RANK = 4096
 
+# largest composition table a product stores: tensor(A, B) holds exactly
+# len(A._comp) * len(B._comp) composites, identities included
+MAX_COMPOSITES = 2**20
+
+
+def check_composites(count: int) -> None:
+    """Refuse a table of ``count`` composites above MAX_COMPOSITES before it is built."""
+    if count > MAX_COMPOSITES:
+        raise ValueError(f"composite count {count} exceeds the limit {MAX_COMPOSITES}")
+
+
+def tower_label(x: tuple, j: int) -> tuple:
+    """Label of the object at level j over x in a tower stage: x flattened with j."""
+    return x + (j,)
+
 
 def a_category(m: int) -> DirectedGradedCategory:
     """Linear quiver category with m objects 1..m.
@@ -218,6 +235,7 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
     factor outermost; compositions carry the sign (-1)^(|g1| |f2|) for
     (f1 (x) g1) after (f2 (x) g2).
     """
+    check_composites(len(A._comp) * len(B._comp))
     nb = len(B.objects)
     objects = tuple((a, b) for a in A.objects for b in B.objects)
 
@@ -257,10 +275,16 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
                     entry: dict[int, Fraction] = {}
                     for ra, va in ca.items():
                         for rb, vb in cb.items():
-                            entry[ra * width + rb] = -(va * vb) if odd else va * vb
+                            # a unit factor needs no Fraction product
+                            v = vb if va == 1 else va if vb == 1 else va * vb
+                            entry[ra * width + rb] = -v if odd else v
                     comp[(g, f)] = entry
 
-    return DirectedGradedCategory(objects, homs, comp)
+    # the tables are in __init__'s form (ref keys, nonzero Fractions), so no copy
+    homs.update({(i, i): (0,) for i in range(len(objects))})
+    out = object.__new__(DirectedGradedCategory)._keep(objects, homs, comp)
+    out._fill_identity_compositions()
+    return out
 
 
 def relabel(C: DirectedGradedCategory, mapping: Mapping) -> DirectedGradedCategory:
@@ -272,12 +296,7 @@ def relabel(C: DirectedGradedCategory, mapping: Mapping) -> DirectedGradedCatego
     objects = tuple(mapping[label] for label in C.objects)
     if len(set(objects)) != len(objects):
         raise ValueError("relabeling must be injective")
-    out = object.__new__(DirectedGradedCategory)
-    object.__setattr__(out, "objects", objects)
-    object.__setattr__(out, "_index", {label: i for i, label in enumerate(objects)})
-    for name in ("_homs", "_comp", "_from"):
-        object.__setattr__(out, name, getattr(C, name))
-    return out
+    return object.__new__(DirectedGradedCategory)._keep(objects, C._homs, C._comp, C._from)
 
 
 def tensor_bp(p: Iterable[int]) -> DirectedGradedCategory:
@@ -291,11 +310,13 @@ def tensor_bp(p: Iterable[int]) -> DirectedGradedCategory:
     count = prod(pi - 1 for pi in p)
     if count > MAX_RANK:
         raise ValueError(f"object count prod(p_i - 1) = {count} exceeds the limit {MAX_RANK}")
+    # a_category(m) stores 3m - 2 composites, and tensor multiplies the counts
+    check_composites(prod(3 * pi - 5 for pi in p))
     C = a_category(p[0] - 1)
     C = relabel(C, {label: (label,) for label in C.objects})
     for pi in p[1:]:
         C = tensor(C, a_category(pi - 1))
-        C = relabel(C, {label: label[0] + (label[1],) for label in C.objects})
+        C = relabel(C, {label: tower_label(*label) for label in C.objects})
     return C
 
 
@@ -631,10 +652,6 @@ def gauge_isomorphic(
 # serialization
 
 
-def _label_to_str(label) -> str:
-    return str(label)
-
-
 def _label_from_str(s: str):
     try:
         return ast.literal_eval(s)
@@ -649,8 +666,8 @@ def to_json_dict(C: DirectedGradedCategory) -> dict:
     for f in C.morphisms():
         homs.append(
             {
-                "src": _label_to_str(C.objects[f.src]),
-                "tgt": _label_to_str(C.objects[f.tgt]),
+                "src": str(C.objects[f.src]),
+                "tgt": str(C.objects[f.tgt]),
                 "degree": C.degree(f),
                 "name": C.name(f),
             }
@@ -667,7 +684,7 @@ def to_json_dict(C: DirectedGradedCategory) -> dict:
                 }
             )
     return {
-        "objects": [_label_to_str(x) for x in C.objects],
+        "objects": [str(x) for x in C.objects],
         "homs": homs,
         "comp": comp,
     }

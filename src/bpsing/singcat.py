@@ -433,33 +433,18 @@ def ext_k_k_row(p: Iterable[int], m: LDegree, targets: Sequence[LDegree]) -> lis
     Every entry of the resolution differential lies in the maximal ideal,
     so the induced complex on Hom(-, residue field) has zero differential
     and the i-th Ext dimension counts level-i generators of degree m - n.
-    Generator z-degrees grow linearly with the level, which bounds the
-    levels that can contribute.  The row shares one grading group and one
-    generator count per level among its targets.
+    The generator dx_I|j has the normal form (indicator of I, j), already
+    normal because every p_t >= 2, and sits on level |I| + 2j, so at most
+    one generator of one level has a given degree.  The row shares one
+    grading group among its targets.
     """
     L = LGroup(p)
     source = L.normalize(m.raw())
-    # level i -> generator count per raw degree (indicator of I, j), already
-    # a normal form because every p_t >= 2
-    counts: list[dict[tuple[tuple[int, ...], int], int]] = []
     row = []
     for n in targets:
         target = L.sub(source, L.normalize(n.raw()))
-        dims: dict[int, int] = {}
-        zt = L.z_degree(target)
-        if zt >= 0:
-            top = L.n + 2 * (zt // L.ell) + 2
-            for i in range(len(counts), top + 1):
-                level: dict[tuple[tuple[int, ...], int], int] = {}
-                for I, j in resolution_generators(L.n, i):
-                    key = (tuple(int(t in I) for t in range(1, L.n + 1)), j)
-                    level[key] = level.get(key, 0) + 1
-                counts.append(level)
-            for i in range(top + 1):
-                count = counts[i].get((target.a, target.b), 0)
-                if count:
-                    dims[i] = count
-        row.append(dims)
+        generator = target.b >= 0 and all(a in (0, 1) for a in target.a)
+        row.append({sum(target.a) + 2 * target.b: 1} if generator else {})
     return row
 
 

@@ -1,10 +1,10 @@
 """Directed suspension of a graded category via cones in twisted complexes.
 
-``directed_extension(A, k)`` places k shifted copies of A side by side:
-objects are pairs (X, j) for X in A and 1 <= j <= k, ordered with higher j
-first and A's order inside each level.  Morphisms copy hom_A between levels
-j >= j', and each object gains a degree-0 copy e_{X,j} of the identity from
-(X, j+1) to (X, j).
+``directed_extension(A, k)`` stacks k copies of A as Futaki-Ueda do, as the
+tensor product of the levels k > ... > 1 (all morphisms in degree 0) with A.
+Objects are pairs (X, j) for X in A and 1 <= j <= k, higher j first and A's
+order inside each level; hom_A is copied between levels j >= j', and each
+object gains a degree-0 copy e_{X,j} of the identity from (X, j+1) to (X, j).
 
 ``suspend(A, k)`` forms the cones S_{X,j} = Cone(e_{X,j}) for j < k, computes
 all hom-complex cohomologies between them, and assembles a new directed
@@ -25,13 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from math import comb
+from typing import Callable, Iterable
 
 from .dgcat import (
     MAX_RANK,
     DirectedGradedCategory,
     MorRef,
     a_category,
+    check_composites,
     formality_check,
     gauge_isomorphic,
     square_sign_audit,
@@ -39,6 +41,7 @@ from .dgcat import (
     tensor_bp,
     relabel,
     source_index,
+    tower_label,
     validate,
 )
 from .grading import exponent_seq
@@ -62,43 +65,21 @@ def directed_extension(A: DirectedGradedCategory, k: int) -> DirectedGradedCateg
 
     Object order: (X, j) < (X', j') iff j > j', or j = j' and X before X'.
     hom((X, j), (X', j')) is a copy of hom_A(X, X') when j >= j' (the copy of
-    the identity appearing only for j > j'), and zero when j < j'.
+    the identity appearing only for j > j'), and zero when j < j'.  It is the
+    tensor product with A of the levels k > ... > 1, which have one degree-0
+    morphism down each gap and every composite 1, so no Koszul sign appears.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError("stacking needs at least two levels")
-    na = len(A.objects)
-    if k * na > MAX_RANK:
-        raise ValueError(f"object count {k * na} exceeds the limit {MAX_RANK}")
-    objects = tuple((x, j) for j in range(k, 0, -1) for x in A.objects)
-
-    def oidx(ia: int, j: int) -> int:
-        return (k - j) * na + ia
-
-    # hom((X, j), (X', j')) copies hom_A(X, X') index for index, including the
-    # copy of the identity that connects level j+1 to level j, so composites
-    # are A's composites of the copied morphisms
-    homs: dict[tuple[int, int], tuple[int, ...]] = {}
-    for j in range(k, 0, -1):
-        for j2 in range(j, 0, -1):
-            for ia in range(na):
-                for ia2 in range(na):
-                    if j == j2 and ia == ia2:
-                        continue
-                    base = A.hom(ia, ia2)
-                    if base:
-                        homs[(oidx(ia, j), oidx(ia2, j2))] = base
-
-    comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
-    targets = source_index(homs)
-    for (s, t) in sorted(homs):
-        for fi in range(len(homs[(s, t)])):
-            f_a = MorRef(s % na, t % na, fi)
-            for l in targets.get(t, ()):
-                for gi in range(len(homs[(t, l)])):
-                    base = A.compose(MorRef(t % na, l % na, gi), f_a)
-                    if base:
-                        comp[(MorRef(t, l, gi), MorRef(s, t, fi))] = base
-    return DirectedGradedCategory(objects, homs, comp)
+    if k * len(A.objects) > MAX_RANK:
+        raise ValueError(f"object count {k * len(A.objects)} exceeds the limit {MAX_RANK}")
+    # the levels store comb(k + 2, 3) composites, one per chain a <= b <= c
+    check_composites(comb(k + 2, 3) * len(A._comp))
+    homs = {(a, b): (0,) for b in range(k) for a in range(b)}
+    refs, one = {pair: MorRef(*pair, 0) for pair in homs}, {0: Fraction(1)}
+    levels = DirectedGradedCategory(range(k, 0, -1), homs, {
+        (refs[b, c], refs[a, b]): one for a, b in homs for c in range(b + 1, k)})
+    return relabel(tensor(levels, A), {(j, x): (x, j) for j in levels.objects for x in A.objects})
 
 
 def connector(E: DirectedGradedCategory, x, j: int) -> MorRef:
@@ -280,11 +261,6 @@ def verify_suspension(
         messages.append(f"gauge comparison failed: {gauge.reason}")
     messages.extend(square_sign_audit(S))
     return SuspensionReport(suspension=S, ok=not messages, messages=tuple(messages))
-
-
-def tower_label(x: tuple, j: int) -> tuple:
-    """Label of the cone at level j over x in a tower stage: x flattened with j."""
-    return x + (j,)
 
 
 def suspension_tower(p: Iterable[int], verify: bool = False) -> list[DirectedGradedCategory]:

@@ -168,17 +168,6 @@ def test_tensor_bp_matches_reference(p):
     assert_same_category(tensor_bp(p), reference_tensor_bp(p))
 
 
-@pytest.mark.parametrize(
-    "A",
-    [a_category(1), a_category(2), a_category(3), tensor_bp((2, 3)), tensor_bp((3, 3))],
-    ids=["A1", "A2", "A3", "bp23", "bp33"],
-)
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_directed_extension_matches_reference(A, k):
-    assert_same_category(directed_extension(A, k), reference_directed_extension(A, k))
-
-
-
 def random_rational_category(rng, n):
     """Homs of dimension 1 or 2 and non-unit rational composites, as plain ints and strs."""
     homs = {
@@ -203,6 +192,28 @@ def random_rational_category(rng, n):
     return DirectedGradedCategory(tuple(range(n)), homs, comp)
 
 
+# coefficients 2/3, -5 and 1/2 and two-dimensional homs check the product route
+# and the unit-coefficient step of tensor beyond +-1 tables
+RANDOM_CATEGORIES = [random_rational_category(random.Random(seed), 4) for seed in (1, 4, 10)]
+
+
+@pytest.mark.parametrize(
+    "A",
+    [a_category(1), a_category(2), a_category(3), tensor_bp((2, 3)), tensor_bp((3, 3))]
+    + RANDOM_CATEGORIES,
+    ids=["A1", "A2", "A3", "bp23", "bp33", "rand1", "rand4", "rand10"],
+)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_directed_extension_matches_reference(A, k):
+    assert_same_category(directed_extension(A, k), reference_directed_extension(A, k))
+
+
+def test_random_extension_inputs_go_beyond_unit_tables():
+    values = {v for A in RANDOM_CATEGORIES for entry in A._comp.values() for v in entry.values()}
+    assert {Fraction(2, 3), Fraction(-5), Fraction(1, 2)} <= values
+    assert all(any(len(h) == 2 for h in A._homs.values()) for A in RANDOM_CATEGORIES)
+
+
 def test_tensor_with_rational_coefficients_matches_reference():
     rng = random.Random(20091)
     for _ in range(25):
@@ -210,6 +221,9 @@ def test_tensor_with_rational_coefficients_matches_reference():
         B = random_rational_category(rng, rng.randint(1, 4))
         new, ref = tensor(A, B), reference_tensor(A, B)
         assert_same_category(new, ref)
+        # tensor keeps its tables without the constructor's copy, so they
+        # must already be in the constructor's form, insertion order included
+        assert list(new._homs.items()) == list(ref._homs.items())
         assert list(new._comp.items()) == list(ref._comp.items())
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, deterministic output."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -226,6 +227,25 @@ def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: object count {count} exceeds the limit {MAX_RANK}\n"
+
+
+def test_oversized_composite_tables_exit_2_in_a_memory_capped_child():
+    # tables of this size would need gigabytes or more, so the commands run
+    # in a child whose address space is capped at 1 GB, as ``ulimit -v`` does
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    for argv, count in [
+        (("fukaya", "--p", "2,4000"), 10674668000),
+        (("suspend", "--p", "2", "--k", "4000"), 10674668000),
+        (("category", "--p", ",".join(["3"] * 12)), 4**12),
+    ]:
+        result = subprocess.run(
+            [sys.executable, "-m", "bpsing", *argv],
+            capture_output=True, text=True, timeout=30, preexec_fn=cap,
+        )
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr
+        assert result.stderr == f"error: composite count {count} exceeds the limit {2**20}\n"
 
 
 def test_verify_fukaya_builds_the_tensor_model_once(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -119,6 +120,27 @@ def test_builders_refuse_object_counts_above_the_limit(monkeypatch):
         a_category(7)
     with pytest.raises(ValueError, match=r"object count prod\(p_i - 1\) = 8 exceeds the limit 6"):
         tensor_bp((3, 5))
+
+
+def test_builders_refuse_composite_counts_above_the_limit(monkeypatch):
+    assert dgcat.MAX_COMPOSITES == 2**20
+    # a product stores one composite per pair of factor composites
+    A, B = a_category(3), a_category(4)
+    assert (len(A._comp), len(B._comp), len(tensor(A, B)._comp)) == (7, 10, 70)
+    for p in [(3, 3), (2, 3, 4), (3, 3, 3), (2, 3, 4, 5)]:
+        assert len(tensor_bp(p)._comp) == prod(3 * pi - 5 for pi in p)
+    monkeypatch.setattr(dgcat, "MAX_COMPOSITES", 70)
+    assert len(tensor(A, B)._comp) == 70
+    assert len(tensor_bp((3, 3, 3))._comp) == 64
+    with pytest.raises(ValueError, match="composite count 91 exceeds the limit 70"):
+        tensor(A, a_category(5))
+
+    def unreachable(m):
+        raise AssertionError(f"a linear quiver with {m} objects was built before the check")
+
+    monkeypatch.setattr(dgcat, "a_category", unreachable)
+    with pytest.raises(ValueError, match="composite count 100 exceeds the limit 70"):
+        tensor_bp((5, 5))
 
 
 def test_tensor_bp_object_order_and_degrees():

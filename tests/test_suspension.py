@@ -1,11 +1,11 @@
 """Suspension pipeline: stacked copies, cones, and the tensor-model check."""
 
 import sys
-from math import prod
+from math import comb, prod
 
 import pytest
 
-from bpsing import suspension
+from bpsing import dgcat, suspension
 from bpsing.dgcat import DirectedGradedCategory, MorRef, a_category, gauge_isomorphic, tensor, tensor_bp
 from bpsing.suspension import (
     SuspensionError,
@@ -25,6 +25,22 @@ def test_directed_extension_refuses_object_counts_above_the_limit(monkeypatch):
     assert len(directed_extension(a_category(2), 4).objects) == 8
     with pytest.raises(ValueError, match="object count 10 exceeds the limit 8"):
         directed_extension(a_category(2), 5)
+
+
+def test_directed_extension_refuses_composite_counts_above_the_limit(monkeypatch):
+    A = a_category(2)
+    # the levels k > ... > 1 store comb(k + 2, 3) composites, A stores 4
+    for k in (2, 3, 4):
+        assert len(directed_extension(A, k)._comp) == comb(k + 2, 3) * 4
+    monkeypatch.setattr(dgcat, "MAX_COMPOSITES", 80)
+    assert len(directed_extension(A, 4)._comp) == 80
+
+    def unreachable(*args):
+        raise AssertionError("the level category was built before the check")
+
+    monkeypatch.setattr(suspension, "DirectedGradedCategory", unreachable)
+    with pytest.raises(ValueError, match="composite count 140 exceeds the limit 80"):
+        directed_extension(A, 5)
 
 
 def test_directed_extension_structure():
