@@ -87,7 +87,6 @@ from .singcat import (
     FreeComplex,
     GradedModule,
     GradedRing,
-    KoszulReport,
     ModuleMap,
     ResolutionReport,
     SequenceReport,

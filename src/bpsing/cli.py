@@ -41,14 +41,7 @@ from .singcat import (
     lemma_k_check,
     validate_resolution,
 )
-from .suspension import (
-    SuspensionError,
-    fukaya_bp,
-    suspend,
-    suspension_tower,
-    tower_label,
-    verify_suspension,
-)
+from .suspension import SuspensionError, fukaya_bp, suspension_tower
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +182,7 @@ def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
         # and the square audit of C run once, below
         C = suspension_tower(p, verify=True)[-1]
         checks.append(CheckResult("suspension-pipeline", True))
-    except SuspensionError as exc:
+    except (ComplexError, SuspensionError) as exc:
         checks.append(CheckResult("suspension-pipeline", False, {"error": str(exc)}))
     if C is not None:
         rep = validate(C)
@@ -351,24 +344,16 @@ def _cmd_suspend(args) -> int:
     p = _parse_p(args.p)
     if args.k < 2:
         raise ValueError("k must be >= 2")
-    A = fukaya_bp(p)
-    code = 0
-    verified = None
-    if args.verify:
-        report = verify_suspension(A, args.k, tower_label)
-        S, verified = report.suspension, report.ok
-        if not report.ok:
-            code = 1
-    else:
-        S = suspend(A, args.k, label_fn=tower_label)
+    # suspending the last stage of p with k levels is stage p + (k,) of the tower
+    S = suspension_tower(p + (args.k,), args.verify)[-1]
     if args.json:
         _emit(_dump_json(to_json_dict(S)))
     else:
         lines = [f"p: {p}  k: {args.k}"] + _category_lines(S)
-        if verified is not None:
-            lines.append(f"verification: {'PASS' if verified else 'FAIL'}")
+        if args.verify:
+            lines.append("verification: PASS")
         _emit("\n".join(lines) + "\n")
-    return code
+    return 0
 
 
 def _cmd_fukaya(args) -> int:
@@ -684,12 +669,13 @@ def run(argv: Sequence[str]) -> int:
         return 2
     try:
         return args.func(args)
+    except (ArithmeticError, ComplexError, SuspensionError) as exc:
+        # before ValueError, which ComplexError subclasses
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ComplexError, SuspensionError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

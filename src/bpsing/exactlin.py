@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -113,13 +114,18 @@ class RatMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
 
-def _eliminate(entries: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Row reduce in place to reduced echelon form; return (rows, pivot columns).
+def _eliminate(
+    entries: list[list[Fraction]], cols: int
+) -> tuple[list[list[Fraction]], list[int], list[Fraction]]:
+    """Row reduce in place to reduced echelon form; return (rows, pivot columns, pivots).
 
     Pivot selection is the first nonzero entry scanning down each column, so
-    the result is deterministic.
+    the result is deterministic.  Each pivot is taken before its row is
+    normalized and negated when a row swap brought it into place, so for a
+    square matrix of full rank their product is the determinant.
     """
     pivots: list[int] = []
+    values: list[Fraction] = []
     r = 0
     for c in range(cols):
         pivot_row = None
@@ -130,6 +136,7 @@ def _eliminate(entries: list[list[Fraction]], cols: int) -> tuple[list[list[Frac
         if pivot_row is None:
             continue
         entries[r], entries[pivot_row] = entries[pivot_row], entries[r]
+        values.append(entries[r][c] if pivot_row == r else -entries[r][c])
         inv = 1 / entries[r][c]
         entries[r] = [x * inv for x in entries[r]]
         for i in range(len(entries)):
@@ -140,13 +147,13 @@ def _eliminate(entries: list[list[Fraction]], cols: int) -> tuple[list[list[Frac
         r += 1
         if r == len(entries):
             break
-    return entries, pivots
+    return entries, pivots, values
 
 
 def rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form together with the pivot column indices."""
     entries = [list(row) for row in M.entries]
-    entries, pivots = _eliminate(entries, M.cols)
+    entries, pivots, _ = _eliminate(entries, M.cols)
     return RatMatrix(entries, cols=M.cols), tuple(pivots)
 
 
@@ -184,7 +191,7 @@ def solve(M: RatMatrix, b: Sequence) -> Vec | None:
     entries = [list(row) + [Fraction(v)] for row, v in zip(M.entries, b)]
     if M.rows == 0:
         return tuple([Fraction(0)] * M.cols)
-    entries, pivots = _eliminate(entries, M.cols + 1)
+    entries, pivots, _ = _eliminate(entries, M.cols + 1)
     if M.cols in pivots:
         return None
     x = [Fraction(0)] * M.cols
@@ -194,29 +201,11 @@ def solve(M: RatMatrix, b: Sequence) -> Vec | None:
 
 
 def det(M: RatMatrix) -> Fraction:
+    """Determinant: the product of the elimination's pivots, 0 below full rank."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    n = M.rows
-    entries = [list(row) for row in M.entries]
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if entries[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            entries[c], entries[pivot_row] = entries[pivot_row], entries[c]
-            result = -result
-        result *= entries[c][c]
-        inv = 1 / entries[c][c]
-        for i in range(c + 1, n):
-            if entries[i][c] != 0:
-                factor = entries[i][c] * inv
-                entries[i] = [a - factor * b for a, b in zip(entries[i], entries[c])]
-    return result
+    _, pivots, values = _eliminate([list(row) for row in M.entries], M.cols)
+    return prod(values, start=Fraction(1)) if len(pivots) == M.cols else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +429,7 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
         list(row) + [v[i] for v in kernel] + [Fraction(int(i == t)) for t in range(n)]
         for i, row in enumerate(d_in.entries)
     ]
-    reduced, pivots = _eliminate(stacked, width)
+    reduced, pivots, _ = _eliminate(stacked, width)
     reps = tuple(kernel[c - m] for c in pivots if c >= m)
     rows = [tuple((t, x) for t, x in enumerate(row[width:]) if x) for row in reduced]
     return Cohomology(

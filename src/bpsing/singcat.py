@@ -370,30 +370,9 @@ def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
     return sorted(seen, key=ring.sort_key)
 
 
-def _exactness_scan(
-    cplx: FreeComplex, window: int, first: int, h0_degrees, what: str
-) -> tuple[int, list[str]]:
-    """Degrees scanned and failures of exactness at levels first..-1.
-
-    Per graded piece of z-degree <= window, H^i must vanish for first <= i
-    < 0, and H^0 must be one-dimensional on h0_degrees and zero elsewhere.
-    """
-    degrees = _support_degrees(cplx, window)
-    failures = []
-    for d in degrees:
-        h = cplx.cohomology_dims(d, range(first, 1))
-        for i in range(first, 0):
-            if h[i]:
-                failures.append(f"{what} at level {i} in degree {d.raw()}")
-        want = 1 if d in h0_degrees else 0
-        if h[0] != want:
-            failures.append(f"cokernel dimension {h[0]} != {want} in degree {d.raw()}")
-    return len(degrees), failures
-
-
 @dataclass(frozen=True)
 class ResolutionReport:
-    """Outcome of certifying a complex as a resolution of the residue field."""
+    """Outcome of certifying a free complex: symbolic checks, then exactness per degree."""
 
     ok: bool
     square_zero: bool
@@ -402,29 +381,45 @@ class ResolutionReport:
     failures: tuple[str, ...]
 
 
-def validate_resolution(cplx: FreeComplex, window: int) -> ResolutionReport:
-    """Certify a complex as a residue-field resolution inside a z-window.
+def _certify(cplx: FreeComplex, window: int, first: int, h0_degrees, what: str) -> ResolutionReport:
+    """Symbolic checks, then exactness at levels first..0 in every degree of a window.
 
-    First the symbolic checks: square zero and entry homogeneity.  Then per
-    graded piece of z-degree <= window: exactness at every interior level,
-    and the cokernel of the last map of dimension one in degree zero and
-    zero elsewhere.  The leftmost level has no incoming map to compare
-    against, so no kernel condition is imposed there.
+    First square zero and entry homogeneity.  If both hold, then per graded
+    piece of z-degree <= window: H^i must vanish for first <= i < 0 (a
+    failure is named ``what``), and H^0 must be one-dimensional on
+    h0_degrees and zero elsewhere.
     """
     hom_bad = cplx.homogeneity_violations()
     sq_bad = cplx.square_defects()
     failures = list(hom_bad + sq_bad)
-    count = 0
-    if not failures:
-        first = min(min(cplx.levels()) + 1, 0)
-        count, failures = _exactness_scan(cplx, window, first, {cplx.ring.L.zero()}, "not exact")
+    degrees = [] if failures else _support_degrees(cplx, window)
+    for d in degrees:
+        h = cplx.cohomology_dims(d, range(first, 1))
+        for i in range(first, 0):
+            if h[i]:
+                failures.append(f"{what} at level {i} in degree {d.raw()}")
+        want = 1 if d in h0_degrees else 0
+        if h[0] != want:
+            failures.append(f"cokernel dimension {h[0]} != {want} in degree {d.raw()}")
     return ResolutionReport(
         ok=not failures,
         square_zero=not sq_bad,
         homogeneous=not hom_bad,
-        degrees_checked=count,
+        degrees_checked=len(degrees),
         failures=tuple(failures),
     )
+
+
+def validate_resolution(cplx: FreeComplex, window: int) -> ResolutionReport:
+    """Certify a complex as a residue-field resolution inside a z-window.
+
+    Exactness at every interior level, and the cokernel of the last map of
+    dimension one in degree zero and zero elsewhere.  The leftmost level has
+    no incoming map to compare against, so no kernel condition is imposed
+    there.
+    """
+    first = min(min(cplx.levels()) + 1, 0)
+    return _certify(cplx, window, first, {cplx.ring.L.zero()}, "not exact")
 
 
 def ext_k_k_row(p: Iterable[int], m: LDegree, targets: Sequence[LDegree]) -> list[dict[int, int]]:
@@ -859,16 +854,7 @@ def lemma_k_check(
     )
 
 
-@dataclass(frozen=True)
-class KoszulReport:
-    """Outcome of the Koszul perfectness certificate."""
-
-    ok: bool
-    degrees_checked: int
-    failures: tuple[str, ...]
-
-
-def koszul_perfect_check(p: Iterable[int] | GradedRing, window: int) -> KoszulReport:
+def koszul_perfect_check(p: Iterable[int] | GradedRing, window: int) -> ResolutionReport:
     """Exactness of the Koszul complex on x_2, ..., x_n over the ring.
 
     The complex is the j = 0 part of the resolution, on the forms dx_I with
@@ -885,9 +871,5 @@ def koszul_perfect_check(p: Iterable[int] | GradedRing, window: int) -> KoszulRe
     L = ring.L
     vars2 = range(2, ring.n + 1)
     cplx = _form_complex(ring, [[(I, 0) for I in combinations(vars2, k)] for k in range(ring.n)])
-    failures = list(cplx.homogeneity_violations()) + list(cplx.square_defects())
-    count = 0
-    if not failures:
-        expected = {L.scale(s, L.x(1)) for s in range(ring.p[0])}
-        count, failures = _exactness_scan(cplx, window, -(ring.n - 1), expected, "cohomology")
-    return KoszulReport(ok=not failures, degrees_checked=count, failures=tuple(failures))
+    expected = {L.scale(s, L.x(1)) for s in range(ring.p[0])}
+    return _certify(cplx, window, -(ring.n - 1), expected, "cohomology")

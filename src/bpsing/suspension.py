@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .dgcat import (
     MAX_RANK,
@@ -105,17 +105,13 @@ class SuspensionReport:
     messages: tuple[str, ...]
 
 
-def suspend(
-    A: DirectedGradedCategory,
-    k: int,
-    label_fn: Callable | None = None,
-) -> DirectedGradedCategory:
+def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
     """Category of cones S_{x,j} = Cone((x, j+1) -> (x, j)) for 1 <= j < k.
 
     Hom spaces are hom-complex cohomologies with deterministic
     representatives; compositions are induced by composing representatives
-    and projecting.  Objects are ordered by A's order first, then ascending
-    level; labels default to (x, j) and can be overridden with ``label_fn``.
+    and projecting.  Objects are labelled (x, j), ordered by A's order
+    first, then ascending level.
     """
     if k < 2:
         raise ValueError("suspension needs at least two levels")
@@ -124,13 +120,16 @@ def suspend(
         unit = {f.idx: 1}
         if A.compose(A.identity(f.tgt), f) != unit or A.compose(f, A.identity(f.src)) != unit:
             raise SuspensionError(f"identities do not act strictly on {A.name(f)}")
+    # and composing representatives looks every composite up in its hom basis
+    for (g, f), entry in A._comp.items():
+        if any(not 0 <= idx < len(A.hom(f.src, g.tgt)) for idx in entry):
+            raise SuspensionError(f"({A.name(g)}, {A.name(f)}) lands outside its hom basis")
     E = directed_extension(A, k)
-    fn = label_fn if label_fn is not None else (lambda x, j: (x, j))
     spots = [(ia, j) for ia in range(len(A.objects)) for j in range(1, k)]
     cones = {}
     for ia, j in spots:
         cones[(ia, j)] = cone(E, connector(E, A.objects[ia], j))
-    labels = tuple(fn(A.objects[ia], j) for ia, j in spots)
+    labels = tuple((A.objects[ia], j) for ia, j in spots)
 
     homs_data: dict[tuple[int, int], TwistedHom] = {}
     shapes: dict[tuple, TwistedHom] = {}
@@ -226,24 +225,18 @@ def suspend(
     return out
 
 
-def verify_suspension(
-    A: DirectedGradedCategory,
-    k: int,
-    label_fn: Callable | None = None,
-) -> SuspensionReport:
-    """Compare suspend(A, k, label_fn) against tensor(A, a_category(k - 1)).
+def verify_suspension(A: DirectedGradedCategory, k: int) -> SuspensionReport:
+    """Compare suspend(A, k) against tensor(A, a_category(k - 1)).
 
-    The tensor model's pair (x, j) is relabelled with ``label_fn`` like the
-    suspension's, and the canonical bijection matches equal labels.  The
-    report carries the suspension itself and one message per failed part:
-    each graded-dimension mismatch, a failed gauge comparison, and each
-    square of the suspension output that does not anticommute; ``ok`` holds
-    exactly when there are no messages.
+    Both label the object over x at level j as (x, j), and the canonical
+    bijection matches equal labels.  The report carries the suspension
+    itself and one message per failed part: each graded-dimension mismatch,
+    a failed gauge comparison, and each square of the suspension output
+    that does not anticommute; ``ok`` holds exactly when there are no
+    messages.
     """
-    S = suspend(A, k, label_fn)
+    S = suspend(A, k)
     T = tensor(A, a_category(k - 1))
-    if label_fn is not None:
-        T = relabel(T, {label: label_fn(*label) for label in T.objects})
     messages: list[str] = []
     # both have len(A) * (k - 1) objects, and a pair that neither stores has
     # empty homs on both sides
@@ -267,12 +260,12 @@ def suspension_tower(p: Iterable[int], verify: bool = False) -> list[DirectedGra
     """All stages of the iterated suspension for an exponent sequence.
 
     Stage 0 is the linear quiver on p_1 - 1 objects with 1-tuple labels; each
-    later stage suspends the previous one with k = p_i, flattening labels to
-    tuples, so stage t has objects indexed by (i_1, ..., i_{t+1}).  With
-    ``verify`` each step is built once by ``verify_suspension``, checked
-    against the tensor of the previous stage with a linear quiver, and the
-    checked category becomes the next stage; a failed step raises
-    SuspensionError.
+    later stage suspends the previous one with k = p_i and flattens each
+    label (x, j) to x + (j,), so stage t has objects indexed by (i_1, ...,
+    i_{t+1}).  With ``verify`` each step is built once by
+    ``verify_suspension``, checked against the tensor of the previous stage
+    with a linear quiver, and the checked category becomes the next stage; a
+    failed step raises SuspensionError.
     """
     p = exponent_seq(p)
     base = a_category(p[0] - 1)
@@ -280,12 +273,13 @@ def suspension_tower(p: Iterable[int], verify: bool = False) -> list[DirectedGra
     tower = [stage]
     for pi in p[1:]:
         if verify:
-            report = verify_suspension(stage, pi, tower_label)
+            report = verify_suspension(stage, pi)
             if not report.ok:
                 raise SuspensionError("; ".join(report.messages) or "suspension step failed")
-            stage = report.suspension
+            S = report.suspension
         else:
-            stage = suspend(stage, pi, label_fn=tower_label)
+            S = suspend(stage, pi)
+        stage = relabel(S, {x: tower_label(*x) for x in S.objects})
         tower.append(stage)
     return tower
 

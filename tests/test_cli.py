@@ -14,6 +14,7 @@ import bpsing.suspension
 from bpsing.cli import main
 from bpsing.dgcat import from_json_dict, tensor_bp
 from bpsing.lattice import MAX_RANK
+from helpers import drop_one_composite
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,18 @@ def test_suspend_verify_prints_the_checked_category(capsys):
     code, checked, _ = run_cli(capsys, "suspend", "--p", "2,3", "--k", "3", "--verify")
     assert code == 0
     assert checked == plain + "verification: PASS\n"
+
+
+def test_failed_suspension_step_exits_1_with_the_reason_on_stderr(capsys, monkeypatch):
+    real = bpsing.suspension.suspend
+    monkeypatch.setattr(bpsing.suspension, "suspend", lambda A, k: drop_one_composite(real(A, k)))
+    for argv in [
+        ("suspend", "--p", "2,3", "--k", "3", "--verify"),
+        ("fukaya", "--p", "3,3", "--verify"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("verification failure: "), err
 
 
 def test_lattice_json_schema(capsys):

@@ -134,6 +134,21 @@ def test_det_against_permutation_expansion():
     assert det(A @ B) == det(A) * det(B)
 
 
+def test_det_at_the_edges_of_the_elimination():
+    assert det(RatMatrix([], cols=0)) == 1
+    # full rank except the last column: no pivot there
+    assert det(RatMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
+    assert det(RatMatrix([[0, 0], [0, 0]])) == 0
+    # the reversal permutations: one swap for n = 2, one (rows 1 and 3) for n = 3
+    for n in (2, 3):
+        assert det(RatMatrix([[int(i + j == n - 1) for j in range(n)] for i in range(n)])) == -1
+    # a swap that is undone by a later swap leaves the sign positive
+    assert det(RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+    assert det(RatMatrix([[0, Fraction(1, 2)], [3, 1]])) == Fraction(-3, 2)
+    with pytest.raises(ValueError, match="square"):
+        det(RatMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
 def test_matrix_arithmetic_guards():
     A = RatMatrix([[1, 2], [3, 4]])
     B = RatMatrix([[1], [1]])
@@ -336,12 +351,12 @@ def greedy_cohomology(d_in, d_out):
     _, in_pivots = rref(d_in)
     image = [d_in.column(c) for c in in_pivots]
     span = [list(v) for v in image]
-    span, _ = _eliminate(span, n) if span else (span, [])
+    span, _, _ = _eliminate(span, n) if span else (span, [], [])
     reps = []
     reduced = [row for row in span if any(x != 0 for x in row)]
     for v in kernel:
         candidate = reduced + [list(v)]
-        candidate, piv = _eliminate([list(r) for r in candidate], n)
+        candidate, piv, _ = _eliminate([list(r) for r in candidate], n)
         nonzero = [row for row in candidate if any(x != 0 for x in row)]
         if len(nonzero) > len(reduced):
             reps.append(v)

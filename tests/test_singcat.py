@@ -20,6 +20,7 @@ from bpsing.singcat import (
     GradedModule,
     GradedRing,
     ModuleMap,
+    ResolutionReport,
     bp_resolution,
     exact_sequence_check,
     ext_formula,
@@ -793,3 +794,23 @@ def test_koszul_perfect_check():
     assert koszul_perfect_check((2, 2, 2), 8).ok
     with pytest.raises(ValueError):
         koszul_perfect_check((5,), 8)
+
+
+def test_koszul_check_reports_a_broken_square_like_the_resolution_check(monkeypatch):
+    real = bpsing.singcat._form_complex
+
+    def flipped(ring, gens):
+        # the Koszul complex on x_2, x_3: d(dx2^dx3) = x_2 dx3 - x_3 dx2, with x_2 negated
+        cplx = real(ring, gens)
+        diffs = dict(cplx.diffs)
+        rows = [list(r) for r in diffs[-2]]
+        rows[1][0] = {m: -c for m, c in rows[1][0].items()}
+        diffs[-2] = rows
+        return FreeComplex(ring, cplx.terms, diffs, cplx.labels)
+
+    monkeypatch.setattr(bpsing.singcat, "_form_complex", flipped)
+    rep = koszul_perfect_check((3, 3, 3), 6)
+    assert isinstance(rep, ResolutionReport)
+    assert not rep.ok and not rep.square_zero and rep.homogeneous
+    assert rep.degrees_checked == 0
+    assert rep.failures == ("square at level -2 nonzero at (0,0)",)

@@ -111,7 +111,7 @@ def test_suspend_agrees_with_tensor_model_on_random_sequences():
     @hypothesis.settings(max_examples=16, deadline=None, derandomize=True, database=None)
     @hypothesis.given(exponents, st.integers(2, 4))
     def check(p, k):
-        report = verify_suspension(tensor_bp(p), k, tower_label)
+        report = verify_suspension(tensor_bp(p), k)
         assert report.ok and report.messages == (), (p, k, report.messages)
 
     check()
@@ -160,9 +160,9 @@ def test_verified_fukaya_suspends_each_stage_once(monkeypatch):
     real = suspension.suspend
     calls = []
 
-    def counting(A, k, label_fn=None):
+    def counting(A, k):
         calls.append(k)
-        return real(A, k, label_fn)
+        return real(A, k)
 
     monkeypatch.setattr(suspension, "suspend", counting)
     p = (2, 3, 4)
@@ -179,10 +179,10 @@ def test_verified_fukaya_returns_the_unverified_category():
 
 def test_verify_suspension_reports_the_checked_suspension(monkeypatch):
     A = fukaya_bp((2, 3))
-    report = verify_suspension(A, 3, tower_label)
+    report = verify_suspension(A, 3)
     assert report.ok
-    assert report.suspension == suspend(A, 3, tower_label)
-    assert report.suspension.objects == tensor_bp((2, 3, 3)).objects
+    assert report.suspension == suspend(A, 3)
+    assert tuple(tower_label(*x) for x in report.suspension.objects) == tensor_bp((2, 3, 3)).objects
     plain = verify_suspension(a_category(2), 3)
     assert plain.suspension == suspend(a_category(2), 3)
 
@@ -190,8 +190,8 @@ def test_verify_suspension_reports_the_checked_suspension(monkeypatch):
     # lacks: one message for each, in the order of a scan over all pairs
     real = suspension.suspend
 
-    def moved(A, k, label_fn=None):
-        S = real(A, k, label_fn)
+    def moved(A, k):
+        S = real(A, k)
         n = len(S.objects)
         homs = {(i, j): S.hom(i, j) for i in range(n) for j in range(i + 1, n) if S.hom(i, j)}
         added = min((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in homs)
@@ -203,7 +203,7 @@ def test_verify_suspension_reports_the_checked_suspension(monkeypatch):
         return DirectedGradedCategory(S.objects, homs, comp)
 
     monkeypatch.setattr(suspension, "suspend", moved)
-    report = verify_suspension(A, 3, tower_label)
+    report = verify_suspension(A, 3)
     S, T = report.suspension, tensor_bp((2, 3, 3))
     n = len(S.objects)
     scanned = [
@@ -234,8 +234,8 @@ def _drop_one_composite(C):
 def test_verified_fukaya_rejects_a_broken_suspension(monkeypatch):
     real = suspension.suspend
 
-    def broken(A, k, label_fn=None):
-        return _drop_one_composite(real(A, k, label_fn))
+    def broken(A, k):
+        return _drop_one_composite(real(A, k))
 
     monkeypatch.setattr(suspension, "suspend", broken)
     # (2, 3) has no composite, so for (2, 3, 4) only the returned last stage is broken
@@ -284,6 +284,14 @@ def test_suspend_rejects_identities_that_do_not_act_strictly():
     # id_b after f is 2f: a unit that is not strict, supplied explicitly
     A = DirectedGradedCategory(("a", "b"), {(0, 1): (1,)}, {(MorRef(1, 1, 0), f): {0: 2}})
     with pytest.raises(SuspensionError, match=r"a->b#0"):
+        suspend(A, 2)
+
+
+def test_suspend_rejects_a_composite_outside_its_hom_basis():
+    # a -> b -> c composes to index 0 of hom(a, c), which is empty
+    homs = {(0, 1): (1,), (1, 2): (1,)}
+    A = DirectedGradedCategory(("a", "b", "c"), homs, {(MorRef(1, 2, 0), MorRef(0, 1, 0)): {0: 1}})
+    with pytest.raises(SuspensionError, match=r"\(b->c#0, a->b#0\) lands outside its hom basis"):
         suspend(A, 2)
 
 

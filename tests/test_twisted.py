@@ -7,7 +7,7 @@ import pytest
 from bpsing import suspension
 from bpsing.dgcat import DirectedGradedCategory, MorRef, a_category, tensor_bp
 from bpsing.exactlin import ComplexError
-from bpsing.suspension import connector, directed_extension, fukaya_bp, suspend, tower_label
+from bpsing.suspension import connector, directed_extension, fukaya_bp, suspend
 from bpsing.twisted import (
     TwistedHom,
     TwistedObject,
@@ -249,8 +249,7 @@ def test_compose_classes_matches_the_dense_composition(monkeypatch, A, k):
         return got
 
     monkeypatch.setattr(suspension, "compose_classes", checking)
-    label_fn = tower_label if k == 4 else None
-    suspend(A, k, label_fn)
+    suspend(A, k)
     # composites and the unit checks, zero and nonzero classes among them
     assert len(seen) > 10
     assert any(any(c) for _, c in seen) and not all(any(c) for _, c in seen)
