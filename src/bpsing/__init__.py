@@ -53,7 +53,6 @@ from .dgcat import (
 from .twisted import (
     HomComplex,
     TwistedCohomology,
-    TwistedHom,
     TwistedObject,
     cohomology,
     compose_classes,
@@ -62,7 +61,6 @@ from .twisted import (
     hom_complex,
     identity_class,
     single,
-    twisted_hom,
 )
 from .suspension import (
     SuspensionError,

@@ -125,10 +125,6 @@ def _attach_coords(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -159,6 +155,18 @@ def _category_lines(C: DirectedGradedCategory) -> list[str]:
         lines.append("  (none)")
     lines.append("every endomorphism space: identity in degree 0")
     return lines
+
+
+def _emit_category(args, header: str, C: DirectedGradedCategory, verified: bool) -> int:
+    """Print C as JSON, or as the header, its listing and a verification line."""
+    if args.json:
+        sys.stdout.write(_dump_json(to_json_dict(C)))
+        return 0
+    lines = [header] + _category_lines(C)
+    if verified:
+        lines.append("verification: PASS")
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +339,7 @@ _SUITES = {"fukaya": _suite_fukaya, "singcat": _suite_singcat, "lattice": _suite
 
 def _cmd_category(args) -> int:
     p = _parse_p(args.p)
-    C = tensor_bp(p)
-    if args.json:
-        _emit(_dump_json(to_json_dict(C)))
-    else:
-        lines = [f"p: {p}"] + _category_lines(C)
-        _emit("\n".join(lines) + "\n")
-    return 0
+    return _emit_category(args, f"p: {p}", tensor_bp(p), False)
 
 
 def _cmd_suspend(args) -> int:
@@ -346,27 +348,12 @@ def _cmd_suspend(args) -> int:
         raise ValueError("k must be >= 2")
     # suspending the last stage of p with k levels is stage p + (k,) of the tower
     S = suspension_tower(p + (args.k,), args.verify)[-1]
-    if args.json:
-        _emit(_dump_json(to_json_dict(S)))
-    else:
-        lines = [f"p: {p}  k: {args.k}"] + _category_lines(S)
-        if args.verify:
-            lines.append("verification: PASS")
-        _emit("\n".join(lines) + "\n")
-    return 0
+    return _emit_category(args, f"p: {p}  k: {args.k}", S, args.verify)
 
 
 def _cmd_fukaya(args) -> int:
     p = _parse_p(args.p)
-    C = fukaya_bp(p, verify=args.verify)
-    if args.json:
-        _emit(_dump_json(to_json_dict(C)))
-    else:
-        lines = [f"p: {p}"] + _category_lines(C)
-        if args.verify:
-            lines.append("verification: PASS")
-        _emit("\n".join(lines) + "\n")
-    return 0
+    return _emit_category(args, f"p: {p}", fukaya_bp(p, verify=args.verify), args.verify)
 
 
 def _cmd_lattice(args) -> int:
@@ -385,7 +372,7 @@ def _cmd_lattice(args) -> int:
             ],
             "agree": cmpr.agree,
         }
-        _emit(_dump_json(obj))
+        sys.stdout.write(_dump_json(obj))
         return 0
     lines = [f"p: {p}", "basis: " + ", ".join(str(x) for x in cmpr.labels), "st gram:"]
     lines.extend("  " + str(list(row)) for row in cmpr.st.entries)
@@ -396,7 +383,7 @@ def _cmd_lattice(args) -> int:
         lines.append(f"  ({a}, {b}): st={u} euler={v}")
     if cmpr.agree:
         lines.append("  (none)")
-    _emit("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -414,7 +401,7 @@ def _cmd_orlov(args) -> int:
             "weights": list(cy.weights),
             "group": list(group.factors),
         }
-        _emit(_dump_json(obj))
+        sys.stdout.write(_dump_json(obj))
         return 0
     lines = [
         f"p: {p}",
@@ -424,7 +411,7 @@ def _cmd_orlov(args) -> int:
         f"weights: {cy.weights}",
         f"group: {group}",
     ]
-    _emit("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -451,7 +438,7 @@ def _cmd_singcat_ext(args) -> int:
             "formula": None if formula is None else _json_dims(formula),
             "agree": agree,
         }
-        _emit(_dump_json(obj))
+        sys.stdout.write(_dump_json(obj))
         return 0
     lines = [
         f"p: {p}",
@@ -463,7 +450,7 @@ def _cmd_singcat_ext(args) -> int:
     else:
         lines.append(f"formula dims: {_fmt_dims(formula)}")
         lines.append(f"agree: {agree}")
-    _emit("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -495,7 +482,7 @@ def _cmd_singcat_resolution(args) -> int:
             "degrees_checked": rep.degrees_checked,
             "failures": list(rep.failures),
         }
-        _emit(_dump_json(obj))
+        sys.stdout.write(_dump_json(obj))
         return 0 if rep.ok else 1
     lines = [f"p: {p}  length: {args.length}  window: {window}"]
     lines.append("ranks: " + ", ".join(str(cplx.rank(i)) for i in sorted(cplx.levels(), reverse=True)))
@@ -510,7 +497,7 @@ def _cmd_singcat_resolution(args) -> int:
     status = "PASS" if rep.ok else "FAIL"
     lines.append(f"validation: {status} ({rep.degrees_checked} degrees checked)")
     lines.extend(f"  {msg}" for msg in rep.failures[:10])
-    _emit("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if rep.ok else 1
 
 
@@ -531,7 +518,7 @@ def _cmd_singcat_lemma_k(args) -> int:
             "iso_with_ring_quotient": rep.iso_ok,
             "failures": list(rep.failures),
         }
-        _emit(_dump_json(obj))
+        sys.stdout.write(_dump_json(obj))
         return 0 if rep.ok else 1
     lines = [
         f"p: {p}  axis: {args.axis}  j: {args.j}",
@@ -542,7 +529,7 @@ def _cmd_singcat_lemma_k(args) -> int:
     if rep.first_failure is not None:
         lines.append(f"first failure in degree {rep.first_failure}")
     lines.extend(f"  {msg}" for msg in rep.failures[:10])
-    _emit("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if rep.ok else 1
 
 
@@ -567,7 +554,7 @@ def _cmd_verify(args) -> int:
             ],
             "ok": ok,
         }
-        _emit(_dump_json(obj))
+        sys.stdout.write(_dump_json(obj))
         return 0 if ok else 1
     lines = [f"p: {p}"]
     for r in reports:
@@ -580,7 +567,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"  {status} {c.name}{extra}")
         lines.append(f"  => {'PASS' if r.ok else 'FAIL'}")
     lines.append(f"verify: {'PASS' if ok else 'FAIL'}")
-    _emit("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

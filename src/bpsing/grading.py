@@ -169,37 +169,13 @@ class LGroup:
     # -- positivity ----------------------------------------------------
 
     def is_in_monoid(self, d: LDegree) -> bool:
-        """Whether d is a nonnegative integer combination of the x_i.
+        """Whether the normal form d is a nonnegative integer combination of the x_i.
 
-        Searches exponent vectors m >= 0 with matching z-degree; the z-degree
-        bound makes the search finite.
+        Exactly when its c coefficient is nonnegative: sum m_i x_i with m >= 0
+        has the normal form (m_i mod p_i, sum m_i // p_i), and (a, b) with
+        b >= 0 is the normal form of (a_1 + b p_1) x_1 + a_2 x_2 + ... + a_n x_n.
         """
-        target_z = self.z_degree(d)
-        if target_z < 0:
-            return False
-        for m in self._monomial_exponents(target_z):
-            if self.normalize(m + (0,)) == d:
-                return True
-        return False
-
-    def _monomial_exponents(self, target_z: int):
-        """All m >= 0 with sum m_i * z(x_i) = target_z, in lexicographic order."""
-        weights = self.weights
-
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-            if i == self.n:
-                if remaining == 0:
-                    yield prefix
-                return
-            w = weights[i]
-            if i == self.n - 1:
-                if remaining % w == 0:
-                    yield prefix + (remaining // w,)
-                return
-            for mi in range(remaining // w + 1):
-                yield from rec(i + 1, remaining - mi * w, prefix + (mi,))
-
-        yield from rec(0, target_z, ())
+        return d.b >= 0
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ differential, which every category built in this package does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -104,9 +104,13 @@ def cone(C: DirectedGradedCategory, f: MorRef) -> TwistedObject:
 
 
 class HomComplex:
-    """The hom cochain complex between two twisted objects."""
+    """The hom cochain complex between two twisted objects, with its cohomology.
 
-    __slots__ = ("X", "Y", "basis", "position", "_diff", "_cols")
+    Computing the cohomology checks d . d = 0 in every degree, so a
+    differential that does not square to zero raises ComplexError here.
+    """
+
+    __slots__ = ("X", "Y", "basis", "position", "_diff", "_cols", "cohomology")
 
     def __init__(self, X: TwistedObject, Y: TwistedObject):
         if X.category is not Y.category and X.category != Y.category:
@@ -136,7 +140,7 @@ class HomComplex:
             d: tuple(tuple((r, x) for r, x in enumerate(m.column(c)) if x) for c in range(m.cols))
             for d, m in self._diff.items()
         }
-        self._verify_square_zero()
+        self.cohomology = cohomology(self)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.basis)
@@ -185,14 +189,6 @@ class HomComplex:
                         entries[pos][col] += sign * ncoeff * rcoeff
         return RatMatrix(entries, cols=cols)
 
-    def _verify_square_zero(self):
-        for d in self.basis:
-            if self.dim(d + 1) == 0:
-                continue
-            prod = self.differential(d + 1) @ self.differential(d)
-            if not prod.is_zero():
-                raise ComplexError("hom-complex differential does not square to zero")
-
 
 def hom_complex(X: TwistedObject, Y: TwistedObject) -> HomComplex:
     return HomComplex(X, Y)
@@ -232,45 +228,29 @@ def cohomology(H: HomComplex) -> TwistedCohomology:
     return TwistedCohomology(H)
 
 
-@dataclass(frozen=True)
-class TwistedHom:
-    """A hom complex bundled with its cohomology."""
-
-    X: TwistedObject
-    Y: TwistedObject
-    complex: HomComplex = field(compare=False)
-    cohomology: TwistedCohomology = field(compare=False)
-
-
-def twisted_hom(X: TwistedObject, Y: TwistedObject) -> TwistedHom:
-    H = hom_complex(X, Y)
-    return TwistedHom(X=X, Y=Y, complex=H, cohomology=cohomology(H))
-
-
-def rebind(h: TwistedHom, X: TwistedObject, Y: TwistedObject) -> TwistedHom:
+def rebind(h: HomComplex, X: TwistedObject, Y: TwistedObject) -> HomComplex:
     """``h`` for another pair X, Y whose hom complex has the same tables.
 
     The basis, position table, differentials (dense and by sparse column) and
     cohomology are h's, shared and not copied; only X and Y are new, since
     composing cochains names morphisms through them.  Nothing is recomputed, so the caller vouches
-    that ``twisted_hom(X, Y)`` would build the same tables.
+    that ``hom_complex(X, Y)`` would build the same tables.
     """
     H = object.__new__(HomComplex)
+    for slot in HomComplex.__slots__:
+        setattr(H, slot, getattr(h, slot))
     H.X, H.Y = X, Y
-    G = h.complex
-    H.basis, H.position, H._diff, H._cols = G.basis, G.position, G._diff, G._cols
-    return TwistedHom(X=X, Y=Y, complex=H, cohomology=h.cohomology)
+    return H
 
 
 Class = tuple[int, tuple[Fraction, ...]]  # (degree, coefficients over representatives)
 
 
-def identity_class(h_xx: TwistedHom) -> Class:
+def identity_class(h_xx: HomComplex) -> Class:
     """The class of the identity cocycle in End(X)."""
-    H = h_xx.complex
-    vec = [Fraction(0)] * H.dim(0)
+    vec = [Fraction(0)] * h_xx.dim(0)
     for a in range(len(h_xx.X.components)):
-        d, pos = H.position[(a, a, 0)]
+        d, pos = h_xx.position[(a, a, 0)]
         if d != 0:
             raise ValueError("identity entry off degree zero")
         vec[pos] += 1
@@ -344,7 +324,7 @@ def _combine(
 
 
 def compose_classes(
-    h_yz: TwistedHom, h_xy: TwistedHom, h_xz: TwistedHom, alpha: Class, beta: Class
+    h_yz: HomComplex, h_xy: HomComplex, h_xz: HomComplex, alpha: Class, beta: Class
 ) -> Class:
     """Compose cohomology classes via representatives and project the result.
 
@@ -360,11 +340,10 @@ def compose_classes(
     reps_b = h_xy.cohomology._sparse_reps.get(db, ())
     if len(ca) != len(reps_a) or len(cb) != len(reps_b):
         raise ValueError("class coefficients do not match representative count")
-    H = h_xz.complex
     total, vec = compose_cochains(
-        h_yz.complex, h_xy.complex, H, (da, _combine(ca, reps_a)), (db, _combine(cb, reps_b))
+        h_yz, h_xy, h_xz, (da, _combine(ca, reps_a)), (db, _combine(cb, reps_b))
     )
-    cols = H._cols.get(total, ())
+    cols = h_xz._cols.get(total, ())
     boundary: dict[int, Fraction] = {}
     for pos, v in vec.items():
         if v:
@@ -372,7 +351,7 @@ def compose_classes(
                 boundary[r] = boundary.get(r, 0) + x * v
     if any(boundary.values()):
         raise ComplexError("composite of cocycles is not closed")
-    dense = [0] * H.dim(total)
+    dense = [0] * h_xz.dim(total)
     for pos, v in vec.items():
         dense[pos] = v
     return (total, tuple(h_xz.cohomology.coordinates(total, dense)))

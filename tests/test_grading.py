@@ -127,6 +127,37 @@ def test_monoid_membership():
     assert not L.is_in_monoid(d)
 
 
+def monoid_search(L, d):
+    """The former ``is_in_monoid``: some m >= 0 with normal form of sum m_i x_i equal to d.
+
+    Only exponent vectors of d's z-degree can match, which makes the search finite.
+    """
+
+    def vectors(i, remaining):
+        if i == L.n - 1:
+            if remaining % L.weights[i] == 0:
+                yield (remaining // L.weights[i],)
+            return
+        for mi in range(remaining // L.weights[i] + 1):
+            for rest in vectors(i + 1, remaining - mi * L.weights[i]):
+                yield (mi,) + rest
+
+    target_z = L.z_degree(d)
+    return target_z >= 0 and any(L.normalize(m + (0,)) == d for m in vectors(0, target_z))
+
+
+@pytest.mark.parametrize("p", [(5,), (2, 3), (3, 4), (2, 2, 2), (3, 3, 3), (2, 3, 5)])
+def test_monoid_membership_matches_the_exponent_search(p):
+    L = LGroup(p)
+    rng = random.Random(sum(p))
+    seen = set()
+    for _ in range(300):
+        d = L.normalize(tuple(rng.randint(0, pi - 1) for pi in p) + (rng.randint(-3, 3),))
+        assert L.is_in_monoid(d) == monoid_search(L, d), d
+        seen.add(L.is_in_monoid(d))
+    assert seen == {True, False}
+
+
 def is_in_L_plus(L, d):
     """Membership in {-(n-1) c + sum a_i x_i : all a_i >= 1}.
 

@@ -16,7 +16,9 @@ Outcomes recorded beside ``KILL_MATRIX``:
 - Equivalent mutants: one flipped sign in ``tensor_bp((3, 3))`` is removed
   by rescaling one morphism of its single square, and on one variable every
   column of the resolution has one entry, so a single flipped sign gives an
-  isomorphic complex.  The rows avoid both.
+  isomorphic complex.  With an even variable count the Euler form is
+  E - Et, whose diagonal cancels, so ``euler-corner-doubled`` survives on
+  (3, 4).  The rows avoid all three.
 """
 
 import json
@@ -24,14 +26,21 @@ from fractions import Fraction
 
 import pytest
 
-from bpsing import cli, singcat, suspension
-from bpsing.dgcat import DirectedGradedCategory, MorRef
+from bpsing import cli, lattice, singcat, suspension
+from bpsing.dgcat import DirectedGradedCategory, EulerMatrix, MorRef
+from bpsing.grading import LGroup
+from bpsing.singcat import GradedModule
 from helpers import drop_one_composite
 
 _suspend = suspension.suspend
 _a_category = suspension.a_category
 _tensor_bp = cli.tensor_bp
 _form_complex = singcat._form_complex
+_ext_formula_row = cli.ext_formula_row
+_quotient_by_variables = singcat.quotient_by_variables
+_st_gram = lattice.st_gram
+_euler_matrix = lattice.euler_matrix
+_one_var_form = lattice.one_var_form
 
 
 def _tables(C):
@@ -112,6 +121,55 @@ def _flip_first(wedge):
     return mutant
 
 
+def first_row_emptied(p, m, targets):
+    """``ext_formula_row`` with every entry of the first index-set twist's row empty."""
+    if m == singcat.index_set(p)[0]:
+        return [{} for _ in targets]
+    return _ext_formula_row(p, m, targets)
+
+
+def sign_blind_ext_row(p, m, targets):
+    """``ext_k_k_row`` counting a generator whatever the sign of its c coefficient."""
+    L = LGroup(p)
+    row = []
+    for n in targets:
+        target = L.sub(L.normalize(m.raw()), L.normalize(n.raw()))
+        generator = all(a in (0, 1) for a in target.a)
+        row.append({sum(target.a) + 2 * max(target.b, 0): 1} if generator else {})
+    return row
+
+
+def top_degree_dropped(ring, killed, window):
+    """``quotient_by_variables`` without its highest piece and the actions into it."""
+    M = _quotient_by_variables(ring, killed, window)
+    L, top = ring.L, M.degrees()[-1]
+    basis = {d: labels for d, labels in M.basis.items() if d != top}
+    action = {(t, d): mat for (t, d), mat in M.action.items() if top not in (d, L.add(d, L.x(t)))}
+    return GradedModule(ring, basis, action)
+
+
+def raised_st_entry(p):
+    """``st_gram`` with entry (0, 1) raised by one and its mirror left alone."""
+    s = _st_gram(p)
+    entries = [list(row) for row in s.entries]
+    entries[0][1] += 1
+    return lattice.BilinearLattice(s.labels, tuple(map(tuple, entries)), s.symmetric)
+
+
+def doubled_euler_corner(C):
+    """``euler_matrix`` with E[0][0] = 2."""
+    E = _euler_matrix(C)
+    rows = [list(row) for row in E.entries]
+    rows[0][0] = 2
+    return EulerMatrix(E.objects, tuple(map(tuple, rows)))
+
+
+def flipped_one_var_form(p, i, j):
+    """``one_var_form`` with +1 on adjacent indices instead of -1."""
+    value = _one_var_form(p, i, j)
+    return value if i == j else -value
+
+
 TOWER_MUTANTS = {
     "suspend-drops-a-composite": (suspension, "suspend", dropped_composite),
     "off-basis-composite": (suspension, "a_category", off_basis_composite),
@@ -124,9 +182,16 @@ MUTANTS = {
     "tensor-bp-sign-flip": (cli, "tensor_bp", flipped_composite),
     "wedge-sign-flip": (singcat, "_form_complex", _flip_first(wedge=True)),
     "contraction-sign-flip": (singcat, "_form_complex", _flip_first(wedge=False)),
+    "ext-formula-first-row-emptied": (cli, "ext_formula_row", first_row_emptied),
+    "ext-sign-blind": (singcat, "ext_k_k_row", sign_blind_ext_row),
+    "quotient-top-degree-dropped": (singcat, "quotient_by_variables", top_degree_dropped),
+    "st-gram-entry-raised": (lattice, "st_gram", raised_st_entry),
+    "euler-corner-doubled": (lattice, "euler_matrix", doubled_euler_corner),
+    "one-var-off-diagonal-flipped": (lattice, "one_var_form", flipped_one_var_form),
 }
 
-# mutant, p, and each failing check with a fragment of its detail (formality has none)
+# mutant, p, and each failing check with a fragment of its detail (formality and
+# euler-gram-shape have none)
 KILL_MATRIX = [
     ("suspend-drops-a-composite", "3,3", {"suspension-pipeline": "gauge comparison failed"}),
     ("tensor-bp-sign-flip", "3,3,3", {"gauge-vs-tensor": "sign system is inconsistent"}),
@@ -151,6 +216,18 @@ KILL_MATRIX = [
         "resolution-exact": "square at level -2 nonzero",
         "koszul-perfect": "square at level -2 nonzero",
     }),
+    ("ext-formula-first-row-emptied", "3,3,3", {"ext-agreement": "'mismatches': [[[0, 0, 0, 0]"}),
+    ("ext-sign-blind", "3,3,3", {"ext-vanishing": "'nonzero'"}),
+    ("quotient-top-degree-dropped", "3,3,3", {"short-exact-sequences": "'failing': [[1, 3]"}),
+    ("st-gram-entry-raised", "3,3,3", {
+        "st-gram-shape": "'rank': 8",
+        "comparison-report": "'expected': -4, 'found': -3",
+    }),
+    ("euler-corner-doubled", "3,3,3", {
+        "euler-gram-shape": None,
+        "comparison-report": "'expected': 4, 'found': 2",
+    }),
+    ("one-var-off-diagonal-flipped", "3,3,3", {"comparison-report": "'expected': -4, 'found': 4"}),
 ]
 
 
@@ -186,3 +263,11 @@ def test_last_stage_rechecks_never_fail_first(capsys, monkeypatch, mutant, p):
     code, failing = failing_checks(capsys, monkeypatch, mutant, p)
     assert code == 1
     assert set(failing) == {"suspension-pipeline"}
+
+
+def test_every_named_check_is_killed_by_a_row(capsys):
+    assert cli.run(["verify", "--suite", "all", "--p", "3,3,3", "--json"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert {c["name"] for s in suites for c in s["checks"]} == {
+        name for _, _, expected in KILL_MATRIX for name in expected
+    }

@@ -17,7 +17,8 @@ from bpsing.suspension import (
     tower_label,
     verify_suspension,
 )
-from bpsing.twisted import twisted_hom
+from bpsing.twisted import hom_complex
+from helpers import drop_one_composite
 
 
 def test_directed_extension_refuses_object_counts_above_the_limit(monkeypatch):
@@ -219,23 +220,11 @@ def test_verify_suspension_reports_the_checked_suspension(monkeypatch):
     ]
 
 
-def _drop_one_composite(C):
-    """C with its first composite of two non-identity morphisms removed, if any."""
-    entries = dict(C.composition_entries())
-    victims = [(g, f) for (g, f) in entries if not (C.is_identity(g) or C.is_identity(f))]
-    if not victims:
-        return C
-    del entries[victims[0]]
-    n = len(C.objects)
-    homs = {(i, j): C.hom(i, j) for i in range(n) for j in range(i + 1, n) if C.hom(i, j)}
-    return DirectedGradedCategory(C.objects, homs, entries)
-
-
 def test_verified_fukaya_rejects_a_broken_suspension(monkeypatch):
     real = suspension.suspend
 
     def broken(A, k):
-        return _drop_one_composite(real(A, k))
+        return drop_one_composite(real(A, k))
 
     monkeypatch.setattr(suspension, "suspend", broken)
     # (2, 3) has no composite, so for (2, 3, 4) only the returned last stage is broken
@@ -244,20 +233,19 @@ def test_verified_fukaya_rejects_a_broken_suspension(monkeypatch):
             fukaya_bp(p, verify=True)
 
 
-def _same_tables(shared, fresh):
-    """Entry-by-entry comparison of two TwistedHoms; the first mismatch or None."""
-    H, F = shared.complex, fresh.complex
-    if (H.X, H.Y) != (fresh.X, fresh.Y):
+def _same_tables(H, F):
+    """Entry-by-entry comparison of two HomComplexes; the first mismatch or None."""
+    if (H.X, H.Y) != (F.X, F.Y):
         return "bound objects"
     if H.basis != F.basis or H.position != F.position:
         return "basis"
     for d in set(H.degrees()) | {d - 1 for d in H.degrees()}:
         if H.differential(d) != F.differential(d):
             return f"differential {d}"
-    if H.dims() != F.dims() or shared.cohomology.dims != fresh.cohomology.dims:
+    if H.dims() != F.dims() or H.cohomology.dims != F.cohomology.dims:
         return "dims"
     for d in H.degrees():
-        if shared.cohomology.representatives(d) != fresh.cohomology.representatives(d):
+        if H.cohomology.representatives(d) != F.cohomology.representatives(d):
             return f"representatives {d}"
     return None
 
@@ -269,7 +257,7 @@ def test_hom_complexes_shared_by_shape_equal_fresh_ones(monkeypatch, p):
 
     def checking(h, X, Y):
         shared = real(h, X, Y)
-        mismatch = _same_tables(shared, twisted_hom(X, Y))
+        mismatch = _same_tables(shared, hom_complex(X, Y))
         assert mismatch is None, (p, X.components, Y.components, mismatch)
         checked.append(shared)
         return shared

@@ -9,7 +9,6 @@ from bpsing.dgcat import DirectedGradedCategory, MorRef, a_category, tensor_bp
 from bpsing.exactlin import ComplexError
 from bpsing.suspension import connector, directed_extension, fukaya_bp, suspend
 from bpsing.twisted import (
-    TwistedHom,
     TwistedObject,
     cohomology,
     compose_classes,
@@ -18,7 +17,6 @@ from bpsing.twisted import (
     identity_class,
     rebind,
     single,
-    twisted_hom,
 )
 from helpers import morphism_by_name
 
@@ -142,6 +140,17 @@ def test_hom_complex_differential_squares_to_zero():
                 assert (H.differential(d) @ H.differential(d - 1)).is_zero()
 
 
+def test_hom_complex_rejects_a_differential_that_does_not_square_to_zero():
+    E = directed_extension(a_category(2), 3)
+    g = morphism_by_name(E, "(1, 2)->(2, 2)#0")
+    f = morphism_by_name(E, "(1, 3)->(1, 2)#0")
+    # with this composite gone the connector square from (1, 3) to (2, 2) no
+    # longer commutes, so the differential of hom(S_{1,2}, S_{2,1}) squares to nonzero
+    B = _recomposed(E, {(g, f): {}})
+    with pytest.raises(ComplexError):
+        hom_complex(cone(B, connector(B, 1, 2)), cone(B, connector(B, 2, 1)))
+
+
 def test_cohomology_preserves_euler_characteristic():
     A = tensor_bp((2, 3))
     E = directed_extension(A, 3)
@@ -160,9 +169,9 @@ def test_identity_class_is_a_unit():
     E = directed_extension(A, 2)
     S1 = cone(E, connector(E, 1, 1))
     S2 = cone(E, connector(E, 2, 1))
-    h11 = twisted_hom(S1, S1)
-    h22 = twisted_hom(S2, S2)
-    h12 = twisted_hom(S1, S2)
+    h11 = hom_complex(S1, S1)
+    h22 = hom_complex(S2, S2)
+    h12 = hom_complex(S1, S2)
     assert h12.cohomology.dims == {1: 1}
     alpha = (1, (Fraction(1),))
     one1 = identity_class(h11)
@@ -178,9 +187,9 @@ def test_consecutive_generator_classes_compose_to_zero():
     S1 = cone(E, connector(E, 1, 1))
     S2 = cone(E, connector(E, 2, 1))
     S3 = cone(E, connector(E, 3, 1))
-    h12 = twisted_hom(S1, S2)
-    h23 = twisted_hom(S2, S3)
-    h13 = twisted_hom(S1, S3)
+    h12 = hom_complex(S1, S2)
+    h23 = hom_complex(S2, S3)
+    h13 = hom_complex(S1, S3)
     assert h13.cohomology.dims == {}
     out = compose_classes(h23, h12, h13, (1, (Fraction(1),)), (1, (Fraction(1),)))
     assert out == (2, ())
@@ -215,18 +224,18 @@ def reference_compose_classes(h_yz, h_xy, h_xz, alpha, beta):
     reps_b = h_xy.cohomology.representatives(db)
     if len(ca) != len(reps_a) or len(cb) != len(reps_b):
         raise ValueError("class coefficients do not match representative count")
-    va = [Fraction(0)] * h_yz.complex.dim(da)
+    va = [Fraction(0)] * h_yz.dim(da)
     for coeff, rep in zip(ca, reps_a):
         for i, x in enumerate(rep):
             va[i] += coeff * x
-    vb = [Fraction(0)] * h_xy.complex.dim(db)
+    vb = [Fraction(0)] * h_xy.dim(db)
     for coeff, rep in zip(cb, reps_b):
         for i, x in enumerate(rep):
             vb[i] += coeff * x
     total, vec = reference_compose_cochains(
-        h_yz.complex, h_xy.complex, h_xz.complex, (da, tuple(va)), (db, tuple(vb))
+        h_yz, h_xy, h_xz, (da, tuple(va)), (db, tuple(vb))
     )
-    if any(x != 0 for x in h_xz.complex.differential(total).apply(vec)):
+    if any(x != 0 for x in h_xz.differential(total).apply(vec)):
         raise ComplexError("composite of cocycles is not closed")
     return (total, tuple(h_xz.cohomology.coordinates(total, vec)))
 
@@ -272,7 +281,7 @@ def _recomposed(E, changes):
 def test_compose_classes_rejects_a_composite_that_is_not_closed():
     E = directed_extension(a_category(2), 2)
     S1, S2 = _connector_cones(E)
-    h12, h22 = twisted_hom(S1, S2), twisted_hom(S2, S2)
+    h12, h22 = hom_complex(S1, S2), hom_complex(S2, S2)
     alpha = (1, (Fraction(1),))
     # the same cones over E with a unit that is not strict: id after x is 2x
     # on the top level, so the unit class no longer fixes the cocycle
@@ -299,11 +308,12 @@ def test_compose_classes_rejects_a_vector_outside_the_span():
         },
     )
     F1, F2 = _connector_cones(flat)
-    h12, h22 = twisted_hom(F1, F2), twisted_hom(F2, F2)
+    h12, h22 = hom_complex(F1, F2), hom_complex(F2, F2)
     assert h12.cohomology.dims == {1: 2, 2: 1}
     # projected with E's cohomology, where a single basis cochain is no cocycle
     S1, S2 = _connector_cones(E)
-    target = TwistedHom(F1, F2, h12.complex, twisted_hom(S1, S2).cohomology)
+    target = rebind(h12, F1, F2)
+    target.cohomology = hom_complex(S1, S2).cohomology
     args = (h22, h12, target, identity_class(h22), (1, (Fraction(1), Fraction(0))))
     for fn in (compose_classes, reference_compose_classes):
         with pytest.raises(ValueError, match="not in the span"):
