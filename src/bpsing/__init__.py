@@ -35,6 +35,7 @@ from .grading import (
 from .dgcat import (
     DirectedGradedCategory,
     EulerMatrix,
+    FormalityReport,
     GaugeResult,
     MorRef,
     ValidationReport,

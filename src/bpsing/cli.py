@@ -3,18 +3,23 @@
 Subcommands construct the category models, run the suspension pipeline, dump
 bilinear lattices, compute graded Ext tables, and run verification suites.
 Output is plain text by default and JSON with ``--json``; both are fully
-deterministic, so identical invocations produce byte-identical bytes.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+deterministic, so identical invocations produce byte-identical bytes.  JSON
+output is exactly ``json.dumps(obj, indent=2)`` plus a newline, written by
+``_dump_json``.  One parser serves every ``run`` of a process.  Exit codes: 0
+success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import neg
 from typing import Sequence
 
 from .dgcat import (
@@ -126,7 +131,37 @@ def _attach_coords(argv: Sequence[str]) -> list[str]:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, without the pure-Python encoder that
+    ``indent`` selects: dicts and lists are laid out here, strings and ints go
+    through C, and any other value (a float, a subclass, an empty container)
+    is json's own text re-indented, so the bytes match for every JSON value.
+    """
+    return _layout(obj, "\n") + "\n"
+
+
+def _layout(x, nl: str) -> str:
+    """The indent-2 JSON text of x, with nl (newline plus x's indent) starting its lines."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    inner = nl + "  "
+    if t is dict and x and set(map(type, x)) <= {str}:
+        items = [encode_basestring_ascii(k) + ": " + _layout(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if (t is list or t is tuple) and x:
+        if set(map(type, x)) == {int}:
+            items = map(int.__repr__, x)
+        else:
+            items = [_layout(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    # JSON strings hold no raw newline, so this only re-indents json's lines
+    return json.dumps(x, indent=2).replace("\n", nl)
 
 
 def _fmt_dims(dims: dict[int, int]) -> str:
@@ -200,7 +235,8 @@ def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
                 {} if rep.ok else {"violations": list(rep.violations)[:5]},
             )
         )
-        checks.append(CheckResult("formality", formality_check(C)))
+        formal = formality_check(C)
+        checks.append(CheckResult("formality", bool(formal), {} if formal else formal.chain))
         model = tensor_bp(p)
         g = gauge_isomorphic(C, model, {x: x for x in C.objects})
         checks.append(
@@ -279,29 +315,29 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     return VerificationReport("singcat", tuple(checks))
 
 
-def _shape_ok(entries, symmetric: bool) -> bool:
-    size = len(entries)
-    for i in range(size):
-        want_diag = 2 if symmetric else 0
-        if entries[i][i] != want_diag:
-            return False
-        for j in range(size):
-            mirror = entries[j][i] if symmetric else -entries[j][i]
-            if entries[i][j] != mirror:
-                return False
-    return True
+def _shape_fault(gram, symmetric: bool) -> dict | None:
+    """The wrong flag or first entry that keeps a Gram matrix from being symmetric
+    with diagonal 2 (antisymmetric with diagonal 0 when not ``symmetric``), or None."""
+    if gram.symmetric != symmetric:
+        return {"flag": "symmetric", "expected": symmetric, "found": gram.symmetric}
+    for i, (row, col) in enumerate(zip(gram.entries, zip(*gram.entries))):
+        expected = list(col if symmetric else map(neg, col))
+        expected[i] = 2 if symmetric else 0
+        if list(row) != expected:
+            j = next(j for j, (x, y) in enumerate(zip(row, expected)) if x != y)
+            return {"entry": [i, j], "expected": expected[j], "found": row[j]}
+    return None
 
 
 def _suite_lattice(p: tuple[int, ...]) -> VerificationReport:
     checks: list[CheckResult] = []
     odd = len(p) % 2 == 1
     cmpr = compare(p)
-    s, e = cmpr.st, cmpr.euler
-    checks.append(
-        CheckResult("st-gram-shape", s.symmetric == odd and _shape_ok(s.entries, odd),
-                    {"rank": len(s.labels)})
-    )
-    checks.append(CheckResult("euler-gram-shape", e.symmetric == odd and _shape_ok(e.entries, odd)))
+    fault = _shape_fault(cmpr.st, odd)
+    detail = {"rank": len(cmpr.labels), **(fault or {})}
+    checks.append(CheckResult("st-gram-shape", fault is None, detail))
+    fault = _shape_fault(cmpr.euler, odd)
+    checks.append(CheckResult("euler-gram-shape", fault is None, fault or {}))
     detail = {"disagreements": len(cmpr.disagreements), "agree": cmpr.agree}
     mismatch = _sebastiani_thom_mismatch(cmpr)
     if mismatch:
@@ -363,12 +399,11 @@ def _cmd_lattice(args) -> int:
         obj = {
             "p": list(p),
             "orientation": args.orientation,
-            "labels": [list(x) for x in cmpr.labels],
-            "st": [list(row) for row in cmpr.st.entries],
-            "euler": [list(row) for row in cmpr.euler.entries],
+            "labels": cmpr.labels,
+            "st": cmpr.st.entries,
+            "euler": cmpr.euler.entries,
             "disagreements": [
-                {"i": list(a), "j": list(b), "st": u, "euler": v}
-                for a, b, u, v in cmpr.disagreements
+                {"i": a, "j": b, "st": u, "euler": v} for a, b, u, v in cmpr.disagreements
             ],
             "agree": cmpr.agree,
         }
@@ -575,7 +610,9 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; each ``parse_args`` fills a new namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument(
@@ -645,9 +682,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str]) -> int:
     """Parse argv (without the program name) and execute; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_coords(argv))
+        args = _build_parser().parse_args(_attach_coords(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

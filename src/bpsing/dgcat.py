@@ -343,13 +343,25 @@ def euler_matrix(C: DirectedGradedCategory) -> EulerMatrix:
     return EulerMatrix(objects=C.objects, entries=tuple(map(tuple, rows)))
 
 
-def formality_check(C: DirectedGradedCategory) -> bool:
+@dataclass(frozen=True)
+class FormalityReport:
+    """True when no chain breaks formality; else ``chain`` gives the first one's
+    end objects X_0 and X_d, its length d and the degree where hom(X_0, X_d) is not 0."""
+
+    chain: dict | None = None
+
+    def __bool__(self) -> bool:
+        return self.chain is None
+
+
+def formality_check(C: DirectedGradedCategory) -> FormalityReport:
     """No hom space survives in a degree reachable by a higher product.
 
     For every chain X_0 < ... < X_d with d >= 3 and all consecutive homs
     nonzero, with s the sum of one basis degree per step, the space
     hom(X_0, X_d) must vanish in degree s + 2 - d.  The scan walks chains by
-    dynamic programming on (endpoint, length, degree sum).
+    dynamic programming on (endpoint, length, degree sum); the report is true
+    when it passes.
     """
     n = len(C.objects)
     edges: dict[int, list[tuple[int, tuple[int, ...]]]] = {i: [] for i in range(n)}
@@ -375,9 +387,11 @@ def formality_check(C: DirectedGradedCategory) -> bool:
                     target = set(C.hom(x0, cur))
                     for s in sums:
                         if s + 2 - depth in target:
-                            return False
+                            degree = min(target.intersection(t + 2 - depth for t in sums))
+                            ends = {"from": str(C.objects[x0]), "to": str(C.objects[cur])}
+                            return FormalityReport({**ends, "length": depth, "degree": degree})
             frontier = nxt
-    return True
+    return FormalityReport()
 
 
 def square_sign_audit(C: DirectedGradedCategory) -> list[str]:
@@ -662,24 +676,26 @@ def _label_from_str(s: str):
 def to_json_dict(C: DirectedGradedCategory) -> dict:
     """Plain-dict form: objects as label strings, homs with degrees and
     names, compositions as coefficient strings (exact rationals)."""
-    homs = []
-    for f in C.morphisms():
-        homs.append(
-            {
-                "src": str(C.objects[f.src]),
-                "tgt": str(C.objects[f.tgt]),
-                "degree": C.degree(f),
-                "name": C.name(f),
-            }
-        )
+    # named once; a broken table's composite outside the basis is named on the spot
+    names = {f: C.name(f) for f in C.morphisms()}
+    homs = [
+        {
+            "src": str(C.objects[f.src]),
+            "tgt": str(C.objects[f.tgt]),
+            "degree": C.degree(f),
+            "name": name,
+        }
+        for f, name in names.items()
+    ]
     comp = []
     for (g, f), entry in C.composition_entries():
         for idx in sorted(entry):
+            result = MorRef(f.src, g.tgt, idx)
             comp.append(
                 {
-                    "g": C.name(g),
-                    "f": C.name(f),
-                    "result": C.name(MorRef(f.src, g.tgt, idx)),
+                    "g": names.get(g) or C.name(g),
+                    "f": names.get(f) or C.name(f),
+                    "result": names.get(result) or C.name(result),
                     "coeff": str(entry[idx]),
                 }
             )

@@ -215,8 +215,9 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
     report = validate(out)
     if not report.ok:
         raise SuspensionError("suspension output fails validation: " + report.violations[0])
-    if not formality_check(out):
-        raise SuspensionError("suspension output fails the formality scan")
+    formal = formality_check(out)
+    if not formal:
+        raise SuspensionError(f"suspension output fails the formality scan: {formal.chain}")
     return out
 
 

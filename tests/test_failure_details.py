@@ -1,0 +1,49 @@
+"""Failure details of the shape and formality checks: where, expected and found.
+
+Passing checks print no detail beyond what they printed before, so stdout on
+correct input is unchanged; these tests look at the failing side.
+"""
+
+import pytest
+
+from bpsing import cli
+from bpsing.dgcat import formality_check, tensor_bp
+from bpsing.lattice import BilinearLattice, compare, st_gram
+from bpsing.suspension import SuspensionError, suspend
+from test_mutations import extra_hom
+
+
+@pytest.mark.parametrize("p", [(2,), (2, 3), (3, 3, 3), (2, 3, 4, 5)])
+def test_true_grams_have_their_shape(p):
+    cmpr = compare(p)
+    odd = len(p) % 2 == 1
+    assert cli._shape_fault(cmpr.st, odd) is None
+    assert cli._shape_fault(cmpr.euler, odd) is None
+
+
+def test_a_wrong_symmetric_flag_is_reported_before_any_entry():
+    s = st_gram((3, 3, 3))
+    flipped = BilinearLattice(s.labels, s.entries, symmetric=False)
+    assert cli._shape_fault(flipped, True) == {"flag": "symmetric", "expected": True, "found": False}
+
+
+def test_the_first_antisymmetry_fault_names_its_entry():
+    s = st_gram((3, 3))
+    rows = [list(row) for row in s.entries]
+    rows[2][1] += 1
+    broken = BilinearLattice(s.labels, tuple(map(tuple, rows)), s.symmetric)
+    assert cli._shape_fault(broken, False) == {
+        "entry": [1, 2], "expected": -rows[2][1], "found": rows[1][2],
+    }
+
+
+def test_formality_report_names_the_first_chain():
+    assert formality_check(tensor_bp((3, 3, 3)))
+    report = formality_check(extra_hom(4))
+    assert not report
+    assert report.chain == {"from": "1", "to": "4", "length": 3, "degree": 2}
+
+
+def test_suspend_puts_the_formality_chain_in_its_error():
+    with pytest.raises(SuspensionError, match=r"formality scan: .*'length': 3, 'degree': 2"):
+        suspend(extra_hom(4), 3)

@@ -190,8 +190,7 @@ MUTANTS = {
     "one-var-off-diagonal-flipped": (lattice, "one_var_form", flipped_one_var_form),
 }
 
-# mutant, p, and each failing check with a fragment of its detail (formality and
-# euler-gram-shape have none)
+# mutant, p, and each failing check with a fragment of its detail
 KILL_MATRIX = [
     ("suspend-drops-a-composite", "3,3", {"suspension-pipeline": "gauge comparison failed"}),
     ("tensor-bp-sign-flip", "3,3,3", {"gauge-vs-tensor": "sign system is inconsistent"}),
@@ -204,7 +203,7 @@ KILL_MATRIX = [
         "gauge-vs-tensor": "graded dimensions differ at ((1,), (3,))",
     }),
     ("extra-degree-2-hom", "5", {
-        "formality": None,
+        "formality": "'to': '(4,)', 'length': 3, 'degree': 2",
         "gauge-vs-tensor": "graded dimensions differ at ((1,), (4,))",
     }),
     ("commuting-diamond", "5", {
@@ -224,7 +223,7 @@ KILL_MATRIX = [
         "comparison-report": "'expected': -4, 'found': -3",
     }),
     ("euler-corner-doubled", "3,3,3", {
-        "euler-gram-shape": None,
+        "euler-gram-shape": "'entry': [0, 0], 'expected': 2, 'found': 4",
         "comparison-report": "'expected': 4, 'found': 2",
     }),
     ("one-var-off-diagonal-flipped", "3,3,3", {"comparison-report": "'expected': -4, 'found': 4"}),
