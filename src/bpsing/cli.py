@@ -22,15 +22,7 @@ from json.encoder import encode_basestring_ascii
 from operator import neg
 from typing import Sequence
 
-from .dgcat import (
-    DirectedGradedCategory,
-    formality_check,
-    gauge_isomorphic,
-    square_sign_audit,
-    tensor_bp,
-    to_json_dict,
-    validate,
-)
+from .dgcat import DirectedGradedCategory, tensor_bp, to_json_dict
 from .exactlin import ComplexError
 from .grading import LGroup, cy_check, exponent_seq, orlov_group
 from .lattice import compare
@@ -46,7 +38,7 @@ from .singcat import (
     lemma_k_check,
     validate_resolution,
 )
-from .suspension import SuspensionError, fukaya_bp, suspension_tower
+from .suspension import SuspensionError, fukaya_bp, fukaya_checks
 
 
 # ---------------------------------------------------------------------------
@@ -218,35 +210,8 @@ def _twist_grid(n: int):
 
 
 def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
-    checks: list[CheckResult] = []
-    C = None
-    try:
-        # each step is checked in the tower; the checks against tensor_bp(p)
-        # and the square audit of C run once, below
-        C = suspension_tower(p, verify=True)[-1]
-        checks.append(CheckResult("suspension-pipeline", True))
-    except (ComplexError, SuspensionError) as exc:
-        checks.append(CheckResult("suspension-pipeline", False, {"error": str(exc)}))
-    if C is not None:
-        rep = validate(C)
-        checks.append(
-            CheckResult(
-                "category-valid", rep.ok,
-                {} if rep.ok else {"violations": list(rep.violations)[:5]},
-            )
-        )
-        formal = formality_check(C)
-        checks.append(CheckResult("formality", bool(formal), {} if formal else formal.chain))
-        model = tensor_bp(p)
-        g = gauge_isomorphic(C, model, {x: x for x in C.objects})
-        checks.append(
-            CheckResult("gauge-vs-tensor", g.ok, {} if g.ok else {"reason": g.reason or ""})
-        )
-        audit = square_sign_audit(C)
-        checks.append(
-            CheckResult("square-sign-audit", not audit, {} if not audit else {"problems": audit[:5]})
-        )
-    return VerificationReport("fukaya", tuple(checks))
+    _, checks = fukaya_checks(p)
+    return VerificationReport("fukaya", tuple(CheckResult(*c) for c in checks))
 
 
 def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
@@ -383,7 +348,7 @@ def _cmd_suspend(args) -> int:
     if args.k < 2:
         raise ValueError("k must be >= 2")
     # suspending the last stage of p with k levels is stage p + (k,) of the tower
-    S = suspension_tower(p + (args.k,), args.verify)[-1]
+    S = fukaya_bp(p + (args.k,), args.verify)
     return _emit_category(args, f"p: {p}  k: {args.k}", S, args.verify)
 
 

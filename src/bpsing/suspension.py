@@ -10,7 +10,7 @@ object gains a degree-0 copy e_{X,j} of the identity from (X, j+1) to (X, j).
 all hom-complex cohomologies between them, and assembles a new directed
 graded category from the surviving classes with composition induced on
 representatives.  Iterating from a linear quiver builds the categories
-attached to exponent sequences: ``fukaya_bp``.
+attached to exponent sequences: ``fukaya_bp``, checked by ``fukaya_checks``.
 
 The hom complex between S_{x,j} and S_{x',j'} is fixed, table for table, by
 its shape: the degree tuple of hom_A(x, x'), whether x = x', and j - j'
@@ -44,6 +44,7 @@ from .dgcat import (
     tower_label,
     validate,
 )
+from .exactlin import ComplexError
 from .grading import exponent_seq
 from .twisted import (
     Class,
@@ -280,24 +281,48 @@ def suspension_tower(p: Iterable[int], verify: bool = False) -> list[DirectedGra
     return tower
 
 
+def fukaya_checks(p: Iterable[int]) -> tuple[DirectedGradedCategory | None, tuple[tuple, ...]]:
+    """The verified tower's last stage and its named results, as (name, ok, detail).
+
+    The results are ``suspension-pipeline``, then ``category-valid``,
+    ``formality``, ``gauge-vs-tensor`` (the last stage against
+    ``tensor_bp(p)``) and ``square-sign-audit``; a detail is empty on success.
+    A failed pipeline gives None and its one result.  With two or more
+    entries the last step has checked the last stage: ``suspend`` raises on a
+    failed validation or formality scan and ``verify_suspension`` fails the
+    step on any audit message, so those three pass without running again.
+    With one entry no step ran, so they check the base here.
+    """
+    p = exponent_seq(p)
+    try:
+        C = suspension_tower(p, verify=True)[-1]
+    except (ComplexError, SuspensionError) as exc:
+        return None, (("suspension-pipeline", False, {"error": str(exc)}),)
+    base = len(p) == 1
+    violations = list(validate(C).violations)[:5] if base else []
+    chain = formality_check(C).chain if base else None
+    gauge = gauge_isomorphic(C, tensor_bp(p), {x: x for x in C.objects})
+    audit = square_sign_audit(C)[:5] if base else []
+    return C, (
+        ("suspension-pipeline", True, {}),
+        ("category-valid", not violations, {"violations": violations} if violations else {}),
+        ("formality", chain is None, chain or {}),
+        ("gauge-vs-tensor", gauge.ok, {} if gauge.ok else {"reason": gauge.reason or ""}),
+        ("square-sign-audit", not audit, {"problems": audit} if audit else {}),
+    )
+
+
 def fukaya_bp(p: Iterable[int], verify: bool = False) -> DirectedGradedCategory:
     """Iterated suspension attached to an exponent sequence.
 
-    With ``verify`` each step is checked gauge-isomorphic to the tensor of
-    the previous stage with a linear quiver, including the anticommuting-
-    square audit of the stage it returns, and the final category against
-    ``tensor_bp(p)``; any failure raises SuspensionError.
+    With ``verify`` the category comes from ``fukaya_checks``, and its first
+    failing result raises SuspensionError: a failed step with the step's own
+    message, any later check with its name and detail.
     """
-    p = exponent_seq(p)
-    C = suspension_tower(p, verify)[-1]
     if not verify:
-        return C
-    final = gauge_isomorphic(C, tensor_bp(p), {x: x for x in C.objects})
-    if not final.ok:
-        raise SuspensionError(f"final comparison failed: {final.reason}")
-    if len(p) == 1:
-        # no step ran, so the audit of the last step has not seen C
-        audit = square_sign_audit(C)
-        if audit:
-            raise SuspensionError("; ".join(audit))
+        return suspension_tower(p)[-1]
+    C, checks = fukaya_checks(p)
+    for name, ok, detail in checks:
+        if not ok:
+            raise SuspensionError(detail["error"] if C is None else f"{name} failed: {detail}")
     return C

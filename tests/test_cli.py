@@ -1,5 +1,7 @@
 """Command-line interface: schemas, exit codes, deterministic output."""
 
+import ast
+import inspect
 import json
 import resource
 import subprocess
@@ -323,3 +325,20 @@ def test_module_entry_point_and_determinism():
     )
     assert plain.returncode == 0
     assert "Z/2" in plain.stdout
+
+
+def test_cli_leaves_the_tower_checks_to_suspension():
+    """cli reaches the tower and its checks only through ``suspension``, so
+    ``fukaya --verify``, ``suspend --verify`` and ``verify --suite fukaya``
+    share one body."""
+    tree = ast.parse(inspect.getsource(bpsing.cli))
+    referenced = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            referenced.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+    tower = {"validate", "formality_check", "square_sign_audit", "gauge_isomorphic", "suspension_tower"}
+    assert not referenced & tower, referenced & tower

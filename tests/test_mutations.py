@@ -8,11 +8,12 @@ a weakened check still passes on correct input, so no run could kill it.
 
 Outcomes recorded beside ``KILL_MATRIX``:
 
-- With two or more entries, no mutant fails ``category-valid``,
-  ``formality`` or ``square-sign-audit``, the three lines that check the
-  last tower stage again.  The four ``a_category`` mutants and the dropped
+- With two or more entries, ``category-valid``, ``formality`` and
+  ``square-sign-audit`` report the last tower step's own checks, so no
+  mutant fails them there.  The four ``a_category`` mutants and the dropped
   composite fail ``suspension-pipeline`` instead, and the later lines are
-  not printed (``test_last_stage_rechecks_never_fail_first``).
+  not printed (``test_last_stage_rechecks_never_fail_first``).  With one
+  entry no step runs, and the three lines check the base category.
 - Equivalent mutants: one flipped sign in ``tensor_bp((3, 3))`` is removed
   by rescaling one morphism of its single square, and on one variable every
   column of the resolution has one entry, so a single flipped sign gives an
@@ -27,14 +28,24 @@ from fractions import Fraction
 import pytest
 
 from bpsing import cli, lattice, singcat, suspension
-from bpsing.dgcat import DirectedGradedCategory, EulerMatrix, MorRef
+from bpsing.cli import CheckResult, VerificationReport
+from bpsing.dgcat import (
+    DirectedGradedCategory,
+    EulerMatrix,
+    MorRef,
+    formality_check,
+    gauge_isomorphic,
+    square_sign_audit,
+    validate,
+)
+from bpsing.exactlin import ComplexError
 from bpsing.grading import LGroup
 from bpsing.singcat import GradedModule
 from helpers import drop_one_composite
 
 _suspend = suspension.suspend
 _a_category = suspension.a_category
-_tensor_bp = cli.tensor_bp
+_tensor_bp = suspension.tensor_bp
 _form_complex = singcat._form_complex
 _ext_formula_row = cli.ext_formula_row
 _quotient_by_variables = singcat.quotient_by_variables
@@ -179,7 +190,7 @@ TOWER_MUTANTS = {
 }
 MUTANTS = {
     **TOWER_MUTANTS,
-    "tensor-bp-sign-flip": (cli, "tensor_bp", flipped_composite),
+    "tensor-bp-sign-flip": (suspension, "tensor_bp", flipped_composite),
     "wedge-sign-flip": (singcat, "_form_complex", _flip_first(wedge=True)),
     "contraction-sign-flip": (singcat, "_form_complex", _flip_first(wedge=False)),
     "ext-formula-first-row-emptied": (cli, "ext_formula_row", first_row_emptied),
@@ -270,3 +281,70 @@ def test_every_named_check_is_killed_by_a_row(capsys):
     assert {c["name"] for s in suites for c in s["checks"]} == {
         name for _, _, expected in KILL_MATRIX for name in expected
     }
+
+
+def reference_suite_fukaya(p):
+    """The fukaya suite as it was before ``suspension.fukaya_checks``: the
+    verified tower, then validation, the formality scan, the comparison with
+    ``tensor_bp(p)`` and the square audit, all run again on the last stage."""
+    checks = []
+    C = None
+    try:
+        C = suspension.suspension_tower(p, verify=True)[-1]
+        checks.append(CheckResult("suspension-pipeline", True))
+    except (ComplexError, suspension.SuspensionError) as exc:
+        checks.append(CheckResult("suspension-pipeline", False, {"error": str(exc)}))
+    if C is not None:
+        rep = validate(C)
+        checks.append(
+            CheckResult(
+                "category-valid", rep.ok,
+                {} if rep.ok else {"violations": list(rep.violations)[:5]},
+            )
+        )
+        formal = formality_check(C)
+        checks.append(CheckResult("formality", bool(formal), {} if formal else formal.chain))
+        g = gauge_isomorphic(C, suspension.tensor_bp(p), {x: x for x in C.objects})
+        checks.append(
+            CheckResult("gauge-vs-tensor", g.ok, {} if g.ok else {"reason": g.reason or ""})
+        )
+        audit = square_sign_audit(C)
+        checks.append(
+            CheckResult("square-sign-audit", not audit, {} if not audit else {"problems": audit[:5]})
+        )
+    return VerificationReport("fukaya", tuple(checks))
+
+
+ORACLE_CASES = (
+    [(None, p) for p in ["2", "5", "3,3", "3,3,3", "2,3,4,5"]]
+    + [(mutant, p) for mutant in sorted(TOWER_MUTANTS) for p in ["5", "5,3", "5,3,3"]]
+    + [("tensor-bp-sign-flip", "3,3,3")]
+)
+
+
+@pytest.mark.parametrize("mutant, p", ORACLE_CASES, ids=[f"{m}-{p}" for m, p in ORACLE_CASES])
+def test_fukaya_suite_matches_the_reference(monkeypatch, mutant, p):
+    if mutant is not None:
+        module, name, stand_in = MUTANTS[mutant]
+        monkeypatch.setattr(module, name, stand_in)
+    p = tuple(map(int, p.split(",")))
+    assert cli._suite_fukaya(p) == reference_suite_fukaya(p)
+
+
+def test_suspend_verify_compares_the_last_stage_with_the_tensor_model(capsys, monkeypatch):
+    monkeypatch.setattr(suspension, "tensor_bp", flipped_composite)
+    code = cli.run(["suspend", "--p", "3,3", "--k", "3", "--verify"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: gauge-vs-tensor failed: "), err
+    assert "sign system is inconsistent" in err
+
+
+def test_one_variable_fukaya_verify_names_the_first_failing_check(capsys, monkeypatch):
+    module, name, stand_in = MUTANTS["extra-degree-2-hom"]
+    monkeypatch.setattr(module, name, stand_in)
+    code = cli.run(["fukaya", "--p", "5", "--verify"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: formality failed: "), err
+    assert "'length': 3, 'degree': 2" in err

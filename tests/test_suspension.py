@@ -5,7 +5,7 @@ from math import comb, prod
 
 import pytest
 
-from bpsing import dgcat, suspension
+from bpsing import cli, dgcat, suspension
 from bpsing.dgcat import DirectedGradedCategory, MorRef, a_category, gauge_isomorphic, tensor, tensor_bp
 from bpsing.suspension import (
     SuspensionError,
@@ -293,15 +293,26 @@ CHECKED = (
 )
 
 
+def verified_fukaya_bp(p):
+    fukaya_bp(p, verify=True)
+
+
+def verify_suite_fukaya(p):
+    assert cli.run(["verify", "--suite", "fukaya", "--p", ",".join(map(str, p))]) == 0
+
+
 @pytest.mark.parametrize(
     "p, counts",
     [
         ((3, 3, 3), (2, 2, 2, 3, 2, 68)),
         ((2, 3, 4, 5), (3, 3, 3, 4, 3, 388)),
+        # no step runs, so the base is validated, scanned and audited once
+        ((5,), (0, 1, 1, 1, 1, 0)),
     ],
 )
-def test_verified_fukaya_runs_every_check(monkeypatch, p, counts):
-    """No check is skipped: each one runs as often as the tower needs it."""
+@pytest.mark.parametrize("entry", [verified_fukaya_bp, verify_suite_fukaya], ids=["fukaya_bp", "suite"])
+def test_verified_fukaya_runs_every_check(monkeypatch, entry, p, counts):
+    """No check is skipped or repeated: each one runs as often as the tower needs it."""
     calls = dict.fromkeys(CHECKED, 0)
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "bpsing"]
     for name in CHECKED:
@@ -314,5 +325,5 @@ def test_verified_fukaya_runs_every_check(monkeypatch, p, counts):
         for module in modules:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
-    fukaya_bp(p, verify=True)
+    entry(p)
     assert tuple(calls[name] for name in CHECKED) == counts
