@@ -19,10 +19,11 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import prod
 from operator import neg
 from typing import Sequence
 
-from .dgcat import DirectedGradedCategory, tensor_bp, to_json_dict
+from .dgcat import MAX_RANK, DirectedGradedCategory, tensor_bp, to_json_dict
 from .exactlin import ComplexError
 from .grading import LGroup, cy_check, exponent_seq, orlov_group
 from .lattice import compare
@@ -215,6 +216,10 @@ def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
 
 
 def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
+    # ext-agreement compares every pair of twists: refuse as the lattice routes do
+    count = prod(pi - 1 for pi in p)
+    if count > MAX_RANK:
+        raise ValueError(f"index set of prod(p_i - 1) = {count} twists exceeds the limit {MAX_RANK}")
     checks: list[CheckResult] = []
     # one ring for the three exactness checks, so each piece is built once
     ring = GradedRing(p)

@@ -431,13 +431,13 @@ def ext_k_k_row(p: Iterable[int], m: LDegree, targets: Sequence[LDegree]) -> lis
     The generator dx_I|j has the normal form (indicator of I, j), already
     normal because every p_t >= 2, and sits on level |I| + 2j, so at most
     one generator of one level has a given degree.  The row shares one
-    grading group among its targets.
+    grading group among its targets.  ``m`` and the targets are ``LDegree``
+    normal forms and are used as given, not normalized again.
     """
     L = LGroup(p)
-    source = L.normalize(m.raw())
     row = []
     for n in targets:
-        target = L.sub(source, L.normalize(n.raw()))
+        target = L.sub(m, n)
         generator = target.b >= 0 and all(a in (0, 1) for a in target.a)
         row.append({sum(target.a) + 2 * target.b: 1} if generator else {})
     return row
@@ -487,13 +487,14 @@ def ext_formula_row(
     -b_i + 1, which is one-dimensional in degree a_i - b_i when that gap is
     0 or 1 and zero otherwise.  So the product is one-dimensional in the
     sum of the gaps when every gap is 0 or 1, and zero otherwise.  Twists
-    outside the index set are rejected.
+    outside the index set are rejected.  ``m`` and the targets are
+    ``LDegree`` normal forms and are used as given, not normalized again.
     """
     L = LGroup(p)
-    a = _box_coordinates(L, L.normalize(m.raw()))
+    a = _box_coordinates(L, m)
     row = []
     for n in targets:
-        b = _box_coordinates(L, L.normalize(n.raw()))
+        b = _box_coordinates(L, n)
         gaps = [ai - bi for ai, bi in zip(a, b)]
         row.append({sum(gaps): 1} if all(g in (0, 1) for g in gaps) else {})
     return row

@@ -1,6 +1,7 @@
 """Lookups that only the tests need."""
 
 from bpsing.dgcat import DirectedGradedCategory, MorRef
+from bpsing.twisted import identity_class
 
 
 def morphism_by_name(C: DirectedGradedCategory, name: str) -> MorRef:
@@ -20,3 +21,13 @@ def drop_one_composite(C: DirectedGradedCategory) -> DirectedGradedCategory:
     del entries[victims[0]]
     homs = {(i, j): C.hom(i, j) for i, j in C.hom_pairs() if i < j}
     return DirectedGradedCategory(C.objects, homs, entries)
+
+
+def scaled_identity_class(factor):
+    """``identity_class`` with every coefficient times ``factor``: no unit unless factor is 1."""
+
+    def scaled(h):
+        d, coeffs = identity_class(h)
+        return d, tuple(factor * c for c in coeffs)
+
+    return scaled

@@ -223,6 +223,27 @@ def test_lattice_routes_reject_huge_ranks_before_building(capsys, monkeypatch):
     assert code == 0 and out
 
 
+def test_singcat_suite_refuses_huge_index_sets_before_building(capsys, monkeypatch):
+    def unreachable(p):
+        raise AssertionError(f"a ring for {p} was built before the index-set check")
+
+    # without the check ext-agreement would compare 99999^2 twist pairs
+    monkeypatch.setattr(bpsing.cli, "GradedRing", unreachable)
+    for p, count in [("100000", 99999), ("2,3,100000", 199998)]:
+        code, out, err = run_cli(capsys, "verify", "--suite", "singcat", "--p", p)
+        assert (code, out) == (2, "")
+        assert err == f"error: index set of prod(p_i - 1) = {count} twists exceeds the limit {MAX_RANK}\n"
+
+
+def test_singcat_suite_index_set_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(bpsing.cli, "MAX_RANK", 8)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "singcat", "--p", "3,3,3")
+    assert code == 0 and out.endswith("verify: PASS\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "singcat", "--p", "3,3,3,3")
+    assert (code, out) == (2, "")
+    assert err == "error: index set of prod(p_i - 1) = 16 twists exceeds the limit 8\n"
+
+
 def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch):
     def unreachable(m):
         raise AssertionError(f"a linear quiver with {m} objects was built before the check")

@@ -10,10 +10,11 @@ Outcomes recorded beside ``KILL_MATRIX``:
 
 - With two or more entries, ``category-valid``, ``formality`` and
   ``square-sign-audit`` report the last tower step's own checks, so no
-  mutant fails them there.  The four ``a_category`` mutants and the dropped
-  composite fail ``suspension-pipeline`` instead, and the later lines are
-  not printed (``test_last_stage_rechecks_never_fail_first``).  With one
-  entry no step runs, and the three lines check the base category.
+  mutant fails them there.  The four ``a_category`` mutants, the dropped
+  composite and the doubled identity class fail ``suspension-pipeline``
+  instead, and the later lines are not printed
+  (``test_last_stage_rechecks_never_fail_first``).  With one entry no step
+  runs, and the three lines check the base category.
 - Equivalent mutants: one flipped sign in ``tensor_bp((3, 3))`` is removed
   by rescaling one morphism of its single square, and on one variable every
   column of the resolution has one entry, so a single flipped sign gives an
@@ -41,7 +42,7 @@ from bpsing.dgcat import (
 from bpsing.exactlin import ComplexError
 from bpsing.grading import LGroup
 from bpsing.singcat import GradedModule
-from helpers import drop_one_composite
+from helpers import drop_one_composite, scaled_identity_class
 
 _suspend = suspension.suspend
 _a_category = suspension.a_category
@@ -187,6 +188,7 @@ TOWER_MUTANTS = {
     "wrong-degree-composite": (suspension, "a_category", wrong_degree_composite),
     "extra-degree-2-hom": (suspension, "a_category", extra_hom),
     "commuting-diamond": (suspension, "a_category", commuting_diamond),
+    "identity-class-doubled": (suspension, "identity_class", scaled_identity_class(2)),
 }
 MUTANTS = {
     **TOWER_MUTANTS,
@@ -204,6 +206,7 @@ MUTANTS = {
 # mutant, p, and each failing check with a fragment of its detail
 KILL_MATRIX = [
     ("suspend-drops-a-composite", "3,3", {"suspension-pipeline": "gauge comparison failed"}),
+    ("identity-class-doubled", "3,3", {"suspension-pipeline": "left unit fails for"}),
     ("tensor-bp-sign-flip", "3,3,3", {"gauge-vs-tensor": "sign system is inconsistent"}),
     ("off-basis-composite", "5", {
         "category-valid": "hits invalid basis index 0",

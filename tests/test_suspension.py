@@ -1,12 +1,25 @@
 """Suspension pipeline: stacked copies, cones, and the tensor-model check."""
 
+import ast
+import inspect
 import sys
+from fractions import Fraction
 from math import comb, prod
 
 import pytest
 
 from bpsing import cli, dgcat, suspension
-from bpsing.dgcat import DirectedGradedCategory, MorRef, a_category, gauge_isomorphic, tensor, tensor_bp
+from bpsing.dgcat import (
+    DirectedGradedCategory,
+    MorRef,
+    a_category,
+    formality_check,
+    gauge_isomorphic,
+    source_index,
+    tensor,
+    tensor_bp,
+    validate,
+)
 from bpsing.suspension import (
     SuspensionError,
     connector,
@@ -17,8 +30,8 @@ from bpsing.suspension import (
     tower_label,
     verify_suspension,
 )
-from bpsing.twisted import hom_complex
-from helpers import drop_one_composite
+from bpsing.twisted import compose_classes, cone, hom_complex, rebind
+from helpers import drop_one_composite, scaled_identity_class
 
 
 def test_directed_extension_refuses_object_counts_above_the_limit(monkeypatch):
@@ -281,6 +294,138 @@ def test_suspend_rejects_a_composite_outside_its_hom_basis():
     A = DirectedGradedCategory(("a", "b", "c"), homs, {(MorRef(1, 2, 0), MorRef(0, 1, 0)): {0: 1}})
     with pytest.raises(SuspensionError, match=r"\(b->c#0, a->b#0\) lands outside its hom basis"):
         suspend(A, 2)
+
+
+def reference_suspend(A, k):
+    """``suspend`` as it was with a second loop for the units: the identity
+    classes were composed with every basis class after the composition loop,
+    and the constructor filled in every identity composite."""
+    if k < 2:
+        raise ValueError("suspension needs at least two levels")
+    for f in A.morphisms():
+        unit = {f.idx: 1}
+        if A.compose(A.identity(f.tgt), f) != unit or A.compose(f, A.identity(f.src)) != unit:
+            raise SuspensionError(f"identities do not act strictly on {A.name(f)}")
+    for (g, f), entry in A._comp.items():
+        if any(not 0 <= idx < len(A.hom(f.src, g.tgt)) for idx in entry):
+            raise SuspensionError(f"({A.name(g)}, {A.name(f)}) lands outside its hom basis")
+    E = directed_extension(A, k)
+    spots = [(ia, j) for ia in range(len(A.objects)) for j in range(1, k)]
+    cones = {(ia, j): cone(E, connector(E, A.objects[ia], j)) for ia, j in spots}
+    labels = tuple((A.objects[ia], j) for ia, j in spots)
+
+    homs_data = {}
+    shapes = {}
+    for si, (ia, j) in enumerate(spots):
+        for sj in range(si, len(spots)):
+            ib, j2 = spots[sj]
+            key = (A.hom(ia, ib), ia == ib, max(-2, min(2, j - j2)))
+            X, Y = cones[(ia, j)], cones[(ib, j2)]
+            if key in shapes:
+                homs_data[(si, sj)] = rebind(shapes[key], X, Y)
+            else:
+                homs_data[(si, sj)] = shapes[key] = hom_complex(X, Y)
+
+    for si in range(len(spots)):
+        end_dims = homs_data[(si, si)].cohomology.dims
+        if end_dims != {0: 1}:
+            raise SuspensionError(
+                f"endomorphisms of cone {labels[si]} have dims {end_dims}, expected {{0: 1}}"
+            )
+
+    homs, basis_classes, class_index = {}, {}, {}
+    for (si, sj), h in homs_data.items():
+        if si == sj:
+            continue
+        dims = h.cohomology.dims
+        pairs = [(d, r) for d in sorted(dims) for r in range(dims[d])]
+        if pairs:
+            homs[(si, sj)] = tuple(d for d, _ in pairs)
+            basis_classes[(si, sj)] = tuple(
+                (d, tuple(Fraction(int(t == r)) for t in range(dims[d]))) for d, r in pairs
+            )
+            class_index[(si, sj)] = {dr: idx for idx, dr in enumerate(pairs)}
+    for si in range(len(spots)):
+        basis_classes[(si, si)] = (suspension.identity_class(homs_data[(si, si)]),)
+
+    def from_class(si, sj, value):
+        d, coeffs = value
+        index = class_index[(si, sj)]
+        return {index[(d, t)]: coeff for t, coeff in enumerate(coeffs) if coeff != 0}
+
+    comp = {}
+    targets = source_index(class_index)
+    for (si, sj) in sorted(class_index):
+        for sl in targets.get(sj, ()):
+            for fi in range(len(class_index[(si, sj)])):
+                for gi in range(len(class_index[(sj, sl)])):
+                    value = compose_classes(
+                        homs_data[(sj, sl)], homs_data[(si, sj)], homs_data[(si, sl)],
+                        basis_classes[(sj, sl)][gi], basis_classes[(si, sj)][fi],
+                    )
+                    entry = from_class(si, sl, value) if (si, sl) in class_index else {}
+                    if entry:
+                        comp[(MorRef(sj, sl, gi), MorRef(si, sj, fi))] = entry
+
+    for (si, sj) in sorted(class_index):
+        for expected in basis_classes[(si, sj)]:
+            left = compose_classes(
+                homs_data[(sj, sj)], homs_data[(si, sj)], homs_data[(si, sj)],
+                basis_classes[(sj, sj)][0], expected,
+            )
+            right = compose_classes(
+                homs_data[(si, sj)], homs_data[(si, si)], homs_data[(si, sj)],
+                expected, basis_classes[(si, si)][0],
+            )
+            if left != expected or right != expected:
+                raise SuspensionError("identity classes do not act strictly")
+
+    out = DirectedGradedCategory(labels, homs, comp)
+    report = validate(out)
+    if not report.ok:
+        raise SuspensionError("suspension output fails validation: " + report.violations[0])
+    formal = formality_check(out)
+    if not formal:
+        raise SuspensionError(f"suspension output fails the formality scan: {formal.chain}")
+    return out
+
+
+ORACLE_CATEGORIES = {
+    "a2": lambda: a_category(2),
+    "a3": lambda: a_category(3),
+    "tensor-2-3": lambda: tensor_bp((2, 3)),
+    "fukaya-3-3": lambda: fukaya_bp((3, 3)),
+    "fukaya-2-3-4": lambda: fukaya_bp((2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(ORACLE_CATEGORIES))
+def test_suspend_matches_the_reference(name, k):
+    A = ORACLE_CATEGORIES[name]()
+    assert suspend(A, k) == reference_suspend(A, k)
+
+
+@pytest.mark.parametrize("factor", [0, 2], ids=["zeroed", "doubled"])
+def test_both_suspends_reject_an_identity_class_that_is_not_a_unit(monkeypatch, factor):
+    # a zero unit leaves its composites empty, and they are not filled back in
+    monkeypatch.setattr(suspension, "identity_class", scaled_identity_class(factor))
+    for A in [a_category(2), tensor_bp((2, 3))]:
+        with pytest.raises(SuspensionError, match=r"left unit fails for \(.*\)->\(.*\)#0$"):
+            suspend(A, 3)
+        with pytest.raises(SuspensionError):
+            reference_suspend(A, 3)
+
+
+def test_suspend_composes_in_one_loop():
+    """The identity classes are composed in the one loop with every other class."""
+    tree = ast.parse(inspect.getsource(suspension))
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "suspend")
+    calls = [
+        node for node in ast.walk(body)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "compose_classes"
+    ]
+    assert len(calls) == 1
 
 
 CHECKED = (
