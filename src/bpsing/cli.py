@@ -41,6 +41,10 @@ from .singcat import (
 )
 from .suspension import SuspensionError, fukaya_bp, fukaya_checks
 
+# largest number of twist pairs ext-agreement compares, each in both row
+# routes: 1024 twists, which (33,33) reaches in seconds
+MAX_TWIST_PAIRS = 2**20
+
 
 # ---------------------------------------------------------------------------
 # verification reports
@@ -220,6 +224,10 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     count = prod(pi - 1 for pi in p)
     if count > MAX_RANK:
         raise ValueError(f"index set of prod(p_i - 1) = {count} twists exceeds the limit {MAX_RANK}")
+    if count * count > MAX_TWIST_PAIRS:
+        raise ValueError(
+            f"ext-agreement pair count {count}^2 = {count * count} exceeds the limit {MAX_TWIST_PAIRS}"
+        )
     checks: list[CheckResult] = []
     # one ring for the three exactness checks, so each piece is built once
     ring = GradedRing(p)

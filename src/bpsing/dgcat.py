@@ -7,6 +7,8 @@ whenever X comes after Y, and hom(X, X) is spanned by the identity.
 
 The composition table is stored explicitly (missing entry = zero composite),
 so deliberately broken tables can be built and then caught by ``validate``.
+A tensor product builds its table on the first read of ``_comp`` and keeps it
+from then on; a route that reads only hom dimensions never builds it.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ class DirectedGradedCategory:
     the basis of hom(f.src, g.tgt); absent entries are zero composites.
     Identity compositions are filled in strictly unless explicitly supplied.
 
-    Instances are immutable and no table changes after ``__init__``, which is
-    what lets ``relabel`` share the tables of the category it renames.
+    Instances are immutable.  A product from ``tensor`` leaves ``_comp`` unset
+    and holds a pending table instead, which the first read of ``_comp``
+    builds; no table changes once it exists, which is what lets ``relabel``
+    share the tables, pending or built, of the category it renames.
     """
 
-    __slots__ = ("objects", "_index", "_homs", "_comp", "_from")
+    __slots__ = ("objects", "_index", "_homs", "_comp", "_from", "_pending")
 
     def __init__(
         self,
@@ -82,26 +86,37 @@ class DirectedGradedCategory:
                          if (c := v if isinstance(v, Fraction) else Fraction(v))}
                 if entry:
                     comp_table[(g, f)] = entry
+        _fill_identities(comp_table, table)
         self._keep(objs, table, comp_table)
-        self._fill_identity_compositions()
 
-    def _keep(self, objects: tuple, homs: dict, comp: dict, from_index=None):
-        """Take tables already in the form ``__init__`` gives them, without copying."""
+    def _keep(self, objects: tuple, homs: dict, comp, from_index=None):
+        """Take tables already in the form ``__init__`` gives them, without copying.
+
+        ``comp`` may be a pending ``_ProductTable``, built on the first read of ``_comp``.
+        """
         index = {label: i for i, label in enumerate(objects)}
-        for name, value in zip(self.__slots__, (objects, index, homs, comp, from_index)):
+        pending = comp if isinstance(comp, _ProductTable) else None
+        for name, value in zip(("objects", "_index", "_homs", "_from", "_pending"),
+                               (objects, index, homs, from_index, pending)):
             object.__setattr__(self, name, value)
+        if pending is None:
+            object.__setattr__(self, "_comp", comp)
         return self
+
+    def __getattr__(self, name):
+        # reached only for an unset slot; ``_comp`` is unset while it is pending
+        if name != "_comp":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        table = self._pending.table()
+        object.__setattr__(self, "_comp", table)
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("category is immutable")
 
-    def _fill_identity_compositions(self):
-        comp, one = self._comp, Fraction(1)
-        ids = [self.identity(i) for i in range(len(self.objects))]
-        for f in self.morphisms():
-            for key in ((ids[f.tgt], f), (f, ids[f.src])):
-                if key not in comp:
-                    comp[key] = {f.idx: one}
+    def _composite_count(self) -> int:
+        """Size of the composition table, read without building a pending one."""
+        return len(self._comp) if self._pending is None else self._pending.count
 
     # -- basic access ---------------------------------------------------
 
@@ -190,6 +205,18 @@ def source_index(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]
     return {src: tuple(tgts) for src, tgts in out.items()}
 
 
+def _fill_identities(comp: dict, homs: Mapping[tuple[int, int], Sequence[int]]) -> None:
+    """Add the strict identity composites that ``comp`` lacks, in canonical order."""
+    one = Fraction(1)
+    ids = {i: MorRef(i, i, 0) for i, j in homs if i == j}
+    for (i, j) in sorted(homs):
+        for k in range(len(homs[(i, j)])):
+            f = MorRef(i, j, k)
+            for key in ((ids[j], f), (f, ids[i])):
+                if key not in comp:
+                    comp[key] = {k: one}
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -199,7 +226,8 @@ def source_index(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]
 MAX_RANK = 4096
 
 # largest composition table a product stores: tensor(A, B) holds exactly
-# len(A._comp) * len(B._comp) composites, identities included
+# len(A._comp) * len(B._comp) composites, identities included, a count
+# known before either table is built (``_composite_count``)
 MAX_COMPOSITES = 2**20
 
 
@@ -228,39 +256,72 @@ def a_category(m: int) -> DirectedGradedCategory:
     return DirectedGradedCategory(tuple(range(1, m + 1)), homs)
 
 
+class _ProductTable:
+    """The composition table of a product, built on first read and kept.
+
+    ``count`` is its size, known before the build.  The build drops the
+    arguments of ``_product_composites``, so no factor outlives its use.
+    """
+
+    __slots__ = ("count", "_args", "_table")
+
+    def __init__(self, count: int, *args):
+        self.count, self._args, self._table = count, args, None
+
+    def table(self) -> dict:
+        if self._table is None:
+            self._table, self._args = _product_composites(*self._args), None
+        return self._table
+
+
 def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGradedCategory:
     """Graded tensor product with the Koszul sign rule.
 
     Objects are pairs in A-major order; hom bases are products with the A
     factor outermost; compositions carry the sign (-1)^(|g1| |f2|) for
-    (f1 (x) g1) after (f2 (x) g2).
+    (f1 (x) g1) after (f2 (x) g2).  Objects and homs are built here, the
+    composition table on its first read (``_product_composites``).
     """
-    check_composites(len(A._comp) * len(B._comp))
+    count = A._composite_count() * B._composite_count()
+    check_composites(count)
     nb = len(B.objects)
     objects = tuple((a, b) for a in A.objects for b in B.objects)
-
     homs: dict[tuple[int, int], tuple[int, ...]] = {}
-    # each basis morphism of hom(i, j) with its A and B factors and their degrees
-    factors: dict[tuple[int, int], list[tuple[MorRef, MorRef, MorRef, int, int]]] = {}
     pairs_b = sorted(B._homs.items())
     for (ia, ja), ha in sorted(A._homs.items()):
         for (ib, jb), hb in pairs_b:
             i, j = ia * nb + ib, ja * nb + jb
             if i < j:
                 homs[(i, j)] = tuple(da + db for da in ha for db in hb)
-                factors[(i, j)] = [
-                    (MorRef(i, j, ka * len(hb) + kb), MorRef(ia, ja, ka), MorRef(ib, jb, kb),
-                     da, db)
-                    for ka, da in enumerate(ha)
-                    for kb, db in enumerate(hb)
-                ]
+    # both tables are in __init__'s form (ref keys, nonzero Fractions), so no copy
+    homs.update({(i, i): (0,) for i in range(len(objects))})
+    table = _ProductTable(count, A, B, homs)
+    return object.__new__(DirectedGradedCategory)._keep(objects, homs, table)
+
+
+def _product_composites(A: DirectedGradedCategory, B: DirectedGradedCategory,
+                        homs: dict) -> dict:
+    """Composition table of the product of A and B whose hom table is ``homs``."""
+    nb = len(B.objects)
+    # each basis morphism of hom(i, j), i < j, with its A and B factors and their degrees
+    factors: dict[tuple[int, int], list[tuple[MorRef, MorRef, MorRef, int, int]]] = {}
+    for (i, j) in homs:
+        if i < j:
+            (ia, ib), (ja, jb) = divmod(i, nb), divmod(j, nb)
+            ha, hb = A._homs[(ia, ja)], B._homs[(ib, jb)]
+            factors[(i, j)] = [
+                (MorRef(i, j, ka * len(hb) + kb), MorRef(ia, ja, ka), MorRef(ib, jb, kb),
+                 da, db)
+                for ka, da in enumerate(ha)
+                for kb, db in enumerate(hb)
+            ]
 
     # the factors are composable by construction, so their tables are read
     # directly rather than through the checking, copying ``compose``
     comp_a, comp_b, homs_b = A._comp, B._comp, B._homs
     comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
-    targets = source_index(homs)
-    for (i, j) in sorted(homs):
+    targets = source_index(factors)
+    for (i, j) in sorted(factors):
         for l in targets.get(j, ()):
             for f, f_a, f_b, deg_fa, _ in factors[(i, j)]:
                 for g, g_a, g_b, _, deg_gb in factors[(j, l)]:
@@ -279,24 +340,22 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
                             v = vb if va == 1 else va if vb == 1 else va * vb
                             entry[ra * width + rb] = -v if odd else v
                     comp[(g, f)] = entry
-
-    # the tables are in __init__'s form (ref keys, nonzero Fractions), so no copy
-    homs.update({(i, i): (0,) for i in range(len(objects))})
-    out = object.__new__(DirectedGradedCategory)._keep(objects, homs, comp)
-    out._fill_identity_compositions()
-    return out
+    _fill_identities(comp, homs)
+    return comp
 
 
 def relabel(C: DirectedGradedCategory, mapping: Mapping) -> DirectedGradedCategory:
     """Rename objects through ``mapping``, keeping their order.
 
-    No index changes, so the result shares C's hom and composition tables;
-    only the labels and their index are new.
+    No index changes, so the result shares C's hom and composition tables,
+    a pending one included, which is then built once for both; only the
+    labels and their index are new.
     """
     objects = tuple(mapping[label] for label in C.objects)
     if len(set(objects)) != len(objects):
         raise ValueError("relabeling must be injective")
-    return object.__new__(DirectedGradedCategory)._keep(objects, C._homs, C._comp, C._from)
+    table = C._pending or C._comp
+    return object.__new__(DirectedGradedCategory)._keep(objects, C._homs, table, C._from)
 
 
 def tensor_bp(p: Iterable[int]) -> DirectedGradedCategory:

@@ -34,6 +34,7 @@ from .dgcat import (
     MAX_RANK,
     DirectedGradedCategory,
     MorRef,
+    _fill_identities,
     a_category,
     check_composites,
     formality_check,
@@ -77,7 +78,7 @@ def directed_extension(A: DirectedGradedCategory, k: int) -> DirectedGradedCateg
     if k * len(A.objects) > MAX_RANK:
         raise ValueError(f"object count {k * len(A.objects)} exceeds the limit {MAX_RANK}")
     # the levels store comb(k + 2, 3) composites, one per chain a <= b <= c
-    check_composites(comb(k + 2, 3) * len(A._comp))
+    check_composites(comb(k + 2, 3) * A._composite_count())
     homs = {(a, b): (0,) for b in range(k) for a in range(b)}
     refs, one = {pair: MorRef(*pair, 0) for pair in homs}, {0: Fraction(1)}
     levels = DirectedGradedCategory(range(k, 0, -1), homs, {
@@ -185,8 +186,8 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
                     if entry or si == sj or sj == sl:
                         comp[(MorRef(sj, sl, gi), MorRef(si, sj, fi))] = entry
 
+    _fill_identities(comp, homs)
     out = object.__new__(DirectedGradedCategory)._keep(labels, homs, comp)
-    out._fill_identity_compositions()
     report = validate(out)
     if not report.ok:
         raise SuspensionError("suspension output fails validation: " + report.violations[0])

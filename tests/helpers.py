@@ -1,5 +1,6 @@
 """Lookups that only the tests need."""
 
+from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
 from bpsing.twisted import identity_class
 
@@ -31,3 +32,20 @@ def scaled_identity_class(factor):
         return d, tuple(factor * c for c in coeffs)
 
     return scaled
+
+
+def count_table_builds(monkeypatch) -> list:
+    """Wrap the product-table builder; the list gets each built table's hom table.
+
+    The hom tables are kept alive, so two builds of one product table show
+    up as the same object twice.
+    """
+    built = []
+    build = dgcat._product_composites
+
+    def counting(A, B, homs):
+        built.append(homs)
+        return build(A, B, homs)
+
+    monkeypatch.setattr(dgcat, "_product_composites", counting)
+    return built

@@ -244,6 +244,31 @@ def test_singcat_suite_index_set_limit_is_inclusive(capsys, monkeypatch):
     assert err == "error: index set of prod(p_i - 1) = 16 twists exceeds the limit 8\n"
 
 
+def test_singcat_suite_refuses_huge_twist_pair_counts_before_building(capsys, monkeypatch):
+    def unreachable(p):
+        raise AssertionError(f"a ring for {p} was built before the pair-count check")
+
+    # 1025 to 4096 twists pass the index-set limit, but ext-agreement would
+    # compare more than 2^20 pairs for minutes
+    assert bpsing.cli.MAX_TWIST_PAIRS == 2**20
+    monkeypatch.setattr(bpsing.cli, "GradedRing", unreachable)
+    for p, count in [("65,65", 4096), ("34,33", 1056), ("2,2,1026", 1025)]:
+        code, out, err = run_cli(capsys, "verify", "--suite", "singcat", "--p", p)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: ext-agreement pair count {count}^2 = {count**2} exceeds the limit 1048576\n"
+        )
+
+
+def test_singcat_suite_twist_pair_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(bpsing.cli, "MAX_TWIST_PAIRS", 64)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "singcat", "--p", "3,3,3")
+    assert code == 0 and out.endswith("verify: PASS\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "singcat", "--p", "3,3,3,3")
+    assert (code, out) == (2, "")
+    assert err == "error: ext-agreement pair count 16^2 = 256 exceeds the limit 64\n"
+
+
 def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch):
     def unreachable(m):
         raise AssertionError(f"a linear quiver with {m} objects was built before the check")

@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from bpsing import dgcat
+from bpsing import cli, dgcat
 from bpsing.dgcat import (
     DirectedGradedCategory,
     GaugeResult,
@@ -27,9 +27,10 @@ from bpsing.dgcat import (
     validate,
 )
 from bpsing.exactlin import RatMatrix, solve_integer, solve_mod2
+from bpsing.lattice import compare
 from bpsing.suspension import fukaya_bp, suspension_tower
 from bpsing.twisted import cone
-from helpers import morphism_by_name
+from helpers import count_table_builds, morphism_by_name
 
 
 def kron(A, B):
@@ -141,6 +142,52 @@ def test_builders_refuse_composite_counts_above_the_limit(monkeypatch):
     monkeypatch.setattr(dgcat, "a_category", unreachable)
     with pytest.raises(ValueError, match="composite count 100 exceeds the limit 70"):
         tensor_bp((5, 5))
+
+
+def test_tensor_refuses_a_pending_factor_before_building_it(monkeypatch):
+    P = tensor(a_category(3), a_category(4))  # 70 composites, table pending
+
+    def unbuilt(*args):
+        raise AssertionError("a factor's table was built before the composite check")
+
+    monkeypatch.setattr(dgcat, "_product_composites", unbuilt)
+    monkeypatch.setattr(dgcat, "MAX_COMPOSITES", 279)
+    for A, B, count in [(P, a_category(2), 280), (a_category(2), P, 280), (P, P, 4900)]:
+        with pytest.raises(ValueError, match=f"composite count {count} exceeds the limit 279"):
+            tensor(A, B)
+    monkeypatch.undo()
+    monkeypatch.setattr(dgcat, "MAX_COMPOSITES", 280)
+    assert len(tensor(P, a_category(2))._comp) == 280
+
+
+def test_routes_that_read_only_homs_build_no_product_table(monkeypatch, capsys):
+    built = count_table_builds(monkeypatch)
+    compare((5, 5, 5, 5))
+    assert cli.run(["verify", "--suite", "lattice", "--p", "5,5,5,5"]) == 0
+    assert cli.run(["lattice", "--p", "4,4,4,4,4", "--json"]) == 0
+    assert built == []
+
+
+def test_category_json_builds_one_table_per_stage(monkeypatch, capsys):
+    built = count_table_builds(monkeypatch)
+    assert cli.run(["category", "--p", "4,4,4,4", "--json"]) == 0
+    # the last stage's build reads the stage before it, and so on down
+    assert [sum(i == j for i, j in homs) for homs in built] == [81, 27, 9]
+
+
+def test_each_product_table_is_built_once(monkeypatch, capsys):
+    built = count_table_builds(monkeypatch)
+    C = tensor(a_category(3), a_category(4))
+    R = relabel(relabel(C, {x: str(x) for x in C.objects}), {str(x): x for x in C.objects})
+    assert built == []
+    assert R._comp is C._comp is relabel(C, {x: x for x in C.objects})._comp
+    assert len(built) == 1 and built[0] is C._homs
+    # each of the two tower steps builds its stacked copies and the tensor
+    # model it is checked against, and the last check reads tensor_bp's two
+    # stages, all of them shared by relabels
+    built.clear()
+    assert cli.run(["fukaya", "--p", "3,3,3", "--verify"]) == 0
+    assert len(built) == len({id(homs) for homs in built}) == 6
 
 
 def test_tensor_bp_object_order_and_degrees():

@@ -57,6 +57,19 @@ def test_directed_extension_refuses_composite_counts_above_the_limit(monkeypatch
         directed_extension(A, 5)
 
 
+def test_directed_extension_refuses_a_pending_factor_before_building_it(monkeypatch):
+    P = tensor(a_category(3), a_category(4))  # 70 composites, table pending
+
+    def unbuilt(*args):
+        raise AssertionError("the factor's table was built before the composite check")
+
+    monkeypatch.setattr(dgcat, "_product_composites", unbuilt)
+    monkeypatch.setattr(dgcat, "MAX_COMPOSITES", 279)
+    # the levels 2 > 1 store comb(4, 3) = 4 composites
+    with pytest.raises(ValueError, match="composite count 280 exceeds the limit 279"):
+        directed_extension(P, 2)
+
+
 def test_directed_extension_structure():
     E = directed_extension(a_category(2), 2)
     assert E.objects == ((1, 2), (2, 2), (1, 1), (2, 1))
