@@ -5,8 +5,10 @@ bilinear lattices, compute graded Ext tables, and run verification suites.
 Output is plain text by default and JSON with ``--json``; both are fully
 deterministic, so identical invocations produce byte-identical bytes.  JSON
 output is exactly ``json.dumps(obj, indent=2)`` plus a newline, written by
-``_dump_json``.  One parser serves every ``run`` of a process.  Exit codes: 0
-success, 1 verification failure, 2 usage error.
+``_dump_json``.  One parser serves every ``run`` of a process.  Handlers
+return their output and exit code, and ``run`` parses ``--p`` before dispatch
+and writes stdout once after it, so a run stopped by an error writes nothing.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -171,8 +173,11 @@ def _json_dims(dims: dict[int, int]) -> dict[str, int]:
     return {str(k): dims[k] for k in sorted(dims)}
 
 
-def _category_lines(C: DirectedGradedCategory) -> list[str]:
-    lines = [f"objects ({len(C.objects)}):"]
+def _category_output(args, header: str, C: DirectedGradedCategory, verified: bool):
+    """C's JSON object, or the header, C's objects and hom degrees and a verification line."""
+    if args.json:
+        return to_json_dict(C), 0
+    lines = [header, f"objects ({len(C.objects)}):"]
     lines.extend(f"  {label}" for label in C.objects)
     lines.append("hom degrees:")
     shown = 0
@@ -186,19 +191,9 @@ def _category_lines(C: DirectedGradedCategory) -> list[str]:
     if not shown:
         lines.append("  (none)")
     lines.append("every endomorphism space: identity in degree 0")
-    return lines
-
-
-def _emit_category(args, header: str, C: DirectedGradedCategory, verified: bool) -> int:
-    """Print C as JSON, or as the header, its listing and a verification line."""
-    if args.json:
-        sys.stdout.write(_dump_json(to_json_dict(C)))
-        return 0
-    lines = [header] + _category_lines(C)
     if verified:
         lines.append("verification: PASS")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -348,33 +343,31 @@ _SUITES = {"fukaya": _suite_fukaya, "singcat": _suite_singcat, "lattice": _suite
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the parsed args and exponents and returns
+# (output, exit code), output being the JSON object with --json and the text
+# lines otherwise
 
 
-def _cmd_category(args) -> int:
-    p = _parse_p(args.p)
-    return _emit_category(args, f"p: {p}", tensor_bp(p), False)
+def _cmd_category(args, p):
+    return _category_output(args, f"p: {p}", tensor_bp(p), False)
 
 
-def _cmd_suspend(args) -> int:
-    p = _parse_p(args.p)
+def _cmd_suspend(args, p):
     if args.k < 2:
         raise ValueError("k must be >= 2")
     # suspending the last stage of p with k levels is stage p + (k,) of the tower
     S = fukaya_bp(p + (args.k,), args.verify)
-    return _emit_category(args, f"p: {p}  k: {args.k}", S, args.verify)
+    return _category_output(args, f"p: {p}  k: {args.k}", S, args.verify)
 
 
-def _cmd_fukaya(args) -> int:
-    p = _parse_p(args.p)
-    return _emit_category(args, f"p: {p}", fukaya_bp(p, verify=args.verify), args.verify)
+def _cmd_fukaya(args, p):
+    return _category_output(args, f"p: {p}", fukaya_bp(p, verify=args.verify), args.verify)
 
 
-def _cmd_lattice(args) -> int:
-    p = _parse_p(args.p)
+def _cmd_lattice(args, p):
     cmpr = compare(p, args.orientation)
     if args.json:
-        obj = {
+        return {
             "p": list(p),
             "orientation": args.orientation,
             "labels": cmpr.labels,
@@ -384,9 +377,7 @@ def _cmd_lattice(args) -> int:
                 {"i": a, "j": b, "st": u, "euler": v} for a, b, u, v in cmpr.disagreements
             ],
             "agree": cmpr.agree,
-        }
-        sys.stdout.write(_dump_json(obj))
-        return 0
+        }, 0
     lines = [f"p: {p}", "basis: " + ", ".join(str(x) for x in cmpr.labels), "st gram:"]
     lines.extend("  " + str(list(row)) for row in cmpr.st.entries)
     lines.append(f"euler gram ({args.orientation}):")
@@ -396,40 +387,33 @@ def _cmd_lattice(args) -> int:
         lines.append(f"  ({a}, {b}): st={u} euler={v}")
     if cmpr.agree:
         lines.append("  (none)")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return lines, 0
 
 
-def _cmd_orlov(args) -> int:
-    p = _parse_p(args.p)
+def _cmd_orlov(args, p):
     cy = cy_check(p)
     group = orlov_group(p)
     total = Fraction(sum(cy.weights), cy.ell)
     if args.json:
-        obj = {
+        return {
             "p": list(p),
             "cy": cy.holds,
             "sum": str(total),
             "ell": cy.ell,
             "weights": list(cy.weights),
             "group": list(group.factors),
-        }
-        sys.stdout.write(_dump_json(obj))
-        return 0
-    lines = [
+        }, 0
+    return [
         f"p: {p}",
         f"sum of reciprocals: {total}",
         f"calabi-yau condition: {'holds' if cy.holds else 'fails'}",
         f"ell: {cy.ell}",
         f"weights: {cy.weights}",
         f"group: {group}",
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    ], 0
 
 
-def _cmd_singcat_ext(args) -> int:
-    p = _parse_p(args.p)
+def _cmd_singcat_ext(args, p):
     L = LGroup(p)
     src = _parse_coords(args.source, len(p), "--source")
     tgt = _parse_coords(args.target, len(p), "--target")
@@ -443,16 +427,14 @@ def _cmd_singcat_ext(args) -> int:
         formula = None
         agree = None
     if args.json:
-        obj = {
+        return {
             "p": list(p),
             "source": list(src),
             "target": list(tgt),
             "dims": _json_dims(dims),
             "formula": None if formula is None else _json_dims(formula),
             "agree": agree,
-        }
-        sys.stdout.write(_dump_json(obj))
-        return 0
+        }, 0
     lines = [
         f"p: {p}",
         f"source: {src}  target: {tgt}",
@@ -463,16 +445,15 @@ def _cmd_singcat_ext(args) -> int:
     else:
         lines.append(f"formula dims: {_fmt_dims(formula)}")
         lines.append(f"agree: {agree}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return lines, 0
 
 
-def _cmd_singcat_resolution(args) -> int:
-    p = _parse_p(args.p)
+def _cmd_singcat_resolution(args, p):
     L = LGroup(p)
     window = _window(args, L)
     cplx = bp_resolution(p, args.length)
     rep = validate_resolution(cplx, window)
+    code = 0 if rep.ok else 1
     if args.json:
         levels = []
         for i in sorted(cplx.levels(), reverse=True):
@@ -485,7 +466,7 @@ def _cmd_singcat_resolution(args) -> int:
                 for g in range(cplx.rank(i))
             ]
             levels.append({"level": i, "generators": gens})
-        obj = {
+        return {
             "p": list(p),
             "length": args.length,
             "window": window,
@@ -494,9 +475,7 @@ def _cmd_singcat_resolution(args) -> int:
             "ok": rep.ok,
             "degrees_checked": rep.degrees_checked,
             "failures": list(rep.failures),
-        }
-        sys.stdout.write(_dump_json(obj))
-        return 0 if rep.ok else 1
+        }, code
     lines = [f"p: {p}  length: {args.length}  window: {window}"]
     lines.append("ranks: " + ", ".join(str(cplx.rank(i)) for i in sorted(cplx.levels(), reverse=True)))
     for i in sorted(cplx.levels(), reverse=True):
@@ -510,17 +489,16 @@ def _cmd_singcat_resolution(args) -> int:
     status = "PASS" if rep.ok else "FAIL"
     lines.append(f"validation: {status} ({rep.degrees_checked} degrees checked)")
     lines.extend(f"  {msg}" for msg in rep.failures[:10])
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if rep.ok else 1
+    return lines, code
 
 
-def _cmd_singcat_lemma_k(args) -> int:
-    p = _parse_p(args.p)
+def _cmd_singcat_lemma_k(args, p):
     L = LGroup(p)
     window = _window(args, L)
     rep = lemma_k_check(p, args.axis, args.j, window)
+    code = 0 if rep.ok else 1
     if args.json:
-        obj = {
+        return {
             "p": list(p),
             "axis": args.axis,
             "j": args.j,
@@ -530,9 +508,7 @@ def _cmd_singcat_lemma_k(args) -> int:
             "first_failure": None if rep.first_failure is None else list(rep.first_failure),
             "iso_with_ring_quotient": rep.iso_ok,
             "failures": list(rep.failures),
-        }
-        sys.stdout.write(_dump_json(obj))
-        return 0 if rep.ok else 1
+        }, code
     lines = [
         f"p: {p}  axis: {args.axis}  j: {args.j}",
         f"sequence: {'exact' if rep.ok else 'NOT exact'} ({rep.degrees_checked} degrees checked)",
@@ -542,17 +518,16 @@ def _cmd_singcat_lemma_k(args) -> int:
     if rep.first_failure is not None:
         lines.append(f"first failure in degree {rep.first_failure}")
     lines.extend(f"  {msg}" for msg in rep.failures[:10])
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if rep.ok else 1
+    return lines, code
 
 
-def _cmd_verify(args) -> int:
-    p = _parse_p(args.p)
+def _cmd_verify(args, p):
     names = ["fukaya", "singcat", "lattice"] if args.suite == "all" else [args.suite]
     reports = [_SUITES[name](p) for name in names]
     ok = all(r.ok for r in reports)
+    code = 0 if ok else 1
     if args.json:
-        obj = {
+        return {
             "p": list(p),
             "suites": [
                 {
@@ -566,9 +541,7 @@ def _cmd_verify(args) -> int:
                 for r in reports
             ],
             "ok": ok,
-        }
-        sys.stdout.write(_dump_json(obj))
-        return 0 if ok else 1
+        }, code
     lines = [f"p: {p}"]
     for r in reports:
         lines.append(f"suite {r.suite}:")
@@ -580,8 +553,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"  {status} {c.name}{extra}")
         lines.append(f"  => {'PASS' if r.ok else 'FAIL'}")
     lines.append(f"verify: {'PASS' if ok else 'FAIL'}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return lines, code
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +641,7 @@ def run(argv: Sequence[str]) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        output, code = args.func(args, _parse_p(args.p))
     except (ArithmeticError, ComplexError, SuspensionError) as exc:
         # before ValueError, which ComplexError subclasses
         print(f"verification failure: {exc}", file=sys.stderr)
@@ -677,6 +649,8 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(_dump_json(output) if args.json else "\n".join(output) + "\n")
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:

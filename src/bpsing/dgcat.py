@@ -282,9 +282,11 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
     (f1 (x) g1) after (f2 (x) g2).  Objects and homs are built here, the
     composition table on its first read (``_product_composites``).
     """
+    nb = len(B.objects)
+    if len(A.objects) * nb > MAX_RANK:
+        raise ValueError(f"object count {len(A.objects) * nb} exceeds the limit {MAX_RANK}")
     count = A._composite_count() * B._composite_count()
     check_composites(count)
-    nb = len(B.objects)
     objects = tuple((a, b) for a in A.objects for b in B.objects)
     homs: dict[tuple[int, int], tuple[int, ...]] = {}
     pairs_b = sorted(B._homs.items())

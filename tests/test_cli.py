@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, deterministic output."""
 
 import ast
+import hashlib
 import inspect
 import json
 import resource
@@ -388,3 +389,72 @@ def test_cli_leaves_the_tower_checks_to_suspension():
             referenced.add(node.attr)
     tower = {"validate", "formality_check", "square_sign_audit", "gauge_isomorphic", "suspension_tower"}
     assert not referenced & tower, referenced & tower
+
+
+# stdout sha256 of commands the benchmark does not pin, recorded before the
+# handlers returned their output to ``run``
+CLI_PINS = {
+    "category --p 2,3": "e05af6626a11616a363395c647b683d9a7f636e1cd3bb695980cdf30e9940de6",
+    "suspend --p 2,3 --k 3": "57d07c4ae56604aec89528211cbad53c7228d5d3fdefb5a9ee5b9276caa759d9",
+    "suspend --p 2,3 --k 3 --verify --json": "c3ed834a70d4b3f236220f8629407e6023310957b956d5daed2d04ae04aa6f42",
+    "fukaya --p 3,3": "e0472a5997780235fb180aa0ace5c7af7971125fcffb2459d4f296ccf643cdbc",
+    "fukaya --p 2,3 --json": "bd769768c7271bd39dd9b7c4c8adaa1996bb3312bd8abb4e32621dbae5840ccb",
+    "lattice --p 2,3,3": "caf2101a5a8cd6d26dc6a4a990ae7af036b4eb6387acd773ccb0e717fb040a3d",
+    "lattice --p 3,3 --orientation Et-E": "0a3324261cc1ef66ffc38a75dcf693f8ca40f949a7f9e67b2aa437fc8c416be1",
+    "lattice --p 3,3 --orientation Et-E --json": "7c704857d4f25c45e15d024bee886f37a0017e6f964c2625520f3c9df0798c28",
+    "orlov --p 2,3,7": "8e9376addcce09cafa5e38bff701358597dfb46a420a37fadfdf679bc805d31f",
+    "orlov --p 3,3,3 --json": "c70d312ca21b7adf1f1be8100f8e79ce34030ded4ef0ad95f53a50399bc70b9c",
+    "singcat ext --p 3,4 --source -1,0 --target 0,0": "97b5c393307338c81c25741bfe1e83eb2f53f5113a13295a723308cbc51ce02e",
+    "singcat ext --p 3,4 --source -1,0 --target 0,0 --json": "542f4f8a2a9a63b97480e583bc42e3f8a63019df5adc1cba935b1d36a6bda180",
+    "singcat ext --p 3,4 --source 1,0 --target 0,0": "50fc10920c02e432cf2897cee6067fe1c0b399ecf300977822521caaa5be50e5",
+    "singcat resolution --p 3,4 --length 4 --json": "25487252faabc96a63ef7fa954cac5e5b0539aabe26ab13a143b1011be2061cc",
+    "singcat lemma-k --p 2,3 --axis 2 --j 3": "956bb7238e0cab0295207556bed0919e82b965bacef39f4379182d07a5161be8",
+    "singcat lemma-k --p 3,4 --axis 2 --j 2 --json": "b3b0a7f19507bd5d8b1f154c68406d60e235a84d007ff43cbca3ac0614a1034d",
+    "verify --suite fukaya --p 3,3": "619a24c28155895c5c15fcfabbfd7aa7e3a6d9782247980e4ec0a3308109f113",
+    "verify --suite lattice --p 3,3 --json": "c530d299750e0b277a8e42822e017a689cfd41177461091bad812dd6e28fa071",
+    "verify --suite all --p 2,3 --json": "2719d44adf82227e6eb37c5457911bc024129f0eaa22c7956572f9536bbd52f5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_PINS))
+def test_unbenchmarked_command_prints_the_pinned_bytes(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_PINS[command]
+
+
+@pytest.mark.parametrize(
+    "command, err",
+    [
+        ("suspend --p 2,3 --k 1", "error: k must be >= 2\n"),
+        ("fukaya --p 1,3", "error: exponents must be >= 2\n"),
+        ("suspend --p 1,3 --k 1", "error: exponents must be >= 2\n"),
+        ("singcat ext --p 3,4 --source 0 --target 0,0", "error: --source must have 2 entries\n"),
+        ("singcat ext --p 1,4 --source 0 --target 0,0", "error: exponents must be >= 2\n"),
+    ],
+)
+def test_usage_errors_check_p_first_and_print_nothing(capsys, command, err):
+    assert run_cli(capsys, *command.split()) == (2, "", err)
+
+
+def test_only_run_parses_p_and_writes_stdout():
+    """Handlers take ``(args, p)`` and return their output, so how a result
+    becomes stdout bytes is decided in ``run`` alone."""
+    tree = ast.parse(inspect.getsource(bpsing.cli))
+    outside_run = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name.startswith("_cmd_"):
+            assert [a.arg for a in fn.args.args] == ["args", "p"], fn.name
+        if fn.name == "run":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "stdout":
+                outside_run.add((fn.name, "sys.stdout"))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                if not any(k.arg == "file" for k in node.keywords):
+                    outside_run.add((fn.name, "print"))
+            elif isinstance(node, ast.Name) and node.id == "_parse_p":
+                outside_run.add((fn.name, "_parse_p"))
+    assert not outside_run, sorted(outside_run)

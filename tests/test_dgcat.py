@@ -123,6 +123,17 @@ def test_builders_refuse_object_counts_above_the_limit(monkeypatch):
         tensor_bp((3, 5))
 
 
+def test_tensor_refuses_object_counts_above_the_limit_before_building(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a product table was built before the object check")
+
+    monkeypatch.setattr(dgcat, "MAX_RANK", 8)
+    monkeypatch.setattr(dgcat, "_product_composites", unbuilt)
+    with pytest.raises(ValueError, match="object count 9 exceeds the limit 8"):
+        tensor(a_category(3), a_category(3))
+    assert len(tensor(a_category(2), a_category(4)).objects) == 8
+
+
 def test_builders_refuse_composite_counts_above_the_limit(monkeypatch):
     assert dgcat.MAX_COMPOSITES == 2**20
     # a product stores one composite per pair of factor composites
