@@ -27,6 +27,8 @@ for p in candidates:
     print(f"{str(p):14} weights {rep.weights} sum {total!s:>6}"
           f"  cy={rep.holds!s:5}  group {group}")
 
+# the component group is the torsion of the grading group L, since the torus
+# is Hom(L, G_m): this prints the same group as the (3, 3, 3) row above
 print()
 L = LGroup((3, 3, 3))
 print("torsion subgroup of the grading group for (3, 3, 3):",

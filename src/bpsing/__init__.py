@@ -57,7 +57,6 @@ from .twisted import (
     TwistedObject,
     cohomology,
     compose_classes,
-    compose_cochains,
     cone,
     hom_complex,
     identity_class,

@@ -46,6 +46,10 @@ from .suspension import SuspensionError, fukaya_bp, fukaya_checks
 # largest number of twist pairs ext-agreement compares, each in both row
 # routes: 1024 twists, which (33,33) reaches in seconds
 MAX_TWIST_PAIRS = 2**20
+# largest number of degrees short-exact-sequences scans, one lemma_k_check per
+# 2 <= j <= p_i over j degrees: (255,) scans 32639 in about 5 s, within the
+# about 6 s that (33,33) takes under MAX_TWIST_PAIRS
+MAX_SEQUENCE_DEGREES = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +226,11 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     if count * count > MAX_TWIST_PAIRS:
         raise ValueError(
             f"ext-agreement pair count {count}^2 = {count * count} exceeds the limit {MAX_TWIST_PAIRS}"
+        )
+    degrees = sum(pi * (pi + 1) // 2 - 1 for pi in p)
+    if degrees > MAX_SEQUENCE_DEGREES:
+        raise ValueError(
+            f"short-exact-sequences degree count {degrees} exceeds the limit {MAX_SEQUENCE_DEGREES}"
         )
     checks: list[CheckResult] = []
     # one ring for the three exactness checks, so each piece is built once

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .exactlin import RatMatrix, integer_kernel, invariant_factors, solve
+from .exactlin import RatMatrix, invariant_factors
 
 
 def exponent_seq(p: Iterable[int]) -> tuple[int, ...]:
@@ -200,36 +200,11 @@ def cy_check(p: Iterable[int]) -> CyReport:
 def orlov_group(p: Iterable[int]) -> FiniteAbelianGroup:
     """Cokernel of the map of diagonal tori attached to the exponents.
 
-    The torus K = {(t_1, ..., t_n) : t_1^{p_1} = ... = t_n^{p_n}} receives the
-    one-parameter subgroup t -> (t^{w_1}, ..., t^{w_n}) with w_i = ell / p_i.
-    Dually, the character lattice of K is Z^n modulo the rows
-    p_i e_i - p_{i+1} e_{i+1}, and the cokernel of the subgroup is the
-    quotient of the kernel of (w_1, ..., w_n) by those rows.  The quotient is
-    read off a Smith normal form; a zero invariant factor would mean an
-    infinite cokernel and raises.
+    The torus K = {(t_1, ..., t_n) : t_1^{p_1} = ... = t_n^{p_n}} is
+    Hom(L, G_m), and it receives the one-parameter subgroup
+    t -> (t^{w_1}, ..., t^{w_n}) with w_i = ell / p_i.  That subgroup is dual
+    to the degree map z : L -> Z, so K modulo it is dual to ker z, which is
+    the torsion of L.  A finite abelian group is isomorphic to its dual, so
+    the cokernel is L's torsion subgroup.
     """
-    L = LGroup(p)
-    n = L.n
-    kernel = integer_kernel(RatMatrix([list(L.weights)], cols=n))
-    if len(kernel) != n - 1:
-        raise ArithmeticError("weight vector must have full rank one")
-    relation_rows = []
-    for i in range(n - 1):
-        row = [0] * n
-        row[i] = L.p[i]
-        row[i + 1] = -L.p[i + 1]
-        relation_rows.append(row)
-    # express each relation row in the kernel basis; the basis is saturated,
-    # so rational coordinates of an integer kernel vector are integers, and
-    # invariant_factors raises if one is not
-    basis_cols = RatMatrix([[kernel[j][i] for j in range(n - 1)] for i in range(n)], cols=n - 1)
-    coords = []
-    for row in relation_rows:
-        x = solve(basis_cols, row)
-        if x is None:
-            raise ArithmeticError("relation row escapes the weight kernel")
-        coords.append(x)
-    factors = invariant_factors(RatMatrix(coords, cols=n - 1))
-    if len(factors) != n - 1:
-        raise ArithmeticError("cokernel is infinite")
-    return FiniteAbelianGroup(tuple(d for d in factors if d > 1))
+    return LGroup(p).torsion_subgroup()

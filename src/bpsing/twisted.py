@@ -257,38 +257,53 @@ def identity_class(h_xx: HomComplex) -> Class:
     return (0, tuple(h_xx.cohomology.coordinates(0, vec)))
 
 
-def compose_cochains(
-    h_yz: HomComplex,
-    h_xy: HomComplex,
-    h_xz: HomComplex,
-    psi: tuple[int, Iterable[tuple[int, Fraction]]],
-    phi: tuple[int, Iterable[tuple[int, Fraction]]],
-) -> tuple[int, dict[int, Fraction]]:
-    """Componentwise composition of cochains psi . phi, no extra signs.
+def _combine(
+    coeffs: Sequence[Fraction],
+    reps: Sequence[SparseRow],
+) -> Iterable[tuple[int, Fraction]]:
+    """The terms of sum(coeffs[t] * reps[t]), none of them zero: zero
+    coefficients are skipped and sparse rows hold no zero entry.
 
-    A cochain is sparse: its degree and (basis position, coefficient) terms,
-    summed where a position repeats.  Only terms whose middle components
-    agree are composed.  The result maps positions of h_xz's basis in the
-    total degree to coefficients.
+    A basis class, one coefficient 1 and the rest 0, is its representative.
     """
+    terms = [(coeff, rep) for coeff, rep in zip(coeffs, reps) if coeff]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    return [(i, coeff * x) for coeff, rep in terms for i, x in rep]
+
+
+def compose_classes(
+    h_yz: HomComplex, h_xy: HomComplex, h_xz: HomComplex, alpha: Class, beta: Class
+) -> Class:
+    """Compose cohomology classes via representatives and project the result.
+
+    ``alpha`` lives in H(hom(Y, Z)), ``beta`` in H(hom(X, Y)); the result is
+    expressed over the chosen representatives of H(hom(X, Z)).  The
+    representatives are composed componentwise, with no extra signs: only
+    terms whose middle components agree meet.  The composed cocycle is
+    checked to be closed before projecting.  Every step runs on sparse data:
+    representatives and the differential's columns are kept sparse once per
+    hom complex, so once per shape under ``rebind``.
+    """
+    da, ca = alpha
+    db, cb = beta
+    reps_a = h_yz.cohomology._sparse_reps.get(da, ())
+    reps_b = h_xy.cohomology._sparse_reps.get(db, ())
+    if len(ca) != len(reps_a) or len(cb) != len(reps_b):
+        raise ValueError("class coefficients do not match representative count")
     comp = h_xy.X.category._comp  # read directly: the table is immutable
-    dpsi, terms_psi = psi
-    dphi, terms_phi = phi
-    total = dpsi + dphi
-    basis_xy = h_xy.basis.get(dphi, ())
-    basis_yz = h_yz.basis.get(dpsi, ())
+    total = da + db
+    basis_xy = h_xy.basis.get(db, ())
+    basis_yz = h_yz.basis.get(da, ())
     position = h_xz.position
     X, Y, Y2, Z = h_xy.X, h_xy.Y, h_yz.X, h_yz.Y
-    # phi's nonzero terms grouped by their middle component
+    # beta's nonzero terms grouped by their middle component
     by_middle: dict[int, list[tuple[int, MorRef, Fraction]]] = {}
-    for i, v in terms_phi:
-        if v:
-            a, b, k1 = basis_xy[i]
-            by_middle.setdefault(b, []).append((a, MorRef(X._oidx(a), Y._oidx(b), k1), v))
-    out: dict[int, Fraction] = {}
-    for j, w in terms_psi:
-        if not w:
-            continue
+    for i, v in _combine(cb, reps_b):
+        a, b, k1 = basis_xy[i]
+        by_middle.setdefault(b, []).append((a, MorRef(X._oidx(a), Y._oidx(b), k1), v))
+    vec: dict[int, Fraction] = {}
+    for j, w in _combine(ca, reps_a):
         b, c, k2 = basis_yz[j]
         firsts = by_middle.get(b)
         if not firsts:
@@ -305,44 +320,7 @@ def compose_cochains(
                 dd, pos = position[(a, c, ridx)]
                 if dd != total:
                     raise ComplexError("composition is not degree additive")
-                out[pos] = out.get(pos, 0) + wv * rcoeff
-    return total, out
-
-
-def _combine(
-    coeffs: Sequence[Fraction],
-    reps: Sequence[SparseRow],
-) -> Iterable[tuple[int, Fraction]]:
-    """The terms of sum(coeffs[t] * reps[t]), skipping zero coefficients.
-
-    A basis class, one coefficient 1 and the rest 0, is its representative.
-    """
-    terms = [(coeff, rep) for coeff, rep in zip(coeffs, reps) if coeff]
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    return [(i, coeff * x) for coeff, rep in terms for i, x in rep]
-
-
-def compose_classes(
-    h_yz: HomComplex, h_xy: HomComplex, h_xz: HomComplex, alpha: Class, beta: Class
-) -> Class:
-    """Compose cohomology classes via representatives and project the result.
-
-    ``alpha`` lives in H(hom(Y, Z)), ``beta`` in H(hom(X, Y)); the result is
-    expressed over the chosen representatives of H(hom(X, Z)).  The composed
-    representative cocycle is checked to be closed before projecting.  Every
-    step runs on sparse data: representatives and the differential's columns
-    are kept sparse once per hom complex, so once per shape under ``rebind``.
-    """
-    da, ca = alpha
-    db, cb = beta
-    reps_a = h_yz.cohomology._sparse_reps.get(da, ())
-    reps_b = h_xy.cohomology._sparse_reps.get(db, ())
-    if len(ca) != len(reps_a) or len(cb) != len(reps_b):
-        raise ValueError("class coefficients do not match representative count")
-    total, vec = compose_cochains(
-        h_yz, h_xy, h_xz, (da, _combine(ca, reps_a)), (db, _combine(cb, reps_b))
-    )
+                vec[pos] = vec.get(pos, 0) + wv * rcoeff
     cols = h_xz._cols.get(total, ())
     boundary: dict[int, Fraction] = {}
     for pos, v in vec.items():

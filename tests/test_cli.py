@@ -270,6 +270,31 @@ def test_singcat_suite_twist_pair_limit_is_inclusive(capsys, monkeypatch):
     assert err == "error: ext-agreement pair count 16^2 = 256 exceeds the limit 64\n"
 
 
+def test_singcat_suite_refuses_huge_sequence_degree_counts_before_building(capsys, monkeypatch):
+    def unreachable(p):
+        raise AssertionError(f"a ring for {p} was built before the degree-count check")
+
+    # these pass the index-set and pair-count limits, but short-exact-sequences
+    # would scan sum(p_i (p_i + 1) / 2 - 1) degrees, which grows as p^2
+    assert bpsing.cli.MAX_SEQUENCE_DEGREES == 2**15
+    monkeypatch.setattr(bpsing.cli, "GradedRing", unreachable)
+    for p, count in [("256", 32895), ("2,2,256", 32899), ("1025", 525824)]:
+        code, out, err = run_cli(capsys, "verify", "--suite", "singcat", "--p", p)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: short-exact-sequences degree count {count} exceeds the limit 32768\n"
+        )
+
+
+def test_singcat_suite_sequence_degree_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(bpsing.cli, "MAX_SEQUENCE_DEGREES", 27)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "singcat", "--p", "7")
+    assert code == 0 and out.endswith("verify: PASS\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "singcat", "--p", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: short-exact-sequences degree count 35 exceeds the limit 27\n"
+
+
 def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch):
     def unreachable(m):
         raise AssertionError(f"a linear quiver with {m} objects was built before the check")
@@ -404,6 +429,10 @@ CLI_PINS = {
     "lattice --p 3,3 --orientation Et-E --json": "7c704857d4f25c45e15d024bee886f37a0017e6f964c2625520f3c9df0798c28",
     "orlov --p 2,3,7": "8e9376addcce09cafa5e38bff701358597dfb46a420a37fadfdf679bc805d31f",
     "orlov --p 3,3,3 --json": "c70d312ca21b7adf1f1be8100f8e79ce34030ded4ef0ad95f53a50399bc70b9c",
+    "orlov --p 2,4,4": "e65d98edf3a5ab861b389395c2ca27039217f32d3c0e9238de550793c0aea693",
+    "orlov --p 2,2,2,2 --json": "7d18abc2a05b6ca256a2c0637cdbecf992488b2358fbfeeb8abcb0a8f8d16ff7",
+    "orlov --p 6,6,6,6 --json": "3ee8a0df796060b7e6c191e6d5710729ce6481cb29501f9d5354502a817b049d",
+    "orlov --p 100000": "71b851e5c328d12907e18a02e925270a126300ba8248a8c1239df287df4b7d29",
     "singcat ext --p 3,4 --source -1,0 --target 0,0": "97b5c393307338c81c25741bfe1e83eb2f53f5113a13295a723308cbc51ce02e",
     "singcat ext --p 3,4 --source -1,0 --target 0,0 --json": "542f4f8a2a9a63b97480e583bc42e3f8a63019df5adc1cba935b1d36a6bda180",
     "singcat ext --p 3,4 --source 1,0 --target 0,0": "50fc10920c02e432cf2897cee6067fe1c0b399ecf300977822521caaa5be50e5",

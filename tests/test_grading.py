@@ -1,7 +1,7 @@
 """Grading group arithmetic, positivity, and the component-group cross-check."""
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import gcd, lcm
 import random
 
@@ -15,6 +15,7 @@ from bpsing.grading import (
     exponent_seq,
     orlov_group,
 )
+from bpsing.exactlin import RatMatrix, integer_kernel, invariant_factors, solve
 
 
 def component_group_order_stats(p):
@@ -201,9 +202,54 @@ def test_orlov_group_known_values():
 
 
 def test_orlov_group_matches_root_of_unity_enumeration():
-    for p in [(2, 2), (3, 3, 3), (2, 3, 6), (2, 3, 5)]:
+    for p in [
+        (2, 2), (3, 3, 3), (2, 3, 6), (2, 3, 5),
+        (2, 4, 4), (2, 2, 2, 2), (3, 6), (4, 6), (2, 6, 6), (2, 2, 2, 2, 2),
+    ]:
         expected = abelian_group_order_stats(orlov_group(p).factors)
         assert component_group_order_stats(p) == expected, p
+
+
+def reference_orlov_group(p):
+    """The torus cokernel by its own route: an integer kernel of the weights,
+    the relation rows solved in its basis, and a second Smith form."""
+    L = LGroup(p)
+    n = L.n
+    kernel = integer_kernel(RatMatrix([list(L.weights)], cols=n))
+    if len(kernel) != n - 1:
+        raise ArithmeticError("weight vector must have full rank one")
+    relation_rows = []
+    for i in range(n - 1):
+        row = [0] * n
+        row[i] = L.p[i]
+        row[i + 1] = -L.p[i + 1]
+        relation_rows.append(row)
+    # express each relation row in the kernel basis; the basis is saturated,
+    # so rational coordinates of an integer kernel vector are integers, and
+    # invariant_factors raises if one is not
+    basis_cols = RatMatrix([[kernel[j][i] for j in range(n - 1)] for i in range(n)], cols=n - 1)
+    coords = []
+    for row in relation_rows:
+        x = solve(basis_cols, row)
+        if x is None:
+            raise ArithmeticError("relation row escapes the weight kernel")
+        coords.append(x)
+    factors = invariant_factors(RatMatrix(coords, cols=n - 1))
+    if len(factors) != n - 1:
+        raise ArithmeticError("cokernel is infinite")
+    return FiniteAbelianGroup(tuple(d for d in factors if d > 1))
+
+
+def test_orlov_group_matches_the_torus_kernel_route():
+    sequences = [
+        p
+        for n, top in [(1, 12), (2, 12), (3, 12), (4, 7), (5, 7)]
+        for p in combinations_with_replacement(range(2, top + 1), n)
+    ]
+    assert len(sequences) == 741
+    sequences += [*permutations((2, 3, 6)), *permutations((2, 4, 4))]
+    for p in sequences:
+        assert orlov_group(p) == reference_orlov_group(p), p
 
 
 def test_orlov_group_permutation_invariant():
