@@ -627,100 +627,74 @@ def gauge_isomorphic(
             if len(set(degs)) != len(degs):
                 raise ValueError("hom spaces must have dimension at most 1 per degree")
 
-    # identify bases by degree: basis index k of C corresponds to the D basis
-    # element of the same degree, and back
-    to_d: dict[tuple[int, int], tuple[int, ...]] = {}
-    to_c: dict[tuple[int, int], tuple[int, ...]] = {}
+    # match bases by degree: basis index k of C goes to the index of the D
+    # basis element of the same degree, for morphisms and composites alike
+    to_d: dict[tuple[int, int], dict[int, int]] = {}
     for (i, j) in pairs:
         degs_c, degs_d = C.hom(i, j), D.hom(i, j)
         if sorted(degs_c) != sorted(degs_d):
-            return GaugeResult(
-                False,
-                None,
-                f"graded dimensions differ at ({C.objects[i]}, {C.objects[j]})",
-            )
+            reason = f"graded dimensions differ at ({C.objects[i]}, {C.objects[j]})"
+            return GaugeResult(False, None, reason)
         at_d = {deg: k for k, deg in enumerate(degs_d)}
-        at_c = {deg: k for k, deg in enumerate(degs_c)}
-        to_d[(i, j)] = tuple(at_d[deg] for deg in degs_c)
-        to_c[(i, j)] = tuple(at_c[deg] for deg in degs_d)
+        to_d[(i, j)] = {k: at_d[deg] for k, deg in enumerate(degs_c)}
 
     morphs = list(C.morphisms())
     var = {f: i for i, f in enumerate(morphs)}
-
     in_d = {m: MorRef(m.src, m.tgt, to_d[(m.src, m.tgt)][m.idx]) for m in morphs}
     comp_c, comp_d = C._comp, D._comp
-    equations: list[tuple[MorRef, MorRef, MorRef, Fraction]] = []
+    # (g, f, h, ratio, signed prime exponents of ratio) as variable indices:
+    # the scalars must satisfy lam_g * lam_f = ratio * lam_h
+    equations: list[tuple[int, int, int, Fraction, dict[int, int]]] = []
     for f in morphs:
         fD = in_d[f]
         for g in C.morphisms_from(f.tgt):
-            cc = comp_c.get((g, f))
-            cd = comp_d.get((in_d[g], fD))
+            cc = comp_c.get((g, f)) or {}
+            cd = comp_d.get((in_d[g], fD)) or {}
             if not cc and not cd:
                 continue  # zero on both sides: no equation
-            cc = cc or {}
-            cd_in_c = {}
-            if cd:
-                back = to_c.get((f.src, g.tgt), ())
-                cd_in_c = {back[idx]: vv for idx, vv in cd.items()}
-            if cc.keys() != cd_in_c.keys():
-                return GaugeResult(
-                    False,
-                    None,
-                    f"composition vanishing patterns differ at ({C.name(g)}, {C.name(f)})",
-                )
+            # an index off either basis (negative ones included) matches nothing
+            fwd = to_d.get((f.src, g.tgt), {})
+            if {fwd.get(idx) for idx in cc} != cd.keys():
+                reason = f"composition vanishing patterns differ at ({C.name(g)}, {C.name(f)})"
+                return GaugeResult(False, None, reason)
             for idx, vc in cc.items():
-                equations.append((g, f, MorRef(f.src, g.tgt, idx), vc / cd_in_c[idx]))
+                ratio = vc / cd[fwd[idx]]
+                powers = _prime_factors(ratio.numerator)
+                for q, e in _prime_factors(ratio.denominator).items():
+                    powers[q] = -e  # numerator and denominator are coprime
+                equations.append((var[g], var[f], var[MorRef(f.src, g.tgt, idx)], ratio, powers))
 
     nvars = len(morphs)
-    sign_rows = []
-    sign_rhs = []
-    primes: set[int] = set()
-    for (g, f, h, ratio) in equations:
-        # XOR collapses repeated variables mod 2 (g can equal f on identity loops)
-        row = (1 << var[g]) ^ (1 << var[f]) ^ (1 << var[h])
-        sign_rows.append(row)
-        sign_rhs.append(0 if ratio > 0 else 1)
-        primes.update(_prime_factors(ratio.numerator))
-        primes.update(_prime_factors(ratio.denominator))
-
-    signs = solve_mod2(sign_rows, sign_rhs, nvars)
+    # XOR collapses repeated variables mod 2 (g can equal f on identity loops)
+    signs = solve_mod2(
+        [(1 << g) ^ (1 << f) ^ (1 << h) for g, f, h, _, _ in equations],
+        [0 if ratio > 0 else 1 for _, _, _, ratio, _ in equations],
+        nvars,
+    )
     if signs is None:
         return GaugeResult(False, None, "sign system is inconsistent")
 
-    exponents: dict[int, list[int]] = {}
-    for prime in sorted(primes):
-        rows = []
-        rhs = []
-        for (g, f, h, ratio) in equations:
-            row = [0] * nvars
-            row[var[g]] += 1
-            row[var[f]] += 1
-            row[var[h]] -= 1
-            rows.append(row)
-            rhs.append(
-                _prime_factors(ratio.numerator).get(prime, 0)
-                - _prime_factors(ratio.denominator).get(prime, 0)
-            )
-        sol = solve_integer(RatMatrix(rows, cols=nvars), rhs) if rows else tuple([0] * nvars)
-        if sol is None:
-            return GaugeResult(False, None, f"magnitude system inconsistent at prime {prime}")
-        exponents[prime] = list(sol)
+    scalars = [Fraction(-1 if s else 1) for s in signs]
+    primes = sorted({q for *_, powers in equations for q in powers})
+    if primes:
+        # the rows e_g + e_f - e_h, shared by every prime's system
+        rows = [[0] * nvars for _ in equations]
+        for row, (g, f, h, _, _) in zip(rows, equations):
+            row[g] += 1
+            row[f] += 1
+            row[h] -= 1
+        system = RatMatrix(rows, cols=nvars)
+        for prime in primes:
+            exps = solve_integer(system, [powers.get(prime, 0) for *_, powers in equations])
+            if exps is None:
+                return GaugeResult(False, None, f"magnitude system inconsistent at prime {prime}")
+            scalars = [v * Fraction(prime) ** e for v, e in zip(scalars, exps)]
 
-    witness: dict[str, Fraction] = {}
-    scalars: dict[MorRef, Fraction] = {}
-    plus, minus = Fraction(1), Fraction(-1)
-    for m in morphs:
-        value = minus if signs[var[m]] else plus
-        for prime, exps in exponents.items():
-            value *= Fraction(prime) ** exps[var[m]]
-        scalars[m] = value
-        witness[C.name(m)] = value
-
-    for (g, f, h, ratio) in equations:
+    for g, f, h, ratio, _ in equations:
         if scalars[g] * scalars[f] != ratio * scalars[h]:  # scalars are nonzero
             return GaugeResult(False, None, "witness verification failed")
 
-    return GaugeResult(True, witness, None)
+    return GaugeResult(True, {C.name(m): v for m, v in zip(morphs, scalars)}, None)
 
 
 # ---------------------------------------------------------------------------

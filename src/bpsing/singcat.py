@@ -820,6 +820,11 @@ def lemma_k_check(
     quotient of the ring by the other variables, identifying it with a
     module that has a finite free resolution.  p is a GradedRing or its
     exponents.
+
+    ``window`` is read only there, at j = p_axis with two or more variables:
+    it bounds the ring quotient's z-degrees and is raised to at least ell.
+    That is enough, since the ring modulo the other variables is
+    k[x_axis]/(x_axis^{p_axis}), of top z-degree (p_axis - 1) ell / p_axis < ell.
     """
     ring = _ring(p)
     L = ring.L

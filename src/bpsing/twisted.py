@@ -158,35 +158,32 @@ class HomComplex:
         return RatMatrix.zeros(self.dim(d + 1), self.dim(d))
 
     def _build_differential(self, d: int) -> RatMatrix:
-        cat = self.X.category
-        rows = self.dim(d + 1)
+        X, Y = self.X, self.Y
+        compose = X.category.compose
         cols = self.dim(d)
-        entries = [[Fraction(0)] * cols for _ in range(rows)]
+        entries = [[Fraction(0)] * cols for _ in range(self.dim(d + 1))]
+        sign = Fraction(1 if d % 2 else -1)
+
+        def add(col, s, t, coeff, composite):
+            """Add coeff * composite, a morphism between components s and t, to column col."""
+            for ridx, rcoeff in composite.items():
+                dd, pos = self.position[(s, t, ridx)]
+                if dd != d + 1:
+                    raise ComplexError("differential is not homogeneous")
+                entries[pos][col] += coeff * rcoeff
+
         for col, (a, b, idx) in enumerate(self.basis.get(d, ())):
-            m = MorRef(self.X._oidx(a), self.Y._oidx(b), idx)
-            # postcompose with delta_Y
-            for (b1, b2), entry in self.Y.delta.items():
-                if b1 != b:
-                    continue
-                for nidx, ncoeff in entry.items():
-                    dref = MorRef(self.Y._oidx(b1), self.Y._oidx(b2), nidx)
-                    for ridx, rcoeff in cat.compose(dref, m).items():
-                        dd, pos = self.position[(a, b2, ridx)]
-                        if dd != d + 1:
-                            raise ComplexError("differential is not homogeneous")
-                        entries[pos][col] += ncoeff * rcoeff
-            # precompose with delta_X, Koszul sign on the cochain degree
-            sign = Fraction(1 if d % 2 else -1)
-            for (a0, a1), entry in self.X.delta.items():
-                if a1 != a:
-                    continue
-                for nidx, ncoeff in entry.items():
-                    dref = MorRef(self.X._oidx(a0), self.X._oidx(a1), nidx)
-                    for ridx, rcoeff in cat.compose(m, dref).items():
-                        dd, pos = self.position[(a0, b, ridx)]
-                        if dd != d + 1:
-                            raise ComplexError("differential is not homogeneous")
-                        entries[pos][col] += sign * ncoeff * rcoeff
+            m = MorRef(X._oidx(a), Y._oidx(b), idx)
+            # postcompose with delta_Y, then precompose with delta_X under the
+            # Koszul sign on the cochain degree
+            for (b1, b2), entry in Y.delta.items():
+                if b1 == b:
+                    for k, c in entry.items():
+                        add(col, a, b2, c, compose(MorRef(Y._oidx(b), Y._oidx(b2), k), m))
+            for (a0, a1), entry in X.delta.items():
+                if a1 == a:
+                    for k, c in entry.items():
+                        add(col, a0, b, sign * c, compose(m, MorRef(X._oidx(a0), X._oidx(a), k)))
         return RatMatrix(entries, cols=cols)
 
 

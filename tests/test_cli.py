@@ -442,6 +442,11 @@ CLI_PINS = {
     "verify --suite fukaya --p 3,3": "619a24c28155895c5c15fcfabbfd7aa7e3a6d9782247980e4ec0a3308109f113",
     "verify --suite lattice --p 3,3 --json": "c530d299750e0b277a8e42822e017a689cfd41177461091bad812dd6e28fa071",
     "verify --suite all --p 2,3 --json": "2719d44adf82227e6eb37c5457911bc024129f0eaa22c7956572f9536bbd52f5",
+    # recorded before the gauge comparison matched bases through one map
+    "fukaya --p 3,3,3 --json": "b9e3efde50a027b3abcbed8b411870b65b6d135951c356834178606cd843066e",
+    "suspend --p 3,3 --k 4 --verify --json": "19282544ebaa3b3158e3e04ba2445c4111fcfa9b34972b867ded02692d24d42a",
+    "verify --suite fukaya --p 2,2,2,2 --json": "5b1e78a2df28c40bb4c54c56fdaca3c9e50c338de16993d24deb2867524a2e8e",
+    "fukaya --p 2,2,2,2,2 --verify": "438765784cf285c51eb14db978b00e168e0b10d1dbf1eeda66649a37640da054",
 }
 
 

@@ -580,6 +580,27 @@ def _distinct_degree_category(rng, n):
     return _with_composites(C, comp)
 
 
+def _rescaled(C, rng):
+    """C with each non-identity basis morphism m scaled by lam_m drawn with ``rng``.
+
+    The composite c of (g, f) onto h becomes c * lam_h / (lam_g * lam_f), so
+    the result is gauge-equivalent to C; identities keep lam = 1.
+    """
+    lam = {
+        m: Fraction(rng.choice((2, 3, Fraction(-1, 5), 1, -6)))
+        for m in C.morphisms()
+        if not C.is_identity(m)
+    }
+    entries = {
+        (g, f): {
+            k: c * lam.get(MorRef(f.src, g.tgt, k), 1) / (lam.get(g, 1) * lam.get(f, 1))
+            for k, c in entry.items()
+        }
+        for (g, f), entry in C.composition_entries()
+    }
+    return _with_composites(C, entries)
+
+
 def test_gauge_matches_the_all_pairs_comparison_on_models_and_corruptions():
     cases = []
     for p in [(3, 3, 3), (2, 3, 4, 5)]:
@@ -608,12 +629,21 @@ def test_gauge_matches_the_all_pairs_comparison_on_models_and_corruptions():
     for _ in range(12):
         C = _distinct_degree_category(rng, rng.randint(2, 6))
         cases += [(C, _rotated_bases(C)), (_rotated_bases(C), C)]
+    # rescaled models: each prime's magnitude system is solved, and the
+    # witness is not a unit
+    for p in [(3, 3, 3), (2, 3, 4)]:
+        C = fukaya_bp(p)
+        cases.append((C, _rescaled(C, random.Random(7))))
     reasons = set()
+    witness_primes = set()
     for C, D in cases:
         bijection = {x: x for x in C.objects}
         got = gauge_isomorphic(C, D, bijection)
         assert got == reference_gauge_isomorphic(C, D, bijection)
         reasons.add(got.reason and got.reason.split(" at ")[0].split(" is ")[0])
+        for v in (got.witness or {}).values():
+            witness_primes.update(dgcat._prime_factors(v.numerator * v.denominator))
+    assert witness_primes >= {2, 3, 5}
     assert reasons >= {
         None,
         "graded dimensions differ",
@@ -621,6 +651,22 @@ def test_gauge_matches_the_all_pairs_comparison_on_models_and_corruptions():
         "magnitude system inconsistent",
         "sign system",
     }
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_gauge_fails_on_a_composite_off_the_basis_in_either_order(index):
+    # hom((1, 1), (2, 2)) has one basis element, so index 5 is off it and -1
+    # must not wrap round onto it
+    C = tensor_bp((3, 3))
+    g = morphism_by_name(C, "(1, 2)->(2, 2)#0")
+    f = morphism_by_name(C, "(1, 1)->(1, 2)#0")
+    entries = dict(C.composition_entries())
+    entries[(g, f)] = {index: Fraction(1)}
+    D = _with_composites(C, entries)
+    bijection = {x: x for x in C.objects}
+    reason = "composition vanishing patterns differ at ((1, 2)->(2, 2)#0, (1, 1)->(1, 2)#0)"
+    for X, Y in [(C, D), (D, C)]:
+        assert gauge_isomorphic(X, Y, bijection) == GaugeResult(False, None, reason)
 
 
 def test_gauge_requires_a_complete_bijection():

@@ -764,6 +764,16 @@ def test_lemma_k_sequences_hold():
         assert rep.ok and rep.iso_ok is True
 
 
+def test_lemma_k_report_does_not_depend_on_the_window():
+    # the window only bounds the ring quotient at j = p_axis, where it is
+    # raised to ell, above the quotient's top z-degree
+    for p in [(2, 3), (2, 2, 2), (3, 4, 5), (5, 7)]:
+        ell = GradedRing(p).L.ell
+        for axis, p_axis in enumerate(p, start=1):
+            reports = [lemma_k_check(p, axis, p_axis, w) for w in (0, ell - 1, ell, 3 * ell)]
+            assert all(rep == reports[0] for rep in reports), (p, axis)
+
+
 def test_exact_sequence_check_locates_failures():
     ring = GradedRing((2, 3))
     L = ring.L
