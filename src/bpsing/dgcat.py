@@ -2,8 +2,10 @@
 
 A category here is a finite ordered list of objects, a graded hom basis for
 each ordered pair with src <= tgt, and a sparse table of composition
-coefficients over the rationals.  Morphisms only point forward: hom(X, Y) = 0
-whenever X comes after Y, and hom(X, X) is spanned by the identity.
+coefficients over the rationals, each in exact form (``exactlin.exact``): an
+int when integral and a ``Fraction`` only when truly rational.  Morphisms only
+point forward: hom(X, Y) = 0 whenever X comes after Y, and hom(X, X) is
+spanned by the identity.
 
 The composition table is stored explicitly (missing entry = zero composite),
 so deliberately broken tables can be built and then caught by ``validate``.
@@ -19,10 +21,11 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exactlin import RatMatrix, solve_integer, solve_mod2
+from .exactlin import RatMatrix, exact, solve_integer, solve_mod2
 from .grading import exponent_seq
 
-CompTable = Mapping[tuple["MorRef", "MorRef"], Mapping[int, Fraction]]
+# composable pairs (g, f) to nonzero coefficients, ints where integral
+CompTable = Mapping[tuple["MorRef", "MorRef"], Mapping[int, int | Fraction]]
 
 
 class MorRef(NamedTuple):
@@ -47,8 +50,9 @@ class DirectedGradedCategory:
     ``homs`` maps index pairs (i, j) with i < j to the degree sequence of the
     hom basis; diagonal homs are always the single identity in degree 0.
     ``comp`` maps composable pairs (g, f) to sparse result coefficients over
-    the basis of hom(f.src, g.tgt); absent entries are zero composites.
-    Identity compositions are filled in strictly unless explicitly supplied.
+    the basis of hom(f.src, g.tgt), stored in exact form whatever number
+    type gave them; absent entries are zero composites.  Identity
+    compositions are filled in strictly unless explicitly supplied.
 
     Instances are immutable.  A product from ``tensor`` leaves ``_comp`` unset
     and holds a pending table instead, which the first read of ``_comp``
@@ -78,12 +82,12 @@ class DirectedGradedCategory:
                 table[(i, j)] = degs
         for i in range(len(objs)):
             table[(i, i)] = (0,)
-        comp_table: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
+        comp_table: dict[tuple[MorRef, MorRef], dict[int, int | Fraction]] = {}
         if comp:
             for (g, f), result in comp.items():
                 g, f = _as_ref(g), _as_ref(f)
                 entry = {int(k): c for k, v in result.items()
-                         if (c := v if isinstance(v, Fraction) else Fraction(v))}
+                         if (c := exact(v if isinstance(v, Fraction) else Fraction(v)))}
                 if entry:
                     comp_table[(g, f)] = entry
         _fill_identities(comp_table, table)
@@ -186,7 +190,7 @@ class DirectedGradedCategory:
             return f"id@{self.objects[f.src]}"
         return f"{self.objects[f.src]}->{self.objects[f.tgt]}#{f.idx}"
 
-    def compose(self, g: MorRef, f: MorRef) -> dict[int, Fraction]:
+    def compose(self, g: MorRef, f: MorRef) -> dict[int, int | Fraction]:
         """Sparse coefficients of g after f over the basis of hom(f.src, g.tgt)."""
         if f.tgt != g.src:
             raise ValueError("morphisms are not composable")
@@ -207,14 +211,13 @@ def source_index(pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]
 
 def _fill_identities(comp: dict, homs: Mapping[tuple[int, int], Sequence[int]]) -> None:
     """Add the strict identity composites that ``comp`` lacks, in canonical order."""
-    one = Fraction(1)
     ids = {i: MorRef(i, i, 0) for i, j in homs if i == j}
     for (i, j) in sorted(homs):
         for k in range(len(homs[(i, j)])):
             f = MorRef(i, j, k)
             for key in ((ids[j], f), (f, ids[i])):
                 if key not in comp:
-                    comp[key] = {k: one}
+                    comp[key] = {k: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +298,7 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
             i, j = ia * nb + ib, ja * nb + jb
             if i < j:
                 homs[(i, j)] = tuple(da + db for da in ha for db in hb)
-    # both tables are in __init__'s form (ref keys, nonzero Fractions), so no copy
+    # both tables are in __init__'s form (ref keys, nonzero exact coefficients), so no copy
     homs.update({(i, i): (0,) for i in range(len(objects))})
     table = _ProductTable(count, A, B, homs)
     return object.__new__(DirectedGradedCategory)._keep(objects, homs, table)
@@ -321,7 +324,7 @@ def _product_composites(A: DirectedGradedCategory, B: DirectedGradedCategory,
     # the factors are composable by construction, so their tables are read
     # directly rather than through the checking, copying ``compose``
     comp_a, comp_b, homs_b = A._comp, B._comp, B._homs
-    comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
+    comp: dict[tuple[MorRef, MorRef], dict[int, int | Fraction]] = {}
     targets = source_index(factors)
     for (i, j) in sorted(factors):
         for l in targets.get(j, ()):
@@ -335,11 +338,12 @@ def _product_composites(A: DirectedGradedCategory, B: DirectedGradedCategory,
                         continue
                     odd = deg_gb * deg_fa % 2
                     width = len(homs_b.get((f_b.src, g_b.tgt), ()))
-                    entry: dict[int, Fraction] = {}
+                    entry: dict[int, int | Fraction] = {}
                     for ra, va in ca.items():
                         for rb, vb in cb.items():
-                            # a unit factor needs no Fraction product
-                            v = vb if va == 1 else va if vb == 1 else va * vb
+                            # a unit factor needs no product, and a product of
+                            # Fractions may come out integral
+                            v = vb if va == 1 else va if vb == 1 else exact(va * vb)
                             entry[ra * width + rb] = -v if odd else v
                     comp[(g, f)] = entry
     _fill_identities(comp, homs)
@@ -465,7 +469,7 @@ def square_sign_audit(C: DirectedGradedCategory) -> list[str]:
     violations = []
     for i in range(len(C.objects)):
         # degree-1 paths i -> m -> j grouped by j, in (m, f, g) order
-        by_target: dict[int, list[tuple[int, dict[int, Fraction]]]] = {}
+        by_target: dict[int, list[tuple[int, dict[int, int | Fraction]]]] = {}
         for f in C.morphisms_from(i):
             if C.degree(f) != 1:
                 continue
@@ -554,12 +558,12 @@ def validate(C: DirectedGradedCategory) -> ValidationReport:
                 hg = comp.get((h, g))
                 if not gf and not hg:
                     continue  # both sides are empty sums
-                lhs: dict[int, Fraction] = {}
+                lhs: dict[int, int | Fraction] = {}
                 if gf:
                     for idx, coeff in gf.items():
                         for ridx, rcoeff in comp.get((h, MorRef(f.src, g.tgt, idx)), {}).items():
                             lhs[ridx] = lhs.get(ridx, 0) + coeff * rcoeff
-                rhs: dict[int, Fraction] = {}
+                rhs: dict[int, int | Fraction] = {}
                 if hg:
                     for idx, coeff in hg.items():
                         for ridx, rcoeff in comp.get((MorRef(g.src, h.tgt, idx), f), {}).items():
@@ -578,7 +582,7 @@ def validate(C: DirectedGradedCategory) -> ValidationReport:
 @dataclass(frozen=True)
 class GaugeResult:
     ok: bool
-    witness: dict[str, Fraction] | None
+    witness: dict[str, int | Fraction] | None
     reason: str | None
 
 
@@ -644,7 +648,7 @@ def gauge_isomorphic(
     comp_c, comp_d = C._comp, D._comp
     # (g, f, h, ratio, signed prime exponents of ratio) as variable indices:
     # the scalars must satisfy lam_g * lam_f = ratio * lam_h
-    equations: list[tuple[int, int, int, Fraction, dict[int, int]]] = []
+    equations: list[tuple[int, int, int, int | Fraction, dict[int, int]]] = []
     for f in morphs:
         fD = in_d[f]
         for g in C.morphisms_from(f.tgt):
@@ -658,7 +662,8 @@ def gauge_isomorphic(
                 reason = f"composition vanishing patterns differ at ({C.name(g)}, {C.name(f)})"
                 return GaugeResult(False, None, reason)
             for idx, vc in cc.items():
-                ratio = vc / cd[fwd[idx]]
+                # never vc / cd, which is a float on two ints
+                ratio = exact(Fraction(vc, cd[fwd[idx]]))
                 powers = _prime_factors(ratio.numerator)
                 for q, e in _prime_factors(ratio.denominator).items():
                     powers[q] = -e  # numerator and denominator are coprime
@@ -674,7 +679,7 @@ def gauge_isomorphic(
     if signs is None:
         return GaugeResult(False, None, "sign system is inconsistent")
 
-    scalars = [Fraction(-1 if s else 1) for s in signs]
+    scalars = [-1 if s else 1 for s in signs]
     primes = sorted({q for *_, powers in equations for q in powers})
     if primes:
         # the rows e_g + e_f - e_h, shared by every prime's system
@@ -688,7 +693,7 @@ def gauge_isomorphic(
             exps = solve_integer(system, [powers.get(prime, 0) for *_, powers in equations])
             if exps is None:
                 return GaugeResult(False, None, f"magnitude system inconsistent at prime {prime}")
-            scalars = [v * Fraction(prime) ** e for v, e in zip(scalars, exps)]
+            scalars = [exact(v * Fraction(prime) ** e) for v, e in zip(scalars, exps)]
 
     for g, f, h, ratio, _ in equations:
         if scalars[g] * scalars[f] != ratio * scalars[h]:  # scalars are nonzero

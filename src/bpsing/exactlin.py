@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals and the integers.
 
-One dense matrix type with ``Fraction`` entries; the integer routines (Smith
-normal form, integer kernels and solutions) take matrices whose entries are
-integers.  Also the cohomology of a two-step complex with deterministic representative
-choices.  Everything here is exact: no floats ever enter, and identical inputs
-produce identical outputs (pivots are chosen by fixed scan order).
+One dense matrix type with ``Fraction`` entries, which elimination divides;
+the integer routines (Smith normal form, integer kernels and solutions) take
+matrices whose entries are integers.  Also the cohomology of a two-step
+complex with deterministic representative choices, whose representatives and
+coordinate rows are stored in exact form (``exact``): an integral coefficient
+is a plain ``int``, and only a truly rational one stays a ``Fraction``.
+Everything here is exact: no floats ever enter, and identical inputs produce
+identical outputs (pivots are chosen by fixed scan order).
 
 Matrices act on column vectors, so a matrix with ``rows`` rows and ``cols``
 columns maps length-``cols`` vectors to length-``rows`` vectors.
@@ -17,7 +20,12 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]
+
+
+def exact(x: int | Fraction) -> int | Fraction:
+    """The exact form of a coefficient: an int when integral, else the Fraction."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class ComplexError(ValueError):
@@ -375,11 +383,11 @@ def solve_mod2(rows: list[int], rhs: list[int], nvars: int) -> list[int] | None:
 # cohomology of a two-step complex
 
 
-SparseRow = tuple[tuple[int, Fraction], ...]  # (column, nonzero coefficient)
+SparseRow = tuple[tuple[int, int | Fraction], ...]  # (column, nonzero coefficient)
 
 
-def _dot(row: SparseRow, vec: Sequence) -> Fraction:
-    return sum((c * vec[i] for i, c in row), Fraction(0))
+def _dot(row: SparseRow, vec: Sequence) -> int | Fraction:
+    return sum((c * vec[i] for i, c in row), 0)
 
 
 @dataclass(frozen=True)
@@ -392,7 +400,9 @@ class Cohomology:
     modulo coboundaries, through a coordinate map fixed when the cohomology
     is computed: ``_coord_rows`` give the coefficients over the
     representatives, and ``_residual_rows`` vanish exactly on the span of
-    image and representatives.
+    image and representatives.  Representatives and rows are in exact form,
+    ints where integral, so a cocycle with int entries gets int coordinates
+    at no ``Fraction`` cost; only the elimination that finds them divides.
     """
 
     dim: int
@@ -430,8 +440,8 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
         for i, row in enumerate(d_in.entries)
     ]
     reduced, pivots, _ = _eliminate(stacked, width)
-    reps = tuple(kernel[c - m] for c in pivots if c >= m)
-    rows = [tuple((t, x) for t, x in enumerate(row[width:]) if x) for row in reduced]
+    reps = tuple(tuple(map(exact, kernel[c - m])) for c in pivots if c >= m)
+    rows = [tuple((t, exact(x)) for t, x in enumerate(row[width:]) if x) for row in reduced]
     return Cohomology(
         dim=len(reps),
         representatives=reps,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from operator import add
 from typing import Iterable, Sequence
 
@@ -297,6 +298,27 @@ def resolution_generators(n: int, i: int) -> tuple[tuple[tuple[int, ...], int], 
     return tuple(gens)
 
 
+# largest resolution ``bp_resolution`` builds, in entries of its differential
+# matrices, which are stored dense with one polynomial per entry.  Building
+# and checking cost about 0.1-0.35 ms per entry whether the entries come from
+# many levels or from many variables, while the cost per generator differs
+# forty-fold between the two: 2^15 admits the singcat suite on seven
+# variables (31582 entries, 3-5 s) and refuses it on eight (133728)
+MAX_RESOLUTION_ENTRIES = 2**15
+
+
+def resolution_entries(n: int, length: int) -> int:
+    """Entry count of the differentials of the n-variable resolution down to level -length.
+
+    Level -i has sum(C(n, s) for s <= i, s = i mod 2) generators, which is
+    2^(n - 1) from i = n on, so every map below level -n adds 4^(n - 1).
+    """
+    ranks = [1]
+    for i in range(1, min(n, length) + 1):
+        ranks.append((ranks[i - 2] if i > 1 else 0) + comb(n, i))
+    return sum(a * b for a, b in zip(ranks, ranks[1:])) + max(0, length - n) * 4 ** (n - 1)
+
+
 def _generator_degree(L: LGroup, n: int, I: tuple[int, ...], j: int) -> LDegree:
     return L.normalize(tuple(int(t in I) for t in range(1, n + 1)) + (j,))
 
@@ -348,11 +370,17 @@ def bp_resolution(p: Iterable[int] | GradedRing, length: int) -> FreeComplex:
     Level -i has one generator dx_I|j per pair with |I| + 2j = i, of degree
     sum(x_t, t in I) + j c; the differential is that of _form_complex.  The
     cross terms of the square multiply by the defining polynomial, hence
-    vanish in the quotient.
+    vanish in the quotient.  A resolution of more than MAX_RESOLUTION_ENTRIES
+    differential entries is refused before it is built.
     """
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ValueError("length must be a positive integer")
     ring = _ring(p)
+    entries = resolution_entries(ring.n, length)
+    if entries > MAX_RESOLUTION_ENTRIES:
+        raise ValueError(
+            f"resolution differential entry count {entries} exceeds the limit {MAX_RESOLUTION_ENTRIES}"
+        )
     return _form_complex(ring, [resolution_generators(ring.n, i) for i in range(length + 1)])
 
 

@@ -80,7 +80,7 @@ def directed_extension(A: DirectedGradedCategory, k: int) -> DirectedGradedCateg
     # the levels store comb(k + 2, 3) composites, one per chain a <= b <= c
     check_composites(comb(k + 2, 3) * A._composite_count())
     homs = {(a, b): (0,) for b in range(k) for a in range(b)}
-    refs, one = {pair: MorRef(*pair, 0) for pair in homs}, {0: Fraction(1)}
+    refs, one = {pair: MorRef(*pair, 0) for pair in homs}, {0: 1}
     levels = DirectedGradedCategory(range(k, 0, -1), homs, {
         (refs[b, c], refs[a, b]): one for a, b in homs for c in range(b + 1, k)})
     return relabel(tensor(levels, A), {(j, x): (x, j) for j in levels.objects for x in A.objects})
@@ -163,13 +163,13 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
         if pairs:
             homs[(si, sj)] = tuple(d for d, _ in pairs)
             basis_classes[(si, sj)] = (identity_class(h),) if si == sj else tuple(
-                (d, tuple(Fraction(int(t == r)) for t in range(dims[d]))) for d, r in pairs
+                (d, tuple(int(t == r) for t in range(dims[d]))) for d, r in pairs
             )
             class_index[(si, sj)] = {dr: idx for idx, dr in enumerate(pairs)}
 
     # an identity composite is kept even when zero, so that ``validate``
     # reports a failing unit; only id.id is left to the strict fill
-    comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
+    comp: dict[tuple[MorRef, MorRef], dict[int, int | Fraction]] = {}
     targets = source_index(class_index)
     for (si, sj) in sorted(class_index):
         for sl in targets.get(sj, ()):

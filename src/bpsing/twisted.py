@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .dgcat import DirectedGradedCategory, MorRef
-from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, Vec, complex_cohomology
+from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, Vec, complex_cohomology, exact
 
 Entry = tuple[int, int, int]  # (source component, target component, basis index)
 
@@ -31,7 +31,7 @@ class TwistedObject:
 
     category: DirectedGradedCategory
     components: tuple[tuple[object, int], ...]
-    delta: Mapping[tuple[int, int], Mapping[int, Fraction]]
+    delta: Mapping[tuple[int, int], Mapping[int, int | Fraction]]
 
     def __post_init__(self):
         if not self.components:
@@ -41,12 +41,12 @@ class TwistedObject:
             cat.object_index(label)  # raises KeyError on unknown labels
             if not isinstance(shift, int):
                 raise ValueError("shifts must be integers")
-        clean: dict[tuple[int, int], dict[int, Fraction]] = {}
+        clean: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for (a, b), entry in self.delta.items():
             if not (0 <= a < b < len(self.components)):
                 raise ValueError("delta must be strictly triangular")
             basis = cat.hom(self._oidx(a), self._oidx(b))
-            cleaned = {int(k): Fraction(v) for k, v in entry.items() if Fraction(v) != 0}
+            cleaned = {int(k): exact(c) for k, v in entry.items() if (c := Fraction(v))}
             for idx, _ in cleaned.items():
                 if not 0 <= idx < len(basis):
                     raise ValueError("delta references a missing basis morphism")
@@ -66,7 +66,7 @@ class TwistedObject:
         m = len(self.components)
         for a in range(m):
             for c in range(a + 2, m):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int | Fraction] = {}
                 for b in range(a + 1, c):
                     first = self.delta.get((a, b))
                     second = self.delta.get((b, c))
@@ -77,7 +77,7 @@ class TwistedObject:
                         for k2, v2 in second.items():
                             g = MorRef(self._oidx(b), self._oidx(c), k2)
                             for ridx, rv in cat.compose(g, f).items():
-                                acc[ridx] = acc.get(ridx, Fraction(0)) + v1 * v2 * rv
+                                acc[ridx] = acc.get(ridx, 0) + v1 * v2 * rv
                 if any(v != 0 for v in acc.values()):
                     raise ValueError(f"delta squared is nonzero between components {a} and {c}")
 
@@ -100,7 +100,7 @@ def cone(C: DirectedGradedCategory, f: MorRef) -> TwistedObject:
     if C.degree(f) != 0:
         raise ValueError("cone requires a degree-0 morphism")
     components = ((C.objects[f.src], 1), (C.objects[f.tgt], 0))
-    return TwistedObject(C, components, {(0, 1): {f.idx: Fraction(1)}})
+    return TwistedObject(C, components, {(0, 1): {f.idx: 1}})
 
 
 class HomComplex:
@@ -134,10 +134,11 @@ class HomComplex:
         self._diff: dict[int, RatMatrix] = {}
         for d in self.basis:
             self._diff[d] = self._build_differential(d)
-        # the nonzero entries of each column of each differential, for sparse
-        # products with cochains
+        # the nonzero entries of each column of each differential in exact
+        # form, for sparse products with cochains
         self._cols = {
-            d: tuple(tuple((r, x) for r, x in enumerate(m.column(c)) if x) for c in range(m.cols))
+            d: tuple(tuple((r, exact(x)) for r, x in enumerate(m.column(c)) if x)
+                     for c in range(m.cols))
             for d, m in self._diff.items()
         }
         self.cohomology = cohomology(self)
@@ -215,7 +216,7 @@ class TwistedCohomology:
     def coordinates(self, d: int, vec: Sequence) -> Vec:
         got = self._data.get(d)
         if got is None:
-            if any(Fraction(v) != 0 for v in vec):
+            if any(v != 0 for v in vec):
                 raise ValueError("nonzero vector in an empty degree")
             return ()
         return got.coordinates(vec)
@@ -240,12 +241,13 @@ def rebind(h: HomComplex, X: TwistedObject, Y: TwistedObject) -> HomComplex:
     return H
 
 
-Class = tuple[int, tuple[Fraction, ...]]  # (degree, coefficients over representatives)
+# (degree, coefficients over representatives), each an int when integral
+Class = tuple[int, tuple[int | Fraction, ...]]
 
 
 def identity_class(h_xx: HomComplex) -> Class:
     """The class of the identity cocycle in End(X)."""
-    vec = [Fraction(0)] * h_xx.dim(0)
+    vec = [0] * h_xx.dim(0)
     for a in range(len(h_xx.X.components)):
         d, pos = h_xx.position[(a, a, 0)]
         if d != 0:
@@ -255,9 +257,9 @@ def identity_class(h_xx: HomComplex) -> Class:
 
 
 def _combine(
-    coeffs: Sequence[Fraction],
+    coeffs: Sequence[int | Fraction],
     reps: Sequence[SparseRow],
-) -> Iterable[tuple[int, Fraction]]:
+) -> Iterable[tuple[int, int | Fraction]]:
     """The terms of sum(coeffs[t] * reps[t]), none of them zero: zero
     coefficients are skipped and sparse rows hold no zero entry.
 
@@ -295,11 +297,11 @@ def compose_classes(
     position = h_xz.position
     X, Y, Y2, Z = h_xy.X, h_xy.Y, h_yz.X, h_yz.Y
     # beta's nonzero terms grouped by their middle component
-    by_middle: dict[int, list[tuple[int, MorRef, Fraction]]] = {}
+    by_middle: dict[int, list[tuple[int, MorRef, int | Fraction]]] = {}
     for i, v in _combine(cb, reps_b):
         a, b, k1 = basis_xy[i]
         by_middle.setdefault(b, []).append((a, MorRef(X._oidx(a), Y._oidx(b), k1), v))
-    vec: dict[int, Fraction] = {}
+    vec: dict[int, int | Fraction] = {}
     for j, w in _combine(ca, reps_a):
         b, c, k2 = basis_yz[j]
         firsts = by_middle.get(b)
@@ -319,7 +321,7 @@ def compose_classes(
                     raise ComplexError("composition is not degree additive")
                 vec[pos] = vec.get(pos, 0) + wv * rcoeff
     cols = h_xz._cols.get(total, ())
-    boundary: dict[int, Fraction] = {}
+    boundary: dict[int, int | Fraction] = {}
     for pos, v in vec.items():
         if v:
             for r, x in cols[pos]:

@@ -13,17 +13,21 @@ from fractions import Fraction
 
 import pytest
 
+from bpsing import suspension
 from bpsing.dgcat import (
     DirectedGradedCategory,
     MorRef,
     a_category,
     from_json_dict,
+    gauge_isomorphic,
     source_index,
     tensor,
     tensor_bp,
     to_json_dict,
 )
-from bpsing.suspension import directed_extension, suspend
+from bpsing.suspension import directed_extension, fukaya_bp, suspend, suspension_tower
+from bpsing.twisted import compose_classes, hom_complex
+from test_dgcat import _rescaled
 
 
 def reference_tensor(A, B):
@@ -231,7 +235,16 @@ def coefficients(C):
     return [v for entry in C._comp.values() for v in entry.values()]
 
 
-def test_every_stored_coefficient_is_a_fraction():
+def assert_exact(values):
+    """Each value an int (never a bool) when integral, else a Fraction with
+    denominator above 1; a float, or an integral Fraction, fails."""
+    values = list(values)
+    assert values
+    for v in values:
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), (type(v), v)
+
+
+def test_every_stored_coefficient_is_exact():
     rng = random.Random(7)
     A, B = random_rational_category(rng, 3), random_rational_category(rng, 3)
     C = tensor_bp((3, 3))
@@ -243,7 +256,38 @@ def test_every_stored_coefficient_is_a_fraction():
         suspend(C, 3),
         from_json_dict(to_json_dict(tensor(A, B))),
     ]
-    assert any(v.denominator != 1 for v in coefficients(built[1]))
+    assert any(type(v) is Fraction for v in coefficients(built[1]))
     for D in built:
-        assert coefficients(D)
-        assert all(type(v) is Fraction for v in coefficients(D))
+        assert_exact(coefficients(D))
+
+
+def test_the_tower_keeps_every_coefficient_exact(monkeypatch):
+    """Tables, cohomology data, differential columns and composed classes of
+    every tower stage, and a gauge witness that carries primes."""
+    homs, classes = [], []
+
+    def recording_hom_complex(X, Y):
+        homs.append(hom_complex(X, Y))
+        return homs[-1]
+
+    def recording_compose_classes(*args):
+        classes.append(compose_classes(*args))
+        return classes[-1]
+
+    monkeypatch.setattr(suspension, "hom_complex", recording_hom_complex)
+    monkeypatch.setattr(suspension, "compose_classes", recording_compose_classes)
+    for p in [(3, 3, 3), (2, 3, 4), (2, 2, 2, 2)]:
+        for stage in suspension_tower(p):
+            assert_exact(coefficients(stage))
+    cohomologies = [c for h in homs for c in h.cohomology._data.values()]
+    assert_exact(x for c in cohomologies for rep in c.representatives for x in rep)
+    assert_exact(x for c in cohomologies for row in c._coord_rows for _, x in row)
+    assert_exact(x for c in cohomologies for row in c._residual_rows for _, x in row)
+    assert_exact(x for h in homs for cols in h._cols.values() for col in cols for _, x in col)
+    assert_exact(x for _, coeffs in classes for x in coeffs)
+
+    C = fukaya_bp((3, 3, 3))
+    got = gauge_isomorphic(C, _rescaled(C, random.Random(7)), {x: x for x in C.objects})
+    assert got.ok
+    assert {type(v) for v in got.witness.values()} == {int, Fraction}
+    assert_exact(got.witness.values())

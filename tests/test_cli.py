@@ -13,6 +13,7 @@ import pytest
 import bpsing.cli
 import bpsing.dgcat
 import bpsing.lattice
+import bpsing.singcat
 import bpsing.suspension
 from bpsing.cli import main
 from bpsing.dgcat import from_json_dict, tensor_bp
@@ -295,6 +296,42 @@ def test_singcat_suite_sequence_degree_limit_is_inclusive(capsys, monkeypatch):
     assert err == "error: short-exact-sequences degree count 35 exceeds the limit 27\n"
 
 
+def _no_resolution(ring, gens):
+    raise AssertionError(f"a resolution over {ring} was built before the size check")
+
+
+def test_resolution_builders_refuse_huge_resolutions_before_building(capsys, monkeypatch):
+    # a long resolution of two variables and the suite's short one of eight
+    # cost alike per differential entry, so one count bounds both commands
+    assert bpsing.singcat.MAX_RESOLUTION_ENTRIES == 2**15
+    monkeypatch.setattr(bpsing.singcat, "_form_complex", _no_resolution)
+    for argv, count in [
+        ("singcat resolution --p 2,3 --length 10000", 39998),
+        ("singcat resolution --p 2,3 --length 10000000000", 39999999998),
+        ("verify --suite singcat --p 2,2,2,2,2,2,2,2", 133728),
+    ]:
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: resolution differential entry count {count} exceeds the limit 32768\n"
+
+
+def test_resolution_entry_limit_is_inclusive(capsys, monkeypatch):
+    # (3,4,5) to level -9 has 127 entries, the suite's (3,3,3) resolution 95
+    monkeypatch.setattr(bpsing.singcat, "MAX_RESOLUTION_ENTRIES", 127)
+    code, out, _ = run_cli(capsys, "singcat", "resolution", "--p", "3,4,5", "--length", "9")
+    assert code == 0 and "validation: PASS" in out
+    code, out, _ = run_cli(capsys, "verify", "--suite", "singcat", "--p", "3,3,3")
+    assert code == 0 and out.endswith("verify: PASS\n")
+    monkeypatch.setattr(bpsing.singcat, "_form_complex", _no_resolution)
+    for argv, count in [
+        ("singcat resolution --p 3,4,5 --length 10", 143),
+        ("verify --suite singcat --p 2,2,2,2", 408),
+    ]:
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: resolution differential entry count {count} exceeds the limit 127\n"
+
+
 def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch):
     def unreachable(m):
         raise AssertionError(f"a linear quiver with {m} objects was built before the check")
@@ -447,6 +484,11 @@ CLI_PINS = {
     "suspend --p 3,3 --k 4 --verify --json": "19282544ebaa3b3158e3e04ba2445c4111fcfa9b34972b867ded02692d24d42a",
     "verify --suite fukaya --p 2,2,2,2 --json": "5b1e78a2df28c40bb4c54c56fdaca3c9e50c338de16993d24deb2867524a2e8e",
     "fukaya --p 2,2,2,2,2 --verify": "438765784cf285c51eb14db978b00e168e0b10d1dbf1eeda66649a37640da054",
+    # recorded while every tower coefficient was still a Fraction; str(2) ==
+    # str(Fraction(2)), so integral coefficients stored as int print the same
+    "fukaya --p 2,3,4 --json": "268e0e101e62b787b087c8d82eea2a01e5aab9817f92d9d1b462f90d54f98e42",
+    "suspend --p 3,3,3 --k 3 --json": "2b83ddfd60a7ff997824cdd4cb77989859a4f8ef5f14a7c08596e70dff3a6fcb",
+    "category --p 3,3,3 --json": "b9e3efde50a027b3abcbed8b411870b65b6d135951c356834178606cd843066e",
 }
 
 

@@ -497,7 +497,7 @@ def reference_gauge_isomorphic(C, D, bijection):
                     f"composition vanishing patterns differ at ({C.name(g)}, {C.name(f)})",
                 )
             for idx, vc in cc.items():
-                equations.append((g, f, MorRef(f.src, g.tgt, idx), vc / cd_in_c[idx]))
+                equations.append((g, f, MorRef(f.src, g.tgt, idx), Fraction(vc) / cd_in_c[idx]))
     nvars = len(morphs)
     sign_rows, sign_rhs, primes = [], [], set()
     for (g, f, h, ratio) in equations:

@@ -33,6 +33,7 @@ from bpsing.singcat import (
     lemma_k_check,
     monomial_label,
     quotient_by_variables,
+    resolution_entries,
     resolution_generators,
     truncated_module,
     validate_resolution,
@@ -150,6 +151,16 @@ def test_hilbert_series_of_the_quotient_ring():
         expected = series_coefficients([L.ell], weights, upto)
         got = [len(R.monomials_of_weight(z)) for z in range(upto + 1)]
         assert got == expected, p
+
+
+def test_resolution_entries_count_the_differentials_of_the_generators():
+    for n in range(1, 7):
+        for length in range(1, 12):
+            ranks = [len(resolution_generators(n, i)) for i in range(length + 1)]
+            got = resolution_entries(n, length)
+            assert got == sum(a * b for a, b in zip(ranks, ranks[1:])), (n, length)
+    # the count stays a closed form however long the resolution
+    assert resolution_entries(3, 10**12) == 95 + (10**12 - 7) * 16
 
 
 def test_resolution_generators_order():
