@@ -463,38 +463,26 @@ def _cmd_singcat_resolution(args, p):
     cplx = bp_resolution(p, args.length)
     rep = validate_resolution(cplx, window)
     code = 0 if rep.ok else 1
+    levels = sorted(cplx.levels(), reverse=True)
+    # (label, degree, z) of each generator, per level
+    gens = {i: [(label, g.raw(), L.z_degree(g)) for label, g in zip(cplx.labels[i], cplx.terms[i])]
+            for i in levels}
     if args.json:
-        levels = []
-        for i in sorted(cplx.levels(), reverse=True):
-            gens = [
-                {
-                    "label": cplx.labels[i][g],
-                    "degree": list(cplx.terms[i][g].raw()),
-                    "z": L.z_degree(cplx.terms[i][g]),
-                }
-                for g in range(cplx.rank(i))
-            ]
-            levels.append({"level": i, "generators": gens})
         return {
             "p": list(p),
             "length": args.length,
             "window": window,
-            "ranks": [cplx.rank(i) for i in sorted(cplx.levels(), reverse=True)],
-            "levels": levels,
+            "ranks": [cplx.rank(i) for i in levels],
+            "levels": [{"level": i, "generators": [{"label": a, "degree": list(d), "z": z}
+                                                   for a, d, z in gens[i]]} for i in levels],
             "ok": rep.ok,
             "degrees_checked": rep.degrees_checked,
             "failures": list(rep.failures),
         }, code
     lines = [f"p: {p}  length: {args.length}  window: {window}"]
-    lines.append("ranks: " + ", ".join(str(cplx.rank(i)) for i in sorted(cplx.levels(), reverse=True)))
-    for i in sorted(cplx.levels(), reverse=True):
-        if i == 0:
-            continue
-        gens = "; ".join(
-            f"{cplx.labels[i][g]} degree {cplx.terms[i][g].raw()} z {L.z_degree(cplx.terms[i][g])}"
-            for g in range(cplx.rank(i))
-        )
-        lines.append(f"level {i}: {gens}")
+    lines.append("ranks: " + ", ".join(str(cplx.rank(i)) for i in levels))
+    lines.extend(f"level {i}: " + "; ".join(f"{a} degree {d} z {z}" for a, d, z in gens[i])
+                 for i in levels if i)
     status = "PASS" if rep.ok else "FAIL"
     lines.append(f"validation: {status} ({rep.degrees_checked} degrees checked)")
     lines.extend(f"  {msg}" for msg in rep.failures[:10])

@@ -86,8 +86,7 @@ class DirectedGradedCategory:
         if comp:
             for (g, f), result in comp.items():
                 g, f = _as_ref(g), _as_ref(f)
-                entry = {int(k): c for k, v in result.items()
-                         if (c := exact(v if isinstance(v, Fraction) else Fraction(v)))}
+                entry = {int(k): c for k, v in result.items() if (c := exact(v))}
                 if entry:
                     comp_table[(g, f)] = entry
         _fill_identities(comp_table, table)

@@ -1,12 +1,11 @@
 """Exact linear algebra over the rationals and the integers.
 
-One dense matrix type with ``Fraction`` entries, which elimination divides;
-the integer routines (Smith normal form, integer kernels and solutions) take
-matrices whose entries are integers.  Also the cohomology of a two-step
-complex with deterministic representative choices, whose representatives and
-coordinate rows are stored in exact form (``exact``): an integral coefficient
-is a plain ``int``, and only a truly rational one stays a ``Fraction``.
-Everything here is exact: no floats ever enter, and identical inputs produce
+Every number here is in exact form (``exact``): an ``int`` when integral, a
+``Fraction`` only when truly rational.  ``RatMatrix`` stores, and every routine
+returns, that form, so integral data stays in integer arithmetic and only
+elimination divides.  Smith normal form, integer kernels and solutions take
+integer matrices; the cohomology of a two-step complex picks representatives
+deterministically.  No float ever enters, and identical inputs produce
 identical outputs (pivots are chosen by fixed scan order).
 
 Matrices act on column vectors, so a matrix with ``rows`` rows and ``cols``
@@ -23,8 +22,11 @@ from typing import Iterable, Sequence
 Vec = tuple[int | Fraction, ...]
 
 
-def exact(x: int | Fraction) -> int | Fraction:
-    """The exact form of a coefficient: an int when integral, else the Fraction."""
+def exact(x) -> int | Fraction:
+    """The exact form of a rational number: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -32,12 +34,8 @@ class ComplexError(ValueError):
     """Raised when differentials fail to compose to zero."""
 
 
-def _as_fraction_rows(entries: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
-
-
 class RatMatrix:
-    """Immutable dense matrix of Fractions.
+    """Immutable dense matrix of rationals, each entry in exact form.
 
     ``cols`` must be passed explicitly when there are no rows, since the
     width cannot be inferred from an empty row list.
@@ -46,7 +44,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        rows = _as_fraction_rows(entries)
+        rows = tuple(tuple(map(exact, row)) for row in entries)
         if rows:
             widths = {len(r) for r in rows}
             if len(widths) != 1:
@@ -66,11 +64,11 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> RatMatrix:
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> RatMatrix:
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], cols=n)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -92,7 +90,7 @@ class RatMatrix:
         for i in range(self.rows):
             row = []
             for j in range(other.cols):
-                s = Fraction(0)
+                s = 0
                 for k in range(self.cols):
                     s += self.entries[i][k] * other.entries[k][j]
                 row.append(s)
@@ -110,10 +108,8 @@ class RatMatrix:
     def apply(self, vec: Sequence) -> Vec:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((self.entries[i][k] * Fraction(vec[k]) for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
+        vec = tuple(map(exact, vec))
+        return tuple(exact(sum(x * v for x, v in zip(row, vec))) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -122,18 +118,17 @@ class RatMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
 
-def _eliminate(
-    entries: list[list[Fraction]], cols: int
-) -> tuple[list[list[Fraction]], list[int], list[Fraction]]:
+def _eliminate(entries: list[list], cols: int) -> tuple[list[list], list[int], list]:
     """Row reduce in place to reduced echelon form; return (rows, pivot columns, pivots).
 
     Pivot selection is the first nonzero entry scanning down each column, so
     the result is deterministic.  Each pivot is taken before its row is
     normalized and negated when a row swap brought it into place, so for a
-    square matrix of full rank their product is the determinant.
+    square matrix of full rank their product is the determinant.  Unit pivots
+    keep int rows int; the rows may end with integral Fractions, which callers make exact.
     """
     pivots: list[int] = []
-    values: list[Fraction] = []
+    values: list = []
     r = 0
     for c in range(cols):
         pivot_row = None
@@ -145,8 +140,11 @@ def _eliminate(
             continue
         entries[r], entries[pivot_row] = entries[pivot_row], entries[r]
         values.append(entries[r][c] if pivot_row == r else -entries[r][c])
-        inv = 1 / entries[r][c]
-        entries[r] = [x * inv for x in entries[r]]
+        if entries[r][c] == -1:
+            entries[r] = [-x for x in entries[r]]
+        elif entries[r][c] != 1:
+            inv = Fraction(1) / entries[r][c]  # never 1 / pivot, a float on ints
+            entries[r] = [x * inv for x in entries[r]]
         for i in range(len(entries)):
             if i != r and entries[i][c] != 0:
                 factor = entries[i][c]
@@ -181,8 +179,8 @@ def rank_kernel(M: RatMatrix) -> tuple[int, list[Vec]]:
     free = [c for c in range(M.cols) if c not in pivot_set]
     basis: list[Vec] = []
     for f in free:
-        v = [Fraction(0)] * M.cols
-        v[f] = Fraction(1)
+        v = [0] * M.cols
+        v[f] = 1
         for r, c in enumerate(pivots):
             v[c] = -R.entries[r][f]
         basis.append(tuple(v))
@@ -196,24 +194,24 @@ def solve(M: RatMatrix, b: Sequence) -> Vec | None:
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    entries = [list(row) + [Fraction(v)] for row, v in zip(M.entries, b)]
+    entries = [list(row) + [exact(v)] for row, v in zip(M.entries, b)]
     if M.rows == 0:
-        return tuple([Fraction(0)] * M.cols)
+        return (0,) * M.cols
     entries, pivots, _ = _eliminate(entries, M.cols + 1)
     if M.cols in pivots:
         return None
-    x = [Fraction(0)] * M.cols
+    x = [0] * M.cols
     for r, c in enumerate(pivots):
-        x[c] = entries[r][M.cols]
+        x[c] = exact(entries[r][M.cols])
     return tuple(x)
 
 
-def det(M: RatMatrix) -> Fraction:
+def det(M: RatMatrix) -> int | Fraction:
     """Determinant: the product of the elimination's pivots, 0 below full rank."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
     _, pivots, values = _eliminate([list(row) for row in M.entries], M.cols)
-    return prod(values, start=Fraction(1)) if len(pivots) == M.cols else Fraction(0)
+    return exact(prod(values)) if len(pivots) == M.cols else 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +220,9 @@ def det(M: RatMatrix) -> Fraction:
 
 def _int_rows(M: RatMatrix) -> list[list[int]]:
     """Entries of M as lists of ints; raises ValueError on a non-integer entry."""
-    if any(x.denominator != 1 for row in M.entries for x in row):
+    if any(type(x) is not int for row in M.entries for x in row):
         raise ValueError("integer entries required")
-    return [[x.numerator for x in row] for row in M.entries]
+    return [list(row) for row in M.entries]
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -417,7 +415,7 @@ class Cohomology:
             raise ValueError("vector length mismatch")
         if any(_dot(row, vec) for row in self._residual_rows):
             raise ValueError("vector is not in the span of image and representatives")
-        return tuple(_dot(row, vec) for row in self._coord_rows)
+        return tuple(exact(_dot(row, vec)) for row in self._coord_rows)
 
 
 def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
@@ -436,11 +434,11 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
     # the span to its coefficients over the pivot columns, padded with zeros
     m, width = d_in.cols, d_in.cols + len(kernel)
     stacked = [
-        list(row) + [v[i] for v in kernel] + [Fraction(int(i == t)) for t in range(n)]
+        list(row) + [v[i] for v in kernel] + [int(i == t) for t in range(n)]
         for i, row in enumerate(d_in.entries)
     ]
     reduced, pivots, _ = _eliminate(stacked, width)
-    reps = tuple(tuple(map(exact, kernel[c - m])) for c in pivots if c >= m)
+    reps = tuple(kernel[c - m] for c in pivots if c >= m)
     rows = [tuple((t, exact(x)) for t, x in enumerate(row[width:]) if x) for row in reduced]
     return Cohomology(
         dim=len(reps),

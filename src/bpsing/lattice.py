@@ -45,9 +45,7 @@ class BilinearLattice:
         return self.entries[i][j]
 
     def determinant(self) -> int:
-        value = det(RatMatrix(self.entries))
-        assert value.denominator == 1
-        return value.numerator
+        return det(RatMatrix(self.entries))
 
 
 def one_var_form(p: int, i: int, j: int) -> int:

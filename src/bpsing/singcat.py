@@ -15,18 +15,18 @@ with their short exact sequences, and a Koszul perfectness certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 from operator import add
 from typing import Iterable, Sequence
 
-from .exactlin import ComplexError, RatMatrix, rank, rref
+from .exactlin import ComplexError, RatMatrix, exact, rank, rref
 from .grading import LDegree, LGroup, exponent_seq
 
 Monomial = tuple[int, ...]
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, int | Fraction]  # coefficients in exact form
 
 
 def monomial_label(mono: Monomial) -> str:
@@ -63,7 +63,7 @@ class GradedRing:
     def reduce(self, poly: Poly) -> Poly:
         """Rewrite into the monomial basis with e_1 < p_1, dropping zeros."""
         out: Poly = {}
-        work = [(tuple(m), Fraction(c)) for m, c in poly.items()]
+        work = [(tuple(m), c) for m, c in poly.items()]
         while work:
             mono, coeff = work.pop()
             if not coeff:
@@ -75,9 +75,9 @@ class GradedRing:
                     lifted = base[:i] + (base[i] + self.p[i],) + base[i + 1 :]
                     work.append((lifted, -coeff))
                 continue
-            acc = out.get(mono, Fraction(0)) + coeff
+            acc = out.get(mono, 0) + coeff
             if acc:
-                out[mono] = acc
+                out[mono] = exact(acc)
             else:
                 out.pop(mono, None)
         return out
@@ -87,14 +87,14 @@ class GradedRing:
         for m1, c1 in f.items():
             for m2, c2 in g.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                prod[m] = prod.get(m, Fraction(0)) + c1 * c2
+                prod[m] = prod.get(m, 0) + c1 * c2
         return self.reduce(prod)
 
     def monomial(self, exponents: Sequence[int], coeff=1) -> Poly:
         mono = tuple(int(e) for e in exponents)
         if len(mono) != self.n or any(e < 0 for e in mono):
             raise ValueError("bad exponent vector")
-        return self.reduce({mono: Fraction(coeff)})
+        return self.reduce({mono: coeff})
 
     def variable(self, i: int, power: int = 1) -> Poly:
         """x_i^power, with i 1-indexed."""
@@ -115,14 +115,15 @@ class GradedRing:
         found: list[Monomial] = []
 
         def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-            if i == self.n:
-                if remaining == 0:
-                    found.append(prefix)
-                return
             w = self.L.weights[i]
             top = remaining // w
             if i == 0:
                 top = min(top, self.p[0] - 1)
+            if i == self.n - 1:
+                # the last exponent is forced
+                if remaining % w == 0 and remaining // w <= top:
+                    found.append(prefix + (remaining // w,))
+                return
             for e in range(top + 1):
                 rec(i + 1, remaining - e * w, prefix + (e,))
 
@@ -214,7 +215,7 @@ class FreeComplex:
                     acc: Poly = {}
                     for k in range(len(lower)):
                         for m, co in self.ring.multiply(upper[r][k], lower[k][c]).items():
-                            acc[m] = acc.get(m, Fraction(0)) + co
+                            acc[m] = acc.get(m, 0) + co
                     if any(acc.values()):
                         bad.append(f"square at level {i} nonzero at ({r},{c})")
         return tuple(bad)
@@ -245,11 +246,9 @@ class FreeComplex:
         ring = self.ring
         p1 = ring.p[0]
         mat = self.diffs[i]
-        # the terms of each source column that has a basis element at d;
-        # integral coefficients as ints, which RatMatrix converts once
+        # the terms of each source column that has a basis element at d
         column = {
-            c: [(r, m1, c1.numerator if c1.denominator == 1 else c1)
-                for r, row in enumerate(mat) for m1, c1 in row[c].items()]
+            c: [(r, m1, c1) for r, row in enumerate(mat) for m1, c1 in row[c].items()]
             for c in {c for c, _ in src}
         }
         entries = [[0] * len(src) for _ in tgt]
@@ -348,13 +347,13 @@ def _form_complex(ring: GradedRing, gens: Sequence[tuple]) -> FreeComplex:
         for cidx, (I, j) in enumerate(gens[i]):
             for r_pos, t in enumerate(I):
                 row = pos[(tuple(s for s in I if s != t), j)]
-                mat[row][cidx] = {power(t, 1): Fraction((-1) ** r_pos)}
+                mat[row][cidx] = {power(t, 1): (-1) ** r_pos}
             if j >= 1:
                 for t in range(1, n + 1):
                     if t not in I:
                         row = pos[(tuple(sorted(I + (t,))), j - 1)]
                         sign = (-1) ** sum(s < t for s in I)
-                        mat[row][cidx] = {power(t, ring.p[t - 1] - 1): Fraction(sign)}
+                        mat[row][cidx] = {power(t, ring.p[t - 1] - 1): sign}
         diffs[-i] = mat
     return FreeComplex(ring, terms, diffs, labels=labels)
 
@@ -382,6 +381,25 @@ def bp_resolution(p: Iterable[int] | GradedRing, length: int) -> FreeComplex:
             f"resolution differential entry count {entries} exceeds the limit {MAX_RESOLUTION_ENTRIES}"
         )
     return _form_complex(ring, [resolution_generators(ring.n, i) for i in range(length + 1)])
+
+
+# largest window a degree scan may cover, counted as its z-degrees plus the
+# ring's basis monomials in them, all listed before any rank: (3,4,5) to level
+# -9 checks z <= 938 (8192 of them) in about 4.5 s, and (31,33), the largest
+# two-variable suite the other limits admit, covers 3614 at its 2 ell
+MAX_WINDOW_SIZE = 2**13
+
+
+def _check_window(ring: GradedRing, window: int) -> None:
+    """Refuse a window above MAX_WINDOW_SIZE, counting no further; the ring keeps the pieces."""
+    size = 0
+    for z in range(window + 1):
+        size += 1 + sum(map(len, ring.pieces_of_weight(z).values()))
+        if size > MAX_WINDOW_SIZE:
+            raise ValueError(
+                f"window {window} covers at least {size} z-degrees and monomials,"
+                f" above the limit {MAX_WINDOW_SIZE}"
+            )
 
 
 def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
@@ -412,11 +430,12 @@ class ResolutionReport:
 def _certify(cplx: FreeComplex, window: int, first: int, h0_degrees, what: str) -> ResolutionReport:
     """Symbolic checks, then exactness at levels first..0 in every degree of a window.
 
-    First square zero and entry homogeneity.  If both hold, then per graded
-    piece of z-degree <= window: H^i must vanish for first <= i < 0 (a
-    failure is named ``what``), and H^0 must be one-dimensional on
-    h0_degrees and zero elsewhere.
+    A window above MAX_WINDOW_SIZE is refused first.  Then square zero and
+    entry homogeneity.  If both hold, then per graded piece of z-degree <=
+    window: H^i must vanish for first <= i < 0 (a failure is named ``what``),
+    and H^0 must be one-dimensional on h0_degrees and zero elsewhere.
     """
+    _check_window(cplx.ring, window)
     hom_bad = cplx.homogeneity_violations()
     sq_bad = cplx.square_defects()
     failures = list(hom_bad + sq_bad)
@@ -706,7 +725,7 @@ def truncated_module(
     degs = [L.sub(L.scale(s, xa), w) for s in range(j)]
     basis = {d: (f"x{axis}^{s}",) for s, d in enumerate(degs)}
     action = {
-        (axis, degs[s]): RatMatrix(((Fraction(1),),)) for s in range(j - 1)
+        (axis, degs[s]): RatMatrix(((1,),)) for s in range(j - 1)
     }
     return GradedModule(ring, basis, action)
 
@@ -742,7 +761,7 @@ def quotient_by_variables(
         rows = []
         for t in killed:
             for m in ring.piece(L.sub(d, L.x(t))):
-                vec = [Fraction(0)] * len(monos)
+                vec = [0] * len(monos)
                 for m2, co in ring.reduce({_shift(m, t): 1}).items():
                     vec[pos[m2]] += co
                 rows.append(vec)
@@ -771,7 +790,7 @@ def quotient_by_variables(
             # pivots, so its coefficient is the entry at its pivot
             cols = []
             for f in free:
-                vec = [Fraction(0)] * len(u_monos)
+                vec = [0] * len(u_monos)
                 for m2, co in ring.reduce({_shift(monos[f], t): 1}).items():
                     vec[u_pos[m2]] += co
                 ideal = [(vec[c], row) for c, row in zip(u_pivots, u_rows) if vec[c]]
@@ -802,8 +821,8 @@ def graded_module_iso(M: GradedModule, N: GradedModule) -> bool:
             raise ValueError("scalar propagation needs pieces of dimension at most one")
     support = [d for d in degrees if M.dim(d) == 1]
 
-    def scalar(mat: RatMatrix) -> Fraction:
-        return mat.entries[0][0] if mat.rows == 1 and mat.cols == 1 else Fraction(0)
+    def scalar(mat: RatMatrix) -> int | Fraction:
+        return mat.entries[0][0] if mat.rows == 1 and mat.cols == 1 else 0
 
     edges = []
     for d in support:
@@ -813,13 +832,14 @@ def graded_module_iso(M: GradedModule, N: GradedModule) -> bool:
             if (ms == 0) != (ns == 0):
                 return False
             if ms != 0:
-                edges.append((d, L.add(d, L.x(t)), ns / ms))
+                # never ns / ms, which is a float on two ints
+                edges.append((d, L.add(d, L.x(t)), Fraction(ns, ms)))
 
-    lam: dict[LDegree, Fraction] = {}
+    lam: dict[LDegree, int | Fraction] = {}
     remaining = set(support)
     while remaining:
         seed = min(remaining, key=ring.sort_key)
-        lam[seed] = Fraction(1)
+        lam[seed] = 1
         remaining.discard(seed)
         changed = True
         while changed:
@@ -853,6 +873,7 @@ def lemma_k_check(
     it bounds the ring quotient's z-degrees and is raised to at least ell.
     That is enough, since the ring modulo the other variables is
     k[x_axis]/(x_axis^{p_axis}), of top z-degree (p_axis - 1) ell / p_axis < ell.
+    A window above MAX_WINDOW_SIZE is refused there.
     """
     ring = _ring(p)
     L = ring.L
@@ -864,27 +885,18 @@ def lemma_k_check(
     sub = truncated_module(ring, axis, 1, twist=L.scale(-(j - 1), xa))
     mid = truncated_module(ring, axis, j)
     quo = truncated_module(ring, axis, j - 1)
-    incl = ModuleMap(sub, mid, {L.scale(j - 1, xa): RatMatrix(((Fraction(1),),))})
-    proj = ModuleMap(
-        mid, quo,
-        {L.scale(s, xa): RatMatrix(((Fraction(1),),)) for s in range(j - 1)},
-    )
+    incl = ModuleMap(sub, mid, {L.scale(j - 1, xa): RatMatrix(((1,),))})
+    proj = ModuleMap(mid, quo, {L.scale(s, xa): RatMatrix(((1,),)) for s in range(j - 1)})
     report = exact_sequence_check(incl, proj)
-    iso_ok = None
-    failures = report.failures
-    if j == ring.p[axis - 1] and ring.n >= 2:
-        others = tuple(t for t in range(1, ring.n + 1) if t != axis)
-        other = quotient_by_variables(ring, others, max(window, L.ell))
-        iso_ok = graded_module_iso(mid, other)
-        if not iso_ok:
-            failures = failures + ("middle module not isomorphic to the ring quotient",)
-    return SequenceReport(
-        ok=report.ok and iso_ok is not False,
-        degrees_checked=report.degrees_checked,
-        first_failure=report.first_failure,
-        failures=failures,
-        iso_ok=iso_ok,
-    )
+    if j < ring.p[axis - 1] or ring.n < 2:
+        return report
+    window = max(window, L.ell)
+    _check_window(ring, window)
+    others = tuple(t for t in range(1, ring.n + 1) if t != axis)
+    iso_ok = graded_module_iso(mid, quotient_by_variables(ring, others, window))
+    if not iso_ok:
+        report = replace(report, failures=report.failures + ("middle module not isomorphic to the ring quotient",))
+    return replace(report, ok=report.ok and iso_ok, iso_ok=iso_ok)
 
 
 def koszul_perfect_check(p: Iterable[int] | GradedRing, window: int) -> ResolutionReport:

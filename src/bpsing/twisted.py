@@ -46,7 +46,7 @@ class TwistedObject:
             if not (0 <= a < b < len(self.components)):
                 raise ValueError("delta must be strictly triangular")
             basis = cat.hom(self._oidx(a), self._oidx(b))
-            cleaned = {int(k): exact(c) for k, v in entry.items() if (c := Fraction(v))}
+            cleaned = {int(k): c for k, v in entry.items() if (c := exact(v))}
             for idx, _ in cleaned.items():
                 if not 0 <= idx < len(basis):
                     raise ValueError("delta references a missing basis morphism")
@@ -137,7 +137,7 @@ class HomComplex:
         # the nonzero entries of each column of each differential in exact
         # form, for sparse products with cochains
         self._cols = {
-            d: tuple(tuple((r, exact(x)) for r, x in enumerate(m.column(c)) if x)
+            d: tuple(tuple((r, x) for r, x in enumerate(m.column(c)) if x)
                      for c in range(m.cols))
             for d, m in self._diff.items()
         }
@@ -162,8 +162,8 @@ class HomComplex:
         X, Y = self.X, self.Y
         compose = X.category.compose
         cols = self.dim(d)
-        entries = [[Fraction(0)] * cols for _ in range(self.dim(d + 1))]
-        sign = Fraction(1 if d % 2 else -1)
+        entries = [[0] * cols for _ in range(self.dim(d + 1))]
+        sign = 1 if d % 2 else -1
 
         def add(col, s, t, coeff, composite):
             """Add coeff * composite, a morphism between components s and t, to column col."""

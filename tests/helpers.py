@@ -1,5 +1,7 @@
 """Lookups that only the tests need."""
 
+from fractions import Fraction
+
 from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
 from bpsing.twisted import identity_class
@@ -11,6 +13,15 @@ def morphism_by_name(C: DirectedGradedCategory, name: str) -> MorRef:
         if C.name(f) == name:
             return f
     raise KeyError(name)
+
+
+def assert_exact(values):
+    """Each value an int (never a bool) when integral, else a Fraction with
+    denominator above 1; a float, or an integral Fraction, fails."""
+    values = list(values)
+    assert values
+    for v in values:
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), (type(v), v)
 
 
 def drop_one_composite(C: DirectedGradedCategory) -> DirectedGradedCategory:

@@ -27,6 +27,7 @@ from bpsing.dgcat import (
 )
 from bpsing.suspension import directed_extension, fukaya_bp, suspend, suspension_tower
 from bpsing.twisted import compose_classes, hom_complex
+from helpers import assert_exact
 from test_dgcat import _rescaled
 
 
@@ -233,15 +234,6 @@ def test_tensor_with_rational_coefficients_matches_reference():
 
 def coefficients(C):
     return [v for entry in C._comp.values() for v in entry.values()]
-
-
-def assert_exact(values):
-    """Each value an int (never a bool) when integral, else a Fraction with
-    denominator above 1; a float, or an integral Fraction, fails."""
-    values = list(values)
-    assert values
-    for v in values:
-        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), (type(v), v)
 
 
 def test_every_stored_coefficient_is_exact():

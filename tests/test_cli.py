@@ -332,6 +332,51 @@ def test_resolution_entry_limit_is_inclusive(capsys, monkeypatch):
         assert err == f"error: resolution differential entry count {count} exceeds the limit 127\n"
 
 
+def _no_scan(*args):
+    raise AssertionError("a window was scanned before the size check")
+
+
+def test_window_scans_refuse_huge_windows_before_any_rank(capsys, monkeypatch):
+    # the count of z-degrees and monomials stops at the limit, so a huge
+    # window is refused at once, for one variable too, whose ring is finite
+    assert bpsing.singcat.MAX_WINDOW_SIZE == 2**13
+    monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
+    monkeypatch.setattr(bpsing.singcat, "quotient_by_variables", _no_scan)
+    for argv, count in [
+        ("singcat resolution --p 3,4,5 --length 9 --window 1000000000", 8196),
+        ("singcat resolution --p 7 --length 3 --window 1000000000", 8193),
+        ("singcat lemma-k --p 3,4 --axis 2 --j 4 --window 1000000000", 8193),
+        ("singcat lemma-k --p 2,2,2,2,2,2,2 --axis 1 --j 2 --window 1000000000", 13024),
+        # the suite took 55 s before the limit, on its window of 2 ell = 1020
+        ("verify --suite singcat --p 2,2,2,2,2,2,255", 8218),
+    ]:
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        window = argv.split()[-1] if "--window" in argv else 1020
+        assert err == (
+            f"error: window {window} covers at least {count} z-degrees and monomials, above the limit 8192\n"
+        )
+    # below j = p_axis lemma-k does not read the window
+    code, _, _ = run_cli(capsys, *"singcat lemma-k --p 3,4 --axis 2 --j 3 --window 1000000000".split())
+    assert code == 0
+
+
+def test_window_limit_is_inclusive(capsys, monkeypatch):
+    # (3,4) up to z = 24, its default window 2 ell, covers 25 z-degrees and 22 monomials
+    monkeypatch.setattr(bpsing.singcat, "MAX_WINDOW_SIZE", 47)
+    for argv in ["singcat resolution --p 3,4 --length 4", "singcat lemma-k --p 3,4 --axis 2 --j 4",
+                 "verify --suite singcat --p 3,4"]:
+        code, _, _ = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+    monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
+    monkeypatch.setattr(bpsing.singcat, "quotient_by_variables", _no_scan)
+    for argv in ["singcat resolution --p 3,4 --length 4 --window 25",
+                 "singcat lemma-k --p 3,4 --axis 2 --j 4 --window 25"]:
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == "error: window 25 covers at least 49 z-degrees and monomials, above the limit 47\n"
+
+
 def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch):
     def unreachable(m):
         raise AssertionError(f"a linear quiver with {m} objects was built before the check")

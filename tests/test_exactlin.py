@@ -23,6 +23,7 @@ from bpsing.exactlin import (
     solve_integer,
     solve_mod2,
 )
+from helpers import assert_exact
 
 
 def bareiss_rank(entries):
@@ -423,3 +424,53 @@ def test_rank_matches_the_rref_pivot_count():
             checked += rank(M) < min(rows, cols)
     assert checked > 0
     assert rank(RatMatrix.zeros(0, 4)) == rank(RatMatrix.zeros(4, 0)) == 0
+
+
+def _three_forms(rows):
+    """One matrix as Fractions (the oracle's input), as ints and mixed."""
+    fractions = [[Fraction(x) for x in row] for row in rows]
+    mixed = [[Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row)]
+             for i, row in enumerate(rows)]
+    return fractions, rows, mixed
+
+
+def test_every_routine_returns_exact_form_whatever_form_its_input_takes():
+    # non-unit pivots, so the eliminations pass through true Fractions and
+    # back to integers; d_out d_in = 0 with one-dimensional cohomology
+    d_out = [[2, 0, -1, 0], [0, 3, 0, -6], [2, 3, -1, -6]]
+    d_in = [[3], [2], [6], [1]]
+    square = [[2, 1, 0], [4, 3, 1], [0, 2, 6]]
+    b = [[1, 2, 3]]
+    outputs = []
+    for (out_m, in_m, sq, (rhs,)) in zip(*map(_three_forms, (d_out, d_in, square, b))):
+        D_out, D_in, S = RatMatrix(out_m), RatMatrix(in_m), RatMatrix(sq)
+        R, pivots = rref(D_out)
+        coh = complex_cohomology(D_in, D_out)
+        got = {
+            "rref": (R, pivots),
+            "rank_kernel": rank_kernel(D_out),
+            "solve": solve(S, rhs),
+            "det": det(S),
+            "smith": smith_normal_form(D_out),
+            "cohomology": coh,
+            "coordinates": coh.coordinates((1, 0, 2, 0)),
+        }
+        assert_exact(x for row in R.entries for x in row)
+        assert_exact(x for v in got["rank_kernel"][1] for x in v)
+        assert_exact(got["solve"])
+        assert_exact([got["det"]])
+        assert_exact(x for M in got["smith"] for row in M.entries for x in row)
+        assert_exact(x for rep in coh.representatives for x in rep)
+        assert_exact(x for rows in (coh._coord_rows, coh._residual_rows) for row in rows for _, x in row)
+        assert_exact(got["coordinates"])
+        outputs.append(got)
+    assert any(type(x) is Fraction for x in outputs[0]["solve"])
+    assert outputs[0]["coordinates"] == (2,)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_non_unit_pivot_on_ints_divides_exactly():
+    # 1 / 3 as a float would leave -0.333..., which is not -1/3
+    assert rank_kernel(RatMatrix([[3, 1]])) == (1, [(Fraction(-1, 3), 1)])
+    assert solve(RatMatrix([[3, 0], [1, 1]]), [1, 1]) == (Fraction(1, 3), Fraction(2, 3))
+    assert det(RatMatrix([[3, 1], [1, 2]])) == 5

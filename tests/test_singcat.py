@@ -42,6 +42,7 @@ from bpsing.singcat import (
     _shift,
     _support_degrees,
 )
+from helpers import assert_exact
 
 
 def series_coefficients(num_exps, den_factors, upto):
@@ -835,3 +836,45 @@ def test_koszul_check_reports_a_broken_square_like_the_resolution_check(monkeypa
     assert not rep.ok and not rep.square_zero and rep.homogeneous
     assert rep.degrees_checked == 0
     assert rep.failures == ("square at level -2 nonzero at (0,0)",)
+
+
+def test_module_iso_divides_int_actions_exactly():
+    # a commuting square whose ratios are 1/10 then 3 on one path and 3/10
+    # then 1 on the other: equal as Fractions, but 0.1 * 3 != 0.3 in floats
+    ring = GradedRing((3, 3))
+    L = ring.L
+    x1, x2 = L.x(1), L.x(2)
+    basis = {d: ("b",) for d in (L.zero(), x1, x2, L.add(x1, x2))}
+
+    def square(a1, a2, b2, b1):
+        return GradedModule(ring, basis, {
+            (1, L.zero()): [[a1]], (2, L.zero()): [[a2]], (2, x1): [[b2]], (1, x2): [[b1]],
+        })
+
+    M, N = square(10, 10, 1, 1), square(1, 3, 3, 1)
+    assert M.validate() == () and N.validate() == ()
+    assert graded_module_iso(M, N) and graded_module_iso(N, M)
+    # scalars along a square that does not commute conflict
+    assert not graded_module_iso(M, square(1, 3, 3, 2))
+
+
+def test_the_algebra_side_keeps_every_coefficient_exact():
+    ring = GradedRing((3, 4))
+    # x1^3 = -x2^4, so the halves meet in an integral coefficient
+    assert ring.reduce({(3, 0): Fraction(1, 2), (0, 4): Fraction(-1, 2)}) == {(0, 4): -1}
+    polys = [
+        ring.reduce({(3, 0): Fraction(1, 2), (0, 4): Fraction(-1, 2), (1, 1): Fraction(4, 2)}),
+        ring.multiply({(1, 0): Fraction(1, 2), (0, 1): 3}, {(2, 0): 2, (0, 2): Fraction(1, 3)}),
+        ring.monomial((4, 1), Fraction(6, 3)),
+    ]
+    assert_exact(c for f in polys for c in f.values())
+    assert any(type(c) is Fraction for f in polys for c in f.values())
+    cplx = bp_resolution(ring, 4)
+    assert_exact(c for mat in cplx.diffs.values() for row in mat for e in row for c in e.values())
+    degrees = _support_degrees(cplx, 2 * ring.L.ell)
+    assert_exact(
+        x for d in degrees for i in cplx.diffs
+        for row in cplx.piece_matrix(i, d).entries for x in row
+    )
+    Q = quotient_by_variables(ring, (1,), 2 * ring.L.ell)
+    assert_exact(x for mat in Q.action.values() for row in mat.entries for x in row)
