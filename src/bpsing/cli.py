@@ -25,9 +25,9 @@ from math import prod
 from operator import neg
 from typing import Sequence
 
-from .dgcat import MAX_RANK, DirectedGradedCategory, tensor_bp, to_json_dict
+from .dgcat import DirectedGradedCategory, tensor_bp, to_json_dict
 from .exactlin import ComplexError
-from .grading import LGroup, cy_check, exponent_seq, orlov_group
+from .grading import LGroup, check_limit, cy_check, exponent_seq, orlov_group
 from .lattice import compare
 from .singcat import (
     GradedRing,
@@ -219,19 +219,10 @@ def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
 
 
 def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
-    # ext-agreement compares every pair of twists: refuse as the lattice routes do
     count = prod(pi - 1 for pi in p)
-    if count > MAX_RANK:
-        raise ValueError(f"index set of prod(p_i - 1) = {count} twists exceeds the limit {MAX_RANK}")
-    if count * count > MAX_TWIST_PAIRS:
-        raise ValueError(
-            f"ext-agreement pair count {count}^2 = {count * count} exceeds the limit {MAX_TWIST_PAIRS}"
-        )
+    check_limit(f"ext-agreement pair count {count}^2 =", count * count, MAX_TWIST_PAIRS)
     degrees = sum(pi * (pi + 1) // 2 - 1 for pi in p)
-    if degrees > MAX_SEQUENCE_DEGREES:
-        raise ValueError(
-            f"short-exact-sequences degree count {degrees} exceeds the limit {MAX_SEQUENCE_DEGREES}"
-        )
+    check_limit("short-exact-sequences degree count", degrees, MAX_SEQUENCE_DEGREES)
     checks: list[CheckResult] = []
     # one ring for the three exactness checks, so each piece is built once
     ring = GradedRing(p)

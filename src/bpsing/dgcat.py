@@ -22,7 +22,7 @@ from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactlin import RatMatrix, exact, solve_integer, solve_mod2
-from .grading import exponent_seq
+from .grading import check_limit, exponent_seq
 
 # composable pairs (g, f) to nonzero coefficients, ints where integral
 CompTable = Mapping[tuple["MorRef", "MorRef"], Mapping[int, int | Fraction]]
@@ -52,7 +52,8 @@ class DirectedGradedCategory:
     ``comp`` maps composable pairs (g, f) to sparse result coefficients over
     the basis of hom(f.src, g.tgt), stored in exact form whatever number
     type gave them; absent entries are zero composites.  Identity
-    compositions are filled in strictly unless explicitly supplied.
+    compositions are filled in strictly unless explicitly supplied, and a
+    supplied one is kept even when empty, so that ``validate`` sees it.
 
     Instances are immutable.  A product from ``tensor`` leaves ``_comp`` unset
     and holds a pending table instead, which the first read of ``_comp``
@@ -87,7 +88,7 @@ class DirectedGradedCategory:
             for (g, f), result in comp.items():
                 g, f = _as_ref(g), _as_ref(f)
                 entry = {int(k): c for k, v in result.items() if (c := exact(v))}
-                if entry:
+                if entry or self.is_identity(g) or self.is_identity(f):
                     comp_table[(g, f)] = entry
         _fill_identities(comp_table, table)
         self._keep(objs, table, comp_table)
@@ -224,19 +225,13 @@ def _fill_identities(comp: dict, homs: Mapping[tuple[int, int], Sequence[int]]) 
 
 # largest object count a builder makes; tensor_bp(p) has prod(p_i - 1)
 # objects, the rank of the lattices built from it, so the lattice routes
-# share this limit
+# share this limit; every builder reads both limits here when it runs
 MAX_RANK = 4096
 
 # largest composition table a product stores: tensor(A, B) holds exactly
 # len(A._comp) * len(B._comp) composites, identities included, a count
 # known before either table is built (``_composite_count``)
 MAX_COMPOSITES = 2**20
-
-
-def check_composites(count: int) -> None:
-    """Refuse a table of ``count`` composites above MAX_COMPOSITES before it is built."""
-    if count > MAX_COMPOSITES:
-        raise ValueError(f"composite count {count} exceeds the limit {MAX_COMPOSITES}")
 
 
 def tower_label(x: tuple, j: int) -> tuple:
@@ -252,8 +247,7 @@ def a_category(m: int) -> DirectedGradedCategory:
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("object count must be a positive integer")
-    if m > MAX_RANK:
-        raise ValueError(f"object count {m} exceeds the limit {MAX_RANK}")
+    check_limit("object count", m, MAX_RANK)
     homs = {(i, i + 1): (1,) for i in range(m - 1)}
     return DirectedGradedCategory(tuple(range(1, m + 1)), homs)
 
@@ -285,10 +279,9 @@ def tensor(A: DirectedGradedCategory, B: DirectedGradedCategory) -> DirectedGrad
     composition table on its first read (``_product_composites``).
     """
     nb = len(B.objects)
-    if len(A.objects) * nb > MAX_RANK:
-        raise ValueError(f"object count {len(A.objects) * nb} exceeds the limit {MAX_RANK}")
+    check_limit("object count", len(A.objects) * nb, MAX_RANK)
     count = A._composite_count() * B._composite_count()
-    check_composites(count)
+    check_limit("composite count", count, MAX_COMPOSITES)
     objects = tuple((a, b) for a in A.objects for b in B.objects)
     homs: dict[tuple[int, int], tuple[int, ...]] = {}
     pairs_b = sorted(B._homs.items())
@@ -371,11 +364,9 @@ def tensor_bp(p: Iterable[int]) -> DirectedGradedCategory:
     0/1 vector, in degree equal to the number of increments.
     """
     p = exponent_seq(p)
-    count = prod(pi - 1 for pi in p)
-    if count > MAX_RANK:
-        raise ValueError(f"object count prod(p_i - 1) = {count} exceeds the limit {MAX_RANK}")
+    check_limit("object count prod(p_i - 1) =", prod(pi - 1 for pi in p), MAX_RANK)
     # a_category(m) stores 3m - 2 composites, and tensor multiplies the counts
-    check_composites(prod(3 * pi - 5 for pi in p))
+    check_limit("composite count", prod(3 * pi - 5 for pi in p), MAX_COMPOSITES)
     C = a_category(p[0] - 1)
     C = relabel(C, {label: (label,) for label in C.objects})
     for pi in p[1:]:

@@ -30,6 +30,12 @@ def exponent_seq(p: Iterable[int]) -> tuple[int, ...]:
     return seq
 
 
+def check_limit(what: str, count: int, limit: int) -> None:
+    """Refuse work of size ``count``, named by ``what``, above ``limit`` before doing it."""
+    if count > limit:
+        raise ValueError(f"{what} {count} exceeds the limit {limit}")
+
+
 @dataclass(frozen=True, order=True)
 class LDegree:
     """Normal form of a grading-group element: a_i coefficients and the c coefficient."""

@@ -16,8 +16,8 @@ data can be produced from the Euler matrix of the tensor category by
 ``st_gram`` calls ``one_var_form`` once per entry of each factor's A_{p_k-1}
 table and takes the Kronecker product of those tables; it never reads the
 tensor category, so the two routes stay independent.  Both Gram builders
-refuse a rank prod(p_k - 1) above ``MAX_RANK`` (the object limit of
-:mod:`bpsing.dgcat`) with a ``ValueError`` before allocating anything.
+refuse a rank prod(p_k - 1) above ``dgcat.MAX_RANK``, the object limit of
+:mod:`bpsing.dgcat` read when they run, before allocating anything.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dgcat import MAX_RANK, euler_matrix, tensor_bp
+from . import dgcat
+from .dgcat import euler_matrix, tensor_bp
 from .exactlin import RatMatrix, det
-from .grading import exponent_seq
+from .grading import check_limit, exponent_seq
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,10 @@ def index_tuples(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(1, pi) for pi in p)))
 
 
-def _check_rank(p: tuple[int, ...]) -> None:
-    rank = math.prod(pi - 1 for pi in p)
-    if rank > MAX_RANK:
-        raise ValueError(f"lattice rank prod(p_i - 1) = {rank} exceeds the limit {MAX_RANK}")
-
-
 def st_gram(p: Iterable[int]) -> BilinearLattice:
     """Gram matrix of the product lattice on the distinguished basis."""
     p = exponent_seq(p)
-    _check_rank(p)
+    check_limit("lattice rank prod(p_i - 1) =", math.prod(pi - 1 for pi in p), dgcat.MAX_RANK)
     labels = index_tuples(p)
     odd = len(p) % 2 == 1
     # one table per factor: (C_i, C_j) for i <= j, zero where i > j, so their
@@ -103,7 +98,7 @@ def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
     if orientation not in ("E-Et", "Et-E"):
         raise ValueError("orientation must be 'E-Et' or 'Et-E'")
     p = exponent_seq(p)
-    _check_rank(p)
+    check_limit("lattice rank prod(p_i - 1) =", math.prod(pi - 1 for pi in p), dgcat.MAX_RANK)
     E = euler_matrix(tensor_bp(p))
     odd = len(p) % 2 == 1
     rows, cols = E.entries, tuple(zip(*E.entries))  # the rows of E and of Et

@@ -23,7 +23,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .exactlin import ComplexError, RatMatrix, exact, rank, rref
-from .grading import LDegree, LGroup, exponent_seq
+from .grading import LDegree, LGroup, check_limit, exponent_seq
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int | Fraction]  # coefficients in exact form
@@ -375,11 +375,8 @@ def bp_resolution(p: Iterable[int] | GradedRing, length: int) -> FreeComplex:
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ValueError("length must be a positive integer")
     ring = _ring(p)
-    entries = resolution_entries(ring.n, length)
-    if entries > MAX_RESOLUTION_ENTRIES:
-        raise ValueError(
-            f"resolution differential entry count {entries} exceeds the limit {MAX_RESOLUTION_ENTRIES}"
-        )
+    check_limit("resolution differential entry count", resolution_entries(ring.n, length),
+                MAX_RESOLUTION_ENTRIES)
     return _form_complex(ring, [resolution_generators(ring.n, i) for i in range(length + 1)])
 
 
@@ -389,9 +386,14 @@ def bp_resolution(p: Iterable[int] | GradedRing, length: int) -> FreeComplex:
 # two-variable suite the other limits admit, covers 3614 at its 2 ell
 MAX_WINDOW_SIZE = 2**13
 
+# largest certification scan, in levels times window size: on (2,3), 8191
+# levels by size 25 (its default window) take 2.1 s, 9 by 8001 1.5 s and 32 by
+# 8001 5.3 s, while 100 by 8001 take 16 s and 8191 by 201 11 s
+MAX_SCAN_CELLS = 2**18
 
-def _check_window(ring: GradedRing, window: int) -> None:
-    """Refuse a window above MAX_WINDOW_SIZE, counting no further; the ring keeps the pieces."""
+
+def _check_window(ring: GradedRing, window: int) -> int:
+    """The window's size, refused above MAX_WINDOW_SIZE counting no further; the ring keeps pieces."""
     size = 0
     for z in range(window + 1):
         size += 1 + sum(map(len, ring.pieces_of_weight(z).values()))
@@ -400,6 +402,7 @@ def _check_window(ring: GradedRing, window: int) -> None:
                 f"window {window} covers at least {size} z-degrees and monomials,"
                 f" above the limit {MAX_WINDOW_SIZE}"
             )
+    return size
 
 
 def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
@@ -420,22 +423,28 @@ def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
 class ResolutionReport:
     """Outcome of certifying a free complex: symbolic checks, then exactness per degree."""
 
-    ok: bool
     square_zero: bool
     homogeneous: bool
     degrees_checked: int
     failures: tuple[str, ...]
 
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
 
 def _certify(cplx: FreeComplex, window: int, first: int, h0_degrees, what: str) -> ResolutionReport:
     """Symbolic checks, then exactness at levels first..0 in every degree of a window.
 
-    A window above MAX_WINDOW_SIZE is refused first.  Then square zero and
-    entry homogeneity.  If both hold, then per graded piece of z-degree <=
-    window: H^i must vanish for first <= i < 0 (a failure is named ``what``),
-    and H^0 must be one-dimensional on h0_degrees and zero elsewhere.
+    A window above MAX_WINDOW_SIZE is refused first, then a scan of more than
+    MAX_SCAN_CELLS levels times window size.  Then square zero and entry
+    homogeneity.  If both hold, then per graded piece of z-degree <= window:
+    H^i must vanish for first <= i < 0 (a failure is named ``what``), and H^0
+    must be one-dimensional on h0_degrees and zero elsewhere.
     """
-    _check_window(cplx.ring, window)
+    size = _check_window(cplx.ring, window)
+    check_limit(f"scan of {1 - first} levels x {size} z-degrees and monomials =",
+                (1 - first) * size, MAX_SCAN_CELLS)
     hom_bad = cplx.homogeneity_violations()
     sq_bad = cplx.square_defects()
     failures = list(hom_bad + sq_bad)
@@ -449,7 +458,6 @@ def _certify(cplx: FreeComplex, window: int, first: int, h0_degrees, what: str) 
         if h[0] != want:
             failures.append(f"cokernel dimension {h[0]} != {want} in degree {d.raw()}")
     return ResolutionReport(
-        ok=not failures,
         square_zero=not sq_bad,
         homogeneous=not hom_bad,
         degrees_checked=len(degrees),
@@ -656,11 +664,14 @@ class ModuleMap:
 class SequenceReport:
     """Per-degree exactness verdict for a short-exact-sequence candidate."""
 
-    ok: bool
     degrees_checked: int
     first_failure: tuple[int, ...] | None
     failures: tuple[str, ...]
     iso_ok: bool | None = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def exact_sequence_check(incl: ModuleMap, proj: ModuleMap) -> SequenceReport:
@@ -700,10 +711,7 @@ def exact_sequence_check(incl: ModuleMap, proj: ModuleMap) -> SequenceReport:
             failures.extend(f"{msg} in degree {d.raw()}" for msg in bad_here)
             if bad_here and first is None:
                 first = d.raw()
-    return SequenceReport(
-        ok=not failures, degrees_checked=count, first_failure=first,
-        failures=tuple(failures),
-    )
+    return SequenceReport(degrees_checked=count, first_failure=first, failures=tuple(failures))
 
 
 def truncated_module(
@@ -894,9 +902,8 @@ def lemma_k_check(
     _check_window(ring, window)
     others = tuple(t for t in range(1, ring.n + 1) if t != axis)
     iso_ok = graded_module_iso(mid, quotient_by_variables(ring, others, window))
-    if not iso_ok:
-        report = replace(report, failures=report.failures + ("middle module not isomorphic to the ring quotient",))
-    return replace(report, ok=report.ok and iso_ok, iso_ok=iso_ok)
+    bad = () if iso_ok else ("middle module not isomorphic to the ring quotient",)
+    return replace(report, failures=report.failures + bad, iso_ok=iso_ok)
 
 
 def koszul_perfect_check(p: Iterable[int] | GradedRing, window: int) -> ResolutionReport:

@@ -30,13 +30,12 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
+from . import dgcat
 from .dgcat import (
-    MAX_RANK,
     DirectedGradedCategory,
     MorRef,
     _fill_identities,
     a_category,
-    check_composites,
     formality_check,
     gauge_isomorphic,
     square_sign_audit,
@@ -48,7 +47,7 @@ from .dgcat import (
     validate,
 )
 from .exactlin import ComplexError
-from .grading import exponent_seq
+from .grading import check_limit, exponent_seq
 from .twisted import (
     Class,
     HomComplex,
@@ -75,10 +74,9 @@ def directed_extension(A: DirectedGradedCategory, k: int) -> DirectedGradedCateg
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError("stacking needs at least two levels")
-    if k * len(A.objects) > MAX_RANK:
-        raise ValueError(f"object count {k * len(A.objects)} exceeds the limit {MAX_RANK}")
+    check_limit("object count", k * len(A.objects), dgcat.MAX_RANK)
     # the levels store comb(k + 2, 3) composites, one per chain a <= b <= c
-    check_composites(comb(k + 2, 3) * A._composite_count())
+    check_limit("composite count", comb(k + 2, 3) * A._composite_count(), dgcat.MAX_COMPOSITES)
     homs = {(a, b): (0,) for b in range(k) for a in range(b)}
     refs, one = {pair: MorRef(*pair, 0) for pair in homs}, {0: 1}
     levels = DirectedGradedCategory(range(k, 0, -1), homs, {
@@ -105,8 +103,11 @@ class SuspensionReport:
     """
 
     suspension: DirectedGradedCategory
-    ok: bool
     messages: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.messages
 
 
 def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
@@ -225,7 +226,7 @@ def verify_suspension(A: DirectedGradedCategory, k: int) -> SuspensionReport:
     if not gauge.ok:
         messages.append(f"gauge comparison failed: {gauge.reason}")
     messages.extend(square_sign_audit(S))
-    return SuspensionReport(suspension=S, ok=not messages, messages=tuple(messages))
+    return SuspensionReport(suspension=S, messages=tuple(messages))
 
 
 def suspension_tower(p: Iterable[int], verify: bool = False) -> list[DirectedGradedCategory]:

@@ -16,8 +16,7 @@ import bpsing.lattice
 import bpsing.singcat
 import bpsing.suspension
 from bpsing.cli import main
-from bpsing.dgcat import from_json_dict, tensor_bp
-from bpsing.lattice import MAX_RANK
+from bpsing.dgcat import MAX_RANK, from_json_dict, tensor_bp
 from helpers import drop_one_composite
 
 
@@ -227,23 +226,16 @@ def test_lattice_routes_reject_huge_ranks_before_building(capsys, monkeypatch):
 
 def test_singcat_suite_refuses_huge_index_sets_before_building(capsys, monkeypatch):
     def unreachable(p):
-        raise AssertionError(f"a ring for {p} was built before the index-set check")
+        raise AssertionError(f"a ring for {p} was built before the pair-count check")
 
     # without the check ext-agreement would compare 99999^2 twist pairs
     monkeypatch.setattr(bpsing.cli, "GradedRing", unreachable)
     for p, count in [("100000", 99999), ("2,3,100000", 199998)]:
         code, out, err = run_cli(capsys, "verify", "--suite", "singcat", "--p", p)
         assert (code, out) == (2, "")
-        assert err == f"error: index set of prod(p_i - 1) = {count} twists exceeds the limit {MAX_RANK}\n"
-
-
-def test_singcat_suite_index_set_limit_is_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(bpsing.cli, "MAX_RANK", 8)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "singcat", "--p", "3,3,3")
-    assert code == 0 and out.endswith("verify: PASS\n")
-    code, out, err = run_cli(capsys, "verify", "--suite", "singcat", "--p", "3,3,3,3")
-    assert (code, out) == (2, "")
-    assert err == "error: index set of prod(p_i - 1) = 16 twists exceeds the limit 8\n"
+        assert err == (
+            f"error: ext-agreement pair count {count}^2 = {count**2} exceeds the limit 1048576\n"
+        )
 
 
 def test_singcat_suite_refuses_huge_twist_pair_counts_before_building(capsys, monkeypatch):
@@ -375,6 +367,46 @@ def test_window_limit_is_inclusive(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err == "error: window 25 covers at least 49 z-degrees and monomials, above the limit 47\n"
+
+
+def _scan_cells_error(levels, size, limit):
+    return (f"error: scan of {levels} levels x {size} z-degrees and monomials = {levels * size}"
+            f" exceeds the limit {limit}\n")
+
+
+def test_resolution_scans_refuse_levels_times_window_before_any_rank(capsys, monkeypatch):
+    # each factor passes its own limit, but the scan costs about their product:
+    # length 8191 at window 4000 had not finished after two minutes
+    assert bpsing.singcat.MAX_SCAN_CELLS == 2**18
+    monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
+    for length, window, size in [(8191, 4000, 8001), (100, 4000, 8001), (33, 4000, 8001)]:
+        argv = f"singcat resolution --p 2,3 --length {length} --window {window}"
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == _scan_cells_error(length, size, 2**18)
+    # the largest scans that stay admitted reach the scan
+    reached = []
+    monkeypatch.setattr(bpsing.singcat, "_support_degrees", lambda *args: reached.append(args) or [])
+    for argv in ["singcat resolution --p 2,3 --length 32 --window 4000",
+                 "singcat resolution --p 3,4,5 --length 9 --window 938"]:
+        code, _, _ = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+    assert len(reached) == 2
+
+
+def test_scan_cell_limit_is_inclusive(capsys, monkeypatch):
+    # (3,4) up to z = 24, its default window 2 ell, covers 47 z-degrees and
+    # monomials, and the suite's resolution of length 6 scans 6 levels
+    monkeypatch.setattr(bpsing.singcat, "MAX_SCAN_CELLS", 282)
+    for argv in ["singcat resolution --p 3,4 --length 6", "verify --suite singcat --p 3,4"]:
+        code, _, _ = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+    monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
+    for argv, levels, size in [("singcat resolution --p 3,4 --length 7", 7, 47),
+                               ("singcat resolution --p 3,4 --length 6 --window 25", 6, 49)]:
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == _scan_cells_error(levels, size, 282)
 
 
 def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch):

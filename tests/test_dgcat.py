@@ -329,6 +329,15 @@ def test_validate_accepts_models_and_reports_corruption():
     assert any("unit" in v for v in report.violations)
 
 
+def test_a_supplied_zero_unit_composite_reaches_validate():
+    # the constructor fills only the identity composites it is not given
+    step = MorRef(0, 1, 0)
+    C = DirectedGradedCategory((1, 2), {(0, 1): (1,)}, {(MorRef(1, 1, 0), step): {}})
+    assert C.compose(MorRef(1, 1, 0), step) == {}
+    assert C.compose(step, MorRef(0, 0, 0)) == {0: 1}
+    assert validate(C).violations == ("left unit fails for 1->2#0",)
+
+
 def reference_validate(C):
     """The former ``validate``: every associativity triple, zero or not."""
     bad = []

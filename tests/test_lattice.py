@@ -2,10 +2,9 @@
 
 import pytest
 
-import bpsing.lattice
-from bpsing.dgcat import EulerMatrix, euler_matrix, tensor_bp
+import bpsing.dgcat
+from bpsing.dgcat import MAX_RANK, EulerMatrix, euler_matrix, tensor_bp
 from bpsing.lattice import (
-    MAX_RANK,
     BilinearLattice,
     LatticeComparison,
     compare,
@@ -174,7 +173,7 @@ def test_grams_and_comparison_match_the_entrywise_builders(p, orientation):
 
 def test_grams_refuse_ranks_above_the_limit(monkeypatch):
     assert MAX_RANK >= 256
-    monkeypatch.setattr(bpsing.lattice, "MAX_RANK", 4)
+    monkeypatch.setattr(bpsing.dgcat, "MAX_RANK", 4)
     assert len(st_gram((3, 3)).labels) == len(euler_gram((3, 3)).labels) == 4
     for build in (st_gram, euler_gram, compare):
         with pytest.raises(ValueError, match=r"rank prod\(p_i - 1\) = 5 exceeds the limit 4"):

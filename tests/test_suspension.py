@@ -35,7 +35,7 @@ from helpers import drop_one_composite, scaled_identity_class
 
 
 def test_directed_extension_refuses_object_counts_above_the_limit(monkeypatch):
-    monkeypatch.setattr(suspension, "MAX_RANK", 8)
+    monkeypatch.setattr(dgcat, "MAX_RANK", 8)
     assert len(directed_extension(a_category(2), 4).objects) == 8
     with pytest.raises(ValueError, match="object count 10 exceeds the limit 8"):
         directed_extension(a_category(2), 5)
