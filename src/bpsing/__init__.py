@@ -13,7 +13,6 @@ from .exactlin import (
     RatMatrix,
     complex_cohomology,
     det,
-    integer_kernel,
     invariant_factors,
     rank,
     rank_kernel,
@@ -42,7 +41,6 @@ from .dgcat import (
     a_category,
     euler_matrix,
     formality_check,
-    from_json_dict,
     gauge_isomorphic,
     relabel,
     square_sign_audit,

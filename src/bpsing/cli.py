@@ -218,6 +218,14 @@ def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
     return VerificationReport("fukaya", tuple(CheckResult(*c) for c in checks))
 
 
+def _certified(name: str, rep, **detail) -> CheckResult:
+    """The check of a certified complex: detail, degrees checked, and the first failures."""
+    detail["degrees_checked"] = rep.degrees_checked
+    if not rep.ok:
+        detail["failures"] = list(rep.failures)[:5]
+    return CheckResult(name, rep.ok, detail)
+
+
 def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     count = prod(pi - 1 for pi in p)
     check_limit(f"ext-agreement pair count {count}^2 =", count * count, MAX_TWIST_PAIRS)
@@ -230,10 +238,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     window = 2 * L.ell
     length = len(p) + 4
     rep = validate_resolution(bp_resolution(ring, length), window)
-    detail = {"length": length, "window": window, "degrees_checked": rep.degrees_checked}
-    if not rep.ok:
-        detail["failures"] = list(rep.failures)[:5]
-    checks.append(CheckResult("resolution-exact", rep.ok, detail))
+    checks.append(_certified("resolution-exact", rep, length=length, window=window))
 
     twists = index_set(p)
     mismatches = []
@@ -280,11 +285,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     )
 
     if len(L.p) >= 2:
-        krep = koszul_perfect_check(ring, window)
-        detail = {"degrees_checked": krep.degrees_checked}
-        if not krep.ok:
-            detail["failures"] = list(krep.failures)[:5]
-        checks.append(CheckResult("koszul-perfect", krep.ok, detail))
+        checks.append(_certified("koszul-perfect", koszul_perfect_check(ring, window)))
     return VerificationReport("singcat", tuple(checks))
 
 
@@ -451,7 +452,7 @@ def _cmd_singcat_ext(args, p):
 def _cmd_singcat_resolution(args, p):
     L = LGroup(p)
     window = _window(args, L)
-    cplx = bp_resolution(p, args.length)
+    cplx = bp_resolution(p, args.length, window)
     rep = validate_resolution(cplx, window)
     code = 0 if rep.ok else 1
     levels = sorted(cplx.levels(), reverse=True)
@@ -481,6 +482,8 @@ def _cmd_singcat_resolution(args, p):
 
 
 def _cmd_singcat_lemma_k(args, p):
+    # the sequence's modules span j degrees, so j is bounded like the suite's sum of j
+    check_limit("lemma-k degree count j =", args.j, MAX_SEQUENCE_DEGREES)
     L = LGroup(p)
     window = _window(args, L)
     rep = lemma_k_check(p, args.axis, args.j, window)

@@ -15,7 +15,6 @@ from then on; a route that reads only hom dimensions never builds it.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -696,13 +695,6 @@ def gauge_isomorphic(
 # serialization
 
 
-def _label_from_str(s: str):
-    try:
-        return ast.literal_eval(s)
-    except (ValueError, SyntaxError):
-        return s
-
-
 def to_json_dict(C: DirectedGradedCategory) -> dict:
     """Plain-dict form: objects as label strings, homs with degrees and
     names, compositions as coefficient strings (exact rationals)."""
@@ -734,28 +726,3 @@ def to_json_dict(C: DirectedGradedCategory) -> dict:
         "homs": homs,
         "comp": comp,
     }
-
-
-def from_json_dict(data: Mapping) -> DirectedGradedCategory:
-    objects = tuple(_label_from_str(s) for s in data["objects"])
-    index = {label: i for i, label in enumerate(objects)}
-    homs: dict[tuple[int, int], list[int]] = {}
-    names: dict[str, MorRef] = {}
-    for item in data["homs"]:
-        i = index[_label_from_str(item["src"])]
-        j = index[_label_from_str(item["tgt"])]
-        if i == j:
-            names[item["name"]] = MorRef(i, i, 0)
-            continue
-        bucket = homs.setdefault((i, j), [])
-        names[item["name"]] = MorRef(i, j, len(bucket))
-        bucket.append(int(item["degree"]))
-    comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
-    for item in data["comp"]:
-        g = names[item["g"]]
-        f = names[item["f"]]
-        result = names[item["result"]]
-        comp.setdefault((g, f), {})[result.idx] = Fraction(item["coeff"])
-    return DirectedGradedCategory(
-        objects, {k: tuple(v) for k, v in homs.items()}, comp
-    )

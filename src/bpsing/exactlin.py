@@ -3,8 +3,8 @@
 Every number here is in exact form (``exact``): an ``int`` when integral, a
 ``Fraction`` only when truly rational.  ``RatMatrix`` stores, and every routine
 returns, that form, so integral data stays in integer arithmetic and only
-elimination divides.  Smith normal form, integer kernels and solutions take
-integer matrices; the cohomology of a two-step complex picks representatives
+elimination divides.  Smith normal form and integer solutions take integer
+matrices; the cohomology of a two-step complex picks representatives
 deterministically.  No float ever enters, and identical inputs produce
 identical outputs (pivots are chosen by fixed scan order).
 
@@ -66,10 +66,6 @@ class RatMatrix:
     def zeros(cls, rows: int, cols: int) -> RatMatrix:
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def identity(cls, n: int) -> RatMatrix:
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
@@ -96,20 +92,6 @@ class RatMatrix:
                 row.append(s)
             out.append(row)
         return RatMatrix(out, cols=other.cols)
-
-    def __add__(self, other: RatMatrix) -> RatMatrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def apply(self, vec: Sequence) -> Vec:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        vec = tuple(map(exact, vec))
-        return tuple(exact(sum(x * v for x, v in zip(row, vec))) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -311,18 +293,6 @@ def invariant_factors(M: RatMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form of an integer matrix, in divisibility order."""
     d = _int_rows(smith_normal_form(M)[0])
     return tuple(d[i][i] for i in range(min(M.rows, M.cols)) if d[i][i] != 0)
-
-
-def integer_kernel(M: RatMatrix) -> list[tuple[int, ...]]:
-    """Basis of the saturated integer kernel lattice {v : M v = 0}.
-
-    The columns of V in U M V = D whose D-column vanishes form a basis of the
-    full kernel lattice because V is unimodular.
-    """
-    D, _, V = smith_normal_form(M)
-    v = _int_rows(V)
-    return [tuple(row[j] for row in v) for j in range(M.cols)
-            if all(D.entries[i][j] == 0 for i in range(M.rows))]
 
 
 def solve_integer(M: RatMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

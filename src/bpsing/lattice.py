@@ -17,7 +17,8 @@ data can be produced from the Euler matrix of the tensor category by
 table and takes the Kronecker product of those tables; it never reads the
 tensor category, so the two routes stay independent.  Both Gram builders
 refuse a rank prod(p_k - 1) above ``dgcat.MAX_RANK``, the object limit of
-:mod:`bpsing.dgcat` read when they run, before allocating anything.
+:mod:`bpsing.dgcat` read when they run, before allocating anything:
+``st_gram`` itself and ``euler_gram`` through its ``tensor_bp`` call.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
     if orientation not in ("E-Et", "Et-E"):
         raise ValueError("orientation must be 'E-Et' or 'Et-E'")
     p = exponent_seq(p)
-    check_limit("lattice rank prod(p_i - 1) =", math.prod(pi - 1 for pi in p), dgcat.MAX_RANK)
     E = euler_matrix(tensor_bp(p))
     odd = len(p) % 2 == 1
     rows, cols = E.entries, tuple(zip(*E.entries))  # the rows of E and of Et

@@ -90,16 +90,6 @@ class GradedRing:
                 prod[m] = prod.get(m, 0) + c1 * c2
         return self.reduce(prod)
 
-    def monomial(self, exponents: Sequence[int], coeff=1) -> Poly:
-        mono = tuple(int(e) for e in exponents)
-        if len(mono) != self.n or any(e < 0 for e in mono):
-            raise ValueError("bad exponent vector")
-        return self.reduce({mono: coeff})
-
-    def variable(self, i: int, power: int = 1) -> Poly:
-        """x_i^power, with i 1-indexed."""
-        return self.monomial(tuple(power * int(j == i - 1) for j in range(self.n)))
-
     # -- grading --------------------------------------------------------
 
     def monomial_degree(self, mono: Monomial) -> LDegree:
@@ -363,20 +353,25 @@ def _ring(p: Iterable[int] | GradedRing) -> GradedRing:
     return p if isinstance(p, GradedRing) else GradedRing(p)
 
 
-def bp_resolution(p: Iterable[int] | GradedRing, length: int) -> FreeComplex:
+def bp_resolution(
+    p: Iterable[int] | GradedRing, length: int, window: int | None = None
+) -> FreeComplex:
     """Free resolution of the residue field over p, a GradedRing or its exponents.
 
     Level -i has one generator dx_I|j per pair with |I| + 2j = i, of degree
     sum(x_t, t in I) + j c; the differential is that of _form_complex.  The
     cross terms of the square multiply by the defining polynomial, hence
     vanish in the quotient.  A resolution of more than MAX_RESOLUTION_ENTRIES
-    differential entries is refused before it is built.
+    differential entries is refused before it is built.  Given a window, the
+    scan ``validate_resolution`` makes over it is refused before the build too.
     """
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ValueError("length must be a positive integer")
     ring = _ring(p)
     check_limit("resolution differential entry count", resolution_entries(ring.n, length),
                 MAX_RESOLUTION_ENTRIES)
+    if window is not None:
+        _check_scan(ring, window, length)
     return _form_complex(ring, [resolution_generators(ring.n, i) for i in range(length + 1)])
 
 
@@ -403,6 +398,14 @@ def _check_window(ring: GradedRing, window: int) -> int:
                 f" above the limit {MAX_WINDOW_SIZE}"
             )
     return size
+
+
+def _check_scan(ring: GradedRing, window: int, levels: int) -> None:
+    """Refuse a window above MAX_WINDOW_SIZE, then a scan of more than MAX_SCAN_CELLS
+    levels times window size."""
+    size = _check_window(ring, window)
+    check_limit(f"scan of {levels} levels x {size} z-degrees and monomials =",
+                levels * size, MAX_SCAN_CELLS)
 
 
 def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
@@ -436,15 +439,13 @@ class ResolutionReport:
 def _certify(cplx: FreeComplex, window: int, first: int, h0_degrees, what: str) -> ResolutionReport:
     """Symbolic checks, then exactness at levels first..0 in every degree of a window.
 
-    A window above MAX_WINDOW_SIZE is refused first, then a scan of more than
-    MAX_SCAN_CELLS levels times window size.  Then square zero and entry
-    homogeneity.  If both hold, then per graded piece of z-degree <= window:
-    H^i must vanish for first <= i < 0 (a failure is named ``what``), and H^0
-    must be one-dimensional on h0_degrees and zero elsewhere.
+    The window and the scan are refused first (``_check_scan``), then square
+    zero and entry homogeneity are checked.  If both hold, then per graded
+    piece of z-degree <= window: H^i must vanish for first <= i < 0 (a failure
+    is named ``what``), and H^0 must be one-dimensional on h0_degrees and zero
+    elsewhere.
     """
-    size = _check_window(cplx.ring, window)
-    check_limit(f"scan of {1 - first} levels x {size} z-degrees and monomials =",
-                (1 - first) * size, MAX_SCAN_CELLS)
+    _check_scan(cplx.ring, window, 1 - first)
     hom_bad = cplx.homogeneity_violations()
     sq_bad = cplx.square_defects()
     failures = list(hom_bad + sq_bad)
@@ -591,36 +592,6 @@ class GradedModule:
             return mat
         L = self.ring.L
         return RatMatrix.zeros(self.dim(L.add(d, L.x(t))), self.dim(d))
-
-    def validate(self) -> tuple[str, ...]:
-        """Shape, commutation, and defining-relation checks."""
-        L = self.ring.L
-        bad = []
-        for (t, d), mat in self.action.items():
-            if mat.rows != self.dim(L.add(d, L.x(t))) or mat.cols != self.dim(d):
-                bad.append(f"action of x_{t} at {d.raw()} has wrong shape")
-        if bad:
-            return tuple(bad)
-        for d in self.degrees():
-            for s in range(1, self.ring.n + 1):
-                for t in range(s + 1, self.ring.n + 1):
-                    left = self.act(t, L.add(d, L.x(s))) @ self.act(s, d)
-                    right = self.act(s, L.add(d, L.x(t))) @ self.act(t, d)
-                    if left != right:
-                        bad.append(f"x_{s} and x_{t} do not commute at {d.raw()}")
-            # the defining polynomial sum(x_t^{p_t}) must act by zero
-            total = None
-            for t in range(1, self.ring.n + 1):
-                mat = None
-                cur = d
-                for _ in range(self.ring.p[t - 1]):
-                    step = self.act(t, cur)
-                    mat = step if mat is None else step @ mat
-                    cur = L.add(cur, L.x(t))
-                total = mat if total is None else total + mat
-            if total is not None and not total.is_zero():
-                bad.append(f"defining relation fails at {d.raw()}")
-        return tuple(bad)
 
 
 class ModuleMap:

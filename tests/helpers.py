@@ -1,9 +1,13 @@
-"""Lookups that only the tests need."""
+"""Lookups, builders and oracles that only the tests need."""
 
+import ast
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
+from bpsing.exactlin import RatMatrix, exact, smith_normal_form
+from bpsing.singcat import GradedModule, GradedRing
 from bpsing.twisted import identity_class
 
 
@@ -60,3 +64,120 @@ def count_table_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(dgcat, "_product_composites", counting)
     return built
+
+
+# ---------------------------------------------------------------------------
+# matrices
+
+
+def identity_matrix(n: int) -> RatMatrix:
+    return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def matrix_sum(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    if A.rows != B.rows or A.cols != B.cols:
+        raise ValueError("shape mismatch")
+    return RatMatrix(
+        [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(A.entries, B.entries)], cols=A.cols
+    )
+
+
+def apply(M: RatMatrix, vec: Sequence) -> tuple:
+    """M times the column vector vec, each entry in exact form."""
+    if len(vec) != M.cols:
+        raise ValueError("vector length mismatch")
+    vec = tuple(map(exact, vec))
+    return tuple(exact(sum(x * v for x, v in zip(row, vec))) for row in M.entries)
+
+
+def integer_kernel(M: RatMatrix) -> list[tuple[int, ...]]:
+    """Basis of the saturated integer kernel lattice {v : M v = 0}.
+
+    The columns of V in U M V = D whose D-column vanishes form a basis of the
+    full kernel lattice because V is unimodular.
+    """
+    D, _, V = smith_normal_form(M)
+    return [tuple(row[j] for row in V.entries) for j in range(M.cols)
+            if all(D.entries[i][j] == 0 for i in range(M.rows))]
+
+
+# ---------------------------------------------------------------------------
+# categories
+
+
+def _label_from_str(s: str):
+    try:
+        return ast.literal_eval(s)
+    except (ValueError, SyntaxError):
+        return s
+
+
+def from_json_dict(data: Mapping) -> DirectedGradedCategory:
+    """The category that ``dgcat.to_json_dict`` (``category --json``) wrote as data."""
+    objects = tuple(_label_from_str(s) for s in data["objects"])
+    index = {label: i for i, label in enumerate(objects)}
+    homs: dict[tuple[int, int], list[int]] = {}
+    names: dict[str, MorRef] = {}
+    for item in data["homs"]:
+        i = index[_label_from_str(item["src"])]
+        j = index[_label_from_str(item["tgt"])]
+        if i == j:
+            names[item["name"]] = MorRef(i, i, 0)
+            continue
+        bucket = homs.setdefault((i, j), [])
+        names[item["name"]] = MorRef(i, j, len(bucket))
+        bucket.append(int(item["degree"]))
+    comp: dict[tuple[MorRef, MorRef], dict[int, Fraction]] = {}
+    for item in data["comp"]:
+        g = names[item["g"]]
+        f = names[item["f"]]
+        result = names[item["result"]]
+        comp.setdefault((g, f), {})[result.idx] = Fraction(item["coeff"])
+    return DirectedGradedCategory(objects, {k: tuple(v) for k, v in homs.items()}, comp)
+
+
+# ---------------------------------------------------------------------------
+# graded rings and modules
+
+
+def monomial(ring: GradedRing, exponents: Sequence[int], coeff=1) -> dict:
+    mono = tuple(int(e) for e in exponents)
+    if len(mono) != ring.n or any(e < 0 for e in mono):
+        raise ValueError("bad exponent vector")
+    return ring.reduce({mono: coeff})
+
+
+def variable(ring: GradedRing, i: int, power: int = 1) -> dict:
+    """x_i^power in the ring, with i 1-indexed."""
+    return monomial(ring, tuple(power * int(j == i - 1) for j in range(ring.n)))
+
+
+def module_violations(M: GradedModule) -> tuple[str, ...]:
+    """Shape, commutation, and defining-relation checks of a graded module."""
+    L = M.ring.L
+    bad = []
+    for (t, d), mat in M.action.items():
+        if mat.rows != M.dim(L.add(d, L.x(t))) or mat.cols != M.dim(d):
+            bad.append(f"action of x_{t} at {d.raw()} has wrong shape")
+    if bad:
+        return tuple(bad)
+    for d in M.degrees():
+        for s in range(1, M.ring.n + 1):
+            for t in range(s + 1, M.ring.n + 1):
+                left = M.act(t, L.add(d, L.x(s))) @ M.act(s, d)
+                right = M.act(s, L.add(d, L.x(t))) @ M.act(t, d)
+                if left != right:
+                    bad.append(f"x_{s} and x_{t} do not commute at {d.raw()}")
+        # the defining polynomial sum(x_t^{p_t}) must act by zero
+        total = None
+        for t in range(1, M.ring.n + 1):
+            mat = None
+            cur = d
+            for _ in range(M.ring.p[t - 1]):
+                step = M.act(t, cur)
+                mat = step if mat is None else step @ mat
+                cur = L.add(cur, L.x(t))
+            total = mat if total is None else matrix_sum(total, mat)
+        if total is not None and not total.is_zero():
+            bad.append(f"defining relation fails at {d.raw()}")
+    return tuple(bad)

@@ -18,7 +18,6 @@ from bpsing.dgcat import (
     DirectedGradedCategory,
     MorRef,
     a_category,
-    from_json_dict,
     gauge_isomorphic,
     source_index,
     tensor,
@@ -27,7 +26,7 @@ from bpsing.dgcat import (
 )
 from bpsing.suspension import directed_extension, fukaya_bp, suspend, suspension_tower
 from bpsing.twisted import compose_classes, hom_complex
-from helpers import assert_exact
+from helpers import assert_exact, from_json_dict
 from test_dgcat import _rescaled
 
 

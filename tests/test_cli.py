@@ -16,8 +16,8 @@ import bpsing.lattice
 import bpsing.singcat
 import bpsing.suspension
 from bpsing.cli import main
-from bpsing.dgcat import MAX_RANK, from_json_dict, tensor_bp
-from helpers import drop_one_composite
+from bpsing.dgcat import MAX_RANK, tensor_bp
+from helpers import drop_one_composite, from_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +279,35 @@ def test_singcat_suite_refuses_huge_sequence_degree_counts_before_building(capsy
         )
 
 
+def _no_truncation(ring, axis, j, twist=None):
+    raise AssertionError(f"a truncation of order {j} was built before the degree-count check")
+
+
+def test_lemma_k_refuses_huge_truncation_orders_before_building(capsys, monkeypatch):
+    # the sequence spans j degrees: j = 10^5 took 15.7 s and 210 MB, and below
+    # j = p_axis the window is not read, so nothing else bounds it
+    assert bpsing.cli.MAX_SEQUENCE_DEGREES == 2**15
+    monkeypatch.setattr(bpsing.singcat, "truncated_module", _no_truncation)
+    for argv, j in [("--p 100000 --axis 1 --j 100000", 100000),
+                    ("--p 100000,2 --axis 1 --j 99999", 99999),
+                    ("--p 32769 --axis 1 --j 32769", 32769)]:
+        code, out, err = run_cli(capsys, "singcat", "lemma-k", *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: lemma-k degree count j = {j} exceeds the limit 32768\n"
+
+
+def test_lemma_k_degree_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(bpsing.cli, "MAX_SEQUENCE_DEGREES", 5)
+    code, out, _ = run_cli(capsys, *"singcat lemma-k --p 5,7 --axis 2 --j 5".split())
+    assert code == 0 and "sequence: exact" in out
+    monkeypatch.setattr(bpsing.singcat, "truncated_module", _no_truncation)
+    with pytest.raises(AssertionError, match="built before the degree-count check"):
+        run_cli(capsys, *"singcat lemma-k --p 5,7 --axis 2 --j 5".split())
+    code, out, err = run_cli(capsys, *"singcat lemma-k --p 5,7 --axis 2 --j 6".split())
+    assert (code, out) == (2, "")
+    assert err == "error: lemma-k degree count j = 6 exceeds the limit 5\n"
+
+
 def test_singcat_suite_sequence_degree_limit_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(bpsing.cli, "MAX_SEQUENCE_DEGREES", 27)
     code, out, _ = run_cli(capsys, "verify", "--suite", "singcat", "--p", "7")
@@ -392,6 +421,21 @@ def test_resolution_scans_refuse_levels_times_window_before_any_rank(capsys, mon
         code, _, _ = run_cli(capsys, *argv.split())
         assert code == 0, argv
     assert len(reached) == 2
+
+
+def test_resolution_command_refuses_its_scan_before_building(capsys, monkeypatch):
+    # each passes the entry limit, and the resolution of length 8191 took 2 s
+    # to build before its scan was refused; the entry count is still refused first
+    monkeypatch.setattr(bpsing.singcat, "_form_complex", _no_resolution)
+    for argv, err in [
+        ("--p 2,3 --length 8191 --window 4000", _scan_cells_error(8191, 8001, 2**18)),
+        ("--p 3,4,5 --length 9 --window 1000000000",
+         "error: window 1000000000 covers at least 8196 z-degrees and monomials,"
+         " above the limit 8192\n"),
+        ("--p 2,3 --length 10000000000 --window 1000000000",
+         "error: resolution differential entry count 39999999998 exceeds the limit 32768\n"),
+    ]:
+        assert run_cli(capsys, "singcat", "resolution", *argv.split()) == (2, "", err)
 
 
 def test_scan_cell_limit_is_inclusive(capsys, monkeypatch):

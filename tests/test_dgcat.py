@@ -17,7 +17,6 @@ from bpsing.dgcat import (
     a_category,
     euler_matrix,
     formality_check,
-    from_json_dict,
     gauge_isomorphic,
     relabel,
     square_sign_audit,
@@ -30,7 +29,7 @@ from bpsing.exactlin import RatMatrix, solve_integer, solve_mod2
 from bpsing.lattice import compare
 from bpsing.suspension import fukaya_bp, suspension_tower
 from bpsing.twisted import cone
-from helpers import count_table_builds, morphism_by_name
+from helpers import count_table_builds, from_json_dict, morphism_by_name
 
 
 def kron(A, B):

@@ -15,7 +15,8 @@ from bpsing.grading import (
     exponent_seq,
     orlov_group,
 )
-from bpsing.exactlin import RatMatrix, integer_kernel, invariant_factors, solve
+from bpsing.exactlin import RatMatrix, invariant_factors, solve
+from helpers import integer_kernel
 
 
 def component_group_order_stats(p):

@@ -18,7 +18,7 @@ from bpsing.twisted import (
     rebind,
     single,
 )
-from helpers import morphism_by_name
+from helpers import apply, morphism_by_name
 
 
 def shift_dims(dims, by):
@@ -235,7 +235,7 @@ def reference_compose_classes(h_yz, h_xy, h_xz, alpha, beta):
     total, vec = reference_compose_cochains(
         h_yz, h_xy, h_xz, (da, tuple(va)), (db, tuple(vb))
     )
-    if any(x != 0 for x in h_xz.differential(total).apply(vec)):
+    if any(x != 0 for x in apply(h_xz.differential(total), vec)):
         raise ComplexError("composite of cocycles is not closed")
     return (total, tuple(h_xz.cohomology.coordinates(total, vec)))
 
