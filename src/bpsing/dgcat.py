@@ -594,12 +594,13 @@ def gauge_isomorphic(
 ) -> GaugeResult:
     """Decide whether rescaling basis morphisms carries C onto D.
 
-    ``bijection`` maps C labels to D labels and must be order-preserving.
-    All hom spaces must have dimension at most one per degree; under that
-    hypothesis the comparison reduces to a linear system on the scalars: a
-    sign system over GF(2) and one integer system per prime occurring in the
-    composition coefficient ratios.  On success the witness maps morphism
-    names of C to the scalars.
+    ``bijection`` maps C labels to D labels and must be defined exactly on
+    C's objects (ValueError otherwise).  An image off D's objects or out of
+    order, or a hom of either category with two basis elements in one
+    degree, fails the comparison; otherwise it reduces to a linear system
+    on the scalars: a sign system over GF(2) and one integer system per
+    prime occurring in the composition coefficient ratios.  On success the
+    witness maps morphism names of C to the scalars.
     """
     n = len(C.objects)
     if len(D.objects) != n:
@@ -607,18 +608,24 @@ def gauge_isomorphic(
     if set(bijection.keys()) != set(C.objects):
         raise ValueError("bijection must be defined exactly on the objects of C")
     for i, label in enumerate(C.objects):
-        if bijection[label] not in D._index:
-            raise ValueError(f"bijection image {bijection[label]!r} is not an object")
-        if D.object_index(bijection[label]) != i:
-            raise ValueError("bijection is not order-preserving")
+        image = bijection[label]
+        if image not in D._index:
+            reason = f"bijection image of {label} is {image!r}, not an object of D"
+            return GaugeResult(False, None, reason)
+        if D.object_index(image) != i:
+            reason = (f"bijection is not order-preserving at {label}: its image {image} "
+                      f"is object {D.object_index(image)} of D, expected {i}")
+            return GaugeResult(False, None, reason)
 
     # hom returns () for a pair that no table stores, so the stored pairs
     # are the only ones where the two categories can differ
     pairs = sorted(C.hom_pairs() | D.hom_pairs())
-    for cat in (C, D):
-        for degs in cat._homs.values():
+    for side, cat in (("C", C), ("D", D)):
+        for (i, j), degs in sorted(cat._homs.items()):
             if len(set(degs)) != len(degs):
-                raise ValueError("hom spaces must have dimension at most 1 per degree")
+                reason = (f"hom ({cat.objects[i]}, {cat.objects[j]}) of {side} has degrees "
+                          f"{degs}, expected at most one basis element per degree")
+                return GaugeResult(False, None, reason)
 
     # match bases by degree: basis index k of C goes to the index of the D
     # basis element of the same degree, for morphisms and composites alike

@@ -31,7 +31,7 @@ def exact(x) -> int | Fraction:
 
 
 class ComplexError(ValueError):
-    """Raised when differentials fail to compose to zero."""
+    """Raised when differentials fail to compose to zero, or a vector is no cocycle."""
 
 
 class RatMatrix:
@@ -364,17 +364,18 @@ class Cohomology:
 
     ``representatives`` are cocycles projecting to a basis of the quotient,
     chosen deterministically (first independent kernel vectors after the
-    coboundary basis).  ``coordinates`` expresses any cocycle in that basis
-    modulo coboundaries, through a coordinate map fixed when the cohomology
-    is computed: ``_coord_rows`` give the coefficients over the
-    representatives, and ``_residual_rows`` vanish exactly on the span of
-    image and representatives.  Representatives and rows are in exact form,
-    ints where integral, so a cocycle with int entries gets int coordinates
-    at no ``Fraction`` cost; only the elimination that finds them divides.
+    coboundary basis), each a sparse row.  ``coordinates`` expresses any
+    cocycle in that basis modulo coboundaries, through a coordinate map
+    fixed when the cohomology is computed: ``_coord_rows`` give the
+    coefficients over the representatives, and ``_residual_rows`` vanish
+    exactly on the span of image and representatives, which is the space
+    of cocycles.  Representatives and rows are in exact form, ints where
+    integral, so a cocycle with int entries gets int coordinates at no
+    ``Fraction`` cost; only the elimination that finds them divides.
     """
 
     dim: int
-    representatives: tuple[Vec, ...]
+    representatives: tuple[SparseRow, ...]
     _space_dim: int
     _coord_rows: tuple[SparseRow, ...]
     _residual_rows: tuple[SparseRow, ...]
@@ -384,7 +385,7 @@ class Cohomology:
         if len(vec) != self._space_dim:
             raise ValueError("vector length mismatch")
         if any(_dot(row, vec) for row in self._residual_rows):
-            raise ValueError("vector is not in the span of image and representatives")
+            raise ComplexError("not a cocycle: not in the span of image and representatives")
         return tuple(exact(_dot(row, vec)) for row in self._coord_rows)
 
 
@@ -408,7 +409,7 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
         for i, row in enumerate(d_in.entries)
     ]
     reduced, pivots, _ = _eliminate(stacked, width)
-    reps = tuple(kernel[c - m] for c in pivots if c >= m)
+    reps = tuple(tuple((i, x) for i, x in enumerate(kernel[c - m]) if x) for c in pivots if c >= m)
     rows = [tuple((t, exact(x)) for t, x in enumerate(row[width:]) if x) for row in reduced]
     return Cohomology(
         dim=len(reps),

@@ -219,10 +219,7 @@ def verify_suspension(A: DirectedGradedCategory, k: int) -> SuspensionReport:
                 f"graded dims differ at ({S.objects[i]}, {S.objects[j]}): "
                 f"{S.graded_dims(i, j)} vs {T.graded_dims(i, j)}"
             )
-    bijection = {label: label for label in S.objects}
-    if tuple(T.objects) != tuple(S.objects):
-        raise SuspensionError("object orders of suspension and tensor model differ")
-    gauge = gauge_isomorphic(S, T, bijection)
+    gauge = gauge_isomorphic(S, T, {label: label for label in S.objects})
     if not gauge.ok:
         messages.append(f"gauge comparison failed: {gauge.reason}")
     messages.extend(square_sign_audit(S))

@@ -110,7 +110,7 @@ class HomComplex:
     differential that does not square to zero raises ComplexError here.
     """
 
-    __slots__ = ("X", "Y", "basis", "position", "_diff", "_cols", "cohomology")
+    __slots__ = ("X", "Y", "basis", "position", "_diff", "cohomology")
 
     def __init__(self, X: TwistedObject, Y: TwistedObject):
         if X.category is not Y.category and X.category != Y.category:
@@ -134,13 +134,6 @@ class HomComplex:
         self._diff: dict[int, RatMatrix] = {}
         for d in self.basis:
             self._diff[d] = self._build_differential(d)
-        # the nonzero entries of each column of each differential in exact
-        # form, for sparse products with cochains
-        self._cols = {
-            d: tuple(tuple((r, x) for r, x in enumerate(m.column(c)) if x)
-                     for c in range(m.cols))
-            for d, m in self._diff.items()
-        }
         self.cohomology = cohomology(self)
 
     def degrees(self) -> tuple[int, ...]:
@@ -195,7 +188,7 @@ def hom_complex(X: TwistedObject, Y: TwistedObject) -> HomComplex:
 class TwistedCohomology:
     """Per-degree cohomology of a hom complex with fixed representatives."""
 
-    __slots__ = ("dims", "_data", "_sparse_reps")
+    __slots__ = ("dims", "_data")
 
     def __init__(self, H: HomComplex):
         data: dict[int, Cohomology] = {}
@@ -203,13 +196,8 @@ class TwistedCohomology:
             data[d] = complex_cohomology(H.differential(d - 1), H.differential(d))
         self._data = data
         self.dims = {d: c.dim for d, c in data.items() if c.dim > 0}
-        # the representatives as (position, nonzero coefficient) rows
-        self._sparse_reps = {
-            d: tuple(tuple((i, x) for i, x in enumerate(rep) if x) for rep in c.representatives)
-            for d, c in data.items()
-        }
 
-    def representatives(self, d: int) -> tuple[Vec, ...]:
+    def representatives(self, d: int) -> tuple[SparseRow, ...]:
         got = self._data.get(d)
         return got.representatives if got else ()
 
@@ -229,9 +217,9 @@ def cohomology(H: HomComplex) -> TwistedCohomology:
 def rebind(h: HomComplex, X: TwistedObject, Y: TwistedObject) -> HomComplex:
     """``h`` for another pair X, Y whose hom complex has the same tables.
 
-    The basis, position table, differentials (dense and by sparse column) and
-    cohomology are h's, shared and not copied; only X and Y are new, since
-    composing cochains names morphisms through them.  Nothing is recomputed, so the caller vouches
+    The basis, position table, differentials and cohomology are h's, shared
+    and not copied; only X and Y are new, since composing cochains names
+    morphisms through them.  Nothing is recomputed, so the caller vouches
     that ``hom_complex(X, Y)`` would build the same tables.
     """
     H = object.__new__(HomComplex)
@@ -279,15 +267,15 @@ def compose_classes(
     ``alpha`` lives in H(hom(Y, Z)), ``beta`` in H(hom(X, Y)); the result is
     expressed over the chosen representatives of H(hom(X, Z)).  The
     representatives are composed componentwise, with no extra signs: only
-    terms whose middle components agree meet.  The composed cocycle is
-    checked to be closed before projecting.  Every step runs on sparse data:
-    representatives and the differential's columns are kept sparse once per
-    hom complex, so once per shape under ``rebind``.
+    terms whose middle components agree meet.  The composite is checked
+    once, by the coordinate map: a vector that is no cocycle raises
+    ComplexError there.  The representatives are sparse rows, so the sums
+    run over their nonzero entries only.
     """
     da, ca = alpha
     db, cb = beta
-    reps_a = h_yz.cohomology._sparse_reps.get(da, ())
-    reps_b = h_xy.cohomology._sparse_reps.get(db, ())
+    reps_a = h_yz.cohomology.representatives(da)
+    reps_b = h_xy.cohomology.representatives(db)
     if len(ca) != len(reps_a) or len(cb) != len(reps_b):
         raise ValueError("class coefficients do not match representative count")
     comp = h_xy.X.category._comp  # read directly: the table is immutable
@@ -320,14 +308,6 @@ def compose_classes(
                 if dd != total:
                     raise ComplexError("composition is not degree additive")
                 vec[pos] = vec.get(pos, 0) + wv * rcoeff
-    cols = h_xz._cols.get(total, ())
-    boundary: dict[int, int | Fraction] = {}
-    for pos, v in vec.items():
-        if v:
-            for r, x in cols[pos]:
-                boundary[r] = boundary.get(r, 0) + x * v
-    if any(boundary.values()):
-        raise ComplexError("composite of cocycles is not closed")
     dense = [0] * h_xz.dim(total)
     for pos, v in vec.items():
         dense[pos] = v

@@ -6,7 +6,7 @@ from typing import Mapping, Sequence
 
 from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
-from bpsing.exactlin import RatMatrix, exact, smith_normal_form
+from bpsing.exactlin import RatMatrix, SparseRow, exact, smith_normal_form
 from bpsing.singcat import GradedModule, GradedRing
 from bpsing.twisted import identity_class
 
@@ -80,6 +80,14 @@ def matrix_sum(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     return RatMatrix(
         [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(A.entries, B.entries)], cols=A.cols
     )
+
+
+def densify(row: SparseRow, n: int) -> tuple:
+    """The length-n vector whose nonzero entries are the sparse row's (position, value) pairs."""
+    vec = [0] * n
+    for i, x in row:
+        vec[i] = x
+    return tuple(vec)
 
 
 def apply(M: RatMatrix, vec: Sequence) -> tuple:

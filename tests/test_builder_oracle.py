@@ -253,7 +253,7 @@ def test_every_stored_coefficient_is_exact():
 
 
 def test_the_tower_keeps_every_coefficient_exact(monkeypatch):
-    """Tables, cohomology data, differential columns and composed classes of
+    """Tables, cohomology data, differentials and composed classes of
     every tower stage, and a gauge witness that carries primes."""
     homs, classes = [], []
 
@@ -271,10 +271,10 @@ def test_the_tower_keeps_every_coefficient_exact(monkeypatch):
         for stage in suspension_tower(p):
             assert_exact(coefficients(stage))
     cohomologies = [c for h in homs for c in h.cohomology._data.values()]
-    assert_exact(x for c in cohomologies for rep in c.representatives for x in rep)
+    assert_exact(x for c in cohomologies for rep in c.representatives for _, x in rep)
     assert_exact(x for c in cohomologies for row in c._coord_rows for _, x in row)
     assert_exact(x for c in cohomologies for row in c._residual_rows for _, x in row)
-    assert_exact(x for h in homs for cols in h._cols.values() for col in cols for _, x in col)
+    assert_exact(x for h in homs for m in h._diff.values() for row in m.entries for x in row)
     assert_exact(x for _, coeffs in classes for x in coeffs)
 
     C = fukaya_bp((3, 3, 3))

@@ -1,12 +1,25 @@
-"""The package needs nothing outside the standard library at runtime."""
+"""The package needs nothing outside the standard library at runtime, and
+importing one route's module loads no module of another route."""
 
 import ast
+import inspect
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import bpsing
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# modules that importing the key must leave unloaded: Ext over the ring reads
+# nothing of the tower or the lattices, and neither of those reads the ring
+UNLOADED = {
+    "singcat": {"dgcat", "twisted", "suspension", "lattice"},
+    "lattice": {"singcat"},
+    "suspension": {"singcat"},
+}
 
 
 def test_package_imports_only_the_standard_library():
@@ -29,3 +42,27 @@ def test_pyproject_declares_no_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project.get("dependencies", []) == []
     assert "dependencies" not in project.get("dynamic", [])
+
+
+def loaded_modules(module: str) -> set[str]:
+    """The bpsing modules a fresh interpreter holds after ``import bpsing.<module>``.
+
+    The child finds this checkout through the PYTHONPATH that conftest.py sets.
+    """
+    code = (f"import sys, bpsing.{module}; "
+            "print(*sorted(m for m in sys.modules if m.startswith('bpsing.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return {name[len("bpsing."):] for name in out.stdout.split()}
+
+
+@pytest.mark.parametrize("module", sorted(UNLOADED))
+def test_a_route_module_loads_no_module_of_another_route(module):
+    loaded = loaded_modules(module)
+    assert module in loaded
+    assert not loaded & UNLOADED[module], sorted(loaded)
+
+
+def test_the_package_namespace_binds_no_function_or_class():
+    bound = [name for name, value in vars(bpsing).items()
+             if inspect.isfunction(value) or inspect.isclass(value)]
+    assert not bound

@@ -683,6 +683,21 @@ def test_gauge_requires_a_complete_bijection():
         gauge_isomorphic(C, C, {})
 
 
+def test_gauge_fails_on_a_doubled_hom_or_a_bijection_off_the_order():
+    C = tensor_bp((3, 3))
+    thick = DirectedGradedCategory(("a", "b"), {(0, 1): (1, 1)}, {})
+    swapped = dict(zip(C.objects, C.objects[1:2] + C.objects[:1] + C.objects[2:]))
+    outside = {**{x: x for x in C.objects}, (2, 2): (3, 3)}
+    for X, bijection, reason in [
+        (thick, {"a": "a", "b": "b"},
+         "hom (a, b) of C has degrees (1, 1), expected at most one basis element per degree"),
+        (C, swapped, "bijection is not order-preserving at (1, 1): its image (1, 2) is object 1 of D, "
+                     "expected 0"),
+        (C, outside, "bijection image of (2, 2) is (3, 3), not an object of D"),
+    ]:
+        assert gauge_isomorphic(X, X, bijection) == GaugeResult(False, None, reason)
+
+
 def test_relabel_round_trip():
     C = tensor_bp((2, 3))
     mapping = {(1, 1): "low", (1, 2): "high"}

@@ -22,7 +22,7 @@ from bpsing.exactlin import (
     solve_integer,
     solve_mod2,
 )
-from helpers import apply, assert_exact, identity_matrix, integer_kernel, matrix_sum
+from helpers import apply, assert_exact, densify, identity_matrix, integer_kernel, matrix_sum
 
 
 def bareiss_rank(entries):
@@ -327,13 +327,13 @@ def test_coordinates_reject_vectors_outside_image_and_representatives():
     coh = complex_cohomology(RatMatrix([[1], [0], [0]]), RatMatrix([[0, 0, 1]]))
     assert coh.dim == 1
     assert coh.coordinates((5, 2, 0)) == (Fraction(2),)
-    with pytest.raises(ValueError, match="not in the span"):
+    with pytest.raises(ComplexError, match="not in the span"):
         coh.coordinates((0, 0, 1))
     # zero space: no image and no cocycles except zero
     zero = complex_cohomology(RatMatrix.zeros(2, 0), identity_matrix(2))
     assert zero.dim == 0
     assert zero.coordinates((0, 0)) == ()
-    with pytest.raises(ValueError, match="not in the span"):
+    with pytest.raises(ComplexError, match="not in the span"):
         zero.coordinates((0, 3))
     with pytest.raises(ValueError, match="length mismatch"):
         zero.coordinates((0,))
@@ -399,7 +399,7 @@ def test_cohomology_matches_the_greedy_oracle():
         coh = complex_cohomology(d_in, d_out)
         reps, coordinates = greedy_cohomology(d_in, d_out)
         assert coh.dim == len(reps)
-        assert coh.representatives == reps
+        assert tuple(densify(rep, d_in.rows) for rep in coh.representatives) == reps
         seen.add((d_in.rows == 0, not kernel))
         for _ in range(3):
             z = random_combination(rng, kernel, d_in.rows)
@@ -459,7 +459,7 @@ def test_every_routine_returns_exact_form_whatever_form_its_input_takes():
         assert_exact(got["solve"])
         assert_exact([got["det"]])
         assert_exact(x for M in got["smith"] for row in M.entries for x in row)
-        assert_exact(x for rep in coh.representatives for x in rep)
+        assert_exact(x for rep in coh.representatives for _, x in rep)
         assert_exact(x for rows in (coh._coord_rows, coh._residual_rows) for row in rows for _, x in row)
         assert_exact(got["coordinates"])
         outputs.append(got)

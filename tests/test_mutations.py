@@ -10,7 +10,7 @@ Outcomes recorded beside ``KILL_MATRIX``:
 
 - With two or more entries, ``category-valid``, ``formality`` and
   ``square-sign-audit`` report the last tower step's own checks, so no
-  mutant fails them there.  The four ``a_category`` mutants, the dropped
+  mutant fails them there.  The five ``a_category`` mutants, the dropped
   composite and the doubled identity class fail ``suspension-pipeline``
   instead, and the later lines are not printed
   (``test_last_stage_rechecks_never_fail_first``).  With one entry no step
@@ -112,6 +112,19 @@ def commuting_diamond(m):
     return DirectedGradedCategory((1, 2, 3, 4), homs, comp)
 
 
+def doubled_hom(m):
+    """The linear quiver on 2 objects with two degree-1 morphisms from 1 to 2."""
+    C = _a_category(m)
+    if m != 2:
+        return C
+    return DirectedGradedCategory(C.objects, {(0, 1): (1, 1)}, {})
+
+
+def reversed_tower_label(x, j):
+    """``tower_label`` with the new level first: (j,) + x instead of x + (j,)."""
+    return (j,) + x
+
+
 def _flip_first(wedge):
     """``_form_complex`` with the first wedge (or contraction) sign flipped, if it has one.
 
@@ -188,11 +201,13 @@ TOWER_MUTANTS = {
     "wrong-degree-composite": (suspension, "a_category", wrong_degree_composite),
     "extra-degree-2-hom": (suspension, "a_category", extra_hom),
     "commuting-diamond": (suspension, "a_category", commuting_diamond),
+    "doubled-hom": (suspension, "a_category", doubled_hom),
     "identity-class-doubled": (suspension, "identity_class", scaled_identity_class(2)),
 }
 MUTANTS = {
     **TOWER_MUTANTS,
     "tensor-bp-sign-flip": (suspension, "tensor_bp", flipped_composite),
+    "tower-labels-reversed": (suspension, "tower_label", reversed_tower_label),
     "wedge-sign-flip": (singcat, "_form_complex", _flip_first(wedge=True)),
     "contraction-sign-flip": (singcat, "_form_complex", _flip_first(wedge=False)),
     "ext-formula-first-row-emptied": (cli, "ext_formula_row", first_row_emptied),
@@ -223,6 +238,13 @@ KILL_MATRIX = [
     ("commuting-diamond", "5", {
         "square-sign-audit": "(1,) -> {(2,), (3,)} -> (4,) does not anticommute",
         "gauge-vs-tensor": "graded dimensions differ at ((1,), (3,))",
+    }),
+    # both break a precondition of gauge_isomorphic, which fails the
+    # comparison instead of raising, so the run exits 1 and not 2
+    ("doubled-hom", "3", {"gauge-vs-tensor": "hom ((1,), (2,)) of C has degrees (1, 1)"}),
+    ("tower-labels-reversed", "3,3", {
+        "gauge-vs-tensor": "bijection is not order-preserving at (2, 1): "
+                           "its image (2, 1) is object 2 of D, expected 1",
     }),
     ("wedge-sign-flip", "3,3,3", {"resolution-exact": "square at level -3 nonzero"}),
     ("contraction-sign-flip", "3,3,3", {
@@ -321,7 +343,7 @@ def reference_suite_fukaya(p):
 ORACLE_CASES = (
     [(None, p) for p in ["2", "5", "3,3", "3,3,3", "2,3,4,5"]]
     + [(mutant, p) for mutant in sorted(TOWER_MUTANTS) for p in ["5", "5,3", "5,3,3"]]
-    + [("tensor-bp-sign-flip", "3,3,3")]
+    + [("tensor-bp-sign-flip", "3,3,3"), ("tower-labels-reversed", "3,3")]
 )
 
 
