@@ -185,13 +185,11 @@ def _category_output(args, header: str, C: DirectedGradedCategory, verified: boo
     lines.extend(f"  {label}" for label in C.objects)
     lines.append("hom degrees:")
     shown = 0
-    for i in range(len(C.objects)):
-        for j in range(i + 1, len(C.objects)):
-            degs = C.hom(i, j)
-            if degs:
-                pretty = ", ".join(str(d) for d in degs)
-                lines.append(f"  {C.objects[i]} -> {C.objects[j]}: {pretty}")
-                shown += 1
+    for (i, j) in sorted(C.hom_pairs()):
+        if i < j:
+            pretty = ", ".join(str(d) for d in C.hom(i, j))
+            lines.append(f"  {C.objects[i]} -> {C.objects[j]}: {pretty}")
+            shown += 1
     if not shown:
         lines.append("  (none)")
     lines.append("every endomorphism space: identity in degree 0")
@@ -308,7 +306,7 @@ def _suite_lattice(p: tuple[int, ...]) -> VerificationReport:
     odd = len(p) % 2 == 1
     cmpr = compare(p)
     fault = _shape_fault(cmpr.st, odd)
-    detail = {"rank": len(cmpr.labels), **(fault or {})}
+    detail = {"rank": len(cmpr.st.labels), **(fault or {})}
     checks.append(CheckResult("st-gram-shape", fault is None, detail))
     fault = _shape_fault(cmpr.euler, odd)
     checks.append(CheckResult("euler-gram-shape", fault is None, fault or {}))
@@ -327,7 +325,7 @@ def _sebastiani_thom_mismatch(cmpr) -> dict | None:
     equal coordinates), since the product form is multiplicative and its
     symmetrization is not (Sebastiani-Thom 1971); elsewhere the forms agree.
     """
-    labels, st, euler = cmpr.labels, cmpr.st.entries, cmpr.euler.entries
+    labels, st, euler = cmpr.st.labels, cmpr.st.entries, cmpr.euler.entries
     for a, i in enumerate(labels):
         for b in range(a, len(labels)):
             j = labels[b]
@@ -371,7 +369,7 @@ def _cmd_lattice(args, p):
         return {
             "p": list(p),
             "orientation": args.orientation,
-            "labels": cmpr.labels,
+            "labels": cmpr.st.labels,
             "st": cmpr.st.entries,
             "euler": cmpr.euler.entries,
             "disagreements": [
@@ -379,7 +377,7 @@ def _cmd_lattice(args, p):
             ],
             "agree": cmpr.agree,
         }, 0
-    lines = [f"p: {p}", "basis: " + ", ".join(str(x) for x in cmpr.labels), "st gram:"]
+    lines = [f"p: {p}", "basis: " + ", ".join(str(x) for x in cmpr.st.labels), "st gram:"]
     lines.extend("  " + str(list(row)) for row in cmpr.st.entries)
     lines.append(f"euler gram ({args.orientation}):")
     lines.extend("  " + str(list(row)) for row in cmpr.euler.entries)

@@ -265,7 +265,18 @@ class _ProductTable:
 
     def table(self) -> dict:
         if self._table is None:
-            self._table, self._args = _product_composites(*self._args), None
+            # every pending table below this one, each listed after the products
+            # that read it, so the builds below run deepest first in a loop and
+            # not one stack level per factor of a long tensor chain
+            pending, stack = [], [self]
+            while stack:
+                node = stack.pop()
+                if node._table is None:
+                    pending.append(node)
+                    stack.extend(f._pending for f in node._args[:2] if f._pending is not None)
+            for node in reversed(pending):
+                if node._table is None:
+                    node._table, node._args = _product_composites(*node._args), None
         return self._table
 
 
@@ -378,52 +389,31 @@ def tensor_bp(p: Iterable[int]) -> DirectedGradedCategory:
 # invariants and comparisons
 
 
-@dataclass(frozen=True)
-class EulerMatrix:
-    """Alternating-sum hom dimensions, upper triangular with unit diagonal."""
-
-    objects: tuple
-    entries: tuple[tuple[int, ...], ...]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-
-def euler_matrix(C: DirectedGradedCategory) -> EulerMatrix:
+def euler_matrix(C: DirectedGradedCategory) -> tuple[tuple[int, ...], ...]:
+    """Rows of alternating-sum hom dimensions over C's objects: upper
+    triangular with unit diagonal."""
     n = len(C.objects)
     rows = [[0] * n for _ in range(n)]
     for (i, j), degrees in C._homs.items():
         rows[i][j] = sum((-1) ** d for d in degrees)
-    return EulerMatrix(objects=C.objects, entries=tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
-class FormalityReport:
-    """True when no chain breaks formality; else ``chain`` gives the first one's
-    end objects X_0 and X_d, its length d and the degree where hom(X_0, X_d) is not 0."""
-
-    chain: dict | None = None
-
-    def __bool__(self) -> bool:
-        return self.chain is None
-
-
-def formality_check(C: DirectedGradedCategory) -> FormalityReport:
+def formality_check(C: DirectedGradedCategory) -> dict | None:
     """No hom space survives in a degree reachable by a higher product.
 
     For every chain X_0 < ... < X_d with d >= 3 and all consecutive homs
     nonzero, with s the sum of one basis degree per step, the space
     hom(X_0, X_d) must vanish in degree s + 2 - d.  The scan walks chains by
-    dynamic programming on (endpoint, length, degree sum); the report is true
-    when it passes.
+    dynamic programming on (endpoint, length, degree sum).  It returns None
+    when it passes, else the first breaking chain: its end objects X_0 and
+    X_d, its length d and the degree where hom(X_0, X_d) is not 0.
     """
     n = len(C.objects)
     edges: dict[int, list[tuple[int, tuple[int, ...]]]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            degs = C.hom(i, j)
-            if degs:
-                edges[i].append((j, tuple(sorted(set(degs)))))
+    for (i, j) in sorted(C.hom_pairs()):
+        if i < j:
+            edges[i].append((j, tuple(sorted(set(C.hom(i, j))))))
     for x0 in range(n):
         frontier: dict[int, set[int]] = {x0: {0}}
         for depth in range(1, n):
@@ -443,9 +433,9 @@ def formality_check(C: DirectedGradedCategory) -> FormalityReport:
                         if s + 2 - depth in target:
                             degree = min(target.intersection(t + 2 - depth for t in sums))
                             ends = {"from": str(C.objects[x0]), "to": str(C.objects[cur])}
-                            return FormalityReport({**ends, "length": depth, "degree": degree})
+                            return {**ends, "length": depth, "degree": degree}
             frontier = nxt
-    return FormalityReport()
+    return None
 
 
 def square_sign_audit(C: DirectedGradedCategory) -> list[str]:
@@ -485,27 +475,18 @@ def square_sign_audit(C: DirectedGradedCategory) -> list[str]:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(C: DirectedGradedCategory) -> ValidationReport:
+def validate(C: DirectedGradedCategory) -> tuple[str, ...]:
     """Check degree additivity, unit strictness and associativity of the table.
 
-    Violations are reported in the order of a full scan: table entries in
-    sorted order, then the unit laws per basis morphism, then every
-    composable triple (h, g, f).  Two kinds of triple are settled without
-    being evaluated.  A triple whose two composites g.f and h.g are both
-    zero holds always, both sides being empty sums.  A triple with an
-    identity in some slot holds whenever the checks before it found nothing:
-    strict units on every basis morphism, with every composite landing on a
-    basis index, make both sides the same composite.  After any earlier
-    violation those triples are evaluated like the rest.
+    Returns the violations, empty when the table passes, in the order of a
+    full scan: table entries in sorted order, then the unit laws per basis
+    morphism, then every composable triple (h, g, f).  Two kinds of triple
+    are settled without being evaluated.  A triple whose two composites g.f
+    and h.g are both zero holds always, both sides being empty sums.  A
+    triple with an identity in some slot holds whenever the checks before it
+    found nothing: strict units on every basis morphism, with every composite
+    landing on a basis index, make both sides the same composite.  After any
+    earlier violation those triples are evaluated like the rest.
     """
     comp, homs, name = C._comp, C._homs, C.name
     entry_bad: list[tuple[tuple[MorRef, MorRef], list[str]]] = []
@@ -561,7 +542,7 @@ def validate(C: DirectedGradedCategory) -> ValidationReport:
                 rhs = {k: v for k, v in rhs.items() if v != 0}
                 if lhs != rhs:
                     bad.append(f"associativity fails on ({name(h)}, {name(g)}, {name(f)})")
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 # ---------------------------------------------------------------------------

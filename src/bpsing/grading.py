@@ -13,7 +13,7 @@ c to ell, where ell = lcm(p_1, ..., p_n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exactlin import RatMatrix, invariant_factors
@@ -60,10 +60,6 @@ class FiniteAbelianGroup:
                 raise ValueError("invariant factors must be > 1")
             if i > 0 and d % self.factors[i - 1] != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
-
-    @property
-    def order(self) -> int:
-        return prod(self.factors) if self.factors else 1
 
     def __str__(self) -> str:
         if not self.factors:

@@ -43,9 +43,6 @@ class BilinearLattice:
     entries: tuple[tuple[int, ...], ...]
     symmetric: bool
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
     def determinant(self) -> int:
         return det(RatMatrix(self.entries))
 
@@ -99,21 +96,21 @@ def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
     if orientation not in ("E-Et", "Et-E"):
         raise ValueError("orientation must be 'E-Et' or 'Et-E'")
     p = exponent_seq(p)
-    E = euler_matrix(tensor_bp(p))
+    C = tensor_bp(p)
+    rows = euler_matrix(C)
     odd = len(p) % 2 == 1
-    rows, cols = E.entries, tuple(zip(*E.entries))  # the rows of E and of Et
+    cols = tuple(zip(*rows))  # the rows of Et
     if not odd and orientation == "Et-E":
         rows, cols = cols, rows
     mirror = operator.add if odd else operator.sub
     entries = tuple(tuple(map(mirror, r, c)) for r, c in zip(rows, cols))
-    return BilinearLattice(E.objects, entries, symmetric=odd)
+    return BilinearLattice(C.objects, entries, symmetric=odd)
 
 
 @dataclass(frozen=True)
 class LatticeComparison:
     """Entrywise comparison of the product form with the Euler form."""
 
-    labels: tuple
     st: BilinearLattice
     euler: BilinearLattice
     disagreements: tuple[tuple[tuple, tuple, int, int], ...]
@@ -134,6 +131,4 @@ def compare(p: Iterable[int], orientation: str = "E-Et") -> LatticeComparison:
         for b in range(a, len(labels)):
             if s_row[b] != e_row[b]:
                 bad.append((labels[a], labels[b], s_row[b], e_row[b]))
-    return LatticeComparison(
-        labels=s.labels, st=s, euler=e, disagreements=tuple(bad)
-    )
+    return LatticeComparison(st=s, euler=e, disagreements=tuple(bad))

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactlin import ComplexError, RatMatrix, exact, rank, rref
 from .grading import LDegree, LGroup, check_limit, exponent_seq
@@ -100,25 +100,35 @@ class GradedRing:
 
     def monomials_of_weight(self, z: int) -> tuple[Monomial, ...]:
         """All normal-form monomials of z-degree z, in lex order."""
+        return tuple(self.iter_monomials(z))
+
+    def iter_monomials(self, z: int) -> Iterator[Monomial]:
+        """The monomials of ``monomials_of_weight(z)`` one at a time, in the same order.
+
+        An odometer over all exponents but the last, which the weight left
+        over forces: no recursion, so any number of variables is fine, and a
+        caller may stop early.  ``rest[i]`` is the weight left for variables
+        i, i + 1, ...
+        """
         if z < 0:
-            return ()
-        found: list[Monomial] = []
-
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-            w = self.L.weights[i]
-            top = remaining // w
-            if i == 0:
-                top = min(top, self.p[0] - 1)
-            if i == self.n - 1:
-                # the last exponent is forced
-                if remaining % w == 0 and remaining // w <= top:
-                    found.append(prefix + (remaining // w,))
+            return
+        w, last, top = self.L.weights, self.n - 1, self.p[0] - 1
+        e, rest = [0] * self.n, [z] * self.n
+        while True:
+            r = rest[last]
+            if r % w[last] == 0 and (last or r // w[0] <= top):
+                e[last] = r // w[last]
+                yield tuple(e)
+            # raise the rightmost exponent that can grow, and zero those after it
+            i = last - 1
+            while i >= 0 and ((e[i] + 1) * w[i] > rest[i] or (i == 0 and e[0] == top)):
+                i -= 1
+            if i < 0:
                 return
-            for e in range(top + 1):
-                rec(i + 1, remaining - e * w, prefix + (e,))
-
-        rec(0, z, ())
-        return tuple(found)
+            e[i] += 1
+            left = rest[i] - e[i] * w[i]
+            for k in range(i + 1, self.n):
+                e[k], rest[k] = 0, left
 
     def pieces_of_weight(self, z: int) -> dict[LDegree, tuple[Monomial, ...]]:
         """The nonzero pieces of z-degree z, keyed by degree, each in lex order."""
@@ -376,8 +386,8 @@ def bp_resolution(
 
 
 # largest window a degree scan may cover, counted as its z-degrees plus the
-# ring's basis monomials in them, all listed before any rank: (3,4,5) to level
-# -9 checks z <= 938 (8192 of them) in about 4.5 s, and (31,33), the largest
+# ring's basis monomials in them, before any rank: (3,4,5) to level -9 checks
+# z <= 938 (8192 of them) in about 4.5 s, and (31,33), the largest
 # two-variable suite the other limits admit, covers 3614 at its 2 ell
 MAX_WINDOW_SIZE = 2**13
 
@@ -388,10 +398,11 @@ MAX_SCAN_CELLS = 2**18
 
 
 def _check_window(ring: GradedRing, window: int) -> int:
-    """The window's size, refused above MAX_WINDOW_SIZE counting no further; the ring keeps pieces."""
+    """The window's size, refused the moment the count passes MAX_WINDOW_SIZE."""
     size = 0
     for z in range(window + 1):
-        size += 1 + sum(map(len, ring.pieces_of_weight(z).values()))
+        # a count past the limit stops at limit + 1, within a z-degree too
+        size += 1 + sum(1 for _ in islice(ring.iter_monomials(z), MAX_WINDOW_SIZE - size))
         if size > MAX_WINDOW_SIZE:
             raise ValueError(
                 f"window {window} covers at least {size} z-degrees and monomials,"
@@ -426,8 +437,6 @@ def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
 class ResolutionReport:
     """Outcome of certifying a free complex: symbolic checks, then exactness per degree."""
 
-    square_zero: bool
-    homogeneous: bool
     degrees_checked: int
     failures: tuple[str, ...]
 
@@ -446,9 +455,7 @@ def _certify(cplx: FreeComplex, window: int, first: int, h0_degrees, what: str) 
     elsewhere.
     """
     _check_scan(cplx.ring, window, 1 - first)
-    hom_bad = cplx.homogeneity_violations()
-    sq_bad = cplx.square_defects()
-    failures = list(hom_bad + sq_bad)
+    failures = list(cplx.homogeneity_violations() + cplx.square_defects())
     degrees = [] if failures else _support_degrees(cplx, window)
     for d in degrees:
         h = cplx.cohomology_dims(d, range(first, 1))
@@ -458,12 +465,7 @@ def _certify(cplx: FreeComplex, window: int, first: int, h0_degrees, what: str) 
         want = 1 if d in h0_degrees else 0
         if h[0] != want:
             failures.append(f"cokernel dimension {h[0]} != {want} in degree {d.raw()}")
-    return ResolutionReport(
-        square_zero=not sq_bad,
-        homogeneous=not hom_bad,
-        degrees_checked=len(degrees),
-        failures=tuple(failures),
-    )
+    return ResolutionReport(degrees_checked=len(degrees), failures=tuple(failures))
 
 
 def validate_resolution(cplx: FreeComplex, window: int) -> ResolutionReport:
@@ -852,7 +854,7 @@ def lemma_k_check(
     it bounds the ring quotient's z-degrees and is raised to at least ell.
     That is enough, since the ring modulo the other variables is
     k[x_axis]/(x_axis^{p_axis}), of top z-degree (p_axis - 1) ell / p_axis < ell.
-    A window above MAX_WINDOW_SIZE is refused there.
+    A window above MAX_WINDOW_SIZE is refused there, before anything is built.
     """
     ring = _ring(p)
     L = ring.L
@@ -860,6 +862,10 @@ def lemma_k_check(
         raise ValueError("axis out of range")
     if not 2 <= j <= ring.p[axis - 1]:
         raise ValueError("truncation order out of range")
+    compared = j == ring.p[axis - 1] and ring.n >= 2
+    if compared:
+        window = max(window, L.ell)
+        _check_window(ring, window)
     xa = L.x(axis)
     sub = truncated_module(ring, axis, 1, twist=L.scale(-(j - 1), xa))
     mid = truncated_module(ring, axis, j)
@@ -867,10 +873,8 @@ def lemma_k_check(
     incl = ModuleMap(sub, mid, {L.scale(j - 1, xa): RatMatrix(((1,),))})
     proj = ModuleMap(mid, quo, {L.scale(s, xa): RatMatrix(((1,),)) for s in range(j - 1)})
     report = exact_sequence_check(incl, proj)
-    if j < ring.p[axis - 1] or ring.n < 2:
+    if not compared:
         return report
-    window = max(window, L.ell)
-    _check_window(ring, window)
     others = tuple(t for t in range(1, ring.n + 1) if t != axis)
     iso_ok = graded_module_iso(mid, quotient_by_variables(ring, others, window))
     bad = () if iso_ok else ("middle module not isomorphic to the ring quotient",)

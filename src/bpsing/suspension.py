@@ -25,7 +25,6 @@ and rebinds the result to every later pair of that shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable
@@ -92,22 +91,6 @@ def connector(E: DirectedGradedCategory, x, j: int) -> MorRef:
     if not degs or degs[0] != 0:
         raise ValueError("no connector at this position")
     return MorRef(src, tgt, 0)
-
-
-@dataclass(frozen=True)
-class SuspensionReport:
-    """Checks of one suspension step against the tensor model.
-
-    ``suspension`` is the category that was checked, so callers use it
-    instead of suspending again.
-    """
-
-    suspension: DirectedGradedCategory
-    messages: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.messages
 
 
 def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
@@ -189,24 +172,23 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
 
     _fill_identities(comp, homs)
     out = object.__new__(DirectedGradedCategory)._keep(labels, homs, comp)
-    report = validate(out)
-    if not report.ok:
-        raise SuspensionError("suspension output fails validation: " + report.violations[0])
-    formal = formality_check(out)
-    if not formal:
-        raise SuspensionError(f"suspension output fails the formality scan: {formal.chain}")
+    violations = validate(out)
+    if violations:
+        raise SuspensionError("suspension output fails validation: " + violations[0])
+    chain = formality_check(out)
+    if chain is not None:
+        raise SuspensionError(f"suspension output fails the formality scan: {chain}")
     return out
 
 
-def verify_suspension(A: DirectedGradedCategory, k: int) -> SuspensionReport:
-    """Compare suspend(A, k) against tensor(A, a_category(k - 1)).
+def verify_suspension(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
+    """suspend(A, k), checked against tensor(A, a_category(k - 1)).
 
     Both label the object over x at level j as (x, j), and the canonical
-    bijection matches equal labels.  The report carries the suspension
-    itself and one message per failed part: each graded-dimension mismatch,
-    a failed gauge comparison, and each square of the suspension output
-    that does not anticommute; ``ok`` holds exactly when there are no
-    messages.
+    bijection matches equal labels.  Each failed part gives one message:
+    each graded-dimension mismatch, a failed gauge comparison, and each
+    square of the suspension output that does not anticommute.  Any message
+    raises SuspensionError with all of them joined by "; ".
     """
     S = suspend(A, k)
     T = tensor(A, a_category(k - 1))
@@ -223,7 +205,9 @@ def verify_suspension(A: DirectedGradedCategory, k: int) -> SuspensionReport:
     if not gauge.ok:
         messages.append(f"gauge comparison failed: {gauge.reason}")
     messages.extend(square_sign_audit(S))
-    return SuspensionReport(suspension=S, messages=tuple(messages))
+    if messages:
+        raise SuspensionError("; ".join(messages))
+    return S
 
 
 def suspension_tower(p: Iterable[int], verify: bool = False) -> list[DirectedGradedCategory]:
@@ -242,13 +226,7 @@ def suspension_tower(p: Iterable[int], verify: bool = False) -> list[DirectedGra
     stage = relabel(base, {x: (x,) for x in base.objects})
     tower = [stage]
     for pi in p[1:]:
-        if verify:
-            report = verify_suspension(stage, pi)
-            if not report.ok:
-                raise SuspensionError("; ".join(report.messages) or "suspension step failed")
-            S = report.suspension
-        else:
-            S = suspend(stage, pi)
+        S = verify_suspension(stage, pi) if verify else suspend(stage, pi)
         stage = relabel(S, {x: tower_label(*x) for x in S.objects})
         tower.append(stage)
     return tower
@@ -262,8 +240,8 @@ def fukaya_checks(p: Iterable[int]) -> tuple[DirectedGradedCategory | None, tupl
     ``tensor_bp(p)``) and ``square-sign-audit``; a detail is empty on success.
     A failed pipeline gives None and its one result.  With two or more
     entries the last step has checked the last stage: ``suspend`` raises on a
-    failed validation or formality scan and ``verify_suspension`` fails the
-    step on any audit message, so those three pass without running again.
+    failed validation or formality scan and ``verify_suspension`` on any
+    audit message, so those three pass without running again.
     With one entry no step ran, so they check the base here.
     """
     p = exponent_seq(p)
@@ -272,8 +250,8 @@ def fukaya_checks(p: Iterable[int]) -> tuple[DirectedGradedCategory | None, tupl
     except (ComplexError, SuspensionError) as exc:
         return None, (("suspension-pipeline", False, {"error": str(exc)}),)
     base = len(p) == 1
-    violations = list(validate(C).violations)[:5] if base else []
-    chain = formality_check(C).chain if base else None
+    violations = list(validate(C))[:5] if base else []
+    chain = formality_check(C) if base else None
     gauge = gauge_isomorphic(C, tensor_bp(p), {x: x for x in C.objects})
     audit = square_sign_audit(C)[:5] if base else []
     return C, (

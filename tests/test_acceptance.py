@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from test_grading import abelian_group_order_stats, component_group_order_stats
 
@@ -91,17 +92,17 @@ def test_02_cone_hom_case_table():
 def test_03_formality_of_all_small_models_and_suspensions():
     for n in (1, 2, 3):
         for p in product((2, 3, 4, 5), repeat=n):
-            assert formality_check(tensor_bp(p)), p
+            assert formality_check(tensor_bp(p)) is None, p
     for p in DESK_P:
-        assert formality_check(fukaya_bp(p)), p
+        assert formality_check(fukaya_bp(p)) is None, p
 
 
 def test_04_euler_kronecker_and_one_variable_cartan():
     for pa in range(2, 7):
         for pb in range(2, 7):
             A, B = a_category(pa), a_category(pb)
-            got = euler_matrix(tensor(A, B)).entries
-            want = kron(euler_matrix(A).entries, euler_matrix(B).entries)
+            got = euler_matrix(tensor(A, B))
+            want = kron(euler_matrix(A), euler_matrix(B))
             assert [list(r) for r in got] == want, (pa, pb)
     for p in range(2, 13):
         cartan = [
@@ -158,7 +159,7 @@ def test_07_resolution_square_zero_and_exact_in_window():
         assert cplx.square_defects() == (), p
         window = 2 * LGroup(p).ell
         rep = validate_resolution(cplx, window)
-        assert rep.ok and rep.square_zero and rep.homogeneous, (p, rep.failures)
+        assert rep.ok and cplx.homogeneity_violations() == (), (p, rep.failures)
 
 
 def test_08_truncation_sequences_and_koszul_perfectness():
@@ -177,7 +178,7 @@ def test_09_weight_sum_and_component_group_arithmetic():
     assert orlov_group((2, 2)).factors == (2,)
     assert cy_check((2, 3, 6)).holds
     g236 = orlov_group((2, 3, 6))
-    assert g236.order == 6
+    assert prod(g236.factors) == 6
     assert component_group_order_stats((2, 3, 6)) == abelian_group_order_stats(
         g236.factors
     )
@@ -205,7 +206,7 @@ def test_10_property_suites_and_cli_determinism():
     categories += [fukaya_bp(p) for p in DESK_P]
     categories += [directed_extension(tensor_bp((2, 3)), 3)]
     for C in categories:
-        assert validate(C).ok
+        assert validate(C) == ()
 
     A = tensor_bp((2, 3))
     E = directed_extension(A, 3)

@@ -358,18 +358,19 @@ def _no_scan(*args):
 
 
 def test_window_scans_refuse_huge_windows_before_any_rank(capsys, monkeypatch):
-    # the count of z-degrees and monomials stops at the limit, so a huge
-    # window is refused at once, for one variable too, whose ring is finite
+    # the count of z-degrees and monomials stops one past the limit, inside a
+    # z-degree too, so a huge window is refused at once, for one variable
+    # too, whose ring is finite
     assert bpsing.singcat.MAX_WINDOW_SIZE == 2**13
     monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
     monkeypatch.setattr(bpsing.singcat, "quotient_by_variables", _no_scan)
     for argv, count in [
-        ("singcat resolution --p 3,4,5 --length 9 --window 1000000000", 8196),
+        ("singcat resolution --p 3,4,5 --length 9 --window 1000000000", 8193),
         ("singcat resolution --p 7 --length 3 --window 1000000000", 8193),
         ("singcat lemma-k --p 3,4 --axis 2 --j 4 --window 1000000000", 8193),
-        ("singcat lemma-k --p 2,2,2,2,2,2,2 --axis 1 --j 2 --window 1000000000", 13024),
+        ("singcat lemma-k --p 2,2,2,2,2,2,2 --axis 1 --j 2 --window 1000000000", 8193),
         # the suite took 55 s before the limit, on its window of 2 ell = 1020
-        ("verify --suite singcat --p 2,2,2,2,2,2,255", 8218),
+        ("verify --suite singcat --p 2,2,2,2,2,2,255", 8193),
     ]:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
@@ -380,6 +381,49 @@ def test_window_scans_refuse_huge_windows_before_any_rank(capsys, monkeypatch):
     # below j = p_axis lemma-k does not read the window
     code, _, _ = run_cli(capsys, *"singcat lemma-k --p 3,4 --axis 2 --j 3 --window 1000000000".split())
     assert code == 0
+
+
+def test_many_variables_are_refused_by_the_window_not_the_stack(capsys):
+    # 1200 variables overflowed the recursive monomial enumeration; lemma-k
+    # also refuses its window before it builds the sequence
+    p = ",".join(["2"] * 1200)
+    for argv in [f"singcat resolution --p {p} --length 1", f"singcat lemma-k --p {p} --axis 1 --j 2"]:
+        assert run_cli(capsys, *argv.split()) == (
+            2, "", "error: window 4 covers at least 8193 z-degrees and monomials, above the limit 8192\n"
+        )
+
+
+def test_long_tensor_chains_build_without_overflowing_the_stack(capsys):
+    # padding with x^2 summands (Knoerrer stabilization) gives a chain of 1000
+    # tensor factors, whose pending tables were built one stack level each
+    p = ",".join(["2"] * 1000)
+    labels = [str((1,) * 1000)]
+    code, out, err = run_cli(capsys, "category", "--p", p, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["objects"] == labels
+    code, out, err = run_cli(capsys, "fukaya", "--p", p, "--verify")
+    assert (code, err) == (0, "")
+    assert out.endswith("verification: PASS\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "fukaya", "--p", p, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"] is True
+
+
+def test_lemma_k_text_names_the_first_failing_degree(capsys, monkeypatch):
+    # maps that drop their matrices are zero maps, which still validate
+    real = bpsing.singcat.ModuleMap
+    monkeypatch.setattr(bpsing.singcat, "ModuleMap", lambda src, tgt, mats: real(src, tgt, {}))
+    code, out, err = run_cli(capsys, *"singcat lemma-k --p 2,3 --axis 2 --j 2".split())
+    assert (code, err) == (1, "")
+    assert out == (
+        "p: (2, 3)  axis: 2  j: 2\n"
+        "sequence: NOT exact (2 degrees checked)\n"
+        "first failure in degree (0, 0, 0)\n"
+        "  projection not surjective in degree (0, 0, 0)\n"
+        "  kernel does not match image in degree (0, 0, 0)\n"
+        "  inclusion not injective in degree (0, 1, 0)\n"
+        "  kernel does not match image in degree (0, 1, 0)\n"
+    )
 
 
 def test_window_limit_is_inclusive(capsys, monkeypatch):
@@ -395,7 +439,7 @@ def test_window_limit_is_inclusive(capsys, monkeypatch):
                  "singcat lemma-k --p 3,4 --axis 2 --j 4 --window 25"]:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
-        assert err == "error: window 25 covers at least 49 z-degrees and monomials, above the limit 47\n"
+        assert err == "error: window 25 covers at least 48 z-degrees and monomials, above the limit 47\n"
 
 
 def _scan_cells_error(levels, size, limit):
@@ -430,7 +474,7 @@ def test_resolution_command_refuses_its_scan_before_building(capsys, monkeypatch
     for argv, err in [
         ("--p 2,3 --length 8191 --window 4000", _scan_cells_error(8191, 8001, 2**18)),
         ("--p 3,4,5 --length 9 --window 1000000000",
-         "error: window 1000000000 covers at least 8196 z-degrees and monomials,"
+         "error: window 1000000000 covers at least 8193 z-degrees and monomials,"
          " above the limit 8192\n"),
         ("--p 2,3 --length 10000000000 --window 1000000000",
          "error: resolution differential entry count 39999999998 exceeds the limit 32768\n"),
@@ -610,6 +654,9 @@ CLI_PINS = {
     "fukaya --p 2,3,4 --json": "268e0e101e62b787b087c8d82eea2a01e5aab9817f92d9d1b462f90d54f98e42",
     "suspend --p 3,3,3 --k 3 --json": "2b83ddfd60a7ff997824cdd4cb77989859a4f8ef5f14a7c08596e70dff3a6fcb",
     "category --p 3,3,3 --json": "b9e3efde50a027b3abcbed8b411870b65b6d135951c356834178606cd843066e",
+    # recorded before the comparison stopped repeating the basis labels; one
+    # variable's forms agree, so this prints the "(none)" line
+    "lattice --p 2": "4b1523a33d211d79a1cd525f8e160f9053ff48074c989df3e610b8ce378038ec",
 }
 
 

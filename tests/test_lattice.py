@@ -3,7 +3,7 @@
 import pytest
 
 import bpsing.dgcat
-from bpsing.dgcat import MAX_RANK, EulerMatrix, euler_matrix, tensor_bp
+from bpsing.dgcat import MAX_RANK, euler_matrix, tensor_bp
 from bpsing.lattice import (
     BilinearLattice,
     LatticeComparison,
@@ -127,26 +127,26 @@ def reference_st_gram(p):
 
 def reference_euler_matrix(C):
     n = len(C.objects)
-    rows = tuple(tuple(sum((-1) ** d for d in C.hom(i, j)) for j in range(n)) for i in range(n))
-    return EulerMatrix(objects=C.objects, entries=rows)
+    return tuple(tuple(sum((-1) ** d for d in C.hom(i, j)) for j in range(n)) for i in range(n))
 
 
 def reference_euler_gram(p, orientation):
-    E = reference_euler_matrix(tensor_bp(p))
-    size = len(E.objects)
+    C = tensor_bp(p)
+    E = reference_euler_matrix(C)
+    size = len(C.objects)
     odd = len(p) % 2 == 1
     entries = []
     for i in range(size):
         row = []
         for j in range(size):
             if odd:
-                row.append(E.entry(i, j) + E.entry(j, i))
+                row.append(E[i][j] + E[j][i])
             elif orientation == "E-Et":
-                row.append(E.entry(i, j) - E.entry(j, i))
+                row.append(E[i][j] - E[j][i])
             else:
-                row.append(E.entry(j, i) - E.entry(i, j))
+                row.append(E[j][i] - E[i][j])
         entries.append(tuple(row))
-    return BilinearLattice(E.objects, tuple(entries), symmetric=odd)
+    return BilinearLattice(C.objects, tuple(entries), symmetric=odd)
 
 
 def reference_compare(p, orientation):
@@ -155,9 +155,9 @@ def reference_compare(p, orientation):
     bad = []
     for a in range(len(s.labels)):
         for b in range(a, len(s.labels)):
-            if s.entry(a, b) != e.entry(a, b):
-                bad.append((s.labels[a], s.labels[b], s.entry(a, b), e.entry(a, b)))
-    return LatticeComparison(labels=s.labels, st=s, euler=e, disagreements=tuple(bad))
+            if s.entries[a][b] != e.entries[a][b]:
+                bad.append((s.labels[a], s.labels[b], s.entries[a][b], e.entries[a][b]))
+    return LatticeComparison(st=s, euler=e, disagreements=tuple(bad))
 
 
 @pytest.mark.parametrize("orientation", ["E-Et", "Et-E"])

@@ -32,7 +32,6 @@ from bpsing import cli, lattice, singcat, suspension
 from bpsing.cli import CheckResult, VerificationReport
 from bpsing.dgcat import (
     DirectedGradedCategory,
-    EulerMatrix,
     MorRef,
     formality_check,
     gauge_isomorphic,
@@ -183,10 +182,9 @@ def raised_st_entry(p):
 
 def doubled_euler_corner(C):
     """``euler_matrix`` with E[0][0] = 2."""
-    E = _euler_matrix(C)
-    rows = [list(row) for row in E.entries]
+    rows = [list(row) for row in _euler_matrix(C)]
     rows[0][0] = 2
-    return EulerMatrix(E.objects, tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
 def flipped_one_var_form(p, i, j):
@@ -286,6 +284,30 @@ def test_mutant_fails_exactly_its_checks(capsys, monkeypatch, mutant, p, expecte
             assert fragment in str(failing[name]), (name, failing[name])
 
 
+@pytest.mark.parametrize("mutant, p, expected", KILL_MATRIX, ids=[row[0] for row in KILL_MATRIX])
+def test_mutant_text_output_names_each_failing_check_with_its_detail(
+    capsys, monkeypatch, mutant, p, expected
+):
+    module, name, stand_in = MUTANTS[mutant]
+    monkeypatch.setattr(module, name, stand_in)
+    argv = ["verify", "--suite", "all", "--p", p]
+    assert cli.run(argv + ["--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert cli.run(argv) == 1
+    want = [f"p: {tuple(report['p'])}"]
+    for suite in report["suites"]:
+        want.append(f"suite {suite['suite']}:")
+        for c in suite["checks"]:
+            if c["ok"]:
+                want.append(f"  PASS {c['name']}")
+            else:
+                want.append(f"  FAIL {c['name']}  {json.dumps(c['detail'], sort_keys=True)}")
+        want.append(f"  => {'PASS' if suite['ok'] else 'FAIL'}")
+    want.append("verify: FAIL")
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    assert {c["name"] for s in report["suites"] for c in s["checks"] if not c["ok"]} == set(expected)
+
+
 def test_every_mutated_route_passes_unmutated(capsys):
     for p in sorted({row[1] for row in KILL_MATRIX}):
         assert cli.run(["verify", "--suite", "all", "--p", p]) == 0
@@ -320,15 +342,15 @@ def reference_suite_fukaya(p):
     except (ComplexError, suspension.SuspensionError) as exc:
         checks.append(CheckResult("suspension-pipeline", False, {"error": str(exc)}))
     if C is not None:
-        rep = validate(C)
+        violations = validate(C)
         checks.append(
             CheckResult(
-                "category-valid", rep.ok,
-                {} if rep.ok else {"violations": list(rep.violations)[:5]},
+                "category-valid", not violations,
+                {"violations": list(violations)[:5]} if violations else {},
             )
         )
-        formal = formality_check(C)
-        checks.append(CheckResult("formality", bool(formal), {} if formal else formal.chain))
+        chain = formality_check(C)
+        checks.append(CheckResult("formality", chain is None, chain or {}))
         g = gauge_isomorphic(C, suspension.tensor_bp(p), {x: x for x in C.objects})
         checks.append(
             CheckResult("gauge-vs-tensor", g.ok, {} if g.ok else {"reason": g.reason or ""})

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -144,6 +145,26 @@ def test_rings_with_different_exponents_share_no_pieces(p, q):
             assert second.piece(d) == filtered_piece(q, d), (q, d.raw())
 
 
+def test_monomial_enumeration_matches_the_filter_on_random_sequences():
+    rng = random.Random(2809)
+    for _ in range(40):
+        p = tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 3)))
+        R = GradedRing(p)
+        for z in range(-2, 2 * R.L.ell + 1):
+            assert R.monomials_of_weight(z) == lex_monomials(p, z), (p, z)
+            # the lazy enumerator stops where its caller stops
+            assert tuple(islice(R.iter_monomials(z), 2)) == lex_monomials(p, z)[:2], (p, z)
+
+
+def test_monomial_enumeration_takes_any_number_of_variables():
+    # one stack level per variable overflowed long before 1200 variables
+    R = GradedRing((2,) * 1200)
+    assert R.monomials_of_weight(0) == ((0,) * 1200,)
+    ones = R.monomials_of_weight(1)
+    assert len(ones) == 1200 and ones == tuple(sorted(ones))
+    assert ones[0] == (0,) * 1199 + (1,) and ones[-1] == (1,) + (0,) * 1199
+
+
 def test_hilbert_series_of_the_quotient_ring():
     for p, upto in [((2, 3), 20), ((2, 2, 2), 12), ((3, 4), 18)]:
         R = GradedRing(p)
@@ -210,7 +231,7 @@ def test_resolution_squares_to_zero_symbolically():
 
 def test_validate_resolution_passes():
     rep = validate_resolution(bp_resolution((2, 3), 8), 12)
-    assert rep.ok and rep.square_zero and rep.homogeneous
+    assert rep.ok
     assert rep.degrees_checked == 12
     assert rep.failures == ()
     rep2 = validate_resolution(bp_resolution((3, 3), 6), 6)
@@ -228,7 +249,7 @@ def test_validate_resolution_flags_wrong_degree_entry():
     broken = FreeComplex(ring, cplx.terms, diffs, cplx.labels)
     assert "entry (-3,1,0) has a term of wrong degree" in broken.homogeneity_violations()
     rep = validate_resolution(broken, 12)
-    assert not rep.ok and not rep.homogeneous
+    assert not rep.ok and "entry (-3,1,0) has a term of wrong degree" in rep.failures
 
 
 def test_validate_resolution_flags_missing_differential():
@@ -236,7 +257,8 @@ def test_validate_resolution_flags_missing_differential():
     diffs = dict(cplx.diffs)
     diffs[-2] = tuple(tuple({} for _ in row) for row in diffs[-2])
     rep = validate_resolution(FreeComplex(cplx.ring, cplx.terms, diffs, cplx.labels), 12)
-    assert rep.square_zero and rep.homogeneous and not rep.ok
+    # square zero and homogeneous: neither symbolic check left a message
+    assert not rep.ok and not any("square at" in f or "wrong degree" in f for f in rep.failures)
     assert "not exact at level -1 in degree (1, 1, 0)" in rep.failures
 
 
@@ -811,6 +833,76 @@ def test_module_map_validate_rejects_wrong_twist():
     assert any("intertwine" in msg for msg in bad.validate())
 
 
+def test_module_map_validate_names_a_wrong_shape_before_intertwining():
+    ring = GradedRing((2, 3))
+    M = truncated_module(ring, 2, 1)
+    bad = ModuleMap(M, M, {ring.L.zero(): [[1, 0]]})
+    assert bad.validate() == ("matrix at (0, 0, 0) has wrong shape",)
+    assert exact_sequence_check(bad, ModuleMap(M, M, {})).failures == bad.validate()
+
+
+def test_exact_sequence_check_names_each_failing_condition():
+    ring = GradedRing((2, 3))
+    L = ring.L
+    M = truncated_module(ring, 2, 1)
+    identity, zero = ModuleMap(M, M, {L.zero(): [[1]]}), ModuleMap(M, M, {})
+    # a projection that kills nothing keeps the image of the inclusion
+    rep = exact_sequence_check(identity, identity)
+    assert (rep.degrees_checked, rep.first_failure) == (1, (0, 0, 0))
+    assert rep.failures == (
+        "composite not zero in degree (0, 0, 0)",
+        "kernel does not match image in degree (0, 0, 0)",
+    )
+    rep = exact_sequence_check(identity, zero)
+    assert rep.first_failure == (0, 0, 0)
+    assert rep.failures == ("projection not surjective in degree (0, 0, 0)",)
+    # the inclusion lands in M, the projection starts from a module in degree x_1
+    other = truncated_module(ring, 1, 1, twist=L.x(1))
+    rep = exact_sequence_check(identity, ModuleMap(other, M, {}))
+    assert (rep.degrees_checked, rep.first_failure) == (0, None)
+    assert rep.failures == ("middle modules do not match",)
+
+
+def test_validate_resolution_names_a_wrong_cokernel_dimension():
+    # with the last map zero the cokernel is the whole ring, one dimension in
+    # each degree of a monomial where the residue field has none
+    cplx = bp_resolution((2, 3), 4)
+    diffs = dict(cplx.diffs)
+    diffs[-1] = tuple(tuple({} for _ in row) for row in diffs[-1])
+    rep = validate_resolution(FreeComplex(cplx.ring, cplx.terms, diffs, cplx.labels), 12)
+    L = cplx.ring.L
+    for d in (L.x(1), L.x(2)):
+        assert f"cokernel dimension 1 != 0 in degree {d.raw()}" in rep.failures
+    assert not any(f"in degree {L.zero().raw()}" in f for f in rep.failures)
+
+
+def test_graded_module_iso_needs_the_same_vanishing_pattern():
+    ring = GradedRing((2, 3))
+    M = truncated_module(ring, 1, 2)
+    assert graded_module_iso(M, M)
+    assert not graded_module_iso(M, GradedModule(ring, M.basis, {}))
+
+
+def test_graded_module_iso_propagates_scalars_backward():
+    # in L(2, 2), x_1 - x_2 has order two, so both a = 0 and b = x_1 - x_2,
+    # of z-degree 0, reach x_1 and x_2: a component with two minimal
+    # degrees, where b's scalar is found backward from x_2
+    ring = GradedRing((2, 2))
+    L = ring.L
+    x1, x2 = L.x(1), L.x(2)
+    a, b = L.zero(), L.sub(x1, x2)
+    assert L.add(b, x2) == x1 and L.add(b, x1) == x2
+    basis = {d: ("e",) for d in (a, b, x1, x2)}
+
+    def thin(s):
+        return GradedModule(ring, basis, {
+            (1, a): [[1]], (2, a): [[1]], (1, b): [[s]], (2, b): [[1]],
+        })
+
+    assert graded_module_iso(thin(1), thin(1))
+    assert graded_module_iso(thin(1), thin(-1)) is False
+
+
 def test_koszul_perfect_check():
     assert koszul_perfect_check((2, 3), 10).ok
     assert koszul_perfect_check((2, 2, 2), 8).ok
@@ -833,7 +925,7 @@ def test_koszul_check_reports_a_broken_square_like_the_resolution_check(monkeypa
     monkeypatch.setattr(bpsing.singcat, "_form_complex", flipped)
     rep = koszul_perfect_check((3, 3, 3), 6)
     assert isinstance(rep, ResolutionReport)
-    assert not rep.ok and not rep.square_zero and rep.homogeneous
+    assert not rep.ok
     assert rep.degrees_checked == 0
     assert rep.failures == ("square at level -2 nonzero at (0,0)",)
 

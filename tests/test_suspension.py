@@ -123,8 +123,8 @@ def test_suspend_rejects_small_k():
 def test_suspend_agrees_with_tensor_model():
     for A in [a_category(2), a_category(3), tensor_bp((2, 3))]:
         for k in (2, 3, 4):
-            report = verify_suspension(A, k)
-            assert report.ok and report.messages == (), (A, k, report.messages)
+            # a single message would raise SuspensionError
+            assert verify_suspension(A, k) == suspend(A, k), (A, k)
 
 
 def test_suspend_agrees_with_tensor_model_on_random_sequences():
@@ -138,8 +138,8 @@ def test_suspend_agrees_with_tensor_model_on_random_sequences():
     @hypothesis.settings(max_examples=16, deadline=None, derandomize=True, database=None)
     @hypothesis.given(exponents, st.integers(2, 4))
     def check(p, k):
-        report = verify_suspension(tensor_bp(p), k)
-        assert report.ok and report.messages == (), (p, k, report.messages)
+        # a single message would raise SuspensionError
+        verify_suspension(tensor_bp(p), k)
 
     check()
 
@@ -206,12 +206,10 @@ def test_verified_fukaya_returns_the_unverified_category():
 
 def test_verify_suspension_reports_the_checked_suspension(monkeypatch):
     A = fukaya_bp((2, 3))
-    report = verify_suspension(A, 3)
-    assert report.ok
-    assert report.suspension == suspend(A, 3)
-    assert tuple(tower_label(*x) for x in report.suspension.objects) == tensor_bp((2, 3, 3)).objects
-    plain = verify_suspension(a_category(2), 3)
-    assert plain.suspension == suspend(a_category(2), 3)
+    S = verify_suspension(A, 3)
+    assert S == suspend(A, 3)
+    assert tuple(tower_label(*x) for x in S.objects) == tensor_bp((2, 3, 3)).objects
+    assert verify_suspension(a_category(2), 3) == suspend(a_category(2), 3)
 
     # a suspension that lacks a hom the model has and has one the model
     # lacks: one message for each, in the order of a scan over all pairs
@@ -230,8 +228,9 @@ def test_verify_suspension_reports_the_checked_suspension(monkeypatch):
         return DirectedGradedCategory(S.objects, homs, comp)
 
     monkeypatch.setattr(suspension, "suspend", moved)
-    report = verify_suspension(A, 3)
-    S, T = report.suspension, tensor_bp((2, 3, 3))
+    with pytest.raises(SuspensionError) as failed:
+        verify_suspension(A, 3)
+    S, T = moved(A, 3), tensor_bp((2, 3, 3))
     n = len(S.objects)
     scanned = [
         f"graded dims differ at ({S.objects[i]}, {S.objects[j]}): "
@@ -241,7 +240,8 @@ def test_verify_suspension_reports_the_checked_suspension(monkeypatch):
         if S.graded_dims(i, j) != T.graded_dims(i, j)
     ]
     assert len(scanned) == 2
-    assert list(report.messages[:3]) == scanned + [
+    # the messages are joined by "; ", which none of them contains
+    assert str(failed.value).split("; ")[:3] == scanned + [
         f"gauge comparison failed: graded dimensions differ at ({S.objects[0]}, {S.objects[1]})"
     ]
 
@@ -394,12 +394,12 @@ def reference_suspend(A, k):
                 raise SuspensionError("identity classes do not act strictly")
 
     out = DirectedGradedCategory(labels, homs, comp)
-    report = validate(out)
-    if not report.ok:
-        raise SuspensionError("suspension output fails validation: " + report.violations[0])
-    formal = formality_check(out)
-    if not formal:
-        raise SuspensionError(f"suspension output fails the formality scan: {formal.chain}")
+    violations = validate(out)
+    if violations:
+        raise SuspensionError("suspension output fails validation: " + violations[0])
+    chain = formality_check(out)
+    if chain is not None:
+        raise SuspensionError(f"suspension output fails the formality scan: {chain}")
     return out
 
 
