@@ -67,16 +67,28 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{d}" for d in self.factors)
 
 
-class LGroup:
-    """The grading group L(p) with its normal form and integer degree map."""
+# largest variable count ``LGroup.torsion_subgroup`` takes to the dense Smith
+# form of its n x (n + 1) relation matrix, whose cost grows about as n^2.8:
+# 256 twos take 1.2 s and the exponents 2..257 5.4 s, while 1000 twos took 62 s
+MAX_TORSION_VARIABLES = 2**8
 
-    __slots__ = ("p", "n", "ell", "weights")
+
+class LGroup:
+    """The grading group L(p) with its normal form and integer degree map.
+
+    A generator x_i is normalized once, the first time ``x(i)`` asks for it,
+    and kept: building all n of them up front would cost n^2 entries, which
+    a ring of many variables pays before its window is refused.
+    """
+
+    __slots__ = ("p", "n", "ell", "weights", "_x")
 
     def __init__(self, p: Iterable[int]):
         self.p = exponent_seq(p)
         self.n = len(self.p)
         self.ell = lcm(*self.p)
         self.weights = tuple(self.ell // pi for pi in self.p)
+        self._x: dict[int, LDegree] = {}
 
     def __repr__(self) -> str:
         return f"LGroup({list(self.p)})"
@@ -110,9 +122,12 @@ class LGroup:
 
     def x(self, i: int) -> LDegree:
         """The generator x_i, 1-indexed."""
-        if not 1 <= i <= self.n:
-            raise ValueError("generator index out of range")
-        return self.normalize(tuple(int(j == i - 1) for j in range(self.n)) + (0,))
+        g = self._x.get(i)
+        if g is None:
+            if not 1 <= i <= self.n:
+                raise ValueError("generator index out of range")
+            g = self._x[i] = self.normalize(tuple(int(j == i - 1) for j in range(self.n)) + (0,))
+        return g
 
     def c(self) -> LDegree:
         return LDegree((0,) * self.n, 1)
@@ -164,7 +179,12 @@ class LGroup:
         return RatMatrix(rows, cols=self.n + 1)
 
     def torsion_subgroup(self) -> FiniteAbelianGroup:
-        """Torsion of L, read off the Smith form of the relation matrix."""
+        """Torsion of L, read off the Smith form of the relation matrix.
+
+        More than MAX_TORSION_VARIABLES variables are refused before the
+        matrix is built.
+        """
+        check_limit("torsion subgroup variable count", self.n, MAX_TORSION_VARIABLES)
         factors = invariant_factors(self.relation_matrix())
         return FiniteAbelianGroup(tuple(d for d in factors if d > 1))
 

@@ -262,20 +262,20 @@ class FreeComplex:
                     entries[ridx][cidx] += co
         return RatMatrix(entries, cols=len(src))
 
-    def cohomology_dims(self, d: LDegree, levels: range) -> dict[int, int]:
+    def cohomology_dims(self, d: LDegree, levels: range, bases) -> dict[int, int]:
         """Dimensions of H^i in degree d for each i in levels.
 
-        H^i = dim - rank(d_i) - rank(d_{i-1}), an absent map having rank
-        zero.  Each level's piece basis at d is built once and serves both
-        maps that touch it.
+        ``bases`` maps a level to its piece basis at d, as ``piece_basis``
+        orders it, and omits a level whose piece is zero; each basis serves
+        both maps that touch its level.  H^i = dim - rank(d_i) - rank(d_{i-1}),
+        an absent map having rank zero.
         """
-        bases = {i: self.piece_basis(i, d) for i in range(levels.start - 1, levels.stop + 1)}
         ranks = {
-            i: rank(self.piece_matrix(i, d, bases[i], bases[i + 1]))
+            i: rank(self.piece_matrix(i, d, bases.get(i, ()), bases.get(i + 1, ())))
             for i in range(levels.start - 1, levels.stop)
             if i in self.diffs
         }
-        return {i: len(bases[i]) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in levels}
+        return {i: len(bases.get(i, ())) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in levels}
 
 
 def resolution_generators(n: int, i: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -387,13 +387,13 @@ def bp_resolution(
 
 # largest window a degree scan may cover, counted as its z-degrees plus the
 # ring's basis monomials in them, before any rank: (3,4,5) to level -9 checks
-# z <= 938 (8192 of them) in about 4.5 s, and (31,33), the largest
+# z <= 938 (8192 of them) in about 3.3 s, and (31,33), the largest
 # two-variable suite the other limits admit, covers 3614 at its 2 ell
 MAX_WINDOW_SIZE = 2**13
 
 # largest certification scan, in levels times window size: on (2,3), 8191
-# levels by size 25 (its default window) take 2.1 s, 9 by 8001 1.5 s and 32 by
-# 8001 5.3 s, while 100 by 8001 take 16 s and 8191 by 201 11 s
+# levels by size 25 (its default window) take 2.5 s, 9 by 8001 1.3 s and 32 by
+# 8001 3.8 s, while 100 by 8001 take 12 s and 8191 by 201 11-15 s
 MAX_SCAN_CELLS = 2**18
 
 
@@ -419,18 +419,37 @@ def _check_scan(ring: GradedRing, window: int, levels: int) -> None:
                 levels * size, MAX_SCAN_CELLS)
 
 
-def _support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
-    """Degrees of z-degree <= window where some term has a nonzero piece."""
+def _scan_pieces(cplx: FreeComplex, window: int) -> Iterator[tuple[LDegree, dict[int, list]]]:
+    """Each degree of z-degree 0..window where some term has a nonzero piece,
+    with the piece basis of every level nonzero there, in (z, raw) order.
+
+    One z-degree at a time, so only one slice of bases is alive: each distinct
+    generator degree g meets each ring piece e of z-degree z - z(g) once, at
+    g + e, and each generator of degree g appends its (index, monomial) pairs
+    there, level by level in index order.  A basis is ``piece_basis``'s, in
+    its order.
+    """
     ring = cplx.ring
     L = ring.L
-    gens = {g for i in cplx.levels() for g in cplx.generator_degrees(i)}
-    seen = set()
-    for g in gens:
-        zg = L.z_degree(g)
-        for z in range(max(0, -zg), window - zg + 1):
-            for d in ring.pieces_of_weight(z):
-                seen.add(L.add(g, d))
-    return sorted(seen, key=ring.sort_key)
+    distinct = dict.fromkeys(g for i in cplx.levels() for g in cplx.generator_degrees(i))
+    index = {g: k for k, g in enumerate(distinct)}
+    levels = [(i, [(c, index[g]) for c, g in enumerate(cplx.generator_degrees(i))])
+              for i in cplx.levels()]
+    gens_z = [(g, L.z_degree(g)) for g in index]
+    for z in range(window + 1):
+        bases: dict[LDegree, dict[int, list]] = {}
+        # per distinct generator degree: (the bases at g + e, the piece at e)
+        hits = [
+            [(bases.setdefault(L.add(g, e), {}), monos)
+             for e, monos in ring.pieces_of_weight(z - zg).items()] if zg <= z else ()
+            for g, zg in gens_z
+        ]
+        for i, level in levels:
+            for c, k in level:
+                for at, monos in hits[k]:
+                    at.setdefault(i, []).extend([(c, m) for m in monos])
+        for d in sorted(bases, key=LDegree.raw):
+            yield d, bases[d]
 
 
 @dataclass(frozen=True)
@@ -449,23 +468,26 @@ def _certify(cplx: FreeComplex, window: int, first: int, h0_degrees, what: str) 
     """Symbolic checks, then exactness at levels first..0 in every degree of a window.
 
     The window and the scan are refused first (``_check_scan``), then square
-    zero and entry homogeneity are checked.  If both hold, then per graded
-    piece of z-degree <= window: H^i must vanish for first <= i < 0 (a failure
-    is named ``what``), and H^0 must be one-dimensional on h0_degrees and zero
+    zero and entry homogeneity are checked.  If both hold, ``_scan_pieces``
+    walks the z-degrees 0..window once, building each degree's piece bases
+    by placing the ring's pieces on the generator degrees, and per degree
+    with a nonzero piece: H^i must vanish for first <= i < 0 (a failure is
+    named ``what``), and H^0 must be one-dimensional on h0_degrees and zero
     elsewhere.
     """
     _check_scan(cplx.ring, window, 1 - first)
     failures = list(cplx.homogeneity_violations() + cplx.square_defects())
-    degrees = [] if failures else _support_degrees(cplx, window)
-    for d in degrees:
-        h = cplx.cohomology_dims(d, range(first, 1))
+    checked = 0
+    for d, bases in [] if failures else _scan_pieces(cplx, window):
+        checked += 1
+        h = cplx.cohomology_dims(d, range(first, 1), bases)
         for i in range(first, 0):
             if h[i]:
                 failures.append(f"{what} at level {i} in degree {d.raw()}")
         want = 1 if d in h0_degrees else 0
         if h[0] != want:
             failures.append(f"cokernel dimension {h[0]} != {want} in degree {d.raw()}")
-    return ResolutionReport(degrees_checked=len(degrees), failures=tuple(failures))
+    return ResolutionReport(degrees_checked=checked, failures=tuple(failures))
 
 
 def validate_resolution(cplx: FreeComplex, window: int) -> ResolutionReport:

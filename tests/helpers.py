@@ -7,7 +7,8 @@ from typing import Mapping, Sequence
 from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
 from bpsing.exactlin import RatMatrix, SparseRow, exact, smith_normal_form
-from bpsing.singcat import GradedModule, GradedRing
+from bpsing.grading import LDegree
+from bpsing.singcat import FreeComplex, GradedModule, GradedRing
 from bpsing.twisted import identity_class
 
 
@@ -189,3 +190,39 @@ def module_violations(M: GradedModule) -> tuple[str, ...]:
         if total is not None and not total.is_zero():
             bad.append(f"defining relation fails at {d.raw()}")
     return tuple(bad)
+
+
+def last_column_zeroed(cplx: FreeComplex) -> FreeComplex:
+    """cplx with the last column of its leftmost differential zeroed: squares stay
+    zero and every entry stays homogeneous, so only a scan over degrees sees it."""
+    diffs = {i: [list(row) for row in mat] for i, mat in cplx.diffs.items()}
+    for row in diffs[min(diffs)]:
+        row[-1] = {}
+    return FreeComplex(cplx.ring, cplx.terms, diffs, cplx.labels)
+
+
+def piece_bases(cplx: FreeComplex, d: LDegree) -> dict[int, tuple]:
+    """Each level's ``piece_basis`` at d, for the levels whose piece at d is nonzero."""
+    return {i: basis for i in cplx.levels() if (basis := cplx.piece_basis(i, d))}
+
+
+def support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
+    """Degrees of z-degree <= window where some term has a nonzero piece, in
+    (z, raw) order: every generator degree plus every ring piece within reach."""
+    ring = cplx.ring
+    L = ring.L
+    gens = {g for i in cplx.levels() for g in cplx.generator_degrees(i)}
+    seen = set()
+    for g in gens:
+        zg = L.z_degree(g)
+        for z in range(max(0, -zg), window - zg + 1):
+            for d in ring.pieces_of_weight(z):
+                seen.add(L.add(g, d))
+    return sorted(seen, key=ring.sort_key)
+
+
+def reference_scan(cplx: FreeComplex, window: int):
+    """The exactness scan degree by degree: each support degree with its
+    levels' piece bases, every basis built by one ring lookup per generator."""
+    for d in support_degrees(cplx, window):
+        yield d, piece_bases(cplx, d)

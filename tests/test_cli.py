@@ -12,11 +12,13 @@ import pytest
 
 import bpsing.cli
 import bpsing.dgcat
+import bpsing.grading
 import bpsing.lattice
 import bpsing.singcat
 import bpsing.suspension
 from bpsing.cli import main
 from bpsing.dgcat import MAX_RANK, tensor_bp
+from bpsing.singcat import bp_resolution, koszul_perfect_check, validate_resolution
 from helpers import drop_one_composite, from_json_dict
 
 
@@ -224,6 +226,28 @@ def test_lattice_routes_reject_huge_ranks_before_building(capsys, monkeypatch):
     assert code == 0 and out
 
 
+def test_orlov_refuses_many_variables_before_the_smith_form(capsys, monkeypatch):
+    # the relation matrix goes to a dense Smith form: 1000 twos took 62 s
+    assert bpsing.grading.MAX_TORSION_VARIABLES == 2**8
+    p = ",".join(["2"] * 257)
+    assert run_cli(capsys, "orlov", "--p", p) == (
+        2, "", "error: torsion subgroup variable count 257 exceeds the limit 256\n"
+    )
+    monkeypatch.setattr(bpsing.grading, "MAX_TORSION_VARIABLES", 6)
+    code, out, _ = run_cli(capsys, "orlov", "--p", "7,8,5,11,12,10", "--json")
+    assert code == 0 and json.loads(out)["group"] == [2, 20]
+
+    def unreachable(*args):
+        raise AssertionError("the relation matrix was built before the variable count check")
+
+    monkeypatch.setattr(bpsing.grading, "invariant_factors", unreachable)
+    monkeypatch.setattr(bpsing.grading.LGroup, "relation_matrix", unreachable)
+    for argv in ["orlov --p 2,2,2,2,2,2,2", "orlov --p 7,8,5,11,12,10,3 --json"]:
+        assert run_cli(capsys, *argv.split()) == (
+            2, "", "error: torsion subgroup variable count 7 exceeds the limit 6\n"
+        )
+
+
 def test_singcat_suite_refuses_huge_index_sets_before_building(capsys, monkeypatch):
     def unreachable(p):
         raise AssertionError(f"a ring for {p} was built before the pair-count check")
@@ -362,7 +386,7 @@ def test_window_scans_refuse_huge_windows_before_any_rank(capsys, monkeypatch):
     # z-degree too, so a huge window is refused at once, for one variable
     # too, whose ring is finite
     assert bpsing.singcat.MAX_WINDOW_SIZE == 2**13
-    monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
+    monkeypatch.setattr(bpsing.singcat, "_scan_pieces", _no_scan)
     monkeypatch.setattr(bpsing.singcat, "quotient_by_variables", _no_scan)
     for argv, count in [
         ("singcat resolution --p 3,4,5 --length 9 --window 1000000000", 8193),
@@ -433,13 +457,19 @@ def test_window_limit_is_inclusive(capsys, monkeypatch):
                  "verify --suite singcat --p 3,4"]:
         code, _, _ = run_cli(capsys, *argv.split())
         assert code == 0, argv
-    monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
+    monkeypatch.setattr(bpsing.singcat, "_scan_pieces", _no_scan)
     monkeypatch.setattr(bpsing.singcat, "quotient_by_variables", _no_scan)
     for argv in ["singcat resolution --p 3,4 --length 4 --window 25",
                  "singcat lemma-k --p 3,4 --axis 2 --j 4 --window 25"]:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err == "error: window 25 covers at least 48 z-degrees and monomials, above the limit 47\n"
+    # a resolution built without a window is refused by the certification itself
+    for certify in [lambda: validate_resolution(bp_resolution((3, 4), 4), 25),
+                    lambda: koszul_perfect_check((3, 4), 25)]:
+        with pytest.raises(ValueError) as err:
+            certify()
+        assert str(err.value) == "window 25 covers at least 48 z-degrees and monomials, above the limit 47"
 
 
 def _scan_cells_error(levels, size, limit):
@@ -451,15 +481,19 @@ def test_resolution_scans_refuse_levels_times_window_before_any_rank(capsys, mon
     # each factor passes its own limit, but the scan costs about their product:
     # length 8191 at window 4000 had not finished after two minutes
     assert bpsing.singcat.MAX_SCAN_CELLS == 2**18
-    monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
+    monkeypatch.setattr(bpsing.singcat, "_scan_pieces", _no_scan)
     for length, window, size in [(8191, 4000, 8001), (100, 4000, 8001), (33, 4000, 8001)]:
         argv = f"singcat resolution --p 2,3 --length {length} --window {window}"
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err == _scan_cells_error(length, size, 2**18)
+    # a resolution built without a window is refused by the certification itself
+    with pytest.raises(ValueError) as err:
+        validate_resolution(bp_resolution((2, 3), 33), 4000)
+    assert f"error: {err.value}\n" == _scan_cells_error(33, 8001, 2**18)
     # the largest scans that stay admitted reach the scan
     reached = []
-    monkeypatch.setattr(bpsing.singcat, "_support_degrees", lambda *args: reached.append(args) or [])
+    monkeypatch.setattr(bpsing.singcat, "_scan_pieces", lambda *args: reached.append(args) or [])
     for argv in ["singcat resolution --p 2,3 --length 32 --window 4000",
                  "singcat resolution --p 3,4,5 --length 9 --window 938"]:
         code, _, _ = run_cli(capsys, *argv.split())
@@ -489,12 +523,16 @@ def test_scan_cell_limit_is_inclusive(capsys, monkeypatch):
     for argv in ["singcat resolution --p 3,4 --length 6", "verify --suite singcat --p 3,4"]:
         code, _, _ = run_cli(capsys, *argv.split())
         assert code == 0, argv
-    monkeypatch.setattr(bpsing.singcat, "_support_degrees", _no_scan)
+    monkeypatch.setattr(bpsing.singcat, "_scan_pieces", _no_scan)
     for argv, levels, size in [("singcat resolution --p 3,4 --length 7", 7, 47),
                                ("singcat resolution --p 3,4 --length 6 --window 25", 6, 49)]:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err == _scan_cells_error(levels, size, 282)
+    # a resolution built without a window is refused by the certification itself
+    with pytest.raises(ValueError) as err:
+        validate_resolution(bp_resolution((3, 4), 7), 24)
+    assert f"error: {err.value}\n" == _scan_cells_error(7, 47, 282)
 
 
 def test_category_refuses_huge_object_counts_before_building(capsys, monkeypatch):

@@ -98,6 +98,24 @@ def test_generators_and_degree_map():
     assert L.z_degree(L.zero()) == 0
 
 
+def test_generators_are_normalized_once_per_group(monkeypatch):
+    calls = []
+    normalize = LGroup.normalize
+    monkeypatch.setattr(LGroup, "normalize", lambda L, raw: calls.append(raw) or normalize(L, raw))
+    L = LGroup((2, 3, 4))
+    for _ in range(5):
+        assert [L.x(i) for i in (1, 2, 3)] == [
+            LDegree((1, 0, 0), 0), LDegree((0, 1, 0), 0), LDegree((0, 0, 1), 0)
+        ]
+    assert calls == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    assert L.x(2) is L.x(2) and LGroup((2, 3, 4)).x(2) == L.x(2)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match="generator index out of range"):
+            L.x(i)
+    # a group of many variables builds only the generators asked for
+    assert LGroup((2,) * 100000).x(7).a[6] == 1
+
+
 def test_normalize_random_properties():
     rng = random.Random(2024)
     for p in [(2, 3), (3, 3, 3), (2, 3, 4)]:

@@ -5,7 +5,7 @@ import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import lcm
 
 import pytest
@@ -39,11 +39,20 @@ from bpsing.singcat import (
     truncated_module,
     validate_resolution,
     _box_coordinates,
+    _form_complex,
     _generator_degree,
+    _scan_pieces,
     _shift,
-    _support_degrees,
 )
-from helpers import assert_exact, module_violations, monomial, variable
+from helpers import (
+    assert_exact,
+    last_column_zeroed,
+    module_violations,
+    monomial,
+    piece_bases,
+    reference_scan,
+    variable,
+)
 
 
 def series_coefficients(num_exps, den_factors, upto):
@@ -331,15 +340,16 @@ def test_piece_matrix_and_cohomology_match_the_multiply_oracle(p):
     cplx = bp_resolution(p, len(p) + 4)
     L = cplx.ring.L
     levels = range(min(cplx.levels()) + 1, 1)
-    degrees = _support_degrees(cplx, 2 * L.ell)
-    for d in degrees:
+    degrees = 0
+    for d, bases in reference_scan(cplx, 2 * L.ell):
+        degrees += 1
         for i in sorted(cplx.diffs):
             want = piece_matrix_by_multiply(cplx, i, d)
             assert cplx.piece_matrix(i, d) == want, (i, d.raw())
             src, tgt = cplx.piece_basis(i, d), cplx.piece_basis(i + 1, d)
             assert cplx.piece_matrix(i, d, src, tgt) == want, (i, d.raw())
-        assert cplx.cohomology_dims(d, levels) == cohomology_dims_by_rref(cplx, d, levels), d.raw()
-    assert len(degrees) > 10
+        assert cplx.cohomology_dims(d, levels, bases) == cohomology_dims_by_rref(cplx, d, levels), d.raw()
+    assert degrees > 10
 
 
 def test_piece_matrix_multiplies_entries_with_several_terms():
@@ -627,6 +637,20 @@ class ExtRingReport:
     hypothesis_holds: bool
 
 
+def dual_complex(res):
+    """Hom(res, ring): level i has the level -i generators with degrees negated,
+    and the differentials are the transposes."""
+    L = res.ring.L
+    return FreeComplex(
+        res.ring,
+        {-i: tuple(L.neg(g) for g in degs) for i, degs in res.terms.items()},
+        {
+            -i - 1: [[row[c] for row in mat] for c in range(res.rank(i))]
+            for i, mat in res.diffs.items()
+        },
+    )
+
+
 def ext_k_ring(p, m, n, window):
     """Cohomology of the dualized resolution against a twisted free module.
 
@@ -641,20 +665,13 @@ def ext_k_ring(p, m, n, window):
     """
     if not isinstance(window, int) or isinstance(window, bool) or window < 0:
         raise ValueError("window must be a nonnegative integer")
-    res = bp_resolution(p, window + 1)
-    ring = res.ring
+    dual = dual_complex(bp_resolution(p, window + 1))
+    ring = dual.ring
     L = ring.L
     mm = L.normalize(m.raw())
     nn = L.normalize(n.raw())
-    dual = FreeComplex(
-        ring,
-        {-i: tuple(L.neg(g) for g in degs) for i, degs in res.terms.items()},
-        {
-            -i - 1: [[row[c] for row in mat] for c in range(res.rank(i))]
-            for i, mat in res.diffs.items()
-        },
-    )
-    h = dual.cohomology_dims(L.sub(nn, mm), range(window + 1))
+    d = L.sub(nn, mm)
+    h = dual.cohomology_dims(d, range(window + 1), piece_bases(dual, d))
     dims = {i: dim for i, dim in h.items() if dim}
     special = L.add(L.normalize((1,) * ring.n + (-1,)), nn)
     return ExtRingReport(dims=dims, window=window, hypothesis_holds=mm != special)
@@ -930,6 +947,61 @@ def test_koszul_check_reports_a_broken_square_like_the_resolution_check(monkeypa
     assert rep.failures == ("square at level -2 nonzero at (0,0)",)
 
 
+SCAN_SEQUENCES = [(2, 3), (3, 3), (2, 2, 2), (4, 4, 4), (7, 11), (3, 3, 3, 3), (3, 4, 5)]
+
+
+def koszul_complex(ring):
+    """The complex ``koszul_perfect_check`` certifies: forms dx_I with I in {2..n}."""
+    return _form_complex(ring, [[(I, 0) for I in combinations(range(2, ring.n + 1), k)]
+                                for k in range(ring.n)])
+
+
+def scan_stream(cplx, window):
+    return [(d, {i: tuple(basis) for i, basis in bases.items()})
+            for d, bases in _scan_pieces(cplx, window)]
+
+
+@pytest.mark.parametrize("p", SCAN_SEQUENCES)
+def test_scan_yields_the_per_degree_reference_stream(p):
+    ring = GradedRing(p)
+    window = 2 * ring.L.ell
+    res = bp_resolution(ring, 9)
+    dual = dual_complex(res)
+    # levels 0..9, whose generators have z-degree 0 or less
+    assert max(dual.levels()) == 9 and min(ring.L.z_degree(g) for g in dual.terms[9]) < 0
+    for cplx in [res, koszul_complex(ring), dual]:
+        stream = scan_stream(cplx, window)
+        assert stream and stream == list(reference_scan(cplx, window))
+        assert all(list(bases) == sorted(bases) for _, bases in stream)
+
+
+def test_scan_reaches_levels_above_zero_and_degrees_outside_the_window_start():
+    ring = GradedRing((3, 4))
+    L = ring.L
+    g = L.normalize((1, 0, -1))  # z-degree 4 - 12 = -8
+    cplx = FreeComplex(ring, {-1: (L.x(2),), 0: (L.zero(), g), 1: (L.x(1), g), 2: (L.c(),)}, {})
+    for window in [0, 5, 30]:
+        stream = scan_stream(cplx, window)
+        assert stream == list(reference_scan(cplx, window))
+        assert [L.z_degree(d) for d, _ in stream] == sorted(L.z_degree(d) for d, _ in stream)
+    assert {i for _, bases in stream for i in bases} == {-1, 0, 1, 2}
+
+
+@pytest.mark.parametrize("p", SCAN_SEQUENCES)
+def test_certified_reports_match_the_reference_scan(monkeypatch, p):
+    ring = GradedRing(p)
+    window = 2 * ring.L.ell
+    res = bp_resolution(ring, 9)
+    cases = [(validate_resolution, res), (koszul_perfect_check, ring),
+             (validate_resolution, last_column_zeroed(res)),
+             (validate_resolution, last_column_zeroed(koszul_complex(ring)))]
+    reports = [check(arg, window) for check, arg in cases]
+    monkeypatch.setattr(bpsing.singcat, "_scan_pieces", reference_scan)
+    assert reports == [check(arg, window) for check, arg in cases]
+    assert reports[0].ok and reports[1].ok and reports[0].degrees_checked > 0
+    assert not reports[3].ok
+
+
 def test_module_iso_divides_int_actions_exactly():
     # a commuting square whose ratios are 1/10 then 3 on one path and 3/10
     # then 1 on the other: equal as Fractions, but 0.1 * 3 != 0.3 in floats
@@ -963,7 +1035,7 @@ def test_the_algebra_side_keeps_every_coefficient_exact():
     assert any(type(c) is Fraction for f in polys for c in f.values())
     cplx = bp_resolution(ring, 4)
     assert_exact(c for mat in cplx.diffs.values() for row in mat for e in row for c in e.values())
-    degrees = _support_degrees(cplx, 2 * ring.L.ell)
+    degrees = [d for d, _ in reference_scan(cplx, 2 * ring.L.ell)]
     assert_exact(
         x for d in degrees for i in cplx.diffs
         for row in cplx.piece_matrix(i, d).entries for x in row
