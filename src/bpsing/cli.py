@@ -273,14 +273,15 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
         detail["nonzero"] = nonzero[:5]
     checks.append(CheckResult("ext-vanishing", not nonzero and scanned > 0, detail))
 
-    failing = []
+    failing, first = [], None
     for axis in range(1, len(L.p) + 1):
         for j in range(2, L.p[axis - 1] + 1):
-            if not lemma_k_check(ring, axis, j, window).ok:
+            rep = lemma_k_check(ring, axis, j, window)
+            if not rep.ok:
                 failing.append([axis, j])
-    checks.append(
-        CheckResult("short-exact-sequences", not failing, {} if not failing else {"failing": failing})
-    )
+                first = first or f"axis {axis}, j {j}: {rep.failures[0]}"
+    detail = {"failing": failing, "first": first} if failing else {}
+    checks.append(CheckResult("short-exact-sequences", not failing, detail))
 
     if len(L.p) >= 2:
         checks.append(_certified("koszul-perfect", koszul_perfect_check(ring, window)))

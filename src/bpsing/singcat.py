@@ -44,16 +44,18 @@ class GradedRing:
 
     Pieces are kept per instance: the first request for a piece of
     z-degree z splits all monomials of that z-degree by degree, and every
-    later request at z reads the result.
+    later request at z reads the result.  So are the sizes of the windows
+    ``_check_window`` has admitted.
     """
 
-    __slots__ = ("p", "n", "L", "_pieces")
+    __slots__ = ("p", "n", "L", "_pieces", "_windows")
 
     def __init__(self, p: Iterable[int]):
         self.p = exponent_seq(p)
         self.n = len(self.p)
         self.L = LGroup(self.p)
         self._pieces: dict[int, dict[LDegree, tuple[Monomial, ...]]] = {}
+        self._windows: dict[int, int] = {}
 
     def __repr__(self) -> str:
         return f"GradedRing({self.p})"
@@ -155,10 +157,12 @@ class FreeComplex:
     degree-zero map between shifts multiplies by an element of degree
     (source generator degree) - (target generator degree).  Nothing is
     verified at construction so that broken fixtures can be built and then
-    inspected with validate_resolution.
+    inspected with validate_resolution.  ``columns[i][c]`` lists the terms
+    of column c of ``diffs[i]`` as (row, monomial, coefficient), collected
+    once here; zero entries have none.
     """
 
-    __slots__ = ("ring", "terms", "diffs", "labels")
+    __slots__ = ("ring", "terms", "diffs", "labels", "columns")
 
     def __init__(self, ring: GradedRing, terms, diffs, labels=None):
         self.ring = ring
@@ -175,6 +179,13 @@ class FreeComplex:
             cols = len(self.terms.get(i, ()))
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise ValueError(f"differential at level {i} has wrong shape")
+        self.columns = {
+            i: tuple(
+                tuple((r, m, co) for r, row in enumerate(mat) for m, co in row[c].items())
+                for c in range(len(self.terms.get(i, ())))
+            )
+            for i, mat in self.diffs.items()
+        }
 
     def levels(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))
@@ -203,21 +214,29 @@ class FreeComplex:
         return tuple(bad)
 
     def square_defects(self) -> tuple[str, ...]:
-        """Positions where the composite of consecutive maps is not zero."""
+        """Positions where the composite of consecutive maps is not zero, by row, then column.
+
+        Entry (r, c) of the composite is the sum over k of upper[r][k] times
+        lower[k][c], so only the terms of column c of the lower map meet the
+        terms of column k of the upper one: a zero entry adds nothing.  The
+        raw products are summed and reduced once per entry, which gives the
+        sum of the reduced products because ``reduce`` is linear.
+        """
         bad = []
-        for i in sorted(self.diffs):
-            upper = self.diffs.get(i + 1)
+        for i in sorted(self.columns):
+            upper = self.columns.get(i + 1)
             if upper is None:
                 continue
-            lower = self.diffs[i]
-            for r in range(len(upper)):
-                for c in range(len(lower[0]) if lower else 0):
-                    acc: Poly = {}
-                    for k in range(len(lower)):
-                        for m, co in self.ring.multiply(upper[r][k], lower[k][c]).items():
-                            acc[m] = acc.get(m, 0) + co
-                    if any(acc.values()):
-                        bad.append(f"square at level {i} nonzero at ({r},{c})")
+            found = []
+            for c, terms in enumerate(self.columns[i]):
+                acc: dict[int, Poly] = {}
+                for k, m1, c1 in terms:
+                    for r, m2, c2 in upper[k]:
+                        poly = acc.setdefault(r, {})
+                        m = tuple(map(add, m1, m2))
+                        poly[m] = poly.get(m, 0) + c1 * c2
+                found.extend((r, c) for r, poly in acc.items() if self.ring.reduce(poly))
+            bad.extend(f"square at level {i} nonzero at ({r},{c})" for r, c in sorted(found))
         return tuple(bad)
 
     # -- graded pieces ---------------------------------------------------
@@ -234,9 +253,11 @@ class FreeComplex:
         """Matrix of the level-i map on the degree-d pieces.
 
         ``src`` and ``tgt`` are the piece bases of levels i and i + 1 at d,
-        built here unless the caller already has them.  Each term of an
-        entry multiplies a basis monomial by adding exponents; only a
-        product with e_1 >= p_1 goes through the rewrite rule.
+        built here unless the caller already has them.  Each basis element
+        (c, mono) meets only the stored terms of column c, since a zero
+        entry contributes nothing: a term multiplies mono by adding
+        exponents, and only a product with e_1 >= p_1 goes through the
+        rewrite rule.  A term landing outside ``tgt`` raises ComplexError.
         """
         if src is None:
             src = self.piece_basis(i, d)
@@ -245,12 +266,7 @@ class FreeComplex:
         index = {bm: r for r, bm in enumerate(tgt)}
         ring = self.ring
         p1 = ring.p[0]
-        mat = self.diffs[i]
-        # the terms of each source column that has a basis element at d
-        column = {
-            c: [(r, m1, c1) for r, row in enumerate(mat) for m1, c1 in row[c].items()]
-            for c in {c for c, _ in src}
-        }
+        column = self.columns[i]
         entries = [[0] * len(src) for _ in tgt]
         for cidx, (c, mono) in enumerate(src):
             for r, m1, c1 in column[c]:
@@ -268,12 +284,16 @@ class FreeComplex:
         ``bases`` maps a level to its piece basis at d, as ``piece_basis``
         orders it, and omits a level whose piece is zero; each basis serves
         both maps that touch its level.  H^i = dim - rank(d_i) - rank(d_{i-1}),
-        an absent map having rank zero.
+        an absent map having rank zero.  So does a map whose source or
+        target piece is zero: its matrix has no columns or no rows.  Such a
+        map is not built, so a term of it off the target piece raises
+        nothing here; ``_certify`` checks homogeneity before it scans, and
+        ``piece_matrix`` itself raises on such a term.
         """
         ranks = {
-            i: rank(self.piece_matrix(i, d, bases.get(i, ()), bases.get(i + 1, ())))
+            i: rank(self.piece_matrix(i, d, bases[i], bases[i + 1]))
             for i in range(levels.start - 1, levels.stop)
-            if i in self.diffs
+            if i in self.diffs and bases.get(i) and bases.get(i + 1)
         }
         return {i: len(bases.get(i, ())) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in levels}
 
@@ -398,7 +418,15 @@ MAX_SCAN_CELLS = 2**18
 
 
 def _check_window(ring: GradedRing, window: int) -> int:
-    """The window's size, refused the moment the count passes MAX_WINDOW_SIZE."""
+    """The window's size, refused the moment the count passes MAX_WINDOW_SIZE.
+
+    The ring keeps the size of each window it admits, and a window asked
+    again is read back while the limit still admits it; a refused window is
+    not kept.
+    """
+    size = ring._windows.get(window)
+    if size is not None and size <= MAX_WINDOW_SIZE:
+        return size
     size = 0
     for z in range(window + 1):
         # a count past the limit stops at limit + 1, within a z-degree too
@@ -408,6 +436,7 @@ def _check_window(ring: GradedRing, window: int) -> int:
                 f"window {window} covers at least {size} z-degrees and monomials,"
                 f" above the limit {MAX_WINDOW_SIZE}"
             )
+    ring._windows[window] = size
     return size
 
 
@@ -639,19 +668,31 @@ class ModuleMap:
         return RatMatrix.zeros(self.tgt.dim(d), self.src.dim(d))
 
     def validate(self) -> tuple[str, ...]:
-        bad = []
-        for d, mat in self.mats.items():
-            if mat.rows != self.tgt.dim(d) or mat.cols != self.src.dim(d):
-                bad.append(f"matrix at {d.raw()} has wrong shape")
-        if bad:
-            return tuple(bad)
+        """Wrong shapes, else each (t, d) where f(x_t v) != x_t f(v) for v of degree d.
+
+        The shapes of the map's matrices and of both modules' stored actions
+        are checked first.  With every shape right, a side of the square at
+        (t, d) with an unstored factor is a zero matrix of the square's
+        shape, so only the pairs where both factors of one side are stored
+        can fail, and only those are evaluated.  Failures come by degree in
+        ``sort_key`` order, then by t.
+        """
         ring = self.src.ring
         L = ring.L
-        for d in sorted(set(self.src.basis) | set(self.tgt.basis), key=ring.sort_key):
-            for t in range(1, ring.n + 1):
-                up = L.add(d, L.x(t))
-                if self.at(up) @ self.src.act(t, d) != self.tgt.act(t, d) @ self.at(d):
-                    bad.append(f"does not intertwine x_{t} at {d.raw()}")
+        bad = [f"matrix at {d.raw()} has wrong shape" for d, mat in self.mats.items()
+               if mat.rows != self.tgt.dim(d) or mat.cols != self.src.dim(d)]
+        for side, M in (("source", self.src), ("target", self.tgt)):
+            bad.extend(f"{side} action of x_{t} at {d.raw()} has wrong shape"
+                       for (t, d), mat in M.action.items()
+                       if mat.rows != M.dim(L.add(d, L.x(t))) or mat.cols != M.dim(d))
+        if bad:
+            return tuple(bad)
+        pairs = {(t, d) for t, d in self.src.action if L.add(d, L.x(t)) in self.mats}
+        pairs.update((t, d) for t, d in self.tgt.action if d in self.mats)
+        for t, d in sorted(pairs, key=lambda td: (ring.sort_key(td[1]), td[0])):
+            up = L.add(d, L.x(t))
+            if self.at(up) @ self.src.act(t, d) != self.tgt.act(t, d) @ self.at(d):
+                bad.append(f"does not intertwine x_{t} at {d.raw()}")
         return tuple(bad)
 
 
@@ -745,17 +786,24 @@ def quotient_by_variables(
 
     Pieces are computed by linear algebra: the degree-d part of the ideal
     is spanned by the reduced products x_t m over killed t, and a quotient
-    basis is read off from the non-pivot monomials.  Actions are induced on
-    the chosen coset representatives.  Degrees are scanned up to z-degree
-    window.
+    basis is read off from the non-pivot monomials.  A degree that no
+    product reaches has no pivots, so every monomial there is free and no
+    elimination runs.  Actions are induced on the chosen coset
+    representatives.  Degrees are scanned up to z-degree window.
     """
     L = ring.L
+    p1 = ring.p[0]
     killed = tuple(sorted({int(t) for t in killed}))
     if any(not 1 <= t <= ring.n for t in killed):
         raise ValueError("killed variable out of range")
     degrees = sorted(
         (d for z in range(window + 1) for d in ring.pieces_of_weight(z)), key=ring.sort_key
     )
+
+    def times(t: int, mono: Monomial):
+        """The terms of x_t mono in normal form: only e_1 >= p_1 needs the rewrite."""
+        m = _shift(mono, t)
+        return ring.reduce({m: 1}).items() if m[0] >= p1 else ((m, 1),)
 
     piece_data = {}
     for d in degrees:
@@ -765,12 +813,15 @@ def quotient_by_variables(
         for t in killed:
             for m in ring.piece(L.sub(d, L.x(t))):
                 vec = [0] * len(monos)
-                for m2, co in ring.reduce({_shift(m, t): 1}).items():
+                for m2, co in times(t, m):
                     vec[pos[m2]] += co
                 rows.append(vec)
-        reduced, pivots = rref(RatMatrix(rows, cols=len(monos)))
+        pivots, top = (), ()
+        if rows:
+            reduced, pivots = rref(RatMatrix(rows, cols=len(monos)))
+            top = reduced.entries[: len(pivots)]
         free = tuple(i for i in range(len(monos)) if i not in pivots)
-        piece_data[d] = (monos, pos, free, pivots, reduced.entries[: len(pivots)])
+        piece_data[d] = (monos, pos, free, pivots, top)
 
     basis = {
         d: tuple(monomial_label(piece_data[d][0][f]) for f in piece_data[d][2])
@@ -794,7 +845,7 @@ def quotient_by_variables(
             cols = []
             for f in free:
                 vec = [0] * len(u_monos)
-                for m2, co in ring.reduce({_shift(monos[f], t): 1}).items():
+                for m2, co in times(t, monos[f]):
                     vec[u_pos[m2]] += co
                 ideal = [(vec[c], row) for c, row in zip(u_pivots, u_rows) if vec[c]]
                 cols.append([vec[g] - sum(a * row[g] for a, row in ideal) for g in u_free])

@@ -6,9 +6,9 @@ from typing import Mapping, Sequence
 
 from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
-from bpsing.exactlin import RatMatrix, SparseRow, exact, smith_normal_form
+from bpsing.exactlin import RatMatrix, SparseRow, exact, rref, smith_normal_form
 from bpsing.grading import LDegree
-from bpsing.singcat import FreeComplex, GradedModule, GradedRing
+from bpsing.singcat import FreeComplex, GradedModule, GradedRing, ModuleMap, monomial_label
 from bpsing.twisted import identity_class
 
 
@@ -226,3 +226,95 @@ def reference_scan(cplx: FreeComplex, window: int):
     levels' piece bases, every basis built by one ring lookup per generator."""
     for d in support_degrees(cplx, window):
         yield d, piece_bases(cplx, d)
+
+
+def reference_square_defects(cplx: FreeComplex) -> tuple[str, ...]:
+    """``square_defects`` over every entry of both dense matrices, each product
+    through ``ring.multiply``, zero entries included."""
+    bad = []
+    for i in sorted(cplx.diffs):
+        upper = cplx.diffs.get(i + 1)
+        if upper is None:
+            continue
+        lower = cplx.diffs[i]
+        for r in range(len(upper)):
+            for c in range(len(lower[0]) if lower else 0):
+                acc = {}
+                for k in range(len(lower)):
+                    for m, co in cplx.ring.multiply(upper[r][k], lower[k][c]).items():
+                        acc[m] = acc.get(m, 0) + co
+                if any(acc.values()):
+                    bad.append(f"square at level {i} nonzero at ({r},{c})")
+    return tuple(bad)
+
+
+def reference_map_validate(f: ModuleMap) -> tuple[str, ...]:
+    """``ModuleMap.validate`` evaluating the square at every x_t and every degree
+    of either module, behind the same shape checks: without them a wrongly
+    shaped action raises in the product or compares unequal by shape alone."""
+    ring = f.src.ring
+    L = ring.L
+    bad = [f"matrix at {d.raw()} has wrong shape" for d, mat in f.mats.items()
+           if mat.rows != f.tgt.dim(d) or mat.cols != f.src.dim(d)]
+    for side, M in (("source", f.src), ("target", f.tgt)):
+        bad.extend(f"{side} action of x_{t} at {d.raw()} has wrong shape"
+                   for (t, d), mat in M.action.items()
+                   if mat.rows != M.dim(L.add(d, L.x(t))) or mat.cols != M.dim(d))
+    if bad:
+        return tuple(bad)
+    for d in sorted(set(f.src.basis) | set(f.tgt.basis), key=ring.sort_key):
+        for t in range(1, ring.n + 1):
+            up = L.add(d, L.x(t))
+            if f.at(up) @ f.src.act(t, d) != f.tgt.act(t, d) @ f.at(d):
+                bad.append(f"does not intertwine x_{t} at {d.raw()}")
+    return tuple(bad)
+
+
+def reference_quotient_by_variables(ring: GradedRing, killed, window: int) -> GradedModule:
+    """``quotient_by_variables`` with an elimination in every degree, rows or not,
+    and every product x_t m through the rewrite."""
+    L = ring.L
+    killed = tuple(sorted({int(t) for t in killed}))
+    degrees = sorted(
+        (d for z in range(window + 1) for d in ring.pieces_of_weight(z)), key=ring.sort_key
+    )
+
+    def times(t, mono):
+        return ring.reduce({mono[: t - 1] + (mono[t - 1] + 1,) + mono[t:]: 1}).items()
+
+    piece_data = {}
+    for d in degrees:
+        monos = ring.piece(d)
+        pos = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for t in killed:
+            for m in ring.piece(L.sub(d, L.x(t))):
+                vec = [0] * len(monos)
+                for m2, co in times(t, m):
+                    vec[pos[m2]] += co
+                rows.append(vec)
+        reduced, pivots = rref(RatMatrix(rows, cols=len(monos)))
+        free = tuple(i for i in range(len(monos)) if i not in pivots)
+        piece_data[d] = (monos, pos, free, pivots, reduced.entries[: len(pivots)])
+    basis = {d: tuple(monomial_label(piece_data[d][0][f]) for f in piece_data[d][2])
+             for d in degrees}
+    action = {}
+    for d in degrees:
+        monos, _, free, _, _ = piece_data[d]
+        for t in range(1, ring.n + 1):
+            up = L.add(d, L.x(t))
+            if not free or up not in piece_data or not piece_data[up][2]:
+                continue
+            u_monos, u_pos, u_free, u_pivots, u_rows = piece_data[up]
+            cols = []
+            for f in free:
+                vec = [0] * len(u_monos)
+                for m2, co in times(t, monos[f]):
+                    vec[u_pos[m2]] += co
+                ideal = [(vec[c], row) for c, row in zip(u_pivots, u_rows) if vec[c]]
+                cols.append([vec[g] - sum(a * row[g] for a, row in ideal) for g in u_free])
+            action[(t, d)] = RatMatrix(
+                [[cols[c][r] for c in range(len(free))] for r in range(len(u_free))],
+                cols=len(free),
+            )
+    return GradedModule(ring, basis, action)

@@ -49,6 +49,7 @@ _tensor_bp = suspension.tensor_bp
 _form_complex = singcat._form_complex
 _ext_formula_row = cli.ext_formula_row
 _quotient_by_variables = singcat.quotient_by_variables
+_truncated_module = singcat.truncated_module
 _st_gram = lattice.st_gram
 _euler_matrix = lattice.euler_matrix
 _one_var_form = lattice.one_var_form
@@ -177,6 +178,15 @@ def top_degree_dropped(ring, killed, window):
     return GradedModule(ring, basis, action)
 
 
+def first_action_dropped(ring, axis, j, twist=None):
+    """``truncated_module`` without its lowest stored action once j >= 3."""
+    M = _truncated_module(ring, axis, j, twist)
+    if j < 3:
+        return M
+    lowest = min(M.action, key=lambda key: ring.sort_key(key[1]))
+    return GradedModule(ring, M.basis, {key: a for key, a in M.action.items() if key != lowest})
+
+
 def raised_st_entry(p):
     """``st_gram`` with entry (0, 1) raised by one and its mirror left alone."""
     s = _st_gram(p)
@@ -217,6 +227,7 @@ MUTANTS = {
     "ext-formula-first-row-emptied": (cli, "ext_formula_row", first_row_emptied),
     "ext-sign-blind": (singcat, "ext_k_k_row", sign_blind_ext_row),
     "quotient-top-degree-dropped": (singcat, "quotient_by_variables", top_degree_dropped),
+    "truncated-first-action-dropped": (singcat, "truncated_module", first_action_dropped),
     "st-gram-entry-raised": (lattice, "st_gram", raised_st_entry),
     "euler-corner-doubled": (lattice, "euler_matrix", doubled_euler_corner),
     "one-var-off-diagonal-flipped": (lattice, "one_var_form", flipped_one_var_form),
@@ -263,6 +274,11 @@ KILL_MATRIX = [
     ("ext-formula-first-row-emptied", "3,3,3", {"ext-agreement": "'mismatches': [[[0, 0, 0, 0]"}),
     ("ext-sign-blind", "3,3,3", {"ext-vanishing": "'nonzero'"}),
     ("quotient-top-degree-dropped", "3,3,3", {"short-exact-sequences": "'failing': [[1, 3]"}),
+    # at j = 3 < p_axis no ring quotient is compared, so only the intertwining
+    # scan of the projection sees the dropped action
+    ("truncated-first-action-dropped", "4,4,4", {"short-exact-sequences": (
+        "'failing': [[1, 3], [1, 4], [2, 3], [2, 4], [3, 3], [3, 4]], "
+        "'first': 'axis 1, j 3: does not intertwine x_1 at (0, 0, 0, 0)'")}),
     ("st-gram-entry-raised", "3,3,3", {
         "st-gram-shape": "'rank': 8",
         "comparison-report": "'expected': -4, 'found': -3",

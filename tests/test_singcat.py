@@ -3,6 +3,7 @@
 import ast
 import inspect
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -12,6 +13,7 @@ import pytest
 
 import bpsing.singcat
 
+from bpsing import cli
 from bpsing.cli import _twist_grid
 from bpsing.dgcat import a_category
 from bpsing.exactlin import ComplexError, RatMatrix, rref, solve
@@ -50,9 +52,13 @@ from helpers import (
     module_violations,
     monomial,
     piece_bases,
+    reference_map_validate,
+    reference_quotient_by_variables,
     reference_scan,
+    reference_square_defects,
     variable,
 )
+from test_mutations import _flip_first, first_action_dropped
 
 
 def series_coefficients(num_exps, den_factors, upto):
@@ -852,10 +858,21 @@ def test_module_map_validate_rejects_wrong_twist():
 
 def test_module_map_validate_names_a_wrong_shape_before_intertwining():
     ring = GradedRing((2, 3))
+    L = ring.L
     M = truncated_module(ring, 2, 1)
-    bad = ModuleMap(M, M, {ring.L.zero(): [[1, 0]]})
+    bad = ModuleMap(M, M, {L.zero(): [[1, 0]]})
     assert bad.validate() == ("matrix at (0, 0, 0) has wrong shape",)
     assert exact_sequence_check(bad, ModuleMap(M, M, {})).failures == bad.validate()
+    # a module action of the wrong shape, on either side, like the all-pairs oracle
+    M = truncated_module(ring, 2, 2)
+    wide = GradedModule(ring, M.basis, {(2, L.zero()): [[1, 0]]})
+    identity = {d: [[1]] for d in M.degrees()}
+    for f, want in [
+        (bad, "matrix at (0, 0, 0) has wrong shape"),
+        (ModuleMap(wide, M, identity), "source action of x_2 at (0, 0, 0) has wrong shape"),
+        (ModuleMap(M, wide, identity), "target action of x_2 at (0, 0, 0) has wrong shape"),
+    ]:
+        assert f.validate() == reference_map_validate(f) == (want,)
 
 
 def test_exact_sequence_check_names_each_failing_condition():
@@ -1042,3 +1059,110 @@ def test_the_algebra_side_keeps_every_coefficient_exact():
     )
     Q = quotient_by_variables(ring, (1,), 2 * ring.L.ell)
     assert_exact(x for mat in Q.action.values() for row in mat.entries for x in row)
+
+
+def sparse_check_complexes(ring):
+    """The resolution to level -9, the Koszul complex, the dual of the resolution
+    to level -(n + 1), and the resolution with its first wedge sign flipped
+    (when some p_t >= 3 tells wedges from contractions) or with its leftmost
+    last column zeroed.
+
+    The dual stops one level past the forms: its pieces grow with its length,
+    and on (3,3,3,3) the dense oracle takes 21 s over the dual to level -8.
+    """
+    res = bp_resolution(ring, 9)
+    gens = [resolution_generators(ring.n, i) for i in range(10)]
+    return [res, koszul_complex(ring), dual_complex(bp_resolution(ring, ring.n + 1)),
+            _flip_first(wedge=True)(ring, gens), last_column_zeroed(res)]
+
+
+@pytest.mark.parametrize("p", SCAN_SEQUENCES)
+def test_sparse_squares_and_ranks_match_the_dense_oracles(p):
+    ring = GradedRing(p)
+    window = 2 * ring.L.ell
+    complexes = sparse_check_complexes(ring)
+    for cplx in complexes:
+        assert cplx.square_defects() == reference_square_defects(cplx)
+        levels = range(min(cplx.levels()), max(cplx.levels()) + 1)
+        for d, bases in _scan_pieces(cplx, window):
+            want = cohomology_dims_by_rref(cplx, d, levels)
+            assert cplx.cohomology_dims(d, levels, bases) == want, d.raw()
+    assert bool(complexes[3].square_defects()) == (max(p) >= 3)
+
+
+@pytest.mark.parametrize("p", SCAN_SEQUENCES)
+def test_module_map_validate_matches_the_all_pairs_oracle(monkeypatch, p):
+    # every module map of the lemma-k sequences, then of the sequences whose
+    # truncated modules lose their lowest stored action from j = 3 on
+    maps = []
+    check = bpsing.singcat.exact_sequence_check
+
+    def recording(incl, proj):
+        maps.extend([incl, proj])
+        return check(incl, proj)
+
+    monkeypatch.setattr(bpsing.singcat, "exact_sequence_check", recording)
+    ring = GradedRing(p)
+    for mutate in (False, True):
+        if mutate:
+            monkeypatch.setattr(bpsing.singcat, "truncated_module", first_action_dropped)
+        for axis, p_axis in enumerate(p, start=1):
+            for j in range(2, p_axis + 1):
+                lemma_k_check(ring, axis, j, 2 * ring.L.ell)
+    assert len(maps) == 4 * sum(p_axis - 1 for p_axis in p)
+    for f in maps:
+        assert f.validate() == reference_map_validate(f)
+    assert any(f.validate() for f in maps) == (max(p) >= 3)
+
+
+@pytest.mark.parametrize("p", SCAN_SEQUENCES)
+def test_quotient_by_variables_matches_the_per_degree_oracle(p):
+    ring = GradedRing(p)
+    window = 2 * ring.L.ell
+    others = [tuple(t for t in range(1, len(p) + 1) if t != axis) for axis in range(1, len(p) + 1)]
+    for killed in [(), (1,)] + others:
+        got = quotient_by_variables(ring, killed, window)
+        want = reference_quotient_by_variables(ring, killed, window)
+        assert (got.basis, got.action) == (want.basis, want.action), killed
+
+
+def count_monomial_passes(monkeypatch) -> Counter:
+    """Wrap ``GradedRing.iter_monomials``; the counter gets one per call at each z."""
+    counts = Counter()
+    iterate = GradedRing.iter_monomials
+
+    def counting(self, z):
+        counts[z] += 1
+        return iterate(self, z)
+
+    monkeypatch.setattr(GradedRing, "iter_monomials", counting)
+    return counts
+
+
+def test_each_window_is_counted_once_per_ring(capsys, monkeypatch):
+    # one count of the window, then one split of each z-degree into pieces
+    counts = count_monomial_passes(monkeypatch)
+    # (a negative z-degree, which the ring quotient asks for below its lowest
+    # degrees, has no monomials)
+    assert cli.run(["verify", "--suite", "singcat", "--p", "7,11"]) == 0
+    assert {z: k for z, k in counts.items() if z >= 0} == {z: 2 for z in range(155)}
+    counts.clear()
+    argv = "singcat resolution --p 3,4,5 --length 9 --window 938".split()
+    assert cli.run(argv) == 0
+    assert counts == {z: 2 for z in range(939)}
+    capsys.readouterr()
+
+
+def test_a_kept_window_size_is_refused_again_under_a_lower_limit(monkeypatch):
+    ring = GradedRing((3, 4))
+    # (3,4) up to z = 24 covers 25 z-degrees and 22 monomials
+    assert bpsing.singcat._check_window(ring, 24) == 47
+    assert ring._windows == {24: 47}
+    monkeypatch.setattr(bpsing.singcat, "MAX_WINDOW_SIZE", 46)
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            bpsing.singcat._check_window(ring, 24)
+        assert str(err.value) == "window 24 covers at least 47 z-degrees and monomials, above the limit 46"
+    with pytest.raises(ValueError):
+        bpsing.singcat._check_window(ring, 30)
+    assert ring._windows == {24: 47}

@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from bpsing import cli
+from bpsing.singcat import GradedRing
+
 ROOT = Path(__file__).resolve().parents[1]
 METHODS = runpy.run_path(str(ROOT / "benchmarks" / "tracer.py"))["METHODS"]
 PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
@@ -41,3 +44,19 @@ def test_span_names_a_public_function_of_its_module(span):
 def test_traced_method_exists(module_name, cls_name, attr):
     cls = getattr(importlib.import_module(f"bpsing.{module_name}"), cls_name)
     assert inspect.isfunction(cls.__dict__.get(attr)), (cls_name, attr)
+
+
+def test_the_singcat_suite_reads_ring_pieces_through_the_traced_method(capsys, monkeypatch):
+    # the tracer counts ``GradedRing.piece`` calls; a suite that stopped
+    # calling it would leave ``singcat.piece.calls`` silent on every workload
+    calls = []
+    piece = GradedRing.piece
+
+    def counting(self, d):
+        calls.append(d)
+        return piece(self, d)
+
+    monkeypatch.setattr(GradedRing, "piece", counting)
+    assert cli.run(["verify", "--suite", "singcat", "--p", "3,3"]) == 0
+    capsys.readouterr()
+    assert calls
