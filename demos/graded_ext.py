@@ -32,12 +32,12 @@ print()
 print("Ext table over the index set (counting route == formula route):")
 twists = index_set(p)
 for m in twists:
-    for t in twists:
-        dims = ext_k_k(p, m, t)
-        assert dims == ext_formula(p, m, t)
+    row = ext_k_k(p, m, twists)
+    assert row == ext_formula(p, m, twists)
+    for t, dims in zip(twists, row):
         print("  ", m.raw(), "->", t.raw(), ":", dims)
 
 d = L.normalize((-1, 0, 0))
 print()
 print("twist difference outside the monoid, Ext vanishes:",
-      ext_k_k(p, d, L.zero()))
+      ext_k_k(p, d, [L.zero()])[0])

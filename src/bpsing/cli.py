@@ -33,9 +33,7 @@ from .singcat import (
     GradedRing,
     bp_resolution,
     ext_formula,
-    ext_formula_row,
     ext_k_k,
-    ext_k_k_row,
     index_set,
     koszul_perfect_check,
     lemma_k_check,
@@ -241,7 +239,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     twists = index_set(p)
     mismatches = []
     for m in twists:
-        rows = zip(twists, ext_k_k_row(p, m, twists), ext_formula_row(p, m, twists))
+        rows = zip(twists, ext_k_k(p, m, twists), ext_formula(p, m, twists))
         for n_, got, want in rows:
             if got != want:
                 mismatches.append([list(m.raw()), list(n_.raw())])
@@ -263,7 +261,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
         if L.is_in_monoid(d):
             continue
         scanned += 1
-        if ext_k_k(p, d, zero):
+        if ext_k_k(p, d, [zero])[0]:
             nonzero.append(list(d.raw()))
         if scanned == 50:
             break
@@ -419,9 +417,9 @@ def _cmd_singcat_ext(args, p):
     tgt = _parse_coords(args.target, len(p), "--target")
     m = L.normalize(src + (0,))
     n = L.normalize(tgt + (0,))
-    dims = ext_k_k(p, m, n)
+    (dims,) = ext_k_k(p, m, [n])
     try:
-        formula = ext_formula(p, m, n)
+        (formula,) = ext_formula(p, m, [n])
         agree = dims == formula
     except ValueError:
         formula = None

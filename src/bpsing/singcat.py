@@ -84,14 +84,6 @@ class GradedRing:
                 out.pop(mono, None)
         return out
 
-    def multiply(self, f: Poly, g: Poly) -> Poly:
-        prod: Poly = {}
-        for m1, c1 in f.items():
-            for m2, c2 in g.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prod[m] = prod.get(m, 0) + c1 * c2
-        return self.reduce(prod)
-
     # -- grading --------------------------------------------------------
 
     def monomial_degree(self, mono: Monomial) -> LDegree:
@@ -241,28 +233,17 @@ class FreeComplex:
 
     # -- graded pieces ---------------------------------------------------
 
-    def piece_basis(self, i: int, d: LDegree) -> tuple[tuple[int, Monomial], ...]:
-        """Basis of the level-i piece at degree d: (generator index, monomial)."""
-        out = []
-        for c, g in enumerate(self.terms.get(i, ())):
-            for mono in self.ring.piece(self.ring.L.sub(d, g)):
-                out.append((c, mono))
-        return tuple(out)
-
-    def piece_matrix(self, i: int, d: LDegree, src=None, tgt=None) -> RatMatrix:
+    def piece_matrix(self, i: int, d: LDegree, src, tgt) -> RatMatrix:
         """Matrix of the level-i map on the degree-d pieces.
 
-        ``src`` and ``tgt`` are the piece bases of levels i and i + 1 at d,
-        built here unless the caller already has them.  Each basis element
-        (c, mono) meets only the stored terms of column c, since a zero
-        entry contributes nothing: a term multiplies mono by adding
-        exponents, and only a product with e_1 >= p_1 goes through the
-        rewrite rule.  A term landing outside ``tgt`` raises ComplexError.
+        ``src`` and ``tgt`` are the piece bases of levels i and i + 1 at d:
+        pairs (generator index, monomial), index first, then lex order
+        within each piece.  Each basis element (c, mono) meets only the
+        stored terms of column c, since a zero entry contributes nothing: a
+        term multiplies mono by adding exponents, and only a product with
+        e_1 >= p_1 goes through the rewrite rule.  A term landing outside
+        ``tgt`` raises ComplexError.
         """
-        if src is None:
-            src = self.piece_basis(i, d)
-        if tgt is None:
-            tgt = self.piece_basis(i + 1, d)
         index = {bm: r for r, bm in enumerate(tgt)}
         ring = self.ring
         p1 = ring.p[0]
@@ -281,13 +262,14 @@ class FreeComplex:
     def cohomology_dims(self, d: LDegree, levels: range, bases) -> dict[int, int]:
         """Dimensions of H^i in degree d for each i in levels.
 
-        ``bases`` maps a level to its piece basis at d, as ``piece_basis``
-        orders it, and omits a level whose piece is zero; each basis serves
-        both maps that touch its level.  H^i = dim - rank(d_i) - rank(d_{i-1}),
-        an absent map having rank zero.  So does a map whose source or
-        target piece is zero: its matrix has no columns or no rows.  Such a
-        map is not built, so a term of it off the target piece raises
-        nothing here; ``_certify`` checks homogeneity before it scans, and
+        ``bases`` maps a level to its piece basis at d, pairs (generator
+        index, monomial) ordered by index, then lex within each piece, and
+        omits a level whose piece is zero; each basis serves both maps that
+        touch its level.  H^i = dim - rank(d_i) - rank(d_{i-1}), an absent
+        map having rank zero.  So does a map whose source or target piece
+        is zero: its matrix has no columns or no rows.  Such a map is not
+        built, so a term of it off the target piece raises nothing here;
+        ``_certify`` checks homogeneity before it scans, and
         ``piece_matrix`` itself raises on such a term.
         """
         ranks = {
@@ -455,8 +437,8 @@ def _scan_pieces(cplx: FreeComplex, window: int) -> Iterator[tuple[LDegree, dict
     One z-degree at a time, so only one slice of bases is alive: each distinct
     generator degree g meets each ring piece e of z-degree z - z(g) once, at
     g + e, and each generator of degree g appends its (index, monomial) pairs
-    there, level by level in index order.  A basis is ``piece_basis``'s, in
-    its order.
+    there, level by level in index order.  So a basis lists (generator
+    index, monomial) pairs by index, then in lex order within each piece.
     """
     ring = cplx.ring
     L = ring.L
@@ -531,7 +513,7 @@ def validate_resolution(cplx: FreeComplex, window: int) -> ResolutionReport:
     return _certify(cplx, window, first, {cplx.ring.L.zero()}, "not exact")
 
 
-def ext_k_k_row(p: Iterable[int], m: LDegree, targets: Sequence[LDegree]) -> list[dict[int, int]]:
+def ext_k_k(p: Iterable[int], m: LDegree, targets: Sequence[LDegree]) -> list[dict[int, int]]:
     """Graded Ext dims from the twisted residue field at m to each of targets.
 
     Every entry of the resolution differential lies in the maximal ideal,
@@ -550,11 +532,6 @@ def ext_k_k_row(p: Iterable[int], m: LDegree, targets: Sequence[LDegree]) -> lis
         generator = target.b >= 0 and all(a in (0, 1) for a in target.a)
         row.append({sum(target.a) + 2 * target.b: 1} if generator else {})
     return row
-
-
-def ext_k_k(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
-    """Graded Ext dims between the twisted residue fields at m and n."""
-    return ext_k_k_row(p, m, [n])[0]
 
 
 def index_set(p: Iterable[int]) -> list[LDegree]:
@@ -586,9 +563,7 @@ def _box_coordinates(L: LGroup, d: LDegree) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def ext_formula_row(
-    p: Iterable[int], m: LDegree, targets: Sequence[LDegree]
-) -> list[dict[int, int]]:
+def ext_formula(p: Iterable[int], m: LDegree, targets: Sequence[LDegree]) -> list[dict[int, int]]:
     """Product formula for Ext dims from index-set twist m to each of targets.
 
     Factorizes along the axes: the i-th factor is the graded hom of the
@@ -607,11 +582,6 @@ def ext_formula_row(
         gaps = [ai - bi for ai, bi in zip(a, b)]
         row.append({sum(gaps): 1} if all(g in (0, 1) for g in gaps) else {})
     return row
-
-
-def ext_formula(p: Iterable[int], m: LDegree, n: LDegree) -> dict[int, int]:
-    """Product formula for Ext dims between index-set twists m and n."""
-    return ext_formula_row(p, m, [n])[0]
 
 
 class GradedModule:

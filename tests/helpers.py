@@ -161,6 +161,16 @@ def variable(ring: GradedRing, i: int, power: int = 1) -> dict:
     return monomial(ring, tuple(power * int(j == i - 1) for j in range(ring.n)))
 
 
+def multiply(ring: GradedRing, f: dict, g: dict) -> dict:
+    """The product f g in normal form: every pair of terms, then one ``reduce``."""
+    prod = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            prod[m] = prod.get(m, 0) + c1 * c2
+    return ring.reduce(prod)
+
+
 def module_violations(M: GradedModule) -> tuple[str, ...]:
     """Shape, commutation, and defining-relation checks of a graded module."""
     L = M.ring.L
@@ -201,9 +211,17 @@ def last_column_zeroed(cplx: FreeComplex) -> FreeComplex:
     return FreeComplex(cplx.ring, cplx.terms, diffs, cplx.labels)
 
 
+def piece_basis(cplx: FreeComplex, i: int, d: LDegree) -> tuple[tuple[int, tuple], ...]:
+    """Basis of the level-i piece at degree d, one ring lookup per generator:
+    (generator index, monomial), by index, then lex within each piece."""
+    ring = cplx.ring
+    return tuple((c, mono) for c, g in enumerate(cplx.generator_degrees(i))
+                 for mono in ring.piece(ring.L.sub(d, g)))
+
+
 def piece_bases(cplx: FreeComplex, d: LDegree) -> dict[int, tuple]:
     """Each level's ``piece_basis`` at d, for the levels whose piece at d is nonzero."""
-    return {i: basis for i in cplx.levels() if (basis := cplx.piece_basis(i, d))}
+    return {i: basis for i in cplx.levels() if (basis := piece_basis(cplx, i, d))}
 
 
 def support_degrees(cplx: FreeComplex, window: int) -> list[LDegree]:
@@ -230,7 +248,7 @@ def reference_scan(cplx: FreeComplex, window: int):
 
 def reference_square_defects(cplx: FreeComplex) -> tuple[str, ...]:
     """``square_defects`` over every entry of both dense matrices, each product
-    through ``ring.multiply``, zero entries included."""
+    through ``multiply``, zero entries included."""
     bad = []
     for i in sorted(cplx.diffs):
         upper = cplx.diffs.get(i + 1)
@@ -241,7 +259,7 @@ def reference_square_defects(cplx: FreeComplex) -> tuple[str, ...]:
             for c in range(len(lower[0]) if lower else 0):
                 acc = {}
                 for k in range(len(lower)):
-                    for m, co in cplx.ring.multiply(upper[r][k], lower[k][c]).items():
+                    for m, co in multiply(cplx.ring, upper[r][k], lower[k][c]).items():
                         acc[m] = acc.get(m, 0) + co
                 if any(acc.values()):
                     bad.append(f"square at level {i} nonzero at ({r},{c})")

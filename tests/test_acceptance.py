@@ -130,9 +130,9 @@ def test_06_ext_routes_agree_and_vanishing_scan():
         n = len(p)
         twists = index_set(p)
         for m in twists:
-            for t in twists:
-                dims = ext_k_k(p, m, t)
-                assert dims == ext_formula(p, m, t), (p, m, t)
+            row = ext_k_k(p, m, twists)
+            assert row == ext_formula(p, m, twists), (p, m)
+            for t, dims in zip(twists, row):
                 assert all(0 <= d <= n for d in dims), (p, m, t)
         # ext vanishes whenever the difference of twists leaves the
         # nonnegative span of the generators
@@ -144,7 +144,7 @@ def test_06_ext_routes_agree_and_vanishing_scan():
                 if L.is_in_monoid(d):
                     continue
                 t = twists[scanned % len(twists)]
-                assert ext_k_k(p, L.add(t, d), t) == {}, (p, d.raw())
+                assert ext_k_k(p, L.add(t, d), [t]) == [{}], (p, d.raw())
                 scanned += 1
                 if scanned == 50:
                     break

@@ -676,6 +676,10 @@ CLI_PINS = {
     "singcat ext --p 3,4 --source -1,0 --target 0,0": "97b5c393307338c81c25741bfe1e83eb2f53f5113a13295a723308cbc51ce02e",
     "singcat ext --p 3,4 --source -1,0 --target 0,0 --json": "542f4f8a2a9a63b97480e583bc42e3f8a63019df5adc1cba935b1d36a6bda180",
     "singcat ext --p 3,4 --source 1,0 --target 0,0": "50fc10920c02e432cf2897cee6067fe1c0b399ecf300977822521caaa5be50e5",
+    # recorded while Ext answered one pair apart from its rows: a target
+    # outside the index set must still print "not applicable"
+    "singcat ext --p 3,4 --source 0,0 --target 1,0": "73351f8d901324304879a45c9b0c0d45b086cb70a628857cfaf8ae592c353e7f",
+    "singcat ext --p 3,4 --source 0,0 --target 1,0 --json": "cf70e333a9b4d08e9de32fb8470523c9c0ed874eacb673f3559d8dc7c5fd4ee9",
     "singcat resolution --p 3,4 --length 4 --json": "25487252faabc96a63ef7fa954cac5e5b0539aabe26ab13a143b1011be2061cc",
     "singcat lemma-k --p 2,3 --axis 2 --j 3": "956bb7238e0cab0295207556bed0919e82b965bacef39f4379182d07a5161be8",
     "singcat lemma-k --p 3,4 --axis 2 --j 2 --json": "b3b0a7f19507bd5d8b1f154c68406d60e235a84d007ff43cbca3ac0614a1034d",

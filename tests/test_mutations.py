@@ -47,7 +47,7 @@ _suspend = suspension.suspend
 _a_category = suspension.a_category
 _tensor_bp = suspension.tensor_bp
 _form_complex = singcat._form_complex
-_ext_formula_row = cli.ext_formula_row
+_ext_formula = cli.ext_formula
 _quotient_by_variables = singcat.quotient_by_variables
 _truncated_module = singcat.truncated_module
 _st_gram = lattice.st_gram
@@ -152,14 +152,14 @@ def leftmost_column_zeroed(ring, gens):
 
 
 def first_row_emptied(p, m, targets):
-    """``ext_formula_row`` with every entry of the first index-set twist's row empty."""
+    """``ext_formula`` with every entry of the first index-set twist's row empty."""
     if m == singcat.index_set(p)[0]:
         return [{} for _ in targets]
-    return _ext_formula_row(p, m, targets)
+    return _ext_formula(p, m, targets)
 
 
 def sign_blind_ext_row(p, m, targets):
-    """``ext_k_k_row`` counting a generator whatever the sign of its c coefficient."""
+    """``ext_k_k`` counting a generator whatever the sign of its c coefficient."""
     L = LGroup(p)
     row = []
     for n in targets:
@@ -224,8 +224,8 @@ MUTANTS = {
     "wedge-sign-flip": (singcat, "_form_complex", _flip_first(wedge=True)),
     "contraction-sign-flip": (singcat, "_form_complex", _flip_first(wedge=False)),
     "leftmost-last-column-zeroed": (singcat, "_form_complex", leftmost_column_zeroed),
-    "ext-formula-first-row-emptied": (cli, "ext_formula_row", first_row_emptied),
-    "ext-sign-blind": (singcat, "ext_k_k_row", sign_blind_ext_row),
+    "ext-formula-first-row-emptied": (cli, "ext_formula", first_row_emptied),
+    "ext-sign-blind": (cli, "ext_k_k", sign_blind_ext_row),
     "quotient-top-degree-dropped": (singcat, "quotient_by_variables", top_degree_dropped),
     "truncated-first-action-dropped": (singcat, "truncated_module", first_action_dropped),
     "st-gram-entry-raised": (lattice, "st_gram", raised_st_entry),

@@ -60,3 +60,25 @@ def test_the_singcat_suite_reads_ring_pieces_through_the_traced_method(capsys, m
     assert cli.run(["verify", "--suite", "singcat", "--p", "3,3"]) == 0
     capsys.readouterr()
     assert calls
+
+
+def test_the_singcat_suite_answers_ext_through_the_traced_functions(capsys, monkeypatch):
+    # the tracer times ``cli``'s bindings of both Ext routes; a suite that
+    # read Ext under other names would leave ``singcat.ext_k_k.s`` and
+    # ``singcat.ext_formula.s`` blind to its agreement rows
+    calls = []
+
+    def record(name):
+        route = getattr(cli, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    record("ext_k_k")
+    record("ext_formula")
+    assert cli.run(["verify", "--suite", "singcat", "--p", "3,3"]) == 0
+    capsys.readouterr()
+    assert set(calls) == {"ext_k_k", "ext_formula"}
