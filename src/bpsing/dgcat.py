@@ -639,11 +639,16 @@ def gauge_isomorphic(
                 reason = f"composition vanishing patterns differ at ({C.name(g)}, {C.name(f)})"
                 return GaugeResult(False, None, reason)
             for idx, vc in cc.items():
-                # never vc / cd, which is a float on two ints
-                ratio = exact(Fraction(vc, cd[fwd[idx]]))
-                powers = _prime_factors(ratio.numerator)
-                for q, e in _prime_factors(ratio.denominator).items():
-                    powers[q] = -e  # numerator and denominator are coprime
+                vd = cd[fwd[idx]]
+                if vc == vd or vc == -vd:
+                    # a sign, the tower's only ratio: no prime to factor
+                    ratio, powers = (1 if vc == vd else -1), {}
+                else:
+                    # never vc / vd, which is a float on two ints
+                    ratio = exact(Fraction(vc, vd))
+                    powers = _prime_factors(ratio.numerator)
+                    for q, e in _prime_factors(ratio.denominator).items():
+                        powers[q] = -e  # numerator and denominator are coprime
                 equations.append((var[g], var[f], var[MorRef(f.src, g.tgt, idx)], ratio, powers))
 
     nvars = len(morphs)

@@ -21,6 +21,15 @@ connector is a copy of an identity, so the basis, the position table and
 every differential depend on nothing else, provided A's identities act
 strictly.  ``suspend`` checks that precondition, computes each shape once
 and rebinds the result to every later pair of that shape.
+
+Composition is shared the same way.  The block of composites over the cones
+(x_a, j1) -> (x_b, j2) -> (x_c, j3) reads only the three hom complexes, their
+basis classes and class index, and the extension's composites, which are
+A's copied index for index at every level.  So the block is fixed by a, b,
+c and the three clamped level gaps, and ``suspend`` composes it once and
+reuses it for every level translate.  The third gap, between j1 and j3,
+is kept: the block projects onto that pair's complex, and the first two
+gaps fix the third only when both lie in [-1, 1].
 """
 
 from __future__ import annotations
@@ -93,6 +102,19 @@ def connector(E: DirectedGradedCategory, x, j: int) -> MorRef:
     return MorRef(src, tgt, 0)
 
 
+def _level_gap(j: int, j2: int) -> int:
+    """j - j2 clamped to [-2, 2], the level part of the sharing keys: cones
+    two or more levels apart have hom complexes with the same tables."""
+    return max(-2, min(2, j - j2))
+
+
+def _block_key(x: tuple[int, int], y: tuple[int, int], z: tuple[int, int]) -> tuple:
+    """What fixes the composites over the cones at spots x -> y -> z, each
+    (object index in A, level): the three objects and the three level gaps."""
+    (a, j1), (b, j2), (c, j3) = x, y, z
+    return (a, b, c, _level_gap(j1, j2), _level_gap(j2, j3), _level_gap(j1, j3))
+
+
 def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
     """Category of cones S_{x,j} = Cone((x, j+1) -> (x, j)) for 1 <= j < k.
 
@@ -124,7 +146,7 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
     for si, (ia, j) in enumerate(spots):
         for sj in range(si, len(spots)):
             ib, j2 = spots[sj]
-            key = (A.hom(ia, ib), ia == ib, max(-2, min(2, j - j2)))
+            key = (A.hom(ia, ib), ia == ib, _level_gap(j, j2))
             X, Y = cones[(ia, j)], cones[(ib, j2)]
             if key in shapes:
                 homs_data[(si, sj)] = rebind(shapes[key], X, Y)
@@ -152,23 +174,33 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
             class_index[(si, sj)] = {dr: idx for idx, dr in enumerate(pairs)}
 
     # an identity composite is kept even when zero, so that ``validate``
-    # reports a failing unit; only id.id is left to the strict fill
+    # reports a failing unit; only id.id is left to the strict fill.  Each
+    # block {(gi, fi): entry} is composed once per ``_block_key``, and every
+    # level translate shares its entries, which no one changes afterwards
     comp: dict[tuple[MorRef, MorRef], dict[int, int | Fraction]] = {}
+    blocks: dict[tuple, dict[tuple[int, int], dict[int, int | Fraction]]] = {}
     targets = source_index(class_index)
     for (si, sj) in sorted(class_index):
         for sl in targets.get(sj, ()):
             if si == sj == sl:
                 continue
-            index = class_index.get((si, sl), {})
-            for fi, f_class in enumerate(basis_classes[(si, sj)]):
-                for gi, g_class in enumerate(basis_classes[(sj, sl)]):
-                    d, coeffs = compose_classes(
-                        homs_data[(sj, sl)], homs_data[(si, sj)], homs_data[(si, sl)],
-                        g_class, f_class,
-                    )
-                    entry = {index[(d, t)]: c for t, c in enumerate(coeffs) if c != 0}
-                    if entry or si == sj or sj == sl:
-                        comp[(MorRef(sj, sl, gi), MorRef(si, sj, fi))] = entry
+            key = _block_key(spots[si], spots[sj], spots[sl])
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = {}
+                index = class_index.get((si, sl), {})
+                for fi, f_class in enumerate(basis_classes[(si, sj)]):
+                    for gi, g_class in enumerate(basis_classes[(sj, sl)]):
+                        d, coeffs = compose_classes(
+                            homs_data[(sj, sl)], homs_data[(si, sj)], homs_data[(si, sl)],
+                            g_class, f_class,
+                        )
+                        entry = {index[(d, t)]: c for t, c in enumerate(coeffs) if c != 0}
+                        if entry or si == sj or sj == sl:
+                            block[(gi, fi)] = entry
+            for (gi, fi), entry in block.items():
+                comp[(MorRef(sj, sl, gi), MorRef(si, sj, fi))] = entry
+    del blocks  # the checks below need only comp
 
     _fill_identities(comp, homs)
     out = object.__new__(DirectedGradedCategory)._keep(labels, homs, comp)

@@ -28,7 +28,7 @@ from bpsing.exactlin import RatMatrix, solve_integer, solve_mod2
 from bpsing.lattice import compare
 from bpsing.suspension import fukaya_bp, suspension_tower
 from bpsing.twisted import cone
-from helpers import count_table_builds, from_json_dict, morphism_by_name
+from helpers import assert_exact, count_table_builds, from_json_dict, morphism_by_name
 
 
 def kron(A, B):
@@ -658,6 +658,47 @@ def test_gauge_matches_the_all_pairs_comparison_on_models_and_corruptions():
         "magnitude system inconsistent",
         "sign system",
     }
+
+
+def test_gauge_matches_the_reference_on_mixed_ratios():
+    # ratios of ±1 take the int path, 2, -3 and 1/2 are factored
+    C = tensor_bp((3, 3, 3))
+    lam = {
+        morphism_by_name(C, name): Fraction(v)
+        for name, v in [
+            ("(1, 1, 2)->(2, 1, 2)#0", -1),
+            ("(1, 2, 1)->(2, 2, 1)#0", 2),
+            ("(1, 1, 1)->(2, 1, 1)#0", -3),
+            ("(1, 1, 1)->(1, 2, 2)#0", 2),
+        ]
+    }
+    entries = {
+        (g, f): {
+            k: c * lam.get(MorRef(f.src, g.tgt, k), 1) / (lam.get(g, 1) * lam.get(f, 1))
+            for k, c in entry.items()
+        }
+        for (g, f), entry in C.composition_entries()
+    }
+    D = _with_composites(C, entries)
+    ratios = {
+        Fraction(c) / D.compose(g, f)[k]
+        for (g, f), entry in C.composition_entries()
+        for k, c in entry.items()
+    }
+    assert ratios == {1, -1, 2, -3, Fraction(1, 2)}
+    bijection = {x: x for x in C.objects}
+    got = gauge_isomorphic(C, D, bijection)
+    assert got.ok
+    assert got == reference_gauge_isomorphic(C, D, bijection)
+    assert_exact(got.witness.values())
+    # one flipped sign on a composite whose ratio is 1
+    key = tuple(morphism_by_name(C, name)
+                for name in ("(1, 2, 2)->(2, 2, 2)#0", "(1, 1, 2)->(1, 2, 2)#0"))
+    assert Fraction(C.compose(*key)[0]) / D.compose(*key)[0] == 1
+    flipped = _with_composites(D, {**entries, key: {k: -c for k, c in entries[key].items()}})
+    failed = GaugeResult(False, None, "sign system is inconsistent")
+    assert gauge_isomorphic(C, flipped, bijection) == failed
+    assert reference_gauge_isomorphic(C, flipped, bijection) == failed
 
 
 @pytest.mark.parametrize("index", [5, -1])

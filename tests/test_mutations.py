@@ -11,16 +11,18 @@ Outcomes recorded beside ``KILL_MATRIX``:
 - With two or more entries, ``category-valid``, ``formality`` and
   ``square-sign-audit`` report the last tower step's own checks, so no
   mutant fails them there.  The five ``a_category`` mutants, the dropped
-  composite and the doubled identity class fail ``suspension-pipeline``
-  instead, and the later lines are not printed
-  (``test_last_stage_rechecks_never_fail_first``).  With one entry no step
-  runs, and the three lines check the base category.
+  composite, the doubled identity class and the block key without its
+  source fail ``suspension-pipeline`` instead, and the later lines are not
+  printed (``test_last_stage_rechecks_never_fail_first``).  With one entry
+  no step runs, and the three lines check the base category.
 - Equivalent mutants: one flipped sign in ``tensor_bp((3, 3))`` is removed
   by rescaling one morphism of its single square, and on one variable every
   column of the resolution has one entry, so a single flipped sign gives an
   isomorphic complex.  With an even variable count the Euler form is
   E - Et, whose diagonal cancels, so ``euler-corner-doubled`` survives on
-  (3, 4).  The rows avoid all three.
+  (3, 4).  A block key without one of its three level gaps is equivalent
+  too: blocks are composed only where both homs have classes, at gaps 0
+  and -1, and there any two gaps fix the third.  The rows avoid all four.
 """
 
 import json
@@ -44,6 +46,7 @@ from bpsing.singcat import GradedModule
 from helpers import drop_one_composite, last_column_zeroed, scaled_identity_class
 
 _suspend = suspension.suspend
+_block_key = suspension._block_key
 _a_category = suspension.a_category
 _tensor_bp = suspension.tensor_bp
 _form_complex = singcat._form_complex
@@ -118,6 +121,12 @@ def doubled_hom(m):
     if m != 2:
         return C
     return DirectedGradedCategory(C.objects, {(0, 1): (1, 1)}, {})
+
+
+def block_key_without_source(x, y, z):
+    """``_block_key`` without the source object: blocks over different
+    sources with the same middle, target and gaps are shared."""
+    return _block_key(x, y, z)[1:]
 
 
 def reversed_tower_label(x, j):
@@ -216,6 +225,7 @@ TOWER_MUTANTS = {
     "commuting-diamond": (suspension, "a_category", commuting_diamond),
     "doubled-hom": (suspension, "a_category", doubled_hom),
     "identity-class-doubled": (suspension, "identity_class", scaled_identity_class(2)),
+    "block-key-without-source": (suspension, "_block_key", block_key_without_source),
 }
 MUTANTS = {
     **TOWER_MUTANTS,
@@ -237,6 +247,9 @@ MUTANTS = {
 KILL_MATRIX = [
     ("suspend-drops-a-composite", "3,3", {"suspension-pipeline": "gauge comparison failed"}),
     ("identity-class-doubled", "3,3", {"suspension-pipeline": "left unit fails for"}),
+    ("block-key-without-source", "3,3,3", {
+        "suspension-pipeline": "right unit fails for ((2,), 1)->((2,), 2)#0",
+    }),
     ("tensor-bp-sign-flip", "3,3,3", {"gauge-vs-tensor": "sign system is inconsistent"}),
     ("off-basis-composite", "5", {
         "category-valid": "hits invalid basis index 0",

@@ -30,7 +30,7 @@ from bpsing.suspension import (
     tower_label,
     verify_suspension,
 )
-from bpsing.twisted import compose_classes, cone, hom_complex, rebind
+from bpsing.twisted import compose_classes, cone, hom_complex, identity_class, rebind
 from helpers import drop_one_composite, scaled_identity_class
 
 
@@ -293,6 +293,66 @@ def test_hom_complexes_shared_by_shape_equal_fresh_ones(monkeypatch, p):
     assert checked
 
 
+def _fresh_composites(A, k, S):
+    """Each composite of classes of S = suspend(A, k) against the same one
+    composed on its own triple's hom complexes, built fresh: nothing is
+    shared by shape or by block.  The mismatches and the composition count."""
+    E = directed_extension(A, k)
+    spots = [(ia, j) for ia in range(len(A.objects)) for j in range(1, k)]
+    cones = [cone(E, connector(E, A.objects[ia], j)) for ia, j in spots]
+    fresh, classes = {}, {}
+
+    def complex_at(si, sj):
+        if (si, sj) not in fresh:
+            h = fresh[(si, sj)] = hom_complex(cones[si], cones[sj])
+            dims = h.cohomology.dims
+            pairs = [(d, r) for d in sorted(dims) for r in range(dims[d])]
+            basis = [(d, tuple(int(t == r) for t in range(dims[d]))) for d, r in pairs]
+            classes[(si, sj)] = ([identity_class(h)] if si == sj else basis, pairs)
+        return fresh[(si, sj)]
+
+    mismatches, count = [], 0
+    targets = source_index(S.hom_pairs())
+    for (si, sj) in sorted(S.hom_pairs()):
+        for sl in targets[sj]:
+            if si == sj == sl:
+                continue
+            h_xy, h_yz, h_xz = complex_at(si, sj), complex_at(sj, sl), complex_at(si, sl)
+            pairs = classes[(si, sl)][1]
+            for fi, f_class in enumerate(classes[(si, sj)][0]):
+                for gi, g_class in enumerate(classes[(sj, sl)][0]):
+                    d, coeffs = compose_classes(h_yz, h_xy, h_xz, g_class, f_class)
+                    count += 1
+                    entry = {pairs.index((d, t)): c for t, c in enumerate(coeffs) if c != 0}
+                    key = (MorRef(sj, sl, gi), MorRef(si, sj, fi))
+                    if S._comp.get(key, {}) != entry:
+                        mismatches.append((S.name(key[0]), S.name(key[1])))
+    return mismatches, count
+
+
+# the tower steps with k >= 4, where cone levels can be 2 or more apart
+TOWER_STEPS = [(p[:t], p[t]) for p in [(3, 5), (4, 4, 4), (2, 3, 4, 5), (5, 5, 5)]
+               for t in range(1, len(p)) if p[t] >= 4]
+
+
+@pytest.mark.parametrize("base, k", TOWER_STEPS, ids=[f"{base}-{k}" for base, k in TOWER_STEPS])
+def test_composition_blocks_shared_by_level_equal_fresh_ones(monkeypatch, base, k):
+    A = fukaya_bp(base)
+    real, composed = suspension.compose_classes, []
+
+    def counting(*args):
+        composed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(suspension, "compose_classes", counting)
+    S = suspend(A, k)
+    monkeypatch.undo()
+    mismatches, count = _fresh_composites(A, k, S)
+    assert not mismatches, (base, k, mismatches[:5])
+    # blocks were reused: the fresh loop composes more than suspend did
+    assert len(composed) < count
+
+
 def test_suspend_rejects_identities_that_do_not_act_strictly():
     f = MorRef(0, 1, 0)
     # id_b after f is 2f: a unit that is not strict, supplied explicitly
@@ -412,7 +472,7 @@ ORACLE_CATEGORIES = {
 }
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("name", sorted(ORACLE_CATEGORIES))
 def test_suspend_matches_the_reference(name, k):
     A = ORACLE_CATEGORIES[name]()
@@ -462,8 +522,8 @@ def verify_suite_fukaya(p):
 @pytest.mark.parametrize(
     "p, counts",
     [
-        ((3, 3, 3), (2, 2, 2, 3, 2, 68)),
-        ((2, 3, 4, 5), (3, 3, 3, 4, 3, 388)),
+        ((3, 3, 3), (2, 2, 2, 3, 2, 54)),
+        ((2, 3, 4, 5), (3, 3, 3, 4, 3, 138)),
         # no step runs, so the base is validated, scanned and audited once
         ((5,), (0, 1, 1, 1, 1, 0)),
     ],
