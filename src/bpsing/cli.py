@@ -274,7 +274,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     failing, first = [], None
     for axis in range(1, len(L.p) + 1):
         for j in range(2, L.p[axis - 1] + 1):
-            rep = lemma_k_check(ring, axis, j, window)
+            rep = lemma_k_check(ring, axis, j)
             if not rep.ok:
                 failing.append([axis, j])
                 first = first or f"axis {axis}, j {j}: {rep.failures[0]}"
@@ -481,16 +481,14 @@ def _cmd_singcat_resolution(args, p):
 def _cmd_singcat_lemma_k(args, p):
     # the sequence's modules span j degrees, so j is bounded like the suite's sum of j
     check_limit("lemma-k degree count j =", args.j, MAX_SEQUENCE_DEGREES)
-    L = LGroup(p)
-    window = _window(args, L)
-    rep = lemma_k_check(p, args.axis, args.j, window)
+    rep = lemma_k_check(p, args.axis, args.j)
     code = 0 if rep.ok else 1
     if args.json:
         return {
             "p": list(p),
             "axis": args.axis,
             "j": args.j,
-            "window": window,
+            "window": 2 * LGroup(p).ell,  # the cap of the ring quotient's scan
             "ok": rep.ok,
             "degrees_checked": rep.degrees_checked,
             "first_failure": None if rep.first_failure is None else list(rep.first_failure),
@@ -607,7 +605,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--axis", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--window", type=int, default=None)
     sp.set_defaults(func=_cmd_singcat_lemma_k)
 
     sp = sub.add_parser("verify", parents=[common], help="run verification suites")

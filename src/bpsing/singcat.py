@@ -759,56 +759,61 @@ def quotient_by_variables(
     basis is read off from the non-pivot monomials.  A degree that no
     product reaches has no pivots, so every monomial there is free and no
     elimination runs.  Actions are induced on the chosen coset
-    representatives.  Degrees are scanned up to z-degree window.
+    representatives.  The scan runs by z-degree from 0 and stops at window
+    or after W = max(weights) z-degrees in a row where the quotient is zero,
+    as it is then zero at every later z-degree: if it is zero on z0, ...,
+    z0 + W - 1, a normal-form monomial m of z-degree z >= z0 + W with e_s > 0
+    is x_s m', with m' in normal form (lowering an exponent keeps e_1 < p_1,
+    so no rewrite is involved) of z-degree z - w_s >= z0, so in the ideal by
+    induction on z, and so is m.  A finite quotient is thus returned whole.
     """
     L = ring.L
-    p1 = ring.p[0]
+    p1, w = ring.p[0], L.weights
     killed = tuple(sorted({int(t) for t in killed}))
     if any(not 1 <= t <= ring.n for t in killed):
         raise ValueError("killed variable out of range")
-    degrees = sorted(
-        (d for z in range(window + 1) for d in ring.pieces_of_weight(z)), key=ring.sort_key
-    )
 
     def times(t: int, mono: Monomial):
         """The terms of x_t mono in normal form: only e_1 >= p_1 needs the rewrite."""
         m = _shift(mono, t)
         return ring.reduce({m: 1}).items() if m[0] >= p1 else ((m, 1),)
 
-    piece_data = {}
-    for d in degrees:
-        monos = ring.piece(d)
-        pos = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for t in killed:
-            for m in ring.piece(L.sub(d, L.x(t))):
-                vec = [0] * len(monos)
-                for m2, co in times(t, m):
-                    vec[pos[m2]] += co
-                rows.append(vec)
-        pivots, top = (), ()
-        if rows:
-            reduced, pivots = rref(RatMatrix(rows, cols=len(monos)))
-            top = reduced.entries[: len(pivots)]
-        free = tuple(i for i in range(len(monos)) if i not in pivots)
-        piece_data[d] = (monos, pos, free, pivots, top)
+    # the nonzero pieces of the quotient, in (z, raw) order, and the last z-degree of one
+    piece_data, last = {}, -1
+    for z in range(window + 1):
+        pieces = ring.pieces_of_weight(z)
+        for d in sorted(pieces, key=ring.sort_key):
+            monos = pieces[d]
+            pos = {m: i for i, m in enumerate(monos)}
+            rows = []
+            for t in killed:
+                if z < w[t - 1]:
+                    continue
+                for m in ring.piece(L.sub(d, L.x(t))):
+                    vec = [0] * len(monos)
+                    for m2, co in times(t, m):
+                        vec[pos[m2]] += co
+                    rows.append(vec)
+            pivots, top = (), ()
+            if rows:
+                reduced, pivots = rref(RatMatrix(rows, cols=len(monos)))
+                top = reduced.entries[: len(pivots)]
+            free = tuple(i for i in range(len(monos)) if i not in pivots)
+            if free:
+                piece_data[d] = (monos, pos, free, pivots, top)
+                last = z
+        if z - last == max(w):
+            break
 
-    basis = {
-        d: tuple(monomial_label(piece_data[d][0][f]) for f in piece_data[d][2])
-        for d in degrees
-    }
+    basis = {d: tuple(monomial_label(monos[f]) for f in free)
+             for d, (monos, _, free, _, _) in piece_data.items()}
     action = {}
-    for d in degrees:
-        monos, _, free, _, _ = piece_data[d]
-        if not free:
-            continue
+    for d, (monos, _, free, _, _) in piece_data.items():
         for t in range(1, ring.n + 1):
             up = L.add(d, L.x(t))
             if up not in piece_data:
                 continue
             u_monos, u_pos, u_free, u_pivots, u_rows = piece_data[up]
-            if not u_free:
-                continue
             # coordinates of x_t m on the reduced ideal rows and the free
             # monomials: a reduced row is 1 at its pivot and 0 at the other
             # pivots, so its coefficient is the entry at its pivot
@@ -882,9 +887,7 @@ def graded_module_iso(M: GradedModule, N: GradedModule) -> bool:
     return True
 
 
-def lemma_k_check(
-    p: Iterable[int] | GradedRing, axis: int, j: int, window: int
-) -> SequenceReport:
+def lemma_k_check(p: Iterable[int] | GradedRing, axis: int, j: int) -> SequenceReport:
     """Check 0 -> k(-(j-1) x_axis) -> k[x]/(x^j) -> k[x]/(x^{j-1}) -> 0.
 
     The inclusion hits the top power x^{j-1} and the projection discards
@@ -893,11 +896,10 @@ def lemma_k_check(
     module that has a finite free resolution.  p is a GradedRing or its
     exponents.
 
-    ``window`` is read only there, at j = p_axis with two or more variables:
-    it bounds the ring quotient's z-degrees and is raised to at least ell.
-    That is enough, since the ring modulo the other variables is
-    k[x_axis]/(x_axis^{p_axis}), of top z-degree (p_axis - 1) ell / p_axis < ell.
-    A window above MAX_WINDOW_SIZE is refused there, before anything is built.
+    With two or more variables that quotient is k[x_axis]/(x_axis^{p_axis}),
+    of top z-degree below ell, so its scan stops max(weights) <= ell / 2 above,
+    below its cap of 2 ell; that window is refused above MAX_WINDOW_SIZE
+    before anything is built.
     """
     ring = _ring(p)
     L = ring.L
@@ -907,8 +909,7 @@ def lemma_k_check(
         raise ValueError("truncation order out of range")
     compared = j == ring.p[axis - 1] and ring.n >= 2
     if compared:
-        window = max(window, L.ell)
-        _check_window(ring, window)
+        _check_window(ring, 2 * L.ell)
     xa = L.x(axis)
     sub = truncated_module(ring, axis, 1, twist=L.scale(-(j - 1), xa))
     mid = truncated_module(ring, axis, j)
@@ -919,7 +920,7 @@ def lemma_k_check(
     if not compared:
         return report
     others = tuple(t for t in range(1, ring.n + 1) if t != axis)
-    iso_ok = graded_module_iso(mid, quotient_by_variables(ring, others, window))
+    iso_ok = graded_module_iso(mid, quotient_by_variables(ring, others, 2 * L.ell))
     bad = () if iso_ok else ("middle module not isomorphic to the ring quotient",)
     return replace(report, failures=report.failures + bad, iso_ok=iso_ok)
 

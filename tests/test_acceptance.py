@@ -166,7 +166,7 @@ def test_08_truncation_sequences_and_koszul_perfectness():
     for p, window in [((2, 3), 12), ((2, 2, 2), 8)]:
         for axis, pe in enumerate(p, start=1):
             for j in range(2, pe + 1):
-                rep = lemma_k_check(p, axis, j, window)
+                rep = lemma_k_check(p, axis, j)
                 assert rep.ok, (p, axis, j, rep.failures)
                 if j == pe:
                     assert rep.iso_ok is True, (p, axis, j)

@@ -178,7 +178,7 @@ def test_singcat_lemma_k_subcommand(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "window must be nonnegative" in err
+    assert "unrecognized arguments: --window -5" in err
 
 
 def test_verify_suites(capsys):
@@ -391,8 +391,6 @@ def test_window_scans_refuse_huge_windows_before_any_rank(capsys, monkeypatch):
     for argv, count in [
         ("singcat resolution --p 3,4,5 --length 9 --window 1000000000", 8193),
         ("singcat resolution --p 7 --length 3 --window 1000000000", 8193),
-        ("singcat lemma-k --p 3,4 --axis 2 --j 4 --window 1000000000", 8193),
-        ("singcat lemma-k --p 2,2,2,2,2,2,2 --axis 1 --j 2 --window 1000000000", 8193),
         # the suite took 55 s before the limit, on its window of 2 ell = 1020
         ("verify --suite singcat --p 2,2,2,2,2,2,255", 8193),
     ]:
@@ -402,8 +400,15 @@ def test_window_scans_refuse_huge_windows_before_any_rank(capsys, monkeypatch):
         assert err == (
             f"error: window {window} covers at least {count} z-degrees and monomials, above the limit 8192\n"
         )
+    # lemma-k counts its window of 2 ell at j = p_axis, before the ring quotient
+    monkeypatch.setattr(bpsing.singcat, "MAX_WINDOW_SIZE", 40)
+    for argv, window in [("singcat lemma-k --p 3,4 --axis 2 --j 4", 24),
+                         ("singcat lemma-k --p 2,2,2,2,2,2,2 --axis 1 --j 2", 4)]:
+        assert run_cli(capsys, *argv.split()) == (2, "", (
+            f"error: window {window} covers at least 41 z-degrees and monomials, above the limit 40\n"
+        ))
     # below j = p_axis lemma-k does not read the window
-    code, _, _ = run_cli(capsys, *"singcat lemma-k --p 3,4 --axis 2 --j 3 --window 1000000000".split())
+    code, _, _ = run_cli(capsys, *"singcat lemma-k --p 3,4 --axis 2 --j 3".split())
     assert code == 0
 
 
@@ -459,17 +464,20 @@ def test_window_limit_is_inclusive(capsys, monkeypatch):
         assert code == 0, argv
     monkeypatch.setattr(bpsing.singcat, "_scan_pieces", _no_scan)
     monkeypatch.setattr(bpsing.singcat, "quotient_by_variables", _no_scan)
-    for argv in ["singcat resolution --p 3,4 --length 4 --window 25",
-                 "singcat lemma-k --p 3,4 --axis 2 --j 4 --window 25"]:
-        code, out, err = run_cli(capsys, *argv.split())
-        assert (code, out) == (2, "")
-        assert err == "error: window 25 covers at least 48 z-degrees and monomials, above the limit 47\n"
+    code, out, err = run_cli(capsys, *"singcat resolution --p 3,4 --length 4 --window 25".split())
+    assert (code, out) == (2, "")
+    assert err == "error: window 25 covers at least 48 z-degrees and monomials, above the limit 47\n"
     # a resolution built without a window is refused by the certification itself
     for certify in [lambda: validate_resolution(bp_resolution((3, 4), 4), 25),
                     lambda: koszul_perfect_check((3, 4), 25)]:
         with pytest.raises(ValueError) as err:
             certify()
         assert str(err.value) == "window 25 covers at least 48 z-degrees and monomials, above the limit 47"
+    # lemma-k's window is 2 ell, refused one below its size
+    monkeypatch.setattr(bpsing.singcat, "MAX_WINDOW_SIZE", 46)
+    assert run_cli(capsys, *"singcat lemma-k --p 3,4 --axis 2 --j 4".split()) == (
+        2, "", "error: window 24 covers at least 47 z-degrees and monomials, above the limit 46\n"
+    )
 
 
 def _scan_cells_error(levels, size, limit):

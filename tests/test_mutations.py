@@ -187,6 +187,24 @@ def top_degree_dropped(ring, killed, window):
     return GradedModule(ring, basis, action)
 
 
+def band_one_short(ring, killed, window):
+    """``quotient_by_variables`` cut after its first max(w) - 1 zero z-degrees in a row,
+    as a scan whose band of zero z-degrees is one short would return it."""
+    M = _quotient_by_variables(ring, killed, window)
+    L = ring.L
+    nonzero = {L.z_degree(d) for d in M.basis}
+    end, zeros = window, 0
+    for z in range(window + 1):
+        zeros = 0 if z in nonzero else zeros + 1
+        if zeros == max(L.weights) - 1:
+            end = z
+            break
+    basis = {d: labels for d, labels in M.basis.items() if L.z_degree(d) <= end}
+    action = {(t, d): mat for (t, d), mat in M.action.items()
+              if L.z_degree(L.add(d, L.x(t))) <= end}
+    return GradedModule(ring, basis, action)
+
+
 def first_action_dropped(ring, axis, j, twist=None):
     """``truncated_module`` without its lowest stored action once j >= 3."""
     M = _truncated_module(ring, axis, j, twist)
@@ -237,6 +255,7 @@ MUTANTS = {
     "ext-formula-first-row-emptied": (cli, "ext_formula", first_row_emptied),
     "ext-sign-blind": (cli, "ext_k_k", sign_blind_ext_row),
     "quotient-top-degree-dropped": (singcat, "quotient_by_variables", top_degree_dropped),
+    "quotient-band-one-short": (singcat, "quotient_by_variables", band_one_short),
     "truncated-first-action-dropped": (singcat, "truncated_module", first_action_dropped),
     "st-gram-entry-raised": (lattice, "st_gram", raised_st_entry),
     "euler-corner-doubled": (lattice, "euler_matrix", doubled_euler_corner),
@@ -287,6 +306,11 @@ KILL_MATRIX = [
     ("ext-formula-first-row-emptied", "3,3,3", {"ext-agreement": "'mismatches': [[[0, 0, 0, 0]"}),
     ("ext-sign-blind", "3,3,3", {"ext-vanishing": "'nonzero'"}),
     ("quotient-top-degree-dropped", "3,3,3", {"short-exact-sequences": "'failing': [[1, 3]"}),
+    # on (2,3), with weights (3, 2), the ring modulo x_2 is zero at z = 1, 2
+    # and nonzero at z = 3, which a band of two zero z-degrees cuts off
+    ("quotient-band-one-short", "2,3", {"short-exact-sequences": (
+        "'failing': [[1, 2]], "
+        "'first': 'axis 1, j 2: middle module not isomorphic to the ring quotient'")}),
     # at j = 3 < p_axis no ring quotient is compared, so only the intertwining
     # scan of the projection sees the dropped action
     ("truncated-first-action-dropped", "4,4,4", {"short-exact-sequences": (

@@ -477,7 +477,7 @@ def test_one_ring_gives_the_reports_of_fresh_rings(p):
     )
     for axis in range(1, len(p) + 1):
         for j in range(2, p[axis - 1] + 1):
-            assert lemma_k_check(ring, axis, j, window) == lemma_k_check(p, axis, j, window)
+            assert lemma_k_check(ring, axis, j) == lemma_k_check(p, axis, j)
     assert koszul_perfect_check(ring, window) == koszul_perfect_check(p, window)
     assert bp_resolution(ring, 2).ring is ring
 
@@ -807,23 +807,13 @@ def test_graded_module_validate_catches_noncommuting_actions():
 
 def test_lemma_k_sequences_hold():
     for axis, j in [(1, 2), (2, 2), (2, 3)]:
-        rep = lemma_k_check((2, 3), axis, j, 12)
+        rep = lemma_k_check((2, 3), axis, j)
         assert rep.ok, (axis, j, rep.failures)
         is_top = j == (2, 3)[axis - 1]
         assert rep.iso_ok is (True if is_top else None)
     for axis in (1, 2, 3):
-        rep = lemma_k_check((2, 2, 2), axis, 2, 4)
+        rep = lemma_k_check((2, 2, 2), axis, 2)
         assert rep.ok and rep.iso_ok is True
-
-
-def test_lemma_k_report_does_not_depend_on_the_window():
-    # the window only bounds the ring quotient at j = p_axis, where it is
-    # raised to ell, above the quotient's top z-degree
-    for p in [(2, 3), (2, 2, 2), (3, 4, 5), (5, 7)]:
-        ell = GradedRing(p).L.ell
-        for axis, p_axis in enumerate(p, start=1):
-            reports = [lemma_k_check(p, axis, p_axis, w) for w in (0, ell - 1, ell, 3 * ell)]
-            assert all(rep == reports[0] for rep in reports), (p, axis)
 
 
 def test_exact_sequence_check_locates_failures():
@@ -1103,7 +1093,7 @@ def test_module_map_validate_matches_the_all_pairs_oracle(monkeypatch, p):
             monkeypatch.setattr(bpsing.singcat, "truncated_module", first_action_dropped)
         for axis, p_axis in enumerate(p, start=1):
             for j in range(2, p_axis + 1):
-                lemma_k_check(ring, axis, j, 2 * ring.L.ell)
+                lemma_k_check(ring, axis, j)
     assert len(maps) == 4 * sum(p_axis - 1 for p_axis in p)
     for f in maps:
         assert f.validate() == reference_map_validate(f)
@@ -1119,6 +1109,33 @@ def test_quotient_by_variables_matches_the_per_degree_oracle(p):
         got = quotient_by_variables(ring, killed, window)
         want = reference_quotient_by_variables(ring, killed, window)
         assert (got.basis, got.action) == (want.basis, want.action), killed
+
+
+@pytest.mark.parametrize("p", SCAN_SEQUENCES)
+def test_a_finite_quotient_stops_where_it_proves_itself_zero(monkeypatch, p):
+    # the kill sets with a finite quotient: all variables but one, and all
+    # variables; the scan reads max(w) zero z-degrees past the top piece
+    seen = []
+    pieces_of_weight = GradedRing.pieces_of_weight
+
+    def recording(self, z):
+        seen.append(z)
+        return pieces_of_weight(self, z)
+
+    L = GradedRing(p).L
+    n, band = len(p), max(L.weights)
+    all_but_one = [tuple(t for t in range(1, n + 1) if t != axis) for axis in range(1, n + 1)]
+    for killed in all_but_one + [tuple(range(1, n + 1))]:
+        want = reference_quotient_by_variables(GradedRing(p), killed, 2 * L.ell)
+        for window in (2 * L.ell, 3 * L.ell):
+            ring = GradedRing(p)
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(GradedRing, "pieces_of_weight", recording)
+                got = quotient_by_variables(ring, killed, window)
+            assert (got.basis, got.action) == (want.basis, want.action), (killed, window)
+            top = L.z_degree(got.degrees()[-1])
+            assert min(seen) >= 0 and max(seen) == top + band, (killed, window)
 
 
 def count_monomial_passes(monkeypatch) -> Counter:
@@ -1137,10 +1154,8 @@ def count_monomial_passes(monkeypatch) -> Counter:
 def test_each_window_is_counted_once_per_ring(capsys, monkeypatch):
     # one count of the window, then one split of each z-degree into pieces
     counts = count_monomial_passes(monkeypatch)
-    # (a negative z-degree, which the ring quotient asks for below its lowest
-    # degrees, has no monomials)
     assert cli.run(["verify", "--suite", "singcat", "--p", "7,11"]) == 0
-    assert {z: k for z, k in counts.items() if z >= 0} == {z: 2 for z in range(155)}
+    assert counts == {z: 2 for z in range(155)}
     counts.clear()
     argv = "singcat resolution --p 3,4,5 --length 9 --window 938".split()
     assert cli.run(argv) == 0
