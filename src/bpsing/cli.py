@@ -20,9 +20,10 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import prod
-from operator import neg
+from operator import eq, le, ne, neg
 from typing import Sequence
 
 from .dgcat import DirectedGradedCategory, tensor_bp, to_json_dict
@@ -288,9 +289,20 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
 
 def _shape_fault(gram, symmetric: bool) -> dict | None:
     """The wrong flag or first entry that keeps a Gram matrix from being symmetric
-    with diagonal 2 (antisymmetric with diagonal 0 when not ``symmetric``), or None."""
+    with diagonal 2 (antisymmetric with diagonal 0 when not ``symmetric``), or None.
+
+    The pass reads each diagonal entry and the mirror of each nonzero entry.
+    That leaves nothing out: an off-diagonal pair of two zeros is already
+    right, and a pair with a nonzero entry is checked from that entry's row.
+    Only a failing matrix gets the dense scan that names its first bad entry.
+    """
     if gram.symmetric != symmetric:
         return {"flag": "symmetric", "expected": symmetric, "found": gram.symmetric}
+    rows, columns = gram.entries, range(len(gram.entries))
+    sign, diagonal = (1, 2) if symmetric else (-1, 0)
+    if all(row[i] == diagonal and all(rows[j][i] == sign * row[j] for j in compress(columns, row))
+           for i, row in enumerate(rows)):
+        return None
     for i, (row, col) in enumerate(zip(gram.entries, zip(*gram.entries))):
         expected = list(col if symmetric else map(neg, col))
         expected[i] = 2 if symmetric else 0
@@ -323,17 +335,22 @@ def _sebastiani_thom_mismatch(cmpr) -> dict | None:
     On an off-diagonal pair i <= j coordinatewise, st = euler * 2^(number of
     equal coordinates), since the product form is multiplicative and its
     symmetrization is not (Sebastiani-Thom 1971); elsewhere the forms agree.
+    The factor is applied only at nonzero Euler entries above the diagonal,
+    which leaves nothing out: it scales a zero to zero.  Each row is compared
+    from its diagonal on in one step, and only a differing row is scanned.
     """
     labels, st, euler = cmpr.st.labels, cmpr.st.entries, cmpr.euler.entries
-    for a, i in enumerate(labels):
-        for b in range(a, len(labels)):
+    size = len(labels)
+    for a, (i, st_row, e_row) in enumerate(zip(labels, st, euler)):
+        expected = list(e_row[a:])  # the row from its diagonal on
+        for b in compress(range(a + 1, size), expected[1:]):
             j = labels[b]
-            expected = euler[a][b]
-            if a < b and expected and all(x <= y for x, y in zip(i, j)):
-                expected *= 2 ** sum(x == y for x, y in zip(i, j))
-            found = st[a][b]
-            if found != expected:
-                return {"pair": [list(i), list(j)], "expected": expected, "found": found}
+            if all(map(le, i, j)):
+                expected[b - a] *= 2 ** sum(map(eq, i, j))
+        if st_row[a:] != tuple(expected):
+            b = next(compress(range(a, size), map(ne, st_row[a:], expected)))
+            found, expected = st_row[b], expected[b - a]
+            return {"pair": [list(i), list(labels[b])], "expected": expected, "found": found}
     return None
 
 

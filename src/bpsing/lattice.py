@@ -13,8 +13,10 @@ even (with zero diagonal) and symmetric with diagonal 2 when odd.  The same
 data can be produced from the Euler matrix of the tensor category by
 (anti)symmetrization, and ``compare`` reports where the two routes differ.
 
-``st_gram`` calls ``one_var_form`` once per entry of each factor's A_{p_k-1}
-table and takes the Kronecker product of those tables; it never reads the
+``st_gram`` lists each factor's nonzero entries (i, j, value) with i <= j,
+at most two per row since A_{p_k-1} is tridiagonal, from ``one_var_form``;
+their Kronecker product is every nonzero comparable product above the
+diagonal, written with its mirror into rows of zeros.  It never reads the
 tensor category, so the two routes stay independent.  Both Gram builders
 refuse a rank prod(p_k - 1) above ``dgcat.MAX_RANK``, the object limit of
 :mod:`bpsing.dgcat` read when they run, before allocating anything:
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -70,21 +71,20 @@ def st_gram(p: Iterable[int]) -> BilinearLattice:
     check_limit("lattice rank prod(p_i - 1) =", math.prod(pi - 1 for pi in p), dgcat.MAX_RANK)
     labels = index_tuples(p)
     odd = len(p) % 2 == 1
-    # one table per factor: (C_i, C_j) for i <= j, zero where i > j, so their
-    # Kronecker product holds every comparable product above the diagonal
-    upper = [[1]]
+    # (a, b, value) for each nonzero comparable product with a <= b: each
+    # factor contributes its (C_i, C_i) and (C_i, C_{i+1})
+    upper = [(0, 0, 1)]
     for pk in p:
-        table = [
-            [one_var_form(pk, i, j) if i <= j else 0 for j in range(1, pk)] for i in range(1, pk)
-        ]
-        upper = [[x * t for x in row for t in t_row] for row in upper for t_row in table]
-    mirror = operator.add if odd else operator.sub
-    entries = []
-    for a, (row, col) in enumerate(zip(upper, zip(*upper))):
-        entry = list(map(mirror, row, col))  # upper is zero below its diagonal
-        entry[a] = 2 if odd else 0
-        entries.append(tuple(entry))
-    return BilinearLattice(tuple(labels), tuple(entries), symmetric=odd)
+        m = pk - 1
+        table = [(i, j, one_var_form(pk, i, j)) for i in range(1, pk) for j in (i, i + 1) if j < pk]
+        upper = [(a * m + i - 1, b * m + j - 1, x * t) for a, b, x in upper for i, j, t in table]
+    rows = [[0] * len(labels) for _ in labels]
+    for a, b, x in upper:
+        rows[a][b] = x
+        rows[b][a] = x if odd else -x
+    for a, row in enumerate(rows):
+        row[a] = 2 if odd else 0
+    return BilinearLattice(tuple(labels), tuple(map(tuple, rows)), symmetric=odd)
 
 
 def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
@@ -97,14 +97,17 @@ def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
         raise ValueError("orientation must be 'E-Et' or 'Et-E'")
     p = exponent_seq(p)
     C = tensor_bp(p)
-    rows = euler_matrix(C)
+    E = euler_matrix(C)
     odd = len(p) % 2 == 1
-    cols = tuple(zip(*rows))  # the rows of Et
-    if not odd and orientation == "Et-E":
-        rows, cols = cols, rows
-    mirror = operator.add if odd else operator.sub
-    entries = tuple(tuple(map(mirror, r, c)) for r, c in zip(rows, cols))
-    return BilinearLattice(C.objects, entries, symmetric=odd)
+    # sign * E + mirror * Et, one nonzero E[a][b] at a time
+    sign = -1 if not odd and orientation == "Et-E" else 1
+    mirror = sign if odd else -sign
+    rows = [[0] * len(E) for _ in E]
+    for a, e_row in enumerate(E):
+        for b in itertools.compress(range(len(e_row)), e_row):
+            rows[a][b] += sign * e_row[b]
+            rows[b][a] += mirror * e_row[b]
+    return BilinearLattice(C.objects, tuple(map(tuple, rows)), symmetric=odd)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction
+from operator import neg
 from typing import Mapping, Sequence
 
 from bpsing import dgcat
@@ -336,3 +337,31 @@ def reference_quotient_by_variables(ring: GradedRing, killed, window: int) -> Gr
                 cols=len(free),
             )
     return GradedModule(ring, basis, action)
+
+
+def reference_shape_fault(gram, symmetric: bool) -> dict | None:
+    """``cli._shape_fault`` as a dense scan: every row against its mirrored column."""
+    if gram.symmetric != symmetric:
+        return {"flag": "symmetric", "expected": symmetric, "found": gram.symmetric}
+    for i, (row, col) in enumerate(zip(gram.entries, zip(*gram.entries))):
+        expected = list(col if symmetric else map(neg, col))
+        expected[i] = 2 if symmetric else 0
+        if list(row) != expected:
+            j = next(j for j, (x, y) in enumerate(zip(row, expected)) if x != y)
+            return {"entry": [i, j], "expected": expected[j], "found": row[j]}
+    return None
+
+
+def reference_sebastiani_thom_mismatch(cmpr) -> dict | None:
+    """``cli._sebastiani_thom_mismatch`` as a dense scan of every upper-triangle entry."""
+    labels, st, euler = cmpr.st.labels, cmpr.st.entries, cmpr.euler.entries
+    for a, i in enumerate(labels):
+        for b in range(a, len(labels)):
+            j = labels[b]
+            expected = euler[a][b]
+            if a < b and expected and all(x <= y for x, y in zip(i, j)):
+                expected *= 2 ** sum(x == y for x, y in zip(i, j))
+            found = st[a][b]
+            if found != expected:
+                return {"pair": [list(i), list(j)], "expected": expected, "found": found}
+    return None

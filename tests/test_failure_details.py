@@ -1,8 +1,10 @@
-"""Failure details of the shape and formality checks: where, expected and found.
+"""Failure details of the shape, Sebastiani-Thom and formality checks: where, expected and found.
 
 Passing checks print no detail beyond what they printed before, so stdout on
 correct input is unchanged; these tests look at the failing side.
 """
+
+import dataclasses
 
 import pytest
 
@@ -10,7 +12,8 @@ from bpsing import cli
 from bpsing.dgcat import formality_check, tensor_bp
 from bpsing.lattice import BilinearLattice, compare, st_gram
 from bpsing.suspension import SuspensionError, suspend
-from test_mutations import extra_hom
+from helpers import reference_sebastiani_thom_mismatch, reference_shape_fault
+from test_mutations import extra_hom, with_lower_entry
 
 
 @pytest.mark.parametrize("p", [(2,), (2, 3), (3, 3, 3), (2, 3, 4, 5)])
@@ -35,6 +38,43 @@ def test_the_first_antisymmetry_fault_names_its_entry():
     assert cli._shape_fault(broken, False) == {
         "entry": [1, 2], "expected": -rows[2][1], "found": rows[1][2],
     }
+
+
+def assert_lattice_checks_match_the_oracles(cmpr, odd):
+    for gram in (cmpr.st, cmpr.euler):
+        assert cli._shape_fault(gram, odd) == reference_shape_fault(gram, odd)
+    assert cli._sebastiani_thom_mismatch(cmpr) == reference_sebastiani_thom_mismatch(cmpr)
+
+
+@pytest.mark.parametrize("orientation", ["E-Et", "Et-E"])
+@pytest.mark.parametrize(
+    "p", [(2,), (7,), (2, 3), (3, 3, 3), (2, 3, 4, 5), (4, 4, 4, 4), (5, 5, 5, 5)]
+)
+def test_lattice_checks_on_true_grams_match_the_dense_oracles(p, orientation):
+    assert_lattice_checks_match_the_oracles(compare(p, orientation), len(p) % 2 == 1)
+
+
+def perturbed(gram, kind):
+    """``gram`` with one entry changed, or with its ``symmetric`` flag flipped."""
+    if kind == "flag":
+        return dataclasses.replace(gram, symmetric=not gram.symmetric)
+    if kind == "lower":
+        return with_lower_entry(gram)
+    rows = [list(row) for row in gram.entries]
+    a, b = (1, 1) if kind == "diagonal" else (0, 1)
+    rows[a][b] += 1
+    return dataclasses.replace(gram, entries=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "upper", "lower", "flag"])
+@pytest.mark.parametrize("side", ["st", "euler"])
+@pytest.mark.parametrize("p", [(3, 3, 3), (3, 3)])
+def test_lattice_checks_on_perturbed_grams_match_the_dense_oracles(p, side, kind):
+    cmpr = compare(p)
+    odd = len(p) % 2 == 1
+    cmpr = dataclasses.replace(cmpr, **{side: perturbed(getattr(cmpr, side), kind)})
+    assert reference_shape_fault(getattr(cmpr, side), odd) is not None
+    assert_lattice_checks_match_the_oracles(cmpr, odd)
 
 
 def test_formality_report_names_the_first_chain():

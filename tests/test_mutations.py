@@ -222,6 +222,21 @@ def raised_st_entry(p):
     return lattice.BilinearLattice(s.labels, tuple(map(tuple, entries)), s.symmetric)
 
 
+def with_lower_entry(gram):
+    """``gram`` with a 1 at the mirror below the diagonal of its first zero
+    entry above the diagonal."""
+    entries = [list(row) for row in gram.entries]
+    a, b = next((a, b) for a, row in enumerate(entries) for b in range(a + 1, len(row))
+                if not row[b])
+    entries[b][a] = 1
+    return lattice.BilinearLattice(gram.labels, tuple(map(tuple, entries)), gram.symmetric)
+
+
+def lower_entry_added(p):
+    """``st_gram`` with ``with_lower_entry`` applied."""
+    return with_lower_entry(_st_gram(p))
+
+
 def doubled_euler_corner(C):
     """``euler_matrix`` with E[0][0] = 2."""
     rows = [list(row) for row in _euler_matrix(C)]
@@ -258,6 +273,7 @@ MUTANTS = {
     "quotient-band-one-short": (singcat, "quotient_by_variables", band_one_short),
     "truncated-first-action-dropped": (singcat, "truncated_module", first_action_dropped),
     "st-gram-entry-raised": (lattice, "st_gram", raised_st_entry),
+    "st-gram-lower-entry-added": (lattice, "st_gram", lower_entry_added),
     "euler-corner-doubled": (lattice, "euler_matrix", doubled_euler_corner),
     "one-var-off-diagonal-flipped": (lattice, "one_var_form", flipped_one_var_form),
 }
@@ -319,6 +335,11 @@ KILL_MATRIX = [
     ("st-gram-entry-raised", "3,3,3", {
         "st-gram-shape": "'rank': 8",
         "comparison-report": "'expected': -4, 'found': -3",
+    }),
+    # compare and the Sebastiani-Thom check read only the upper triangle, so
+    # only a shape check that reads the mirror of the zero (1, 2) sees it
+    ("st-gram-lower-entry-added", "3,3,3", {
+        "st-gram-shape": "'entry': [1, 2], 'expected': 1, 'found': 0",
     }),
     ("euler-corner-doubled", "3,3,3", {
         "euler-gram-shape": "'entry': [0, 0], 'expected': 2, 'found': 4",
