@@ -18,7 +18,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii
@@ -49,29 +48,6 @@ MAX_TWIST_PAIRS = 2**20
 # 2 <= j <= p_i over j degrees: (255,) scans 32639 in about 5 s, within the
 # about 6 s that (33,33) takes under MAX_TWIST_PAIRS
 MAX_SEQUENCE_DEGREES = 2**15
-
-
-# ---------------------------------------------------------------------------
-# verification reports
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """One suite run: its name and its named checks."""
-
-    suite: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +176,10 @@ def _category_output(args, header: str, C: DirectedGradedCategory, verified: boo
 # ---------------------------------------------------------------------------
 # verification suites
 
+# each suite returns its named checks as (name, ok, detail), the detail empty
+# on success, which is what ``suspension.fukaya_checks`` returns
+Check = tuple[str, bool, dict]
+
 
 def _twist_grid(n: int):
     """Deterministic stream of raw degree vectors used by the vanishing scan."""
@@ -210,25 +190,24 @@ def _twist_grid(n: int):
             yield tuple(coeffs) + (b,)
 
 
-def _suite_fukaya(p: tuple[int, ...]) -> VerificationReport:
-    _, checks = fukaya_checks(p)
-    return VerificationReport("fukaya", tuple(CheckResult(*c) for c in checks))
+def _suite_fukaya(p: tuple[int, ...]) -> tuple[Check, ...]:
+    return fukaya_checks(p)[1]
 
 
-def _certified(name: str, rep, **detail) -> CheckResult:
+def _certified(name: str, rep, **detail) -> Check:
     """The check of a certified complex: detail, degrees checked, and the first failures."""
     detail["degrees_checked"] = rep.degrees_checked
     if not rep.ok:
         detail["failures"] = list(rep.failures)[:5]
-    return CheckResult(name, rep.ok, detail)
+    return name, rep.ok, detail
 
 
-def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
+def _suite_singcat(p: tuple[int, ...]) -> tuple[Check, ...]:
     count = prod(pi - 1 for pi in p)
     check_limit(f"ext-agreement pair count {count}^2 =", count * count, MAX_TWIST_PAIRS)
     degrees = sum(pi * (pi + 1) // 2 - 1 for pi in p)
     check_limit("short-exact-sequences degree count", degrees, MAX_SEQUENCE_DEGREES)
-    checks: list[CheckResult] = []
+    checks: list[Check] = []
     # one ring for the three exactness checks, so each piece is built once
     ring = GradedRing(p)
     L = ring.L
@@ -247,7 +226,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     detail = {"pairs": len(twists) ** 2}
     if mismatches:
         detail["mismatches"] = mismatches[:5]
-    checks.append(CheckResult("ext-agreement", not mismatches, detail))
+    checks.append(("ext-agreement", not mismatches, detail))
 
     # distinct degrees outside the monoid: several grid vectors share a normal form
     seen = set()
@@ -270,7 +249,7 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
     detail = {"scanned": scanned}
     if nonzero:
         detail["nonzero"] = nonzero[:5]
-    checks.append(CheckResult("ext-vanishing", not nonzero and scanned > 0, detail))
+    checks.append(("ext-vanishing", not nonzero and scanned > 0, detail))
 
     failing, first = [], None
     for axis in range(1, len(L.p) + 1):
@@ -280,11 +259,11 @@ def _suite_singcat(p: tuple[int, ...]) -> VerificationReport:
                 failing.append([axis, j])
                 first = first or f"axis {axis}, j {j}: {rep.failures[0]}"
     detail = {"failing": failing, "first": first} if failing else {}
-    checks.append(CheckResult("short-exact-sequences", not failing, detail))
+    checks.append(("short-exact-sequences", not failing, detail))
 
     if len(L.p) >= 2:
         checks.append(_certified("koszul-perfect", koszul_perfect_check(ring, window)))
-    return VerificationReport("singcat", tuple(checks))
+    return tuple(checks)
 
 
 def _shape_fault(gram, symmetric: bool) -> dict | None:
@@ -312,21 +291,19 @@ def _shape_fault(gram, symmetric: bool) -> dict | None:
     return None
 
 
-def _suite_lattice(p: tuple[int, ...]) -> VerificationReport:
-    checks: list[CheckResult] = []
+def _suite_lattice(p: tuple[int, ...]) -> tuple[Check, ...]:
     odd = len(p) % 2 == 1
     cmpr = compare(p)
     fault = _shape_fault(cmpr.st, odd)
     detail = {"rank": len(cmpr.st.labels), **(fault or {})}
-    checks.append(CheckResult("st-gram-shape", fault is None, detail))
+    st = ("st-gram-shape", fault is None, detail)
     fault = _shape_fault(cmpr.euler, odd)
-    checks.append(CheckResult("euler-gram-shape", fault is None, fault or {}))
+    euler = ("euler-gram-shape", fault is None, fault or {})
     detail = {"disagreements": len(cmpr.disagreements), "agree": cmpr.agree}
     mismatch = _sebastiani_thom_mismatch(cmpr)
     if mismatch:
         detail["first_mismatch"] = mismatch
-    checks.append(CheckResult("comparison-report", not mismatch, detail))
-    return VerificationReport("lattice", tuple(checks))
+    return st, euler, ("comparison-report", not mismatch, detail)
 
 
 def _sebastiani_thom_mismatch(cmpr) -> dict | None:
@@ -526,35 +503,33 @@ def _cmd_singcat_lemma_k(args, p):
 
 def _cmd_verify(args, p):
     names = ["fukaya", "singcat", "lattice"] if args.suite == "all" else [args.suite]
-    reports = [_SUITES[name](p) for name in names]
-    ok = all(r.ok for r in reports)
+    reports = {name: _SUITES[name](p) for name in names}
+    passed = {name: all(good for _, good, _ in checks) for name, checks in reports.items()}
+    ok = all(passed.values())
     code = 0 if ok else 1
     if args.json:
         return {
             "p": list(p),
             "suites": [
                 {
-                    "suite": r.suite,
-                    "ok": r.ok,
+                    "suite": name,
+                    "ok": passed[name],
                     "checks": [
-                        {"name": c.name, "ok": c.ok, **({"detail": c.detail} if c.detail else {})}
-                        for c in r.checks
+                        {"name": check, "ok": good, **({"detail": detail} if detail else {})}
+                        for check, good, detail in checks
                     ],
                 }
-                for r in reports
+                for name, checks in reports.items()
             ],
             "ok": ok,
         }, code
     lines = [f"p: {p}"]
-    for r in reports:
-        lines.append(f"suite {r.suite}:")
-        for c in r.checks:
-            status = "PASS" if c.ok else "FAIL"
-            extra = ""
-            if c.detail and not c.ok:
-                extra = "  " + json.dumps(c.detail, sort_keys=True)
-            lines.append(f"  {status} {c.name}{extra}")
-        lines.append(f"  => {'PASS' if r.ok else 'FAIL'}")
+    for name, checks in reports.items():
+        lines.append(f"suite {name}:")
+        for check, good, detail in checks:
+            extra = "" if good or not detail else "  " + json.dumps(detail, sort_keys=True)
+            lines.append(f"  {'PASS' if good else 'FAIL'} {check}{extra}")
+        lines.append(f"  => {'PASS' if passed[name] else 'FAIL'}")
     lines.append(f"verify: {'PASS' if ok else 'FAIL'}")
     return lines, code
 

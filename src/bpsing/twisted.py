@@ -1,110 +1,60 @@
-"""Twisted complexes over a directed graded category and their hom complexes.
+"""Cones over a directed graded category and their hom complexes.
 
-A twisted object is a finite list of (object, shift) components with a
-strictly lower triangular degree-1 connecting map delta satisfying
-delta . delta = 0.  Between two twisted objects the morphism spaces of the
-base category assemble into a cochain complex: a component morphism g from
-(X_a, shift s) to (Y_b, shift t) sits in total degree |g| + s - t, and
+The one twisted object the tower builds is the cone of a degree-0 basis
+morphism f.  Component 0 is f's source, shifted up by one; component 1 is
+f's target, unshifted; the connecting map delta is f, from component 0 to
+component 1.  With a single term, delta squares to zero.  Between two cones
+the morphism spaces of the base category assemble into a cochain complex: a
+component morphism g from component a of X to component b of Y sits in total
+degree |g| + b - a, and
 
-    d(phi) = delta_Y . phi - (-1)^{|phi|} phi . delta_X.
+    d(phi) = f_Y . phi - (-1)^{|phi|} phi . f_X,
 
-Composition of cochains is plain componentwise composition; all signs of the
-construction live in the differential.  The base category must have zero
-differential, which every category built in this package does.
+where f_Y postcomposes the entries that end in component 0 of Y and f_X
+precomposes the entries that start in component 1 of X.  Composition of
+cochains is plain componentwise composition; all signs of the construction
+live in the differential.  The base category must have zero differential,
+which every category built in this package does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .dgcat import DirectedGradedCategory, MorRef
-from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, Vec, complex_cohomology, exact
+from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, Vec, complex_cohomology
 
 Entry = tuple[int, int, int]  # (source component, target component, basis index)
 
 
 @dataclass(frozen=True)
-class TwistedObject:
-    """Components with shifts plus a strictly triangular Maurer-Cartan delta."""
+class Cone:
+    """Cone of the degree-0 basis morphism f: f's source with shift 1, then
+    f's target with shift 0, joined by f.  Built by ``cone``, which checks f."""
 
     category: DirectedGradedCategory
-    components: tuple[tuple[object, int], ...]
-    delta: Mapping[tuple[int, int], Mapping[int, int | Fraction]]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("a twisted object needs at least one component")
-        cat = self.category
-        for label, shift in self.components:
-            cat.object_index(label)  # raises KeyError on unknown labels
-            if not isinstance(shift, int):
-                raise ValueError("shifts must be integers")
-        clean: dict[tuple[int, int], dict[int, int | Fraction]] = {}
-        for (a, b), entry in self.delta.items():
-            if not (0 <= a < b < len(self.components)):
-                raise ValueError("delta must be strictly triangular")
-            basis = cat.hom(self._oidx(a), self._oidx(b))
-            cleaned = {int(k): c for k, v in entry.items() if (c := exact(v))}
-            for idx, _ in cleaned.items():
-                if not 0 <= idx < len(basis):
-                    raise ValueError("delta references a missing basis morphism")
-                total = basis[idx] + self.components[a][1] - self.components[b][1]
-                if total != 1:
-                    raise ValueError(f"delta entry has total degree {total}, expected 1")
-            if cleaned:
-                clean[(a, b)] = cleaned
-        object.__setattr__(self, "delta", clean)
-        self._check_square_zero()
+    f: MorRef
 
     def _oidx(self, a: int) -> int:
-        return self.category.object_index(self.components[a][0])
-
-    def _check_square_zero(self):
-        cat = self.category
-        m = len(self.components)
-        for a in range(m):
-            for c in range(a + 2, m):
-                acc: dict[int, int | Fraction] = {}
-                for b in range(a + 1, c):
-                    first = self.delta.get((a, b))
-                    second = self.delta.get((b, c))
-                    if not first or not second:
-                        continue
-                    for k1, v1 in first.items():
-                        f = MorRef(self._oidx(a), self._oidx(b), k1)
-                        for k2, v2 in second.items():
-                            g = MorRef(self._oidx(b), self._oidx(c), k2)
-                            for ridx, rv in cat.compose(g, f).items():
-                                acc[ridx] = acc.get(ridx, 0) + v1 * v2 * rv
-                if any(v != 0 for v in acc.values()):
-                    raise ValueError(f"delta squared is nonzero between components {a} and {c}")
-
-    def shift_of(self, a: int) -> int:
-        return self.components[a][1]
+        """The object index of component a."""
+        return self.f.tgt if a else self.f.src
 
 
-def single(C: DirectedGradedCategory, label, shift: int = 0) -> TwistedObject:
-    """A plain object viewed as a one-component twisted object."""
-    return TwistedObject(C, ((label, shift),), {})
-
-
-def cone(C: DirectedGradedCategory, f: MorRef) -> TwistedObject:
+def cone(C: DirectedGradedCategory, f: MorRef) -> Cone:
     """Cone of a degree-0 basis morphism: source shifted up, connecting map f."""
     if not isinstance(f, MorRef):
         raise TypeError("cone needs a basis morphism reference")
-    basis = C.hom(f.src, f.tgt)
-    if not 0 <= f.idx < len(basis):
+    if not 0 <= f.idx < len(C.hom(f.src, f.tgt)):
         raise ValueError("cone of a missing morphism")
     if C.degree(f) != 0:
         raise ValueError("cone requires a degree-0 morphism")
-    components = ((C.objects[f.src], 1), (C.objects[f.tgt], 0))
-    return TwistedObject(C, components, {(0, 1): {f.idx: 1}})
+    return Cone(C, f)
 
 
 class HomComplex:
-    """The hom cochain complex between two twisted objects, with its cohomology.
+    """The hom cochain complex between two cones, with its cohomology.
 
     Computing the cohomology checks d . d = 0 in every degree, so a
     differential that does not square to zero raises ComplexError here.
@@ -112,21 +62,17 @@ class HomComplex:
 
     __slots__ = ("X", "Y", "basis", "position", "_diff", "cohomology")
 
-    def __init__(self, X: TwistedObject, Y: TwistedObject):
+    def __init__(self, X: Cone, Y: Cone):
         if X.category is not Y.category and X.category != Y.category:
-            raise ValueError("twisted objects live in different categories")
+            raise ValueError("cones live in different categories")
         self.X = X
         self.Y = Y
         cat = X.category
         by_degree: dict[int, list[Entry]] = {}
-        for a in range(len(X.components)):
-            ia = X._oidx(a)
-            sa = X.shift_of(a)
-            for b in range(len(Y.components)):
-                jb = Y._oidx(b)
-                tb = Y.shift_of(b)
-                for idx, deg in enumerate(cat.hom(ia, jb)):
-                    by_degree.setdefault(deg + sa - tb, []).append((a, b, idx))
+        for a in (0, 1):
+            for b in (0, 1):
+                for idx, deg in enumerate(cat.hom(X._oidx(a), Y._oidx(b))):
+                    by_degree.setdefault(deg + b - a, []).append((a, b, idx))
         self.basis = {d: tuple(v) for d, v in sorted(by_degree.items())}
         self.position = {
             elt: (d, i) for d, elts in self.basis.items() for i, elt in enumerate(elts)
@@ -168,20 +114,16 @@ class HomComplex:
 
         for col, (a, b, idx) in enumerate(self.basis.get(d, ())):
             m = MorRef(X._oidx(a), Y._oidx(b), idx)
-            # postcompose with delta_Y, then precompose with delta_X under the
-            # Koszul sign on the cochain degree
-            for (b1, b2), entry in Y.delta.items():
-                if b1 == b:
-                    for k, c in entry.items():
-                        add(col, a, b2, c, compose(MorRef(Y._oidx(b), Y._oidx(b2), k), m))
-            for (a0, a1), entry in X.delta.items():
-                if a1 == a:
-                    for k, c in entry.items():
-                        add(col, a0, b, sign * c, compose(m, MorRef(X._oidx(a0), X._oidx(a), k)))
+            # postcompose with Y's connecting map, then precompose with X's
+            # under the Koszul sign on the cochain degree
+            if b == 0:
+                add(col, a, 1, 1, compose(Y.f, m))
+            if a == 1:
+                add(col, 0, b, sign, compose(m, X.f))
         return RatMatrix(entries, cols=cols)
 
 
-def hom_complex(X: TwistedObject, Y: TwistedObject) -> HomComplex:
+def hom_complex(X: Cone, Y: Cone) -> HomComplex:
     return HomComplex(X, Y)
 
 
@@ -214,7 +156,7 @@ def cohomology(H: HomComplex) -> TwistedCohomology:
     return TwistedCohomology(H)
 
 
-def rebind(h: HomComplex, X: TwistedObject, Y: TwistedObject) -> HomComplex:
+def rebind(h: HomComplex, X: Cone, Y: Cone) -> HomComplex:
     """``h`` for another pair X, Y whose hom complex has the same tables.
 
     The basis, position table, differentials and cohomology are h's, shared
@@ -236,7 +178,7 @@ Class = tuple[int, tuple[int | Fraction, ...]]
 def identity_class(h_xx: HomComplex) -> Class:
     """The class of the identity cocycle in End(X)."""
     vec = [0] * h_xx.dim(0)
-    for a in range(len(h_xx.X.components)):
+    for a in (0, 1):
         d, pos = h_xx.position[(a, a, 0)]
         if d != 0:
             raise ValueError("identity entry off degree zero")

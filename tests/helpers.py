@@ -7,10 +7,10 @@ from typing import Mapping, Sequence
 
 from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
-from bpsing.exactlin import RatMatrix, SparseRow, exact, rref, smith_normal_form
+from bpsing.exactlin import ComplexError, RatMatrix, SparseRow, exact, rref, smith_normal_form
 from bpsing.grading import LDegree
 from bpsing.singcat import FreeComplex, GradedModule, GradedRing, ModuleMap, monomial_label
-from bpsing.twisted import identity_class
+from bpsing.twisted import cone, identity_class
 
 
 def morphism_by_name(C: DirectedGradedCategory, name: str) -> MorRef:
@@ -144,6 +144,58 @@ def from_json_dict(data: Mapping) -> DirectedGradedCategory:
         result = names[item["result"]]
         comp.setdefault((g, f), {})[result.idx] = Fraction(item["coeff"])
     return DirectedGradedCategory(objects, {k: tuple(v) for k, v in homs.items()}, comp)
+
+
+def off_connector_cones(E: DirectedGradedCategory, x) -> list:
+    """Two cones over the three-level extension E that no connector gives: the
+    identity of (x, 3), whose cone is null, and the copy of id_x from (x, 3)
+    down two levels to (x, 1)."""
+    top = E.object_index((x, 3))
+    return [cone(E, E.identity(top)), cone(E, MorRef(top, E.object_index((x, 1)), 0))]
+
+
+def reference_differential(X, Y, d: int) -> RatMatrix:
+    """The degree-d differential of hom(X, Y) as the general twisted-object
+    loop built it, with its own basis.
+
+    Each cone is read as the components ((src, 1), (tgt, 0)) and the delta
+    {(0, 1): {f.idx: 1}} it stands for.  Every delta term of Y is
+    postcomposed and every delta term of X precomposed under the Koszul sign.
+    """
+    cat = X.category
+
+    def unfold(T):
+        return ((T.f.src, 1), (T.f.tgt, 0)), {(0, 1): {T.f.idx: 1}}
+
+    (xs, xdelta), (ys, ydelta) = unfold(X), unfold(Y)
+    by_degree: dict[int, list] = {}
+    for a, (ia, sa) in enumerate(xs):
+        for b, (jb, tb) in enumerate(ys):
+            for idx, deg in enumerate(cat.hom(ia, jb)):
+                by_degree.setdefault(deg + sa - tb, []).append((a, b, idx))
+    position = {elt: (e, i) for e, elts in by_degree.items() for i, elt in enumerate(elts)}
+    basis = by_degree.get(d, [])
+    entries = [[0] * len(basis) for _ in by_degree.get(d + 1, [])]
+    sign = 1 if d % 2 else -1
+
+    def add(col, s, t, coeff, composite):
+        for ridx, rcoeff in composite.items():
+            dd, pos = position[(s, t, ridx)]
+            if dd != d + 1:
+                raise ComplexError("differential is not homogeneous")
+            entries[pos][col] += coeff * rcoeff
+
+    for col, (a, b, idx) in enumerate(basis):
+        m = MorRef(xs[a][0], ys[b][0], idx)
+        for (b1, b2), entry in ydelta.items():
+            if b1 == b:
+                for k, c in entry.items():
+                    add(col, a, b2, c, cat.compose(MorRef(ys[b][0], ys[b2][0], k), m))
+        for (a0, a1), entry in xdelta.items():
+            if a1 == a:
+                for k, c in entry.items():
+                    add(col, a0, b, sign * c, cat.compose(m, MorRef(xs[a0][0], xs[a][0], k)))
+    return RatMatrix(entries, cols=len(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
+from helpers import off_connector_cones
 from test_grading import abelian_group_order_stats, component_group_order_stats
 
 from bpsing.dgcat import (
@@ -39,7 +40,7 @@ from bpsing.singcat import (
     validate_resolution,
 )
 from bpsing.suspension import connector, directed_extension, fukaya_bp
-from bpsing.twisted import cohomology, cone, hom_complex, single
+from bpsing.twisted import cohomology, cone, hom_complex
 
 DESK_P = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4), (3, 3, 3)]
 
@@ -211,7 +212,7 @@ def test_10_property_suites_and_cli_determinism():
     A = tensor_bp((2, 3))
     E = directed_extension(A, 3)
     objs = [cone(E, connector(E, x, j)) for x in A.objects for j in (1, 2)]
-    objs += [single(E, ((1, 1), 3))]
+    objs += off_connector_cones(E, (1, 1))
     for X in objs:
         for Y in objs:
             H = hom_complex(X, Y)

@@ -1,9 +1,9 @@
 """Kill matrix: single-point mutants of the category constructions and the
 routes, each one run through ``verify --suite all`` with ``monkeypatch``.
 
-A row names the mutant, which replaces one module attribute, the exponent
-sequence, and the exact set of named checks that must fail; the run must
-exit 1.  Mutants change the constructions and the routes, never the checks:
+A row names the mutant, which replaces one module or class attribute, the
+exponent sequence, and the exact set of named checks that must fail; the run
+must exit 1.  Mutants change the constructions and the routes, never the checks:
 a weakened check still passes on correct input, so no run could kill it.
 
 Outcomes recorded beside ``KILL_MATRIX``:
@@ -11,8 +11,9 @@ Outcomes recorded beside ``KILL_MATRIX``:
 - With two or more entries, ``category-valid``, ``formality`` and
   ``square-sign-audit`` report the last tower step's own checks, so no
   mutant fails them there.  The five ``a_category`` mutants, the dropped
-  composite, the doubled identity class and the block key without its
-  source fail ``suspension-pipeline`` instead, and the later lines are not
+  composite, the doubled identity class, the block key without its source
+  and the cone differential without its Koszul sign fail
+  ``suspension-pipeline`` instead, and the later lines are not
   printed (``test_last_stage_rechecks_never_fail_first``).  With one entry
   no step runs, and the three lines check the base category.
 - Equivalent mutants: one flipped sign in ``tensor_bp((3, 3))`` is removed
@@ -30,8 +31,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpsing import cli, lattice, singcat, suspension
-from bpsing.cli import CheckResult, VerificationReport
+from bpsing import cli, lattice, singcat, suspension, twisted
 from bpsing.dgcat import (
     DirectedGradedCategory,
     MorRef,
@@ -40,13 +40,14 @@ from bpsing.dgcat import (
     square_sign_audit,
     validate,
 )
-from bpsing.exactlin import ComplexError
+from bpsing.exactlin import ComplexError, RatMatrix
 from bpsing.grading import LGroup
 from bpsing.singcat import GradedModule
 from helpers import drop_one_composite, last_column_zeroed, scaled_identity_class
 
 _suspend = suspension.suspend
 _block_key = suspension._block_key
+_build_differential = twisted.HomComplex._build_differential
 _a_category = suspension.a_category
 _tensor_bp = suspension.tensor_bp
 _form_complex = singcat._form_complex
@@ -127,6 +128,22 @@ def block_key_without_source(x, y, z):
     """``_block_key`` without the source object: blocks over different
     sources with the same middle, target and gaps are shared."""
     return _block_key(x, y, z)[1:]
+
+
+def unsigned_precomposition(H, d):
+    """``HomComplex._build_differential`` with the precomposition term added
+    without its Koszul sign, which is -1 in even degrees: there the term is
+    added twice more."""
+    M = _build_differential(H, d)
+    if d % 2:
+        return M
+    X, Y = H.X, H.Y
+    rows = [list(row) for row in M.entries]
+    for col, (a, b, idx) in enumerate(H.basis.get(d, ())):
+        if a == 1:
+            for ridx, c in X.category.compose(MorRef(X.f.tgt, Y._oidx(b), idx), X.f).items():
+                rows[H.position[(0, b, ridx)][1]][col] += 2 * c
+    return RatMatrix(rows, cols=M.cols)
 
 
 def reversed_tower_label(x, j):
@@ -259,6 +276,8 @@ TOWER_MUTANTS = {
     "doubled-hom": (suspension, "a_category", doubled_hom),
     "identity-class-doubled": (suspension, "identity_class", scaled_identity_class(2)),
     "block-key-without-source": (suspension, "_block_key", block_key_without_source),
+    "cone-koszul-sign-dropped": (
+        twisted.HomComplex, "_build_differential", unsigned_precomposition),
 }
 MUTANTS = {
     **TOWER_MUTANTS,
@@ -282,6 +301,10 @@ MUTANTS = {
 KILL_MATRIX = [
     ("suspend-drops-a-composite", "3,3", {"suspension-pipeline": "gauge comparison failed"}),
     ("identity-class-doubled", "3,3", {"suspension-pipeline": "left unit fails for"}),
+    # a hom complex between the cones of (3,3) then no longer squares to zero
+    ("cone-koszul-sign-dropped", "3,3", {
+        "suspension-pipeline": "d_out composed with d_in is nonzero",
+    }),
     ("block-key-without-source", "3,3,3", {
         "suspension-pipeline": "right unit fails for ((2,), 1)->((2,), 2)#0",
     }),
@@ -418,33 +441,24 @@ def test_every_named_check_is_killed_by_a_row(capsys):
 def reference_suite_fukaya(p):
     """The fukaya suite as it was before ``suspension.fukaya_checks``: the
     verified tower, then validation, the formality scan, the comparison with
-    ``tensor_bp(p)`` and the square audit, all run again on the last stage."""
-    checks = []
-    C = None
+    ``tensor_bp(p)`` and the square audit, all run again on the last stage.
+    Each check is (name, ok, detail), the detail empty on success."""
     try:
         C = suspension.suspension_tower(p, verify=True)[-1]
-        checks.append(CheckResult("suspension-pipeline", True))
     except (ComplexError, suspension.SuspensionError) as exc:
-        checks.append(CheckResult("suspension-pipeline", False, {"error": str(exc)}))
-    if C is not None:
-        violations = validate(C)
-        checks.append(
-            CheckResult(
-                "category-valid", not violations,
-                {"violations": list(violations)[:5]} if violations else {},
-            )
-        )
-        chain = formality_check(C)
-        checks.append(CheckResult("formality", chain is None, chain or {}))
-        g = gauge_isomorphic(C, suspension.tensor_bp(p), {x: x for x in C.objects})
-        checks.append(
-            CheckResult("gauge-vs-tensor", g.ok, {} if g.ok else {"reason": g.reason or ""})
-        )
-        audit = square_sign_audit(C)
-        checks.append(
-            CheckResult("square-sign-audit", not audit, {} if not audit else {"problems": audit[:5]})
-        )
-    return VerificationReport("fukaya", tuple(checks))
+        return (("suspension-pipeline", False, {"error": str(exc)}),)
+    violations = validate(C)
+    chain = formality_check(C)
+    g = gauge_isomorphic(C, suspension.tensor_bp(p), {x: x for x in C.objects})
+    audit = square_sign_audit(C)
+    return (
+        ("suspension-pipeline", True, {}),
+        ("category-valid", not violations,
+         {"violations": list(violations)[:5]} if violations else {}),
+        ("formality", chain is None, chain or {}),
+        ("gauge-vs-tensor", g.ok, {} if g.ok else {"reason": g.reason or ""}),
+        ("square-sign-audit", not audit, {} if not audit else {"problems": audit[:5]}),
+    )
 
 
 ORACLE_CASES = (

@@ -284,7 +284,7 @@ def test_hom_complexes_shared_by_shape_equal_fresh_ones(monkeypatch, p):
     def checking(h, X, Y):
         shared = real(h, X, Y)
         mismatch = _same_tables(shared, hom_complex(X, Y))
-        assert mismatch is None, (p, X.components, Y.components, mismatch)
+        assert mismatch is None, (p, X.f, Y.f, mismatch)
         checked.append(shared)
         return shared
 

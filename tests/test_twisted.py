@@ -8,17 +8,8 @@ from bpsing import suspension
 from bpsing.dgcat import DirectedGradedCategory, MorRef, a_category, tensor_bp
 from bpsing.exactlin import ComplexError
 from bpsing.suspension import connector, directed_extension, fukaya_bp, suspend
-from bpsing.twisted import (
-    TwistedObject,
-    cohomology,
-    compose_classes,
-    cone,
-    hom_complex,
-    identity_class,
-    rebind,
-    single,
-)
-from helpers import apply, densify, morphism_by_name
+from bpsing.twisted import cohomology, compose_classes, cone, hom_complex, identity_class, rebind
+from helpers import apply, densify, morphism_by_name, off_connector_cones, reference_differential
 
 
 def shift_dims(dims, by):
@@ -29,40 +20,17 @@ def chi(dims):
     return sum((-1) ** d * v for d, v in dims.items())
 
 
-def test_single_hom_matches_category_hom():
-    C = tensor_bp((2, 3))
-    X = single(C, (1, 1))
-    Y = single(C, (1, 2))
-    H = hom_complex(X, Y)
-    assert H.dims() == {1: 1}
-    assert cohomology(H).dims == {1: 1}
-    assert cohomology(hom_complex(X, X)).dims == {0: 1}
-    assert cohomology(hom_complex(Y, X)).dims == {}
-
-
 def test_cone_requires_a_degree_zero_basis_morphism():
+    # with one delta term a cone needs no other check: these are its only refusals
     C = tensor_bp((2, 3))
+    with pytest.raises(TypeError, match="cone needs a basis morphism reference"):
+        cone(C, (0, 1, 0))
+    for missing in (MorRef(0, 1, 1), MorRef(1, 0, 0)):
+        with pytest.raises(ValueError, match="cone of a missing morphism"):
+            cone(C, missing)
     arrow = morphism_by_name(C, "(1, 1)->(1, 2)#0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cone requires a degree-0 morphism"):
         cone(C, arrow)
-
-
-def test_twisted_object_delta_validation():
-    E = directed_extension(a_category(2), 3)
-    with pytest.raises(ValueError):
-        TwistedObject(E, (((1, 1), 0),), {(0, 0): {0: 1}})
-    with pytest.raises(ValueError):
-        TwistedObject(E, (((1, 2), 1), ((1, 1), 0)), {(1, 0): {0: 1}})
-    # a connector copy with mismatched shifts has total degree != 1
-    with pytest.raises(ValueError):
-        TwistedObject(E, (((1, 2), 0), ((1, 1), 0)), {(0, 1): {0: 1}})
-    # two stacked connectors compose to a copy of the identity
-    with pytest.raises(ValueError):
-        TwistedObject(
-            E,
-            (((1, 3), 2), ((1, 2), 1), ((1, 1), 0)),
-            {(0, 1): {0: 1}, (1, 2): {0: 1}},
-        )
 
 
 def test_cone_of_identity_is_null():
@@ -72,7 +40,7 @@ def test_cone_of_identity_is_null():
     # four nonzero entries: homotopy, two identities, connecting map
     assert ends.dims() == {-1: 1, 0: 2, 1: 1}
     assert cohomology(ends).dims == {}
-    for Z in [single(C, (1, 1)), single(C, (1, 2)), N]:
+    for Z in [N, cone(C, C.identity(1))]:
         assert cohomology(hom_complex(N, Z)).dims == {}
         assert cohomology(hom_complex(Z, N)).dims == {}
 
@@ -114,6 +82,37 @@ def test_case_table_for_cone_homs():
                     assert got == want, (x, j, x2, j2, got, want)
 
 
+def _assert_differentials_match_the_reference(H):
+    for d in set(H.degrees()) | {d - 1 for d in H.degrees()}:
+        assert H.differential(d) == reference_differential(H.X, H.Y, d), (H.X.f, H.Y.f, d)
+
+
+def test_case_table_differentials_match_the_general_delta_loop():
+    for A in [a_category(2), tensor_bp((2, 3))]:
+        for k in (2, 3, 4):
+            E = directed_extension(A, k)
+            cones = [cone(E, connector(E, x, j)) for x in A.objects for j in range(1, k)]
+            for S in cones:
+                for S2 in cones:
+                    _assert_differentials_match_the_reference(hom_complex(S, S2))
+
+
+@pytest.mark.parametrize("p", [(2, 3), (3, 3, 3), (2, 3, 4), (4, 4, 4)])
+def test_tower_differentials_match_the_general_delta_loop(monkeypatch, p):
+    real = suspension.hom_complex
+    checked = []
+
+    def checking(X, Y):
+        H = real(X, Y)
+        _assert_differentials_match_the_reference(H)
+        checked.append(H)
+        return H
+
+    monkeypatch.setattr(suspension, "hom_complex", checking)
+    fukaya_bp(p)
+    assert checked
+
+
 def test_case_table_distinguishes_trivial_from_acyclic():
     A = a_category(2)
     E = directed_extension(A, 4)
@@ -131,7 +130,7 @@ def test_hom_complex_differential_squares_to_zero():
     A = tensor_bp((2, 3))
     E = directed_extension(A, 3)
     objs = [cone(E, connector(E, x, j)) for x in A.objects for j in (1, 2)]
-    objs += [single(E, ((1, 1), 3))]
+    objs += off_connector_cones(E, (1, 1))
     for X in objs:
         for Y in objs:
             H = hom_complex(X, Y)
@@ -157,7 +156,7 @@ def test_cohomology_preserves_euler_characteristic():
     pairs = [
         (cone(E, connector(E, (1, 1), 1)), cone(E, connector(E, (1, 2), 1))),
         (cone(E, connector(E, (1, 1), 2)), cone(E, connector(E, (1, 1), 1))),
-        (single(E, ((1, 1), 2)), cone(E, connector(E, (1, 2), 2))),
+        (off_connector_cones(E, (1, 1))[1], cone(E, connector(E, (1, 2), 2))),
     ]
     for X, Y in pairs:
         H = hom_complex(X, Y)
