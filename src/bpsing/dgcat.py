@@ -10,7 +10,9 @@ spanned by the identity.
 The composition table is stored explicitly (missing entry = zero composite),
 so deliberately broken tables can be built and then caught by ``validate``.
 A tensor product builds its table on the first read of ``_comp`` and keeps it
-from then on; a route that reads only hom dimensions never builds it.
+from then on; a route that reads only hom dimensions never builds it.  The
+stacked copies of ``suspension.directed_extension`` store no table of their
+own: theirs is a read-only view of the stacked category's.
 """
 
 from __future__ import annotations
@@ -54,10 +56,16 @@ class DirectedGradedCategory:
     compositions are filled in strictly unless explicitly supplied, and a
     supplied one is kept even when empty, so that ``validate`` sees it.
 
-    Instances are immutable.  A product from ``tensor`` leaves ``_comp`` unset
-    and holds a pending table instead, which the first read of ``_comp``
-    builds; no table changes once it exists, which is what lets ``relabel``
-    share the tables, pending or built, of the category it renames.
+    Instances are immutable, and ``_comp`` takes one of three forms, each
+    read through ``get``, ``[]``, ``in``, ``len`` and iteration alike:
+    - a dict, from ``__init__`` or a builder such as ``suspend``;
+    - a pending product: ``tensor`` leaves ``_comp`` unset and holds a
+      ``_ProductTable`` instead, which the first read of ``_comp`` builds into
+      a dict;
+    - an extension view: ``suspension.directed_extension`` stores a read-only
+      mapping that answers each composite from the stacked category's table.
+    No table changes once it exists, which is what lets ``relabel`` share the
+    tables, pending, built or viewed, of the category it renames.
     """
 
     __slots__ = ("objects", "_index", "_homs", "_comp", "_from", "_pending")
@@ -95,7 +103,9 @@ class DirectedGradedCategory:
     def _keep(self, objects: tuple, homs: dict, comp, from_index=None):
         """Take tables already in the form ``__init__`` gives them, without copying.
 
-        ``comp`` may be a pending ``_ProductTable``, built on the first read of ``_comp``.
+        ``comp`` may be a pending ``_ProductTable``, built on the first read of
+        ``_comp``, or any read-only mapping in that form, such as the extension
+        view of ``suspension.directed_extension``, which is kept as it is.
         """
         index = {label: i for i, label in enumerate(objects)}
         pending = comp if isinstance(comp, _ProductTable) else None
@@ -356,8 +366,8 @@ def relabel(C: DirectedGradedCategory, mapping: Mapping) -> DirectedGradedCatego
     """Rename objects through ``mapping``, keeping their order.
 
     No index changes, so the result shares C's hom and composition tables,
-    a pending one included, which is then built once for both; only the
-    labels and their index are new.
+    a pending one included, which is then built once for both, and an
+    extension view; only the labels and their index are new.
     """
     objects = tuple(mapping[label] for label in C.objects)
     if len(set(objects)) != len(objects):

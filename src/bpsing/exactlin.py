@@ -96,9 +96,6 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def column(self, j: int) -> Vec:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
 
 def _eliminate(entries: list[list], cols: int) -> tuple[list[list], list[int], list]:
     """Row reduce in place to reduced echelon form; return (rows, pivot columns, pivots).

@@ -156,9 +156,6 @@ class LGroup:
             a.append(s)
         return LDegree(tuple(a), b)
 
-    def neg(self, d: LDegree) -> LDegree:
-        return self.normalize(tuple(-u for u in d.raw()))
-
     def scale(self, k: int, d: LDegree) -> LDegree:
         return self.normalize(tuple(k * u for u in d.raw()))
 

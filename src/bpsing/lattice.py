@@ -107,7 +107,12 @@ def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
         for b in itertools.compress(range(len(e_row)), e_row):
             rows[a][b] += sign * e_row[b]
             rows[b][a] += mirror * e_row[b]
-    return BilinearLattice(C.objects, tuple(map(tuple, rows)), symmetric=odd)
+    # drop E and turn each row into its tuple in place, so that no more than
+    # the rows and one copy of a row outlive the mirror
+    del E
+    for a, row in enumerate(rows):
+        rows[a] = tuple(row)
+    return BilinearLattice(C.objects, tuple(rows), symmetric=odd)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ tensor product of the levels k > ... > 1 (all morphisms in degree 0) with A.
 Objects are pairs (X, j) for X in A and 1 <= j <= k, higher j first and A's
 order inside each level; hom_A is copied between levels j >= j', and each
 object gains a degree-0 copy e_{X,j} of the identity from (X, j+1) to (X, j).
+Each level hom is one degree-0 morphism and each level composite is 1 at
+index 0, so the product's composite of g after f is A's composite of the
+morphisms they copy, over the same basis indices, and its Koszul sign
+(-1)^(|level| |A part|) is +1.  So the extension builds no composition
+table: its table is a read-only view that looks each composite up in A's.
 
 ``suspend(A, k)`` forms the cones S_{X,j} = Cone(e_{X,j}) for j < k, computes
 all hom-complex cohomologies between them, and assembles a new directed
@@ -34,6 +39,7 @@ gaps fix the third only when both lie in [-1, 1].
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
 from typing import Iterable
@@ -78,18 +84,73 @@ def directed_extension(A: DirectedGradedCategory, k: int) -> DirectedGradedCateg
     hom((X, j), (X', j')) is a copy of hom_A(X, X') when j >= j' (the copy of
     the identity appearing only for j > j'), and zero when j < j'.  It is the
     tensor product with A of the levels k > ... > 1, which have one degree-0
-    morphism down each gap and every composite 1, so no Koszul sign appears.
+    morphism down each gap and every composite 1.
+
+    So E's composite of g after f is A's composite of the morphisms they copy,
+    over the same basis indices: the level factor is 1 at index 0, and the
+    Koszul sign, (-1) to a level degree times an A degree, is +1 because every
+    level degree is 0.  E's table is a view of A's (``_ExtensionTable``), and
+    nothing is composed here.  A zero identity composite of A stays zero in
+    the view, where the product would give the strict unit; ``suspend``
+    refuses such an A first.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError("stacking needs at least two levels")
     check_limit("object count", k * len(A.objects), dgcat.MAX_RANK)
-    # the levels store comb(k + 2, 3) composites, one per chain a <= b <= c
+    # E answers for comb(k + 2, 3) copies of each of A's composites, one per
+    # level chain a <= b <= c, all looked up and none stored
     check_limit("composite count", comb(k + 2, 3) * A._composite_count(), dgcat.MAX_COMPOSITES)
-    homs = {(a, b): (0,) for b in range(k) for a in range(b)}
-    refs, one = {pair: MorRef(*pair, 0) for pair in homs}, {0: 1}
-    levels = DirectedGradedCategory(range(k, 0, -1), homs, {
-        (refs[b, c], refs[a, b]): one for a, b in homs for c in range(b + 1, k)})
-    return relabel(tensor(levels, A), {(j, x): (x, j) for j in levels.objects for x in A.objects})
+    n = len(A.objects)
+    objects = tuple((x, j) for j in range(k, 0, -1) for x in A.objects)
+    # level index 0 is level k, so (x, j) has index (k - j) * n + index of x
+    homs = {(lf * n + a, lg * n + b): degs
+            for (a, b), degs in A._homs.items() for lf in range(k) for lg in range(lf, k)}
+    table = _ExtensionTable(A._comp, n, k)
+    return object.__new__(DirectedGradedCategory)._keep(objects, homs, table)
+
+
+class _ExtensionTable(Mapping):
+    """The composition table of ``directed_extension(A, k)``, read from A's.
+
+    With f from (a, lf) to (b, lg) and g from (b, lg) to (c, lh), in level
+    indices (level k first) with lf <= lg <= lh, the entry of (g, f) is A's
+    of (b -> c #g.idx, a -> b #f.idx); any other pair has none.  Each of A's
+    entries appears once per level chain, comb(k + 2, 3) times.
+    """
+
+    __slots__ = ("_table", "_n", "_k")
+
+    def __init__(self, table: Mapping, n: int, k: int):
+        self._table, self._n, self._k = table, n, k
+
+    def get(self, key, default=None):
+        (gs, gt, gi), (fs, ft, fi) = key
+        if gs != ft:
+            return default
+        n = self._n
+        (lf, a), (lg, b), (lh, c) = divmod(fs, n), divmod(gs, n), divmod(gt, n)
+        if not 0 <= lf <= lg <= lh < self._k:
+            return default
+        # A's keys are MorRefs, which hash and compare as plain tuples
+        return self._table.get(((b, c, gi), (a, b, fi)), default)
+
+    def __getitem__(self, key):
+        entry = self.get(key)
+        if entry is None:
+            raise KeyError(key)
+        return entry
+
+    def __iter__(self):
+        n, k = self._n, self._k
+        for lf in range(k):
+            for lg in range(lf, k):
+                for lh in range(lg, k):
+                    for g, f in self._table:
+                        yield (MorRef(lg * n + g.src, lh * n + g.tgt, g.idx),
+                               MorRef(lf * n + f.src, lg * n + f.tgt, f.idx))
+
+    def __len__(self) -> int:
+        return comb(self._k + 2, 3) * len(self._table)
 
 
 def connector(E: DirectedGradedCategory, x, j: int) -> MorRef:

@@ -88,9 +88,6 @@ class HomComplex:
     def dim(self, d: int) -> int:
         return len(self.basis.get(d, ()))
 
-    def dims(self) -> dict[int, int]:
-        return {d: len(v) for d, v in self.basis.items()}
-
     def differential(self, d: int) -> RatMatrix:
         got = self._diff.get(d)
         if got is not None:

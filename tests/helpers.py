@@ -8,9 +8,9 @@ from typing import Mapping, Sequence
 from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
 from bpsing.exactlin import ComplexError, RatMatrix, SparseRow, exact, rref, smith_normal_form
-from bpsing.grading import LDegree
+from bpsing.grading import LDegree, LGroup
 from bpsing.singcat import FreeComplex, GradedModule, GradedRing, ModuleMap, monomial_label
-from bpsing.twisted import cone, identity_class
+from bpsing.twisted import HomComplex, cone, identity_class
 
 
 def morphism_by_name(C: DirectedGradedCategory, name: str) -> MorRef:
@@ -74,6 +74,11 @@ def count_table_builds(monkeypatch) -> list:
 
 def identity_matrix(n: int) -> RatMatrix:
     return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def column(M: RatMatrix, j: int) -> tuple:
+    """Column j of M, top to bottom."""
+    return tuple(row[j] for row in M.entries)
 
 
 def matrix_sum(A: RatMatrix, B: RatMatrix) -> RatMatrix:
@@ -198,8 +203,18 @@ def reference_differential(X, Y, d: int) -> RatMatrix:
     return RatMatrix(entries, cols=len(basis))
 
 
+def chain_dims(H: HomComplex) -> dict[int, int]:
+    """Dimension of each nonzero degree of a hom complex, before cohomology."""
+    return {d: len(v) for d, v in H.basis.items()}
+
+
 # ---------------------------------------------------------------------------
 # graded rings and modules
+
+
+def negative(L: LGroup, d: LDegree) -> LDegree:
+    """The additive inverse of d in the grading group L."""
+    return L.normalize(tuple(-u for u in d.raw()))
 
 
 def monomial(ring: GradedRing, exponents: Sequence[int], coeff=1) -> dict:

@@ -10,6 +10,7 @@ whole composition table).
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -210,6 +211,34 @@ RANDOM_CATEGORIES = [random_rational_category(random.Random(seed), 4) for seed i
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_directed_extension_matches_reference(A, k):
     assert_same_category(directed_extension(A, k), reference_directed_extension(A, k))
+
+
+@pytest.mark.parametrize(
+    "A", [a_category(3), tensor_bp((3, 3))] + RANDOM_CATEGORIES,
+    ids=["A3", "bp33", "rand1", "rand4", "rand10"],
+)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_extension_view_answers_every_pair_as_the_built_table(A, k):
+    """The view reads A's table; the reference composes every pair.  They
+    agree on every key g after f with g.src == f.tgt, zero composites
+    included, and also where a hom is missing (up the stack, or a basis
+    index past the hom's end) or an object index lies outside E; pairs with
+    g.src != f.tgt give nothing on both sides; and both hold the same keys."""
+    E, ref = directed_extension(A, k), reference_directed_extension(A, k)
+    view, table = E._comp, ref._comp
+    objects, indices = range(-1, len(E.objects) + 1), range(3)
+    for i, j, l in product(objects, repeat=3):
+        for gi, fi in product(indices, repeat=2):
+            key = (MorRef(j, l, gi), MorRef(i, j, fi))
+            assert view.get(key) == table.get(key), key
+            assert (key in view) == (key in table), key
+    for g, f in product(ref.morphisms(), repeat=2):
+        assert ((g, f) in view) == ((g, f) in table), (g, f)
+    assert len(view) == len(table)
+    assert sorted(view) == sorted(table)
+    with pytest.raises(KeyError):
+        view[(E.identity(0), E.identity(1))]
+    assert E == ref and ref == E
 
 
 def test_random_extension_inputs_go_beyond_unit_tables():

@@ -192,12 +192,12 @@ def test_each_product_table_is_built_once(monkeypatch, capsys):
     assert built == []
     assert R._comp is C._comp is relabel(C, {x: x for x in C.objects})._comp
     assert len(built) == 1 and built[0] is C._homs
-    # each of the two tower steps builds its stacked copies and the tensor
-    # model it is checked against, and the last check reads tensor_bp's two
-    # stages, all of them shared by relabels
+    # each of the two tower steps builds the tensor model it is checked
+    # against, and the last check reads tensor_bp's two stages, all of them
+    # shared by relabels; the stacked copies read A's table and build none
     built.clear()
     assert cli.run(["fukaya", "--p", "3,3,3", "--verify"]) == 0
-    assert len(built) == len({id(homs) for homs in built}) == 6
+    assert len(built) == len({id(homs) for homs in built}) == 4
 
 
 def test_tensor_bp_object_order_and_degrees():

@@ -22,7 +22,7 @@ from bpsing.exactlin import (
     solve_integer,
     solve_mod2,
 )
-from helpers import apply, assert_exact, densify, identity_matrix, integer_kernel, matrix_sum
+from helpers import apply, assert_exact, column, densify, identity_matrix, integer_kernel, matrix_sum
 
 
 def bareiss_rank(entries):
@@ -349,7 +349,7 @@ def greedy_cohomology(d_in, d_out):
     n = d_in.rows
     _, kernel = rank_kernel(d_out)
     _, in_pivots = rref(d_in)
-    image = [d_in.column(c) for c in in_pivots]
+    image = [column(d_in, c) for c in in_pivots]
     span = [list(v) for v in image]
     span, _, _ = _eliminate(span, n) if span else (span, [], [])
     reps = []

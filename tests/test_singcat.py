@@ -50,6 +50,7 @@ from helpers import (
     module_violations,
     monomial,
     multiply,
+    negative,
     piece_basis,
     piece_bases,
     reference_map_validate,
@@ -95,7 +96,7 @@ def test_ring_pieces():
     assert R.piece(L.zero()) == ((0, 0),)
     assert R.piece(L.scale(3, L.x(2))) == ((0, 3),)
     assert R.piece(L.normalize((1, 2, 0))) == ((1, 2),)
-    assert R.piece(L.neg(L.x(1))) == ()
+    assert R.piece(negative(L, L.x(1))) == ()
     assert R.monomials_of_weight(6) == ((0, 3),)
     assert R.monomials_of_weight(5) == ((1, 1),)
 
@@ -644,7 +645,7 @@ def dual_complex(res):
     L = res.ring.L
     return FreeComplex(
         res.ring,
-        {-i: tuple(L.neg(g) for g in degs) for i, degs in res.terms.items()},
+        {-i: tuple(negative(L, g) for g in degs) for i, degs in res.terms.items()},
         {
             -i - 1: [[row[c] for row in mat] for c in range(res.rank(i))]
             for i, mat in res.diffs.items()
@@ -697,7 +698,7 @@ def test_truncated_module_shape():
     assert M.degrees() == [L.zero(), L.x(2), L.scale(2, L.x(2))]
     assert all(M.dim(d) == 1 for d in M.degrees())
     assert module_violations(M) == ()
-    twisted = truncated_module(R, 2, 1, twist=L.neg(L.x(2)))
+    twisted = truncated_module(R, 2, 1, twist=negative(L, L.x(2)))
     assert twisted.degrees() == [L.x(2)]
     with pytest.raises(ValueError):
         truncated_module(R, 2, 4)
@@ -819,7 +820,7 @@ def test_lemma_k_sequences_hold():
 def test_exact_sequence_check_locates_failures():
     ring = GradedRing((2, 3))
     L = ring.L
-    sub = truncated_module(ring, 2, 1, twist=L.neg(L.x(2)))
+    sub = truncated_module(ring, 2, 1, twist=negative(L, L.x(2)))
     mid = truncated_module(ring, 2, 2)
     quo = truncated_module(ring, 2, 1)
     incl = ModuleMap(sub, mid, {})

@@ -31,7 +31,7 @@ from bpsing.suspension import (
     verify_suspension,
 )
 from bpsing.twisted import compose_classes, cone, hom_complex, identity_class, rebind
-from helpers import drop_one_composite, scaled_identity_class
+from helpers import chain_dims, count_table_builds, drop_one_composite, scaled_identity_class
 
 
 def test_directed_extension_refuses_object_counts_above_the_limit(monkeypatch):
@@ -50,9 +50,10 @@ def test_directed_extension_refuses_composite_counts_above_the_limit(monkeypatch
     assert len(directed_extension(A, 4)._comp) == 80
 
     def unreachable(*args):
-        raise AssertionError("the level category was built before the check")
+        raise AssertionError("the extension was built before the check")
 
     monkeypatch.setattr(suspension, "DirectedGradedCategory", unreachable)
+    monkeypatch.setattr(suspension, "_ExtensionTable", unreachable)
     with pytest.raises(ValueError, match="composite count 140 exceeds the limit 80"):
         directed_extension(A, 5)
 
@@ -68,6 +69,14 @@ def test_directed_extension_refuses_a_pending_factor_before_building_it(monkeypa
     # the levels 2 > 1 store comb(4, 3) = 4 composites
     with pytest.raises(ValueError, match="composite count 280 exceeds the limit 279"):
         directed_extension(P, 2)
+
+
+@pytest.mark.parametrize("A, k", [(a_category(3), 4), (tensor_bp((3, 3)), 3)])
+def test_suspend_builds_no_stacked_composition_table(monkeypatch, A, k):
+    A._comp  # A's own table, built before counting
+    built = count_table_builds(monkeypatch)
+    suspend(A, k)
+    assert built == []
 
 
 def test_directed_extension_structure():
@@ -268,7 +277,7 @@ def _same_tables(H, F):
     for d in set(H.degrees()) | {d - 1 for d in H.degrees()}:
         if H.differential(d) != F.differential(d):
             return f"differential {d}"
-    if H.dims() != F.dims() or H.cohomology.dims != F.cohomology.dims:
+    if chain_dims(H) != chain_dims(F) or H.cohomology.dims != F.cohomology.dims:
         return "dims"
     for d in H.degrees():
         if H.cohomology.representatives(d) != F.cohomology.representatives(d):
