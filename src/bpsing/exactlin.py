@@ -3,7 +3,11 @@
 Every number here is in exact form (``exact``): an ``int`` when integral, a
 ``Fraction`` only when truly rational.  ``RatMatrix`` stores, and every routine
 returns, that form, so integral data stays in integer arithmetic and only
-elimination divides.  Smith normal form and integer solutions take integer
+elimination divides.  Every rational routine (``rref``, ``rank``,
+``rank_kernel``, ``solve``, ``det``, ``complex_cohomology``) runs on one
+elimination kernel over sparse rows, each a dict from column to nonzero
+entry, so it reads and writes only nonzero entries; ``rank_rows`` ranks
+such rows directly.  Smith normal form and integer solutions take integer
 matrices; the cohomology of a two-step complex picks representatives
 deterministically.  No float ever enters, and identical inputs produce
 identical outputs (pivots are chosen by fixed scan order).
@@ -97,54 +101,81 @@ class RatMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
 
-def _eliminate(entries: list[list], cols: int) -> tuple[list[list], list[int], list]:
-    """Row reduce in place to reduced echelon form; return (rows, pivot columns, pivots).
+def _rows(M: RatMatrix) -> list[dict]:
+    """The rows of M as sparse rows: column -> nonzero entry, never a stored zero."""
+    return [{c: x for c, x in enumerate(row) if x} for row in M.entries]
 
-    Pivot selection is the first nonzero entry scanning down each column, so
-    the result is deterministic.  Each pivot is taken before its row is
-    normalized and negated when a row swap brought it into place, so for a
-    square matrix of full rank their product is the determinant.  Unit pivots
-    keep int rows int; the rows may end with integral Fractions, which callers make exact.
+
+def _eliminate(rows: list[dict], cols: int) -> tuple[list[dict], list[int], list]:
+    """Row reduce sparse rows in place to reduced echelon form; return (rows,
+    pivot columns, pivots).
+
+    A row maps a column to its nonzero entry and stores no zero, so ``c in
+    row`` tests an entry and a row operation touches only nonzero entries,
+    writing fill-in where the target row held zero and deleting every entry
+    that cancels.  Pivot selection is the first row, in current order, with
+    an entry in each column, scanning columns left to right, so the result
+    is deterministic.  Each pivot is taken before its row is normalized and
+    negated when a row swap brought it into place, so for a square matrix
+    of full rank their product is the determinant.  Unit pivots keep int
+    rows int; the rows may end with integral Fractions, which callers make
+    exact.
     """
     pivots: list[int] = []
     values: list = []
-    r = 0
+    r, n = 0, len(rows)
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(entries)):
-            if entries[i][c] != 0:
-                pivot_row = i
+        if r == n:
+            break
+        for pivot_row in range(r, n):
+            if c in rows[pivot_row]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        entries[r], entries[pivot_row] = entries[pivot_row], entries[r]
-        values.append(entries[r][c] if pivot_row == r else -entries[r][c])
-        if entries[r][c] == -1:
-            entries[r] = [-x for x in entries[r]]
-        elif entries[r][c] != 1:
-            inv = Fraction(1) / entries[r][c]  # never 1 / pivot, a float on ints
-            entries[r] = [x * inv for x in entries[r]]
-        for i in range(len(entries)):
-            if i != r and entries[i][c] != 0:
-                factor = entries[i][c]
-                entries[i] = [a - factor * b for a, b in zip(entries[i], entries[r])]
+        row = rows[pivot_row]
+        rows[pivot_row] = rows[r]
+        x = row[c]
+        values.append(x if pivot_row == r else -x)
+        if x == -1:
+            row = {k: -v for k, v in row.items()}
+        elif x != 1:
+            inv = Fraction(1) / x  # never 1 / pivot, a float on ints
+            row = {k: v * inv for k, v in row.items()}
+        rows[r] = row
+        for i, other in enumerate(rows):
+            factor = other.get(c)
+            if factor is None or i == r:
+                continue
+            for k, v in row.items():
+                if k in other:
+                    s = other[k] - factor * v
+                    if s:
+                        other[k] = s
+                    else:
+                        del other[k]
+                else:
+                    other[k] = -factor * v
         pivots.append(c)
         r += 1
-        if r == len(entries):
-            break
-    return entries, pivots, values
+    return rows, pivots, values
 
 
 def rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form together with the pivot column indices."""
-    entries = [list(row) for row in M.entries]
-    entries, pivots, _ = _eliminate(entries, M.cols)
-    return RatMatrix(entries, cols=M.cols), tuple(pivots)
+    rows, pivots, _ = _eliminate(_rows(M), M.cols)
+    dense = [[row.get(c, 0) for c in range(M.cols)] for row in rows]
+    return RatMatrix(dense, cols=M.cols), tuple(pivots)
 
 
 def rank(M: RatMatrix) -> int:
-    """Rank: the pivot count of the elimination in rref, without building the reduced matrix."""
-    return len(_eliminate([list(row) for row in M.entries], M.cols)[1])
+    """Rank: the pivot count of the elimination of M's rows."""
+    return rank_rows(_rows(M), M.cols)
+
+
+def rank_rows(rows: list[dict], cols: int) -> int:
+    """Rank of sparse rows (column -> nonzero entry) of width ``cols``, which
+    the elimination reduces in place."""
+    return len(_eliminate(rows, cols)[1])
 
 
 def rank_kernel(M: RatMatrix) -> tuple[int, list[Vec]]:
@@ -152,18 +183,20 @@ def rank_kernel(M: RatMatrix) -> tuple[int, list[Vec]]:
 
     Each kernel vector has 1 at one free column and the pivot-column entries
     forced by back substitution; vectors are listed in free-column order.
+    A reduced row holds 1 at its pivot and nothing at any other pivot
+    column, so each of its other entries sits at a free column f and gives
+    the entry of f's vector at the row's pivot.
     """
-    R, pivots = rref(M)
+    rows, pivots, _ = _eliminate(_rows(M), M.cols)
     pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
-    basis: list[Vec] = []
-    for f in free:
-        v = [0] * M.cols
+    basis = {f: [0] * M.cols for f in range(M.cols) if f not in pivot_set}
+    for f, v in basis.items():
         v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -R.entries[r][f]
-        basis.append(tuple(v))
-    return len(pivots), basis
+    for row, c in zip(rows, pivots):
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = -exact(x)
+    return len(pivots), [tuple(v) for v in basis.values()]
 
 
 def solve(M: RatMatrix, b: Sequence) -> Vec | None:
@@ -173,15 +206,18 @@ def solve(M: RatMatrix, b: Sequence) -> Vec | None:
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    entries = [list(row) + [exact(v)] for row, v in zip(M.entries, b)]
     if M.rows == 0:
         return (0,) * M.cols
-    entries, pivots, _ = _eliminate(entries, M.cols + 1)
+    rows = _rows(M)
+    for row, v in zip(rows, map(exact, b)):
+        if v:
+            row[M.cols] = v
+    rows, pivots, _ = _eliminate(rows, M.cols + 1)
     if M.cols in pivots:
         return None
     x = [0] * M.cols
-    for r, c in enumerate(pivots):
-        x[c] = exact(entries[r][M.cols])
+    for row, c in zip(rows, pivots):
+        x[c] = exact(row.get(M.cols, 0))
     return tuple(x)
 
 
@@ -189,7 +225,7 @@ def det(M: RatMatrix) -> int | Fraction:
     """Determinant: the product of the elimination's pivots, 0 below full rank."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    _, pivots, values = _eliminate([list(row) for row in M.entries], M.cols)
+    _, pivots, values = _eliminate(_rows(M), M.cols)
     return exact(prod(values)) if len(pivots) == M.cols else 0
 
 
@@ -394,20 +430,25 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
         raise ComplexError("d_out composed with d_in is nonzero")
     n = d_in.rows  # dimension of the middle space
     _, kernel = rank_kernel(d_out)
-    # one elimination over [d_in | kernel | I_n], pivoting only left of I_n:
-    # the pivot columns are the first columns independent of those before
-    # them, so the pivots inside d_in give a coboundary basis and the rest
-    # the first kernel vectors that grow it to a basis of the cocycles.  The
-    # I_n block ends up holding the row operations E, and E maps a vector of
-    # the span to its coefficients over the pivot columns, padded with zeros
+    # one elimination over the sparse rows of [d_in | kernel | I_n], pivoting
+    # only left of I_n: the pivot columns are the first columns independent
+    # of those before them, so the pivots inside d_in give a coboundary basis
+    # and the rest the first kernel vectors that grow it to a basis of the
+    # cocycles.  The I_n block ends up holding the row operations E, and E
+    # maps a vector of the span to its coefficients over the pivot columns,
+    # padded with zeros
     m, width = d_in.cols, d_in.cols + len(kernel)
-    stacked = [
-        list(row) + [v[i] for v in kernel] + [int(i == t) for t in range(n)]
-        for i, row in enumerate(d_in.entries)
-    ]
+    stacked = _rows(d_in)
+    for k, v in enumerate(kernel, m):
+        for i, x in enumerate(v):
+            if x:
+                stacked[i][k] = x
+    for i, row in enumerate(stacked):
+        row[width + i] = 1
     reduced, pivots, _ = _eliminate(stacked, width)
     reps = tuple(tuple((i, x) for i, x in enumerate(kernel[c - m]) if x) for c in pivots if c >= m)
-    rows = [tuple((t, exact(x)) for t, x in enumerate(row[width:]) if x) for row in reduced]
+    rows = [tuple((t - width, exact(x)) for t, x in sorted(row.items()) if t >= width)
+            for row in reduced]
     return Cohomology(
         dim=len(reps),
         representatives=reps,

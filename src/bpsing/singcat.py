@@ -22,7 +22,7 @@ from math import comb
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .exactlin import ComplexError, RatMatrix, exact, rank, rref
+from .exactlin import ComplexError, RatMatrix, exact, rank, rank_rows, rref
 from .grading import LDegree, LGroup, check_limit, exponent_seq
 
 Monomial = tuple[int, ...]
@@ -233,22 +233,24 @@ class FreeComplex:
 
     # -- graded pieces ---------------------------------------------------
 
-    def piece_matrix(self, i: int, d: LDegree, src, tgt) -> RatMatrix:
-        """Matrix of the level-i map on the degree-d pieces.
+    def piece_matrix(self, i: int, d: LDegree, src, tgt) -> list[dict]:
+        """Sparse rows of the level-i map on the degree-d pieces.
 
         ``src`` and ``tgt`` are the piece bases of levels i and i + 1 at d:
         pairs (generator index, monomial), index first, then lex order
-        within each piece.  Each basis element (c, mono) meets only the
-        stored terms of column c, since a zero entry contributes nothing: a
-        term multiplies mono by adding exponents, and only a product with
-        e_1 >= p_1 goes through the rewrite rule.  A term landing outside
-        ``tgt`` raises ComplexError.
+        within each piece.  Row r maps the index of each source basis
+        element to the nonzero coefficient of ``tgt[r]`` in its image, and
+        stores no zero: a sum that cancels is deleted.  Each basis element
+        (c, mono) meets only the stored terms of column c, since a zero
+        entry contributes nothing: a term multiplies mono by adding
+        exponents, and only a product with e_1 >= p_1 goes through the
+        rewrite rule.  A term landing outside ``tgt`` raises ComplexError.
         """
         index = {bm: r for r, bm in enumerate(tgt)}
         ring = self.ring
         p1 = ring.p[0]
         column = self.columns[i]
-        entries = [[0] * len(src) for _ in tgt]
+        rows: list[dict] = [{} for _ in tgt]
         for cidx, (c, mono) in enumerate(src):
             for r, m1, c1 in column[c]:
                 m = tuple(map(add, m1, mono))
@@ -256,8 +258,13 @@ class FreeComplex:
                     ridx = index.get((r, m2))
                     if ridx is None:
                         raise ComplexError("differential is not degree homogeneous")
-                    entries[ridx][cidx] += co
-        return RatMatrix(entries, cols=len(src))
+                    row = rows[ridx]
+                    s = exact(row.get(cidx, 0) + co)
+                    if s:
+                        row[cidx] = s
+                    else:
+                        del row[cidx]
+        return rows
 
     def cohomology_dims(self, d: LDegree, levels: range, bases) -> dict[int, int]:
         """Dimensions of H^i in degree d for each i in levels.
@@ -265,15 +272,16 @@ class FreeComplex:
         ``bases`` maps a level to its piece basis at d, pairs (generator
         index, monomial) ordered by index, then lex within each piece, and
         omits a level whose piece is zero; each basis serves both maps that
-        touch its level.  H^i = dim - rank(d_i) - rank(d_{i-1}), an absent
-        map having rank zero.  So does a map whose source or target piece
-        is zero: its matrix has no columns or no rows.  Such a map is not
-        built, so a term of it off the target piece raises nothing here;
-        ``_certify`` checks homogeneity before it scans, and
-        ``piece_matrix`` itself raises on such a term.
+        touch its level.  H^i = dim - rank(d_i) - rank(d_{i-1}), each rank
+        that of the sparse rows ``piece_matrix`` emits, reduced by the one
+        elimination kernel.  An absent map has rank zero, and so does a map
+        whose source or target piece is zero: it has no rows or no columns.
+        Such a map is not built, so a term of it off the
+        target piece raises nothing here; ``_certify`` checks homogeneity
+        before it scans, and ``piece_matrix`` itself raises on such a term.
         """
         ranks = {
-            i: rank(self.piece_matrix(i, d, bases[i], bases[i + 1]))
+            i: rank_rows(self.piece_matrix(i, d, bases[i], bases[i + 1]), len(bases[i]))
             for i in range(levels.start - 1, levels.stop)
             if i in self.diffs and bases.get(i) and bases.get(i + 1)
         }

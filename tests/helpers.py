@@ -89,6 +89,46 @@ def matrix_sum(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     )
 
 
+def reference_eliminate(entries: list[list], cols: int) -> tuple[list[list], list[int], list]:
+    """The former dense elimination kernel, kept as the oracle of the sparse one.
+
+    Row reduce lists in place to reduced echelon form; return (rows, pivot
+    columns, pivots).  Pivot selection is the first nonzero entry scanning
+    down each column, so the result is deterministic.  Each pivot is taken
+    before its row is normalized and negated when a row swap brought it
+    into place, so for a square matrix of full rank their product is the
+    determinant.  Unit pivots keep int rows int; the rows may end with
+    integral Fractions.
+    """
+    pivots: list[int] = []
+    values: list = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, len(entries)):
+            if entries[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        entries[r], entries[pivot_row] = entries[pivot_row], entries[r]
+        values.append(entries[r][c] if pivot_row == r else -entries[r][c])
+        if entries[r][c] == -1:
+            entries[r] = [-x for x in entries[r]]
+        elif entries[r][c] != 1:
+            inv = Fraction(1) / entries[r][c]  # never 1 / pivot, a float on ints
+            entries[r] = [x * inv for x in entries[r]]
+        for i in range(len(entries)):
+            if i != r and entries[i][c] != 0:
+                factor = entries[i][c]
+                entries[i] = [a - factor * b for a, b in zip(entries[i], entries[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(entries):
+            break
+    return entries, pivots, values
+
+
 def densify(row: SparseRow, n: int) -> tuple:
     """The length-n vector whose nonzero entries are the sparse row's (position, value) pairs."""
     vec = [0] * n

@@ -11,8 +11,10 @@ from bpsing.exactlin import (
     ComplexError,
     RatMatrix,
     _eliminate,
+    _rows,
     complex_cohomology,
     det,
+    exact,
     invariant_factors,
     rank,
     rank_kernel,
@@ -22,7 +24,16 @@ from bpsing.exactlin import (
     solve_integer,
     solve_mod2,
 )
-from helpers import apply, assert_exact, column, densify, identity_matrix, integer_kernel, matrix_sum
+from helpers import (
+    apply,
+    assert_exact,
+    column,
+    densify,
+    identity_matrix,
+    integer_kernel,
+    matrix_sum,
+    reference_eliminate,
+)
 
 
 def bareiss_rank(entries):
@@ -351,12 +362,12 @@ def greedy_cohomology(d_in, d_out):
     _, in_pivots = rref(d_in)
     image = [column(d_in, c) for c in in_pivots]
     span = [list(v) for v in image]
-    span, _, _ = _eliminate(span, n) if span else (span, [], [])
+    span, _, _ = reference_eliminate(span, n) if span else (span, [], [])
     reps = []
     reduced = [row for row in span if any(x != 0 for x in row)]
     for v in kernel:
         candidate = reduced + [list(v)]
-        candidate, piv, _ = _eliminate([list(r) for r in candidate], n)
+        candidate, piv, _ = reference_eliminate([list(r) for r in candidate], n)
         nonzero = [row for row in candidate if any(x != 0 for x in row)]
         if len(nonzero) > len(reduced):
             reps.append(v)
@@ -473,3 +484,112 @@ def test_a_non_unit_pivot_on_ints_divides_exactly():
     assert rank_kernel(RatMatrix([[3, 1]])) == (1, [(Fraction(-1, 3), 1)])
     assert solve(RatMatrix([[3, 0], [1, 1]]), [1, 1]) == (Fraction(1, 3), Fraction(2, 3))
     assert det(RatMatrix([[3, 1], [1, 2]])) == 5
+
+
+def random_sparse_matrix(rng, rows, cols, fractions):
+    """Small entries, most of them zero, with a zero row and a zero column
+    forced in when the shape has room; Fractions when ``fractions``."""
+    zero_row = rng.randrange(rows) if rows > 1 else None
+    zero_col = rng.randrange(cols) if cols > 1 else None
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            x = rng.choice([0, 0, 0, 1, -1, 2, -3])
+            if fractions and x:
+                x = Fraction(x, rng.choice([1, 2, 3]))
+            row.append(0 if zero_row == i or zero_col == j else x)
+        out.append(row)
+    return out
+
+
+def kernel_against_reference(entries, cols):
+    """Run the sparse kernel and the dense reference on one matrix and check
+    that rows (densified, in exact form), pivot columns and pivots agree."""
+    M = RatMatrix(entries, cols=cols)
+    rows, pivots, values = _eliminate(_rows(M), cols)
+    ref_rows, ref_pivots, ref_values = reference_eliminate([list(r) for r in entries], cols)
+    assert all(all(x != 0 for x in row.values()) for row in rows)
+    assert [[exact(row.get(c, 0)) for c in range(cols)] for row in rows] == [
+        [exact(x) for x in row] for row in ref_rows
+    ]
+    assert pivots == ref_pivots
+    assert list(map(exact, values)) == list(map(exact, ref_values))
+    return M, rows, pivots
+
+
+def reference_complex_cohomology(d_in, d_out):
+    """The former dense ``complex_cohomology`` body on ``reference_eliminate``."""
+    n = d_in.rows
+    _, kernel = rank_kernel(d_out)
+    m, width = d_in.cols, d_in.cols + len(kernel)
+    stacked = [
+        list(row) + [v[i] for v in kernel] + [int(i == t) for t in range(n)]
+        for i, row in enumerate(d_in.entries)
+    ]
+    reduced, pivots, _ = reference_eliminate(stacked, width)
+    reps = tuple(tuple((i, x) for i, x in enumerate(kernel[c - m]) if x) for c in pivots if c >= m)
+    rows = [tuple((t, exact(x)) for t, x in enumerate(row[width:]) if x) for row in reduced]
+    return Cohomology(
+        dim=len(reps),
+        representatives=reps,
+        _space_dim=n,
+        _coord_rows=tuple(rows[len(pivots) - len(reps) : len(pivots)]),
+        _residual_rows=tuple(rows[len(pivots) :]),
+    )
+
+
+def test_sparse_kernel_matches_the_dense_reference():
+    rng = random.Random(37)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7), (7, 6)]
+    fractional = 0
+    for rows, cols in shapes:
+        for fractions in (False, True):
+            for _ in range(15):
+                entries = random_sparse_matrix(rng, rows, cols, fractions)
+                M, _, pivots = kernel_against_reference(entries, cols)
+                R, rref_pivots = rref(M)
+                rank_, kernel = rank_kernel(M)
+                assert rref_pivots == tuple(pivots) and rank_ == len(pivots)
+                assert rank(M) == len(pivots)
+                if R.rows and R.cols:
+                    assert_exact(x for row in R.entries for x in row)
+                if kernel:
+                    assert_exact(x for v in kernel for x in v)
+                b = [rng.randint(-2, 2) for _ in range(rows)]
+                x = solve(M, b)
+                if x:
+                    assert_exact(x)
+                    assert apply(M, x) == tuple(b)
+                fractional += any(type(v) is Fraction for row in R.entries for v in row)
+    assert fractional > 0
+    # the elimination divides by 2 and leaves integral Fractions in the rows
+    M, rows, pivots = kernel_against_reference([[2, 4], [1, 3]], 2)
+    assert any(type(x) is Fraction and x.denominator == 1 for row in rows for x in row.values())
+    assert pivots == [0, 1] and det(M) == 2
+    assert rref(M) == (identity_matrix(2), (0, 1))
+    assert_exact(x for row in rref(M)[0].entries for x in row)
+    assert solve(M, [2, 1]) == (1, 0)
+    assert_exact(solve(M, [2, 1]))
+
+
+def test_sparse_cohomology_matches_the_dense_reference():
+    rng = random.Random(3737)
+    nonzero = 0
+    for _ in range(200):
+        d_in, d_out, _ = random_complex(rng)
+        coh = complex_cohomology(d_in, d_out)
+        assert coh == reference_complex_cohomology(d_in, d_out)
+        values = [x for rep in coh.representatives for _, x in rep]
+        values += [x for rows in (coh._coord_rows, coh._residual_rows)
+                   for row in rows for _, x in row]
+        if values:
+            assert_exact(values)
+        nonzero += coh.dim > 0
+    assert nonzero > 0
+
+
+def test_rank_needs_fill_in():
+    # clearing column 0 writes -1 where the second row held zero
+    assert rank(RatMatrix([[1, 1], [1, 0]])) == 2
+    assert rank_kernel(RatMatrix([[1, 1], [1, 0]])) == (2, [])

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpsing import cli, lattice, singcat, suspension, twisted
+from bpsing import cli, exactlin, lattice, singcat, suspension, twisted
 from bpsing.dgcat import (
     DirectedGradedCategory,
     MorRef,
@@ -261,6 +261,44 @@ def doubled_euler_corner(C):
     return tuple(map(tuple, rows))
 
 
+def fill_in_dropped(rows, cols):
+    """``exactlin._eliminate`` whose row operations update only the entries a
+    row already holds: it never writes where the row held zero."""
+    pivots, values = [], []
+    r, n = 0, len(rows)
+    for c in range(cols):
+        if r == n:
+            break
+        for pivot_row in range(r, n):
+            if c in rows[pivot_row]:
+                break
+        else:
+            continue
+        row = rows[pivot_row]
+        rows[pivot_row] = rows[r]
+        x = row[c]
+        values.append(x if pivot_row == r else -x)
+        if x == -1:
+            row = {k: -v for k, v in row.items()}
+        elif x != 1:
+            row = {k: v * (Fraction(1) / x) for k, v in row.items()}
+        rows[r] = row
+        for i, other in enumerate(rows):
+            factor = other.get(c)
+            if factor is None or i == r:
+                continue
+            for k, v in row.items():
+                if k in other:
+                    s = other[k] - factor * v
+                    if s:
+                        other[k] = s
+                    else:
+                        del other[k]
+        pivots.append(c)
+        r += 1
+    return rows, pivots, values
+
+
 def flipped_one_var_form(p, i, j):
     """``one_var_form`` with +1 on adjacent indices instead of -1."""
     value = _one_var_form(p, i, j)
@@ -295,6 +333,7 @@ MUTANTS = {
     "st-gram-lower-entry-added": (lattice, "st_gram", lower_entry_added),
     "euler-corner-doubled": (lattice, "euler_matrix", doubled_euler_corner),
     "one-var-off-diagonal-flipped": (lattice, "one_var_form", flipped_one_var_form),
+    "elimination-fill-in-dropped": (exactlin, "_eliminate", fill_in_dropped),
 }
 
 # mutant, p, and each failing check with a fragment of its detail
@@ -369,6 +408,15 @@ KILL_MATRIX = [
         "comparison-report": "'expected': 4, 'found': 2",
     }),
     ("one-var-off-diagonal-flipped", "3,3,3", {"comparison-report": "'expected': -4, 'found': 4"}),
+    # one kernel serves the tower's cohomology and the algebra side's ranks,
+    # so a kernel without fill-in fails checks of both routes
+    ("elimination-fill-in-dropped", "3,3,3", {
+        "suspension-pipeline": "not a cocycle: not in the span of image and representatives",
+        "resolution-exact": "not exact at level -2 in degree (1, 1, 1, 0)",
+        "short-exact-sequences": (
+            "'failing': [[2, 3]], "
+            "'first': 'axis 2, j 3: middle module not isomorphic to the ring quotient'"),
+    }),
 ]
 
 

@@ -46,6 +46,7 @@ from bpsing.singcat import (
 )
 from helpers import (
     assert_exact,
+    densify,
     last_column_zeroed,
     module_violations,
     monomial,
@@ -278,9 +279,19 @@ def test_validate_resolution_flags_missing_differential():
     assert "not exact at level -1 in degree (1, 1, 0)" in rep.failures
 
 
-def piece_matrix_on_bases(cplx, i, d):
-    """``piece_matrix`` of level i at d on the bases ``piece_basis`` builds."""
+def piece_rows_on_bases(cplx, i, d):
+    """The sparse rows ``piece_matrix`` emits for level i at d, on the bases
+    ``piece_basis`` builds."""
     return cplx.piece_matrix(i, d, piece_basis(cplx, i, d), piece_basis(cplx, i + 1, d))
+
+
+def piece_matrix_on_bases(cplx, i, d):
+    """Those rows densified entry for entry through ``densify``, one row per
+    target basis element; a stored zero fails."""
+    rows = piece_rows_on_bases(cplx, i, d)
+    assert all(x != 0 for row in rows for x in row.values()), (i, d.raw())
+    cols = len(piece_basis(cplx, i, d))
+    return RatMatrix([densify(row.items(), cols) for row in rows], cols=cols)
 
 
 def dense_piece_matrix(cplx, i, d):
@@ -376,6 +387,14 @@ def test_piece_matrix_multiplies_entries_with_several_terms():
             assert mat == piece_matrix_by_multiply(cplx, -1, d), d.raw()
             nonzero += not mat.is_zero()
     assert nonzero > 0
+    # x1^3 (x2^3 - x3^3) = -x2^6 + x3^6: the rewrites of the two terms meet
+    # at x2^3 x3^3 and cancel, and the cancelled entry is not stored
+    entry = {(2, 3, 0): 1, (2, 0, 3): -1}
+    cancelling = FreeComplex(ring, {-1: (g,), 0: (L.zero(),)}, {-1: [[entry]]})
+    d = L.add(g, L.x(1))
+    tgt = piece_basis(cancelling, 0, d)
+    assert piece_matrix_on_bases(cancelling, -1, d) == piece_matrix_by_multiply(cancelling, -1, d)
+    assert piece_rows_on_bases(cancelling, -1, d)[tgt.index((0, (0, 3, 3)))] == {}
     # x1 has degree x1 but x2^2 does not
     broken = FreeComplex(ring, {-1: (L.x(1),), 0: (L.zero(),)}, {-1: [[{(1, 0, 0): 1, (0, 2, 0): 1}]]})
     d = L.add(L.x(1), L.x(2))
@@ -1039,10 +1058,12 @@ def test_the_algebra_side_keeps_every_coefficient_exact():
     cplx = bp_resolution(ring, 4)
     assert_exact(c for mat in cplx.diffs.values() for row in mat for e in row for c in e.values())
     degrees = [d for d, _ in reference_scan(cplx, 2 * ring.L.ell)]
-    assert_exact(
-        x for d in degrees for i in cplx.diffs
-        for row in piece_matrix_on_bases(cplx, i, d).entries for x in row
-    )
+    # every value piece_matrix stores: exact, and never a zero, which the
+    # elimination kernel's ``c in row`` would take for a pivot
+    stored = [x for d in degrees for i in cplx.diffs
+              for row in piece_rows_on_bases(cplx, i, d) for x in row.values()]
+    assert_exact(stored)
+    assert 0 not in stored
     Q = quotient_by_variables(ring, (1,), 2 * ring.L.ell)
     assert_exact(x for mat in Q.action.values() for row in mat.entries for x in row)
 
