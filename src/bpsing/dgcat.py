@@ -17,7 +17,6 @@ own: theirs is a read-only view of the stacked category's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -559,8 +558,7 @@ def validate(C: DirectedGradedCategory) -> tuple[str, ...]:
 # gauge equivalence
 
 
-@dataclass(frozen=True)
-class GaugeResult:
+class GaugeResult(NamedTuple):
     ok: bool
     witness: dict[str, int | Fraction] | None
     reason: str | None

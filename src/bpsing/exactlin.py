@@ -18,10 +18,9 @@ columns maps length-``cols`` vectors to length-``rows`` vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[int | Fraction, ...]
 
@@ -391,16 +390,15 @@ def _dot(row: SparseRow, vec: Sequence) -> int | Fraction:
     return sum((c * vec[i] for i, c in row), 0)
 
 
-@dataclass(frozen=True)
-class Cohomology:
+class Cohomology(NamedTuple):
     """Cohomology at the middle of  prev --d_in--> here --d_out--> next.
 
     ``representatives`` are cocycles projecting to a basis of the quotient,
     chosen deterministically (first independent kernel vectors after the
     coboundary basis), each a sparse row.  ``coordinates`` expresses any
     cocycle in that basis modulo coboundaries, through a coordinate map
-    fixed when the cohomology is computed: ``_coord_rows`` give the
-    coefficients over the representatives, and ``_residual_rows`` vanish
+    fixed when the cohomology is computed: ``coord_rows`` give the
+    coefficients over the representatives, and ``residual_rows`` vanish
     exactly on the span of image and representatives, which is the space
     of cocycles.  Representatives and rows are in exact form, ints where
     integral, so a cocycle with int entries gets int coordinates at no
@@ -409,25 +407,32 @@ class Cohomology:
 
     dim: int
     representatives: tuple[SparseRow, ...]
-    _space_dim: int
-    _coord_rows: tuple[SparseRow, ...]
-    _residual_rows: tuple[SparseRow, ...]
+    space_dim: int
+    coord_rows: tuple[SparseRow, ...]
+    residual_rows: tuple[SparseRow, ...]
 
     def coordinates(self, vec: Sequence) -> Vec:
         """Class of a cocycle as coefficients over ``representatives``."""
-        if len(vec) != self._space_dim:
+        if len(vec) != self.space_dim:
             raise ValueError("vector length mismatch")
-        if any(_dot(row, vec) for row in self._residual_rows):
+        if any(_dot(row, vec) for row in self.residual_rows):
             raise ComplexError("not a cocycle: not in the span of image and representatives")
-        return tuple(exact(_dot(row, vec)) for row in self._coord_rows)
+        return tuple(exact(_dot(row, vec)) for row in self.coord_rows)
 
 
 def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
     """Cohomology data at a complex position; raises ComplexError if d_out d_in != 0."""
     if d_in.rows != d_out.cols:
         raise ValueError("differential shapes do not chain")
-    if d_in.cols > 0 and not (d_out @ d_in).is_zero():
-        raise ComplexError("d_out composed with d_in is nonzero")
+    stacked = _rows(d_in)
+    # d_out d_in row by row: each nonzero of a row of d_out scales a row of d_in
+    for out_row in _rows(d_out):
+        product: dict = {}
+        for i, x in out_row.items():
+            for c, y in stacked[i].items():
+                product[c] = product.get(c, 0) + x * y
+        if any(product.values()):
+            raise ComplexError("d_out composed with d_in is nonzero")
     n = d_in.rows  # dimension of the middle space
     _, kernel = rank_kernel(d_out)
     # one elimination over the sparse rows of [d_in | kernel | I_n], pivoting
@@ -438,7 +443,6 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
     # maps a vector of the span to its coefficients over the pivot columns,
     # padded with zeros
     m, width = d_in.cols, d_in.cols + len(kernel)
-    stacked = _rows(d_in)
     for k, v in enumerate(kernel, m):
         for i, x in enumerate(v):
             if x:
@@ -452,7 +456,7 @@ def complex_cohomology(d_in: RatMatrix, d_out: RatMatrix) -> Cohomology:
     return Cohomology(
         dim=len(reps),
         representatives=reps,
-        _space_dim=n,
-        _coord_rows=tuple(rows[len(pivots) - len(reps) : len(pivots)]),
-        _residual_rows=tuple(rows[len(pivots) :]),
+        space_dim=n,
+        coord_rows=tuple(rows[len(pivots) - len(reps) : len(pivots)]),
+        residual_rows=tuple(rows[len(pivots) :]),
     )

@@ -12,9 +12,8 @@ c to ell, where ell = lcm(p_1, ..., p_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactlin import RatMatrix, invariant_factors
 
@@ -36,8 +35,7 @@ def check_limit(what: str, count: int, limit: int) -> None:
         raise ValueError(f"{what} {count} exceeds the limit {limit}")
 
 
-@dataclass(frozen=True, order=True)
-class LDegree:
+class LDegree(NamedTuple):
     """Normal form of a grading-group element: a_i coefficients and the c coefficient."""
 
     a: tuple[int, ...]
@@ -48,18 +46,22 @@ class LDegree:
         return self.a + (self.b,)
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(NamedTuple("FiniteAbelianGroup", [("factors", tuple[int, ...])])):
     """Invariant-factor presentation Z/d_1 x ... x Z/d_k with d_1 | d_2 | ... and d_i > 1."""
 
-    factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, d in enumerate(self.factors):
+    def __new__(cls, factors: tuple[int, ...]):
+        for i, d in enumerate(factors):
             if d < 2:
                 raise ValueError("invariant factors must be > 1")
-            if i > 0 and d % self.factors[i - 1] != 0:
+            if i > 0 and d % factors[i - 1] != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return super().__new__(cls, factors)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that ``_replace`` validates too
 
     def __str__(self) -> str:
         if not self.factors:
@@ -197,8 +199,7 @@ class LGroup:
         return d.b >= 0
 
 
-@dataclass(frozen=True)
-class CyReport:
+class CyReport(NamedTuple):
     """Weight data for the Calabi-Yau style degree check."""
 
     holds: bool

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import dgcat
 from .dgcat import euler_matrix, tensor_bp
@@ -36,8 +35,7 @@ from .exactlin import RatMatrix, det
 from .grading import check_limit, exponent_seq
 
 
-@dataclass(frozen=True)
-class BilinearLattice:
+class BilinearLattice(NamedTuple):
     """Integer Gram matrix over a labeled basis."""
 
     labels: tuple
@@ -115,8 +113,7 @@ def euler_gram(p: Iterable[int], orientation: str = "E-Et") -> BilinearLattice:
     return BilinearLattice(C.objects, tuple(rows), symmetric=odd)
 
 
-@dataclass(frozen=True)
-class LatticeComparison:
+class LatticeComparison(NamedTuple):
     """Entrywise comparison of the product form with the Euler form."""
 
     st: BilinearLattice

@@ -15,12 +15,11 @@ with their short exact sequences, and a Koszul perfectness certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactlin import ComplexError, RatMatrix, exact, rank, rank_rows, rref
 from .grading import LDegree, LGroup, check_limit, exponent_seq
@@ -471,8 +470,7 @@ def _scan_pieces(cplx: FreeComplex, window: int) -> Iterator[tuple[LDegree, dict
             yield d, bases[d]
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     """Outcome of certifying a free complex: symbolic checks, then exactness per degree."""
 
     degrees_checked: int
@@ -674,8 +672,7 @@ class ModuleMap:
         return tuple(bad)
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(NamedTuple):
     """Per-degree exactness verdict for a short-exact-sequence candidate."""
 
     degrees_checked: int
@@ -930,7 +927,7 @@ def lemma_k_check(p: Iterable[int] | GradedRing, axis: int, j: int) -> SequenceR
     others = tuple(t for t in range(1, ring.n + 1) if t != axis)
     iso_ok = graded_module_iso(mid, quotient_by_variables(ring, others, 2 * L.ell))
     bad = () if iso_ok else ("middle module not isomorphic to the ring quotient",)
-    return replace(report, failures=report.failures + bad, iso_ok=iso_ok)
+    return report._replace(failures=report.failures + bad, iso_ok=iso_ok)
 
 
 def koszul_perfect_check(p: Iterable[int] | GradedRing, window: int) -> ResolutionReport:

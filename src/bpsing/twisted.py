@@ -19,9 +19,8 @@ which every category built in this package does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dgcat import DirectedGradedCategory, MorRef
 from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, Vec, complex_cohomology
@@ -29,8 +28,7 @@ from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, Vec, compl
 Entry = tuple[int, int, int]  # (source component, target component, basis index)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Cone of the degree-0 basis morphism f: f's source with shift 1, then
     f's target with shift 0, joined by f.  Built by ``cone``, which checks f."""
 

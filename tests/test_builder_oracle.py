@@ -301,8 +301,8 @@ def test_the_tower_keeps_every_coefficient_exact(monkeypatch):
             assert_exact(coefficients(stage))
     cohomologies = [c for h in homs for c in h.cohomology._data.values()]
     assert_exact(x for c in cohomologies for rep in c.representatives for _, x in rep)
-    assert_exact(x for c in cohomologies for row in c._coord_rows for _, x in row)
-    assert_exact(x for c in cohomologies for row in c._residual_rows for _, x in row)
+    assert_exact(x for c in cohomologies for row in c.coord_rows for _, x in row)
+    assert_exact(x for c in cohomologies for row in c.residual_rows for _, x in row)
     assert_exact(x for h in homs for m in h._diff.values() for row in m.entries for x in row)
     assert_exact(x for _, coeffs in classes for x in coeffs)
 

@@ -1,5 +1,6 @@
-"""The package needs nothing outside the standard library at runtime, and
-importing one route's module loads no module of another route."""
+"""The package needs nothing outside the standard library at runtime,
+importing one route's module loads no module of another route, and importing
+the CLI loads no ``dataclasses`` or ``inspect``."""
 
 import ast
 import inspect
@@ -60,6 +61,15 @@ def test_a_route_module_loads_no_module_of_another_route(module):
     loaded = loaded_modules(module)
     assert module in loaded
     assert not loaded & UNLOADED[module], sorted(loaded)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are named tuples, so every command starts without the
+    # dataclasses import chain; modules a site hook loaded first do not count
+    code = ("import sys; before = set(sys.modules); import bpsing.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_the_package_namespace_binds_no_function_or_class():

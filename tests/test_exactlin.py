@@ -471,7 +471,7 @@ def test_every_routine_returns_exact_form_whatever_form_its_input_takes():
         assert_exact([got["det"]])
         assert_exact(x for M in got["smith"] for row in M.entries for x in row)
         assert_exact(x for rep in coh.representatives for _, x in rep)
-        assert_exact(x for rows in (coh._coord_rows, coh._residual_rows) for row in rows for _, x in row)
+        assert_exact(x for rows in (coh.coord_rows, coh.residual_rows) for row in rows for _, x in row)
         assert_exact(got["coordinates"])
         outputs.append(got)
     assert any(type(x) is Fraction for x in outputs[0]["solve"])
@@ -533,9 +533,9 @@ def reference_complex_cohomology(d_in, d_out):
     return Cohomology(
         dim=len(reps),
         representatives=reps,
-        _space_dim=n,
-        _coord_rows=tuple(rows[len(pivots) - len(reps) : len(pivots)]),
-        _residual_rows=tuple(rows[len(pivots) :]),
+        space_dim=n,
+        coord_rows=tuple(rows[len(pivots) - len(reps) : len(pivots)]),
+        residual_rows=tuple(rows[len(pivots) :]),
     )
 
 
@@ -581,12 +581,52 @@ def test_sparse_cohomology_matches_the_dense_reference():
         coh = complex_cohomology(d_in, d_out)
         assert coh == reference_complex_cohomology(d_in, d_out)
         values = [x for rep in coh.representatives for _, x in rep]
-        values += [x for rows in (coh._coord_rows, coh._residual_rows)
+        values += [x for rows in (coh.coord_rows, coh.residual_rows)
                    for row in rows for _, x in row]
         if values:
             assert_exact(values)
         nonzero += coh.dim > 0
     assert nonzero > 0
+
+
+def fails_the_chain_check(d_in, d_out):
+    """Whether ``complex_cohomology`` refuses the pair as not a complex."""
+    try:
+        complex_cohomology(d_in, d_out)
+    except ComplexError as err:
+        assert str(err) == "d_out composed with d_in is nonzero"
+        return True
+    return False
+
+
+def test_sparse_chain_check_matches_the_dense_product():
+    # the complexes of the test above, then seeded pairs that mostly do not
+    # chain: sparse pairs with a zero row and column, and complexes with one
+    # entry changed, which still chain when the entry meets a zero of the other
+    rng = random.Random(3737)
+    pairs = [random_complex(rng)[:2] for _ in range(200)]
+    assert not any(fails_the_chain_check(d_in, d_out) for d_in, d_out in pairs)
+    rng = random.Random(38)
+    outcomes = set()
+    for k in range(400):
+        if k % 2:
+            n, rows, m = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4)
+            d_in = RatMatrix(random_sparse_matrix(rng, n, m, k % 4 == 1), cols=m)
+            d_out = RatMatrix(random_sparse_matrix(rng, rows, n, k % 4 == 3), cols=n)
+        else:
+            d_in, d_out, _ = random_complex(rng)
+            M = d_in if k % 4 and d_in.rows * d_in.cols else d_out
+            if not M.rows * M.cols:
+                continue
+            entries = [list(row) for row in M.entries]
+            step = Fraction(rng.choice([1, -2]), rng.choice([1, 3]))
+            entries[rng.randrange(M.rows)][rng.randrange(M.cols)] += step
+            changed = RatMatrix(entries, cols=M.cols)
+            d_in, d_out = (changed, d_out) if M is d_in else (d_in, changed)
+        nonzero = not (d_out @ d_in).is_zero()
+        assert fails_the_chain_check(d_in, d_out) == nonzero
+        outcomes.add(nonzero)
+    assert outcomes == {False, True}
 
 
 def test_rank_needs_fill_in():

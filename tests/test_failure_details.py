@@ -4,8 +4,6 @@ Passing checks print no detail beyond what they printed before, so stdout on
 correct input is unchanged; these tests look at the failing side.
 """
 
-import dataclasses
-
 import pytest
 
 from bpsing import cli
@@ -57,13 +55,13 @@ def test_lattice_checks_on_true_grams_match_the_dense_oracles(p, orientation):
 def perturbed(gram, kind):
     """``gram`` with one entry changed, or with its ``symmetric`` flag flipped."""
     if kind == "flag":
-        return dataclasses.replace(gram, symmetric=not gram.symmetric)
+        return gram._replace(symmetric=not gram.symmetric)
     if kind == "lower":
         return with_lower_entry(gram)
     rows = [list(row) for row in gram.entries]
     a, b = (1, 1) if kind == "diagonal" else (0, 1)
     rows[a][b] += 1
-    return dataclasses.replace(gram, entries=tuple(map(tuple, rows)))
+    return gram._replace(entries=tuple(map(tuple, rows)))
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "upper", "lower", "flag"])
@@ -72,7 +70,7 @@ def perturbed(gram, kind):
 def test_lattice_checks_on_perturbed_grams_match_the_dense_oracles(p, side, kind):
     cmpr = compare(p)
     odd = len(p) % 2 == 1
-    cmpr = dataclasses.replace(cmpr, **{side: perturbed(getattr(cmpr, side), kind)})
+    cmpr = cmpr._replace(**{side: perturbed(getattr(cmpr, side), kind)})
     assert reference_shape_fault(getattr(cmpr, side), odd) is not None
     assert_lattice_checks_match_the_oracles(cmpr, odd)
 
