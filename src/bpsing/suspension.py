@@ -20,12 +20,14 @@ Iterating from a linear quiver builds the categories attached to exponent
 sequences: ``fukaya_bp``, checked by ``fukaya_checks``.
 
 The hom complex between S_{x,j} and S_{x',j'} is fixed, table for table, by
-its shape: the degree tuple of hom_A(x, x'), whether x = x', and j - j'
-clamped to [-2, 2].  The extension copies hom_A index for index and every
-connector is a copy of an identity, so the basis, the position table and
-every differential depend on nothing else, provided A's identities act
-strictly.  ``suspend`` checks that precondition, computes each shape once
-and rebinds the result to every later pair of that shape.
+its shape (``_shape_key``): the degree tuple of hom_A(x, x'), whether x = x',
+and j - j' clamped to [-2, 2].  The extension copies hom_A index for index
+and every connector is a copy of an identity, so the basis, the position
+table and every differential depend on nothing else, provided A's identities
+act strictly.  ``suspend`` checks that precondition and builds one complex
+per shape, from the first pair of that shape; every pair of the shape reads
+that complex, its basis classes and its class index.  A complex keeps no
+cones, so composition names its entries through the triple's own cones.
 
 Composition is shared the same way.  The block of composites over the cones
 (x_a, j1) -> (x_b, j2) -> (x_c, j3) reads only the three hom complexes, their
@@ -69,7 +71,6 @@ from .twisted import (
     cone,
     hom_complex,
     identity_class,
-    rebind,
 )
 
 
@@ -169,6 +170,14 @@ def _level_gap(j: int, j2: int) -> int:
     return max(-2, min(2, j - j2))
 
 
+def _shape_key(A: DirectedGradedCategory, x: tuple[int, int], y: tuple[int, int]) -> tuple:
+    """What fixes the hom complex between the cones at spots x and y, each
+    (object index in A, level): hom_A of the two objects, whether they are
+    equal, and the level gap."""
+    (ia, j), (ib, j2) = x, y
+    return (A.hom(ia, ib), ia == ib, _level_gap(j, j2))
+
+
 def _block_key(x: tuple[int, int], y: tuple[int, int], z: tuple[int, int]) -> tuple:
     """What fixes the composites over the cones at spots x -> y -> z, each
     (object index in A, level): the three objects and the three level gaps."""
@@ -199,40 +208,38 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
             raise SuspensionError(f"({A.name(g)}, {A.name(f)}) lands outside its hom basis")
     E = directed_extension(A, k)
     spots = [(ia, j) for ia in range(len(A.objects)) for j in range(1, k)]
-    cones = {(ia, j): cone(E, connector(E, A.objects[ia], j)) for ia, j in spots}
+    cones = [cone(E, connector(E, A.objects[ia], j)) for ia, j in spots]
     labels = tuple((A.objects[ia], j) for ia, j in spots)
 
-    homs_data: dict[tuple[int, int], HomComplex] = {}
-    shapes: dict[tuple, HomComplex] = {}
-    for si, (ia, j) in enumerate(spots):
+    # each pair's shape, and each shape's first pair with its hom complex;
+    # every complex is built before any class is read, so a differential
+    # that does not square to zero is reported first
+    pair_shape: dict[tuple[int, int], tuple] = {}
+    first: dict[tuple, tuple[int, int, HomComplex]] = {}
+    for si, x in enumerate(spots):
         for sj in range(si, len(spots)):
-            ib, j2 = spots[sj]
-            key = (A.hom(ia, ib), ia == ib, _level_gap(j, j2))
-            X, Y = cones[(ia, j)], cones[(ib, j2)]
-            if key in shapes:
-                homs_data[(si, sj)] = rebind(shapes[key], X, Y)
-            else:
-                homs_data[(si, sj)] = shapes[key] = hom_complex(X, Y)
+            key = pair_shape[(si, sj)] = _shape_key(A, x, spots[sj])
+            if key not in first:
+                first[key] = (si, sj, hom_complex(cones[si], cones[sj]))
 
-    # basis index idx of hom (si, sj) is the class basis_classes[(si, sj)][idx],
-    # the r-th representative in degree d, and class_index[(si, sj)][(d, r)] = idx;
-    # each cone's one endomorphism class is its identity class, at (si, si)
-    homs: dict[tuple[int, int], tuple[int, ...]] = {}
-    basis_classes: dict[tuple[int, int], tuple[Class, ...]] = {}
-    class_index: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for (si, sj), h in homs_data.items():
+    # one record per shape: the complex, its basis classes and its class
+    # index.  Basis index idx of a hom is the class classes[idx], the r-th
+    # representative in degree d, and index[(d, r)] = idx; each cone's one
+    # endomorphism class is its identity class
+    shapes: dict[tuple, tuple[HomComplex, tuple[Class, ...], dict[tuple[int, int], int]]] = {}
+    for key, (si, sj, h) in first.items():
         dims = h.cohomology.dims
         if si == sj and dims != {0: 1}:
             raise SuspensionError(
                 f"endomorphisms of cone {labels[si]} have dims {dims}, expected {{0: 1}}"
             )
         pairs = [(d, r) for d in sorted(dims) for r in range(dims[d])]
-        if pairs:
-            homs[(si, sj)] = tuple(d for d, _ in pairs)
-            basis_classes[(si, sj)] = (identity_class(h),) if si == sj else tuple(
-                (d, tuple(int(t == r) for t in range(dims[d]))) for d, r in pairs
-            )
-            class_index[(si, sj)] = {dr: idx for idx, dr in enumerate(pairs)}
+        classes = (identity_class(h),) if si == sj else tuple(
+            (d, tuple(int(t == r) for t in range(dims[d]))) for d, r in pairs
+        )
+        shapes[key] = (h, classes, {dr: idx for idx, dr in enumerate(pairs)})
+    homs = {pair: tuple(d for d, _ in shapes[key][1])
+            for pair, key in pair_shape.items() if shapes[key][1]}
 
     # an identity composite is kept even when zero, so that ``validate``
     # reports a failing unit; only id.id is left to the strict fill.  Each
@@ -240,8 +247,8 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
     # level translate shares its entries, which no one changes afterwards
     comp: dict[tuple[MorRef, MorRef], dict[int, int | Fraction]] = {}
     blocks: dict[tuple, dict[tuple[int, int], dict[int, int | Fraction]]] = {}
-    targets = source_index(class_index)
-    for (si, sj) in sorted(class_index):
+    targets = source_index(homs)
+    for (si, sj) in sorted(homs):
         for sl in targets.get(sj, ()):
             if si == sj == sl:
                 continue
@@ -249,19 +256,19 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
             block = blocks.get(key)
             if block is None:
                 block = blocks[key] = {}
-                index = class_index.get((si, sl), {})
-                for fi, f_class in enumerate(basis_classes[(si, sj)]):
-                    for gi, g_class in enumerate(basis_classes[(sj, sl)]):
-                        d, coeffs = compose_classes(
-                            homs_data[(sj, sl)], homs_data[(si, sj)], homs_data[(si, sl)],
-                            g_class, f_class,
-                        )
+                h_xy, f_classes, _ = shapes[pair_shape[(si, sj)]]
+                h_yz, g_classes, _ = shapes[pair_shape[(sj, sl)]]
+                h_xz, _, index = shapes[pair_shape[(si, sl)]]
+                X, Y, Z = cones[si], cones[sj], cones[sl]
+                for fi, f_class in enumerate(f_classes):
+                    for gi, g_class in enumerate(g_classes):
+                        d, coeffs = compose_classes(X, Y, Z, h_yz, h_xy, h_xz, g_class, f_class)
                         entry = {index[(d, t)]: c for t, c in enumerate(coeffs) if c != 0}
                         if entry or si == sj or sj == sl:
                             block[(gi, fi)] = entry
             for (gi, fi), entry in block.items():
                 comp[(MorRef(sj, sl, gi), MorRef(si, sj, fi))] = entry
-    del blocks  # the checks below need only comp
+    del blocks, pair_shape, shapes  # the checks below need only comp
 
     _fill_identities(comp, homs)
     out = object.__new__(DirectedGradedCategory)._keep(labels, homs, comp)

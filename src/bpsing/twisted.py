@@ -54,17 +54,17 @@ def cone(C: DirectedGradedCategory, f: MorRef) -> Cone:
 class HomComplex:
     """The hom cochain complex between two cones, with its cohomology.
 
+    It keeps no cones: its tables name components and basis indices only, so
+    one complex serves every pair of cones that would build the same tables.
     Computing the cohomology checks d . d = 0 in every degree, so a
     differential that does not square to zero raises ComplexError here.
     """
 
-    __slots__ = ("X", "Y", "basis", "position", "_diff", "cohomology")
+    __slots__ = ("basis", "position", "_diff", "cohomology")
 
     def __init__(self, X: Cone, Y: Cone):
         if X.category is not Y.category and X.category != Y.category:
             raise ValueError("cones live in different categories")
-        self.X = X
-        self.Y = Y
         cat = X.category
         by_degree: dict[int, list[Entry]] = {}
         for a in (0, 1):
@@ -75,9 +75,7 @@ class HomComplex:
         self.position = {
             elt: (d, i) for d, elts in self.basis.items() for i, elt in enumerate(elts)
         }
-        self._diff: dict[int, RatMatrix] = {}
-        for d in self.basis:
-            self._diff[d] = self._build_differential(d)
+        self._diff = {d: self._build_differential(X, Y, d) for d in self.basis}
         self.cohomology = cohomology(self)
 
     def degrees(self) -> tuple[int, ...]:
@@ -92,8 +90,7 @@ class HomComplex:
             return got
         return RatMatrix.zeros(self.dim(d + 1), self.dim(d))
 
-    def _build_differential(self, d: int) -> RatMatrix:
-        X, Y = self.X, self.Y
+    def _build_differential(self, X: Cone, Y: Cone, d: int) -> RatMatrix:
         compose = X.category.compose
         cols = self.dim(d)
         entries = [[0] * cols for _ in range(self.dim(d + 1))]
@@ -151,21 +148,6 @@ def cohomology(H: HomComplex) -> TwistedCohomology:
     return TwistedCohomology(H)
 
 
-def rebind(h: HomComplex, X: Cone, Y: Cone) -> HomComplex:
-    """``h`` for another pair X, Y whose hom complex has the same tables.
-
-    The basis, position table, differentials and cohomology are h's, shared
-    and not copied; only X and Y are new, since composing cochains names
-    morphisms through them.  Nothing is recomputed, so the caller vouches
-    that ``hom_complex(X, Y)`` would build the same tables.
-    """
-    H = object.__new__(HomComplex)
-    for slot in HomComplex.__slots__:
-        setattr(H, slot, getattr(h, slot))
-    H.X, H.Y = X, Y
-    return H
-
-
 # (degree, coefficients over representatives), each an int when integral
 Class = tuple[int, tuple[int | Fraction, ...]]
 
@@ -197,12 +179,15 @@ def _combine(
 
 
 def compose_classes(
-    h_yz: HomComplex, h_xy: HomComplex, h_xz: HomComplex, alpha: Class, beta: Class
+    X: Cone, Y: Cone, Z: Cone,
+    h_yz: HomComplex, h_xy: HomComplex, h_xz: HomComplex, alpha: Class, beta: Class,
 ) -> Class:
     """Compose cohomology classes via representatives and project the result.
 
     ``alpha`` lives in H(hom(Y, Z)), ``beta`` in H(hom(X, Y)); the result is
-    expressed over the chosen representatives of H(hom(X, Z)).  The
+    expressed over the chosen representatives of H(hom(X, Z)).  The three
+    complexes may have been built from other cones with the same tables:
+    their entries are named as morphisms through X, Y and Z.  The
     representatives are composed componentwise, with no extra signs: only
     terms whose middle components agree meet.  The composite is checked
     once, by the coordinate map: a vector that is no cocycle raises
@@ -215,12 +200,11 @@ def compose_classes(
     reps_b = h_xy.cohomology.representatives(db)
     if len(ca) != len(reps_a) or len(cb) != len(reps_b):
         raise ValueError("class coefficients do not match representative count")
-    comp = h_xy.X.category._comp  # read directly: the table is immutable
+    comp = X.category._comp  # read directly: the table is immutable
     total = da + db
     basis_xy = h_xy.basis.get(db, ())
     basis_yz = h_yz.basis.get(da, ())
     position = h_xz.position
-    X, Y, Y2, Z = h_xy.X, h_xy.Y, h_yz.X, h_yz.Y
     # beta's nonzero terms grouped by their middle component
     by_middle: dict[int, list[tuple[int, MorRef, int | Fraction]]] = {}
     for i, v in _combine(cb, reps_b):
@@ -232,10 +216,8 @@ def compose_classes(
         firsts = by_middle.get(b)
         if not firsts:
             continue
-        gref = MorRef(Y2._oidx(b), Z._oidx(c), k2)
+        gref = MorRef(Y._oidx(b), Z._oidx(c), k2)
         for a, fref, v in firsts:
-            if fref.tgt != gref.src:
-                raise ValueError("morphisms are not composable")
             result = comp.get((gref, fref))
             if not result:
                 continue

@@ -11,10 +11,10 @@ Outcomes recorded beside ``KILL_MATRIX``:
 - With two or more entries, ``category-valid``, ``formality`` and
   ``square-sign-audit`` report the last tower step's own checks, so no
   mutant fails them there.  The five ``a_category`` mutants, the dropped
-  composite, the doubled identity class, the block key without its source
-  and the cone differential without its Koszul sign fail
-  ``suspension-pipeline`` instead, and the later lines are not
-  printed (``test_last_stage_rechecks_never_fail_first``).  With one entry
+  composite, the doubled identity class, the block key without its source,
+  the shape key without its level gap and the cone differential without
+  its Koszul sign fail ``suspension-pipeline`` instead, and the later lines
+  are not printed (``test_last_stage_rechecks_never_fail_first``).  With one entry
   no step runs, and the three lines check the base category.
 - Equivalent mutants: one flipped sign in ``tensor_bp((3, 3))`` is removed
   by rescaling one morphism of its single square, and on one variable every
@@ -47,6 +47,7 @@ from helpers import drop_one_composite, last_column_zeroed, scaled_identity_clas
 
 _suspend = suspension.suspend
 _block_key = suspension._block_key
+_shape_key = suspension._shape_key
 _build_differential = twisted.HomComplex._build_differential
 _a_category = suspension.a_category
 _tensor_bp = suspension.tensor_bp
@@ -130,14 +131,19 @@ def block_key_without_source(x, y, z):
     return _block_key(x, y, z)[1:]
 
 
-def unsigned_precomposition(H, d):
+def shape_key_without_gap(A, x, y):
+    """``_shape_key`` without the level gap: cones of one object at different
+    levels share the complex of the first pair, an endomorphism complex."""
+    return _shape_key(A, x, y)[:2]
+
+
+def unsigned_precomposition(H, X, Y, d):
     """``HomComplex._build_differential`` with the precomposition term added
     without its Koszul sign, which is -1 in even degrees: there the term is
     added twice more."""
-    M = _build_differential(H, d)
+    M = _build_differential(H, X, Y, d)
     if d % 2:
         return M
-    X, Y = H.X, H.Y
     rows = [list(row) for row in M.entries]
     for col, (a, b, idx) in enumerate(H.basis.get(d, ())):
         if a == 1:
@@ -314,6 +320,7 @@ TOWER_MUTANTS = {
     "doubled-hom": (suspension, "a_category", doubled_hom),
     "identity-class-doubled": (suspension, "identity_class", scaled_identity_class(2)),
     "block-key-without-source": (suspension, "_block_key", block_key_without_source),
+    "shape-key-without-gap": (suspension, "_shape_key", shape_key_without_gap),
     "cone-koszul-sign-dropped": (
         twisted.HomComplex, "_build_differential", unsigned_precomposition),
 }
@@ -346,6 +353,9 @@ KILL_MATRIX = [
     }),
     ("block-key-without-source", "3,3,3", {
         "suspension-pipeline": "right unit fails for ((2,), 1)->((2,), 2)#0",
+    }),
+    ("shape-key-without-gap", "3,3,3", {
+        "suspension-pipeline": "left unit fails for ((1,), 1)->((1,), 2)#0",
     }),
     ("tensor-bp-sign-flip", "3,3,3", {"gauge-vs-tensor": "sign system is inconsistent"}),
     ("off-basis-composite", "5", {

@@ -30,7 +30,7 @@ from bpsing.suspension import (
     tower_label,
     verify_suspension,
 )
-from bpsing.twisted import compose_classes, cone, hom_complex, identity_class, rebind
+from bpsing.twisted import compose_classes, cone, hom_complex, identity_class
 from helpers import chain_dims, count_table_builds, drop_one_composite, scaled_identity_class
 
 
@@ -270,8 +270,6 @@ def test_verified_fukaya_rejects_a_broken_suspension(monkeypatch):
 
 def _same_tables(H, F):
     """Entry-by-entry comparison of two HomComplexes; the first mismatch or None."""
-    if (H.X, H.Y) != (F.X, F.Y):
-        return "bound objects"
     if H.basis != F.basis or H.position != F.position:
         return "basis"
     for d in set(H.degrees()) | {d - 1 for d in H.degrees()}:
@@ -285,30 +283,62 @@ def _same_tables(H, F):
     return None
 
 
+def _cone_spots(A, k):
+    """The spots (object index in A, level) of ``suspend(A, k)`` in its order, and their cones."""
+    E = directed_extension(A, k)
+    spots = [(ia, j) for ia in range(len(A.objects)) for j in range(1, k)]
+    return spots, [cone(E, connector(E, A.objects[ia], j)) for ia, j in spots]
+
+
+def _tower_steps(p):
+    """Each step (A, k) that ``suspension_tower(p)`` suspends."""
+    return list(zip(suspension_tower(p), p[1:]))
+
+
 @pytest.mark.parametrize("p", [(2, 3), (3, 3, 3), (2, 3, 4), (4, 4, 4), (2, 3, 4, 5), (3, 3, 3, 3)])
-def test_hom_complexes_shared_by_shape_equal_fresh_ones(monkeypatch, p):
-    real = suspension.rebind
-    checked = []
+def test_hom_complexes_shared_by_shape_equal_fresh_ones(p):
+    """The premise of sharing: at every tower step, the fresh complexes of
+    all cone pairs with one ``_shape_key`` have the same tables."""
+    shared = 0
+    for A, k in _tower_steps(p):
+        spots, cones = _cone_spots(A, k)
+        first = {}
+        for si, x in enumerate(spots):
+            for sj in range(si, len(spots)):
+                H = hom_complex(cones[si], cones[sj])
+                F = first.setdefault(suspension._shape_key(A, x, spots[sj]), H)
+                mismatch = _same_tables(H, F)
+                assert mismatch is None, (p, x, spots[sj], mismatch)
+                shared += F is not H
+    assert shared
 
-    def checking(h, X, Y):
-        shared = real(h, X, Y)
-        mismatch = _same_tables(shared, hom_complex(X, Y))
-        assert mismatch is None, (p, X.f, Y.f, mismatch)
-        checked.append(shared)
-        return shared
 
-    monkeypatch.setattr(suspension, "rebind", checking)
-    fukaya_bp(p)
-    assert checked
+@pytest.mark.parametrize("p", [(3, 3, 3), (2, 3, 4, 5), (5, 5, 5)])
+def test_suspend_builds_one_hom_complex_per_shape(monkeypatch, p):
+    real, built = suspension.hom_complex, []
+
+    def counting(X, Y):
+        built.append((X, Y))
+        return real(X, Y)
+
+    monkeypatch.setattr(suspension, "hom_complex", counting)
+    total = 0
+    for A, k in _tower_steps(p):
+        built.clear()
+        suspend(A, k)
+        spots, _ = _cone_spots(A, k)
+        shapes = {suspension._shape_key(A, x, y) for i, x in enumerate(spots) for y in spots[i:]}
+        assert len(built) == len(shapes) < len(spots) * (len(spots) + 1) // 2
+        total += len(built)
+    if p == (5, 5, 5):
+        assert total == 31
 
 
 def _fresh_composites(A, k, S):
     """Each composite of classes of S = suspend(A, k) against the same one
     composed on its own triple's hom complexes, built fresh: nothing is
     shared by shape or by block.  The mismatches and the composition count."""
-    E = directed_extension(A, k)
-    spots = [(ia, j) for ia in range(len(A.objects)) for j in range(1, k)]
-    cones = [cone(E, connector(E, A.objects[ia], j)) for ia, j in spots]
+    spots, cones = _cone_spots(A, k)
     fresh, classes = {}, {}
 
     def complex_at(si, sj):
@@ -330,7 +360,9 @@ def _fresh_composites(A, k, S):
             pairs = classes[(si, sl)][1]
             for fi, f_class in enumerate(classes[(si, sj)][0]):
                 for gi, g_class in enumerate(classes[(sj, sl)][0]):
-                    d, coeffs = compose_classes(h_yz, h_xy, h_xz, g_class, f_class)
+                    d, coeffs = compose_classes(
+                        cones[si], cones[sj], cones[sl], h_yz, h_xy, h_xz, g_class, f_class
+                    )
                     count += 1
                     entry = {pairs.index((d, t)): c for t, c in enumerate(coeffs) if c != 0}
                     key = (MorRef(sj, sl, gi), MorRef(si, sj, fi))
@@ -381,7 +413,8 @@ def test_suspend_rejects_a_composite_outside_its_hom_basis():
 def reference_suspend(A, k):
     """``suspend`` as it was with a second loop for the units: the identity
     classes were composed with every basis class after the composition loop,
-    and the constructor filled in every identity composite."""
+    and the constructor filled in every identity composite.  It builds a
+    fresh hom complex for every pair of cones, so nothing is shared by shape."""
     if k < 2:
         raise ValueError("suspension needs at least two levels")
     for f in A.morphisms():
@@ -391,22 +424,13 @@ def reference_suspend(A, k):
     for (g, f), entry in A._comp.items():
         if any(not 0 <= idx < len(A.hom(f.src, g.tgt)) for idx in entry):
             raise SuspensionError(f"({A.name(g)}, {A.name(f)}) lands outside its hom basis")
-    E = directed_extension(A, k)
-    spots = [(ia, j) for ia in range(len(A.objects)) for j in range(1, k)]
-    cones = {(ia, j): cone(E, connector(E, A.objects[ia], j)) for ia, j in spots}
+    spots, cones = _cone_spots(A, k)
     labels = tuple((A.objects[ia], j) for ia, j in spots)
 
-    homs_data = {}
-    shapes = {}
-    for si, (ia, j) in enumerate(spots):
-        for sj in range(si, len(spots)):
-            ib, j2 = spots[sj]
-            key = (A.hom(ia, ib), ia == ib, max(-2, min(2, j - j2)))
-            X, Y = cones[(ia, j)], cones[(ib, j2)]
-            if key in shapes:
-                homs_data[(si, sj)] = rebind(shapes[key], X, Y)
-            else:
-                homs_data[(si, sj)] = shapes[key] = hom_complex(X, Y)
+    homs_data = {
+        (si, sj): hom_complex(cones[si], cones[sj])
+        for si in range(len(spots)) for sj in range(si, len(spots))
+    }
 
     for si in range(len(spots)):
         end_dims = homs_data[(si, si)].cohomology.dims
@@ -442,6 +466,7 @@ def reference_suspend(A, k):
             for fi in range(len(class_index[(si, sj)])):
                 for gi in range(len(class_index[(sj, sl)])):
                     value = compose_classes(
+                        cones[si], cones[sj], cones[sl],
                         homs_data[(sj, sl)], homs_data[(si, sj)], homs_data[(si, sl)],
                         basis_classes[(sj, sl)][gi], basis_classes[(si, sj)][fi],
                     )
@@ -452,10 +477,12 @@ def reference_suspend(A, k):
     for (si, sj) in sorted(class_index):
         for expected in basis_classes[(si, sj)]:
             left = compose_classes(
+                cones[si], cones[sj], cones[sj],
                 homs_data[(sj, sj)], homs_data[(si, sj)], homs_data[(si, sj)],
                 basis_classes[(sj, sj)][0], expected,
             )
             right = compose_classes(
+                cones[si], cones[si], cones[sj],
                 homs_data[(si, sj)], homs_data[(si, si)], homs_data[(si, sj)],
                 expected, basis_classes[(si, si)][0],
             )
