@@ -27,11 +27,11 @@ print("connector (1, 2) -> (1, 1) has degree",
 # the cones over the connectors are the objects of the next stage
 S = {(x, j): cone(E, connector(E, x, j)) for x in (1, 2) for j in (1, 2)}
 for key in sorted(S):
-    ends = cohomology(hom_complex(S[key], S[key])).dims
+    ends = {d: c.dim for d, c in cohomology(hom_complex(S[key], S[key])).items() if c.dim}
     print("cone", key, "endomorphism cohomology:", ends)
 
 # one step up gives the shifted hom, two steps give nothing
-up = cohomology(hom_complex(S[(1, 1)], S[(1, 2)])).dims
+up = {d: c.dim for d, c in cohomology(hom_complex(S[(1, 1)], S[(1, 2)])).items() if c.dim}
 print("one step up the stack:", up)
 
 S3 = verify_suspension(A, 3)  # raises SuspensionError if any check fails

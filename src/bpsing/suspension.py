@@ -211,24 +211,25 @@ def suspend(A: DirectedGradedCategory, k: int) -> DirectedGradedCategory:
     cones = [cone(E, connector(E, A.objects[ia], j)) for ia, j in spots]
     labels = tuple((A.objects[ia], j) for ia, j in spots)
 
-    # each pair's shape, and each shape's first pair with its hom complex;
-    # every complex is built before any class is read, so a differential
-    # that does not square to zero is reported first
+    # each pair's shape key, one object per shape, and each shape's first
+    # pair with its hom complex; every complex is built before any class is
+    # read, so a differential that does not square to zero is reported first
     pair_shape: dict[tuple[int, int], tuple] = {}
-    first: dict[tuple, tuple[int, int, HomComplex]] = {}
+    first: dict[tuple, tuple[tuple, int, int, HomComplex]] = {}
     for si, x in enumerate(spots):
         for sj in range(si, len(spots)):
-            key = pair_shape[(si, sj)] = _shape_key(A, x, spots[sj])
+            key = _shape_key(A, x, spots[sj])
             if key not in first:
-                first[key] = (si, sj, hom_complex(cones[si], cones[sj]))
+                first[key] = (key, si, sj, hom_complex(cones[si], cones[sj]))
+            pair_shape[(si, sj)] = first[key][0]
 
     # one record per shape: the complex, its basis classes and its class
     # index.  Basis index idx of a hom is the class classes[idx], the r-th
     # representative in degree d, and index[(d, r)] = idx; each cone's one
     # endomorphism class is its identity class
     shapes: dict[tuple, tuple[HomComplex, tuple[Class, ...], dict[tuple[int, int], int]]] = {}
-    for key, (si, sj, h) in first.items():
-        dims = h.cohomology.dims
+    for key, si, sj, h in first.values():
+        dims = {d: c.dim for d, c in h.cohomology.items() if c.dim}
         if si == sj and dims != {0: 1}:
             raise SuspensionError(
                 f"endomorphisms of cone {labels[si]} have dims {dims}, expected {{0: 1}}"

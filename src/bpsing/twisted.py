@@ -15,6 +15,9 @@ precomposes the entries that start in component 1 of X.  Composition of
 cochains is plain componentwise composition; all signs of the construction
 live in the differential.  The base category must have zero differential,
 which every category built in this package does.
+
+``hom_complex`` builds the complex between two cones as a ``HomComplex``
+record; ``cohomology`` gives exactlin's ``Cohomology`` per basis degree.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .dgcat import DirectedGradedCategory, MorRef
-from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, Vec, complex_cohomology
+from .exactlin import Cohomology, ComplexError, RatMatrix, SparseRow, complex_cohomology
 
 Entry = tuple[int, int, int]  # (source component, target component, basis index)
 
@@ -51,101 +54,80 @@ def cone(C: DirectedGradedCategory, f: MorRef) -> Cone:
     return Cone(C, f)
 
 
-class HomComplex:
-    """The hom cochain complex between two cones, with its cohomology.
+class HomComplex(NamedTuple):
+    """The hom cochain complex between two cones, built by ``hom_complex``.
 
-    It keeps no cones: its tables name components and basis indices only, so
+    Its tables are keyed by the degrees with a nonempty basis: ``basis``
+    holds each degree's entries (``position`` maps one to its degree and
+    index), ``differentials`` the map to the next degree, ``cohomology`` the
+    cohomology.  It keeps no cones, only components and basis indices, so
     one complex serves every pair of cones that would build the same tables.
-    Computing the cohomology checks d . d = 0 in every degree, so a
-    differential that does not square to zero raises ComplexError here.
     """
 
-    __slots__ = ("basis", "position", "_diff", "cohomology")
-
-    def __init__(self, X: Cone, Y: Cone):
-        if X.category is not Y.category and X.category != Y.category:
-            raise ValueError("cones live in different categories")
-        cat = X.category
-        by_degree: dict[int, list[Entry]] = {}
-        for a in (0, 1):
-            for b in (0, 1):
-                for idx, deg in enumerate(cat.hom(X._oidx(a), Y._oidx(b))):
-                    by_degree.setdefault(deg + b - a, []).append((a, b, idx))
-        self.basis = {d: tuple(v) for d, v in sorted(by_degree.items())}
-        self.position = {
-            elt: (d, i) for d, elts in self.basis.items() for i, elt in enumerate(elts)
-        }
-        self._diff = {d: self._build_differential(X, Y, d) for d in self.basis}
-        self.cohomology = cohomology(self)
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self.basis)
+    basis: dict[int, tuple[Entry, ...]]
+    position: dict[Entry, tuple[int, int]]
+    differentials: dict[int, RatMatrix]
+    cohomology: dict[int, Cohomology]
 
     def dim(self, d: int) -> int:
         return len(self.basis.get(d, ()))
 
     def differential(self, d: int) -> RatMatrix:
-        got = self._diff.get(d)
+        """The differential from degree d, a zero map where d has no basis."""
+        got = self.differentials.get(d)
         if got is not None:
             return got
         return RatMatrix.zeros(self.dim(d + 1), self.dim(d))
 
-    def _build_differential(self, X: Cone, Y: Cone, d: int) -> RatMatrix:
-        compose = X.category.compose
-        cols = self.dim(d)
-        entries = [[0] * cols for _ in range(self.dim(d + 1))]
-        sign = 1 if d % 2 else -1
 
-        def add(col, s, t, coeff, composite):
-            """Add coeff * composite, a morphism between components s and t, to column col."""
-            for ridx, rcoeff in composite.items():
-                dd, pos = self.position[(s, t, ridx)]
-                if dd != d + 1:
-                    raise ComplexError("differential is not homogeneous")
-                entries[pos][col] += coeff * rcoeff
+def _differential(H: HomComplex, X: Cone, Y: Cone, d: int) -> RatMatrix:
+    """The differential of H from degree d, read from the cones' category."""
+    compose = X.category.compose
+    cols = H.dim(d)
+    entries = [[0] * cols for _ in range(H.dim(d + 1))]
+    sign = 1 if d % 2 else -1
 
-        for col, (a, b, idx) in enumerate(self.basis.get(d, ())):
-            m = MorRef(X._oidx(a), Y._oidx(b), idx)
-            # postcompose with Y's connecting map, then precompose with X's
-            # under the Koszul sign on the cochain degree
-            if b == 0:
-                add(col, a, 1, 1, compose(Y.f, m))
-            if a == 1:
-                add(col, 0, b, sign, compose(m, X.f))
-        return RatMatrix(entries, cols=cols)
+    def add(col, s, t, coeff, composite):
+        """Add coeff * composite, a morphism between components s and t, to column col."""
+        for ridx, rcoeff in composite.items():
+            dd, pos = H.position[(s, t, ridx)]
+            if dd != d + 1:
+                raise ComplexError("differential is not homogeneous")
+            entries[pos][col] += coeff * rcoeff
+
+    for col, (a, b, idx) in enumerate(H.basis.get(d, ())):
+        m = MorRef(X._oidx(a), Y._oidx(b), idx)
+        # postcompose with Y's connecting map, then precompose with X's
+        # under the Koszul sign on the cochain degree
+        if b == 0:
+            add(col, a, 1, 1, compose(Y.f, m))
+        if a == 1:
+            add(col, 0, b, sign, compose(m, X.f))
+    return RatMatrix(entries, cols=cols)
 
 
 def hom_complex(X: Cone, Y: Cone) -> HomComplex:
-    return HomComplex(X, Y)
+    """The hom complex from cone X to cone Y.  Every differential is built
+    before the cohomology, which checks d . d = 0 in every degree, so a
+    differential that does not square to zero raises ComplexError here."""
+    if X.category is not Y.category and X.category != Y.category:
+        raise ValueError("cones live in different categories")
+    cat = X.category
+    by_degree: dict[int, list[Entry]] = {}
+    for a in (0, 1):
+        for b in (0, 1):
+            for idx, deg in enumerate(cat.hom(X._oidx(a), Y._oidx(b))):
+                by_degree.setdefault(deg + b - a, []).append((a, b, idx))
+    basis = {d: tuple(v) for d, v in sorted(by_degree.items())}
+    position = {elt: (d, i) for d, elts in basis.items() for i, elt in enumerate(elts)}
+    H = HomComplex(basis, position, {}, {})
+    H = H._replace(differentials={d: _differential(H, X, Y, d) for d in basis})
+    return H._replace(cohomology=cohomology(H))
 
 
-class TwistedCohomology:
-    """Per-degree cohomology of a hom complex with fixed representatives."""
-
-    __slots__ = ("dims", "_data")
-
-    def __init__(self, H: HomComplex):
-        data: dict[int, Cohomology] = {}
-        for d in H.degrees():
-            data[d] = complex_cohomology(H.differential(d - 1), H.differential(d))
-        self._data = data
-        self.dims = {d: c.dim for d, c in data.items() if c.dim > 0}
-
-    def representatives(self, d: int) -> tuple[SparseRow, ...]:
-        got = self._data.get(d)
-        return got.representatives if got else ()
-
-    def coordinates(self, d: int, vec: Sequence) -> Vec:
-        got = self._data.get(d)
-        if got is None:
-            if any(v != 0 for v in vec):
-                raise ValueError("nonzero vector in an empty degree")
-            return ()
-        return got.coordinates(vec)
-
-
-def cohomology(H: HomComplex) -> TwistedCohomology:
-    return TwistedCohomology(H)
+def cohomology(H: HomComplex) -> dict[int, Cohomology]:
+    """The cohomology of H in each degree of its basis, with fixed representatives."""
+    return {d: complex_cohomology(H.differential(d - 1), H.differential(d)) for d in H.basis}
 
 
 # (degree, coefficients over representatives), each an int when integral
@@ -160,7 +142,7 @@ def identity_class(h_xx: HomComplex) -> Class:
         if d != 0:
             raise ValueError("identity entry off degree zero")
         vec[pos] += 1
-    return (0, tuple(h_xx.cohomology.coordinates(0, vec)))
+    return (0, tuple(h_xx.cohomology[0].coordinates(vec)))
 
 
 def _combine(
@@ -196,14 +178,14 @@ def compose_classes(
     """
     da, ca = alpha
     db, cb = beta
-    reps_a = h_yz.cohomology.representatives(da)
-    reps_b = h_xy.cohomology.representatives(db)
+    reps_a = h_yz.cohomology[da].representatives
+    reps_b = h_xy.cohomology[db].representatives
     if len(ca) != len(reps_a) or len(cb) != len(reps_b):
         raise ValueError("class coefficients do not match representative count")
     comp = X.category._comp  # read directly: the table is immutable
     total = da + db
-    basis_xy = h_xy.basis.get(db, ())
-    basis_yz = h_yz.basis.get(da, ())
+    basis_xy = h_xy.basis[db]
+    basis_yz = h_yz.basis[da]
     position = h_xz.position
     # beta's nonzero terms grouped by their middle component
     by_middle: dict[int, list[tuple[int, MorRef, int | Fraction]]] = {}
@@ -227,7 +209,10 @@ def compose_classes(
                 if dd != total:
                     raise ComplexError("composition is not degree additive")
                 vec[pos] = vec.get(pos, 0) + wv * rcoeff
+    # no term reaches a degree without basis: it fails the check above first
+    if total not in h_xz.cohomology:
+        return (total, ())
     dense = [0] * h_xz.dim(total)
     for pos, v in vec.items():
         dense[pos] = v
-    return (total, tuple(h_xz.cohomology.coordinates(total, dense)))
+    return (total, tuple(h_xz.cohomology[total].coordinates(dense)))

@@ -7,7 +7,15 @@ from typing import Mapping, Sequence
 
 from bpsing import dgcat
 from bpsing.dgcat import DirectedGradedCategory, MorRef
-from bpsing.exactlin import ComplexError, RatMatrix, SparseRow, exact, rref, smith_normal_form
+from bpsing.exactlin import (
+    Cohomology,
+    ComplexError,
+    RatMatrix,
+    SparseRow,
+    exact,
+    rref,
+    smith_normal_form,
+)
 from bpsing.grading import LDegree, LGroup
 from bpsing.singcat import FreeComplex, GradedModule, GradedRing, ModuleMap, monomial_label
 from bpsing.twisted import HomComplex, cone, identity_class
@@ -246,6 +254,11 @@ def reference_differential(X, Y, d: int) -> RatMatrix:
 def chain_dims(H: HomComplex) -> dict[int, int]:
     """Dimension of each nonzero degree of a hom complex, before cohomology."""
     return {d: len(v) for d, v in H.basis.items()}
+
+
+def cohomology_dims(cohomology: Mapping[int, Cohomology]) -> dict[int, int]:
+    """Dimension of each nonzero degree of a hom complex's cohomology."""
+    return {d: c.dim for d, c in cohomology.items() if c.dim}
 
 
 # ---------------------------------------------------------------------------

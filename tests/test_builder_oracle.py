@@ -299,11 +299,12 @@ def test_the_tower_keeps_every_coefficient_exact(monkeypatch):
     for p in [(3, 3, 3), (2, 3, 4), (2, 2, 2, 2)]:
         for stage in suspension_tower(p):
             assert_exact(coefficients(stage))
-    cohomologies = [c for h in homs for c in h.cohomology._data.values()]
+    cohomologies = [c for h in homs for c in h.cohomology.values()]
     assert_exact(x for c in cohomologies for rep in c.representatives for _, x in rep)
     assert_exact(x for c in cohomologies for row in c.coord_rows for _, x in row)
     assert_exact(x for c in cohomologies for row in c.residual_rows for _, x in row)
-    assert_exact(x for h in homs for m in h._diff.values() for row in m.entries for x in row)
+    differentials = [m for h in homs for m in h.differentials.values()]
+    assert_exact(x for m in differentials for row in m.entries for x in row)
     assert_exact(x for _, coeffs in classes for x in coeffs)
 
     C = fukaya_bp((3, 3, 3))

@@ -48,7 +48,7 @@ from helpers import drop_one_composite, last_column_zeroed, scaled_identity_clas
 _suspend = suspension.suspend
 _block_key = suspension._block_key
 _shape_key = suspension._shape_key
-_build_differential = twisted.HomComplex._build_differential
+_differential = twisted._differential
 _a_category = suspension.a_category
 _tensor_bp = suspension.tensor_bp
 _form_complex = singcat._form_complex
@@ -138,10 +138,10 @@ def shape_key_without_gap(A, x, y):
 
 
 def unsigned_precomposition(H, X, Y, d):
-    """``HomComplex._build_differential`` with the precomposition term added
+    """``twisted._differential`` with the precomposition term added
     without its Koszul sign, which is -1 in even degrees: there the term is
     added twice more."""
-    M = _build_differential(H, X, Y, d)
+    M = _differential(H, X, Y, d)
     if d % 2:
         return M
     rows = [list(row) for row in M.entries]
@@ -321,8 +321,7 @@ TOWER_MUTANTS = {
     "identity-class-doubled": (suspension, "identity_class", scaled_identity_class(2)),
     "block-key-without-source": (suspension, "_block_key", block_key_without_source),
     "shape-key-without-gap": (suspension, "_shape_key", shape_key_without_gap),
-    "cone-koszul-sign-dropped": (
-        twisted.HomComplex, "_build_differential", unsigned_precomposition),
+    "cone-koszul-sign-dropped": (twisted, "_differential", unsigned_precomposition),
 }
 MUTANTS = {
     **TOWER_MUTANTS,

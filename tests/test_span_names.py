@@ -18,7 +18,8 @@ from bpsing import cli
 from bpsing.singcat import GradedRing
 
 ROOT = Path(__file__).resolve().parents[1]
-METHODS = runpy.run_path(str(ROOT / "benchmarks" / "tracer.py"))["METHODS"]
+TRACER = runpy.run_path(str(ROOT / "benchmarks" / "tracer.py"))
+METHODS = TRACER["METHODS"]
 PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 METHOD_METRICS = {f"{module}.{metric}" for module, _, _, metric, _ in METHODS}
 FUNCTION_SPANS = sorted(
@@ -82,3 +83,38 @@ def test_the_singcat_suite_answers_ext_through_the_traced_functions(capsys, monk
     assert cli.run(["verify", "--suite", "singcat", "--p", "3,3"]) == 0
     capsys.readouterr()
     assert set(calls) == {"ext_k_k", "ext_formula"}
+
+
+def test_the_tracer_reads_the_tower_through_its_spans(capsys):
+    # the tracer hashes each complex's differentials to count repeated
+    # complexes, and its spans split the tower's work; a change to
+    # ``twisted`` that broke the hashing or moved work between spans would
+    # change these counts of one verified (3,3,3) run
+    tracer = TRACER["Tracer"]()
+    tracer.install()
+    try:
+        tracer.start_case()
+        assert cli.run(["fukaya", "--p", "3,3,3", "--verify"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    report = tracer.report()
+    assert {name: report[name] for name in (
+        "twisted.hom_complex.calls",
+        "twisted.cohomology.calls",
+        "twisted.compose_classes.calls",
+        "exactlin.complex_cohomology.calls",
+        "exactlin.rank_kernel.calls",
+        "exactlin.matrices",
+        "exactlin.max_cells",
+        "twisted.hom_complex.repeat_frac",
+    )} == {
+        "twisted.hom_complex.calls": 16,
+        "twisted.cohomology.calls": 16,
+        "twisted.compose_classes.calls": 54,
+        "exactlin.complex_cohomology.calls": 24,
+        "exactlin.rank_kernel.calls": 24,
+        "exactlin.matrices": 72,
+        "exactlin.max_cells": 2,
+        "twisted.hom_complex.repeat_frac": 0.4375,
+    }
