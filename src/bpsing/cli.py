@@ -108,38 +108,80 @@ def _attach_coords(argv: Sequence[str]) -> list[str]:
     return out
 
 
+class _IntText(dict):
+    """The JSON text of each exact int, made on its first lookup.
+
+    Only values whose type is exactly ``int`` may be looked up: ``True == 1``
+    and they hash alike, so a bool would read the text of 1.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = int.__repr__(n)
+        return text
+
+
 def _dump_json(obj) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, without the pure-Python encoder that
-    ``indent`` selects: dicts and lists are laid out here, strings and ints go
-    through C, and any other value (a float, a subclass, an empty container)
-    is json's own text re-indented, so the bytes match for every JSON value.
+    ``indent`` selects: dicts and lists are laid out here, strings go through
+    C, each int's text is made once per dump, and a list of dicts that share
+    one key list makes each key's text once for the whole list.  Any other
+    value (a float, a subclass, an empty container) is json's own text
+    re-indented, so the bytes match for every JSON value.
     """
-    return _layout(obj, "\n") + "\n"
+    return _layout(obj, "\n", _IntText()) + "\n"
 
 
-def _layout(x, nl: str) -> str:
+def _layout(x, nl: str, ints: _IntText) -> str:
     """The indent-2 JSON text of x, with nl (newline plus x's indent) starting its lines."""
     t = type(x)
     if t is str:
         return encode_basestring_ascii(x)
     if t is int:
-        return int.__repr__(x)
+        return ints[x]
     if x is None:
         return "null"
     if t is bool:
         return "true" if x else "false"
     inner = nl + "  "
     if t is dict and x and set(map(type, x)) <= {str}:
-        items = [encode_basestring_ascii(k) + ": " + _layout(v, inner) for k, v in x.items()]
+        items = [encode_basestring_ascii(k) + ": " + _layout(v, inner, ints) for k, v in x.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if (t is list or t is tuple) and x:
-        if set(map(type, x)) == {int}:
-            items = map(int.__repr__, x)
+        types = set(map(type, x))
+        if types == {int}:
+            items = map(ints.__getitem__, x)
+        elif types == {dict} and (keys := _record_keys(x)):
+            items = _layout_records(x, keys, inner, ints)
         else:
-            items = [_layout(v, inner) for v in x]
+            items = [_layout(v, inner, ints) for v in x]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     # JSON strings hold no raw newline, so this only re-indents json's lines
     return json.dumps(x, indent=2).replace("\n", nl)
+
+
+def _record_keys(dicts) -> tuple[str, ...] | None:
+    """The key list all the dicts share, in order, if it is non-empty and all str.
+
+    Keys are compared as tuples: dict views compare as sets, so two dicts with
+    the same keys in another order would pass a view comparison.
+    """
+    keys = tuple(dicts[0])
+    if keys and set(map(type, keys)) == {str} and all(tuple(d) == keys for d in dicts):
+        return keys
+    return None
+
+
+def _layout_records(dicts, keys: tuple[str, ...], nl: str, ints: _IntText) -> list[str]:
+    """The text of each dict in dicts, all keyed by keys, each key's text made once."""
+    inner = nl + "  "
+    heads = [inner + encode_basestring_ascii(k) + ": " for k in keys]
+    tail = nl + "}"
+    return [
+        "{" + ",".join([h + _layout(v, inner, ints) for h, v in zip(heads, d.values())]) + tail
+        for d in dicts
+    ]
 
 
 def _fmt_dims(dims: dict[int, int]) -> str:

@@ -205,7 +205,7 @@ class DirectedGradedCategory:
         return dict(self._comp.get((g, f), {}))
 
     def composition_entries(self):
-        for key in sorted(self._comp, key=lambda gf: (gf[0], gf[1])):
+        for key in sorted(self._comp):
             yield key, dict(self._comp[key])
 
 

@@ -45,6 +45,22 @@ FIXED = [
     [0.1, 1, float("nan"), {"x": -2.5e-300}],
     {1: "int key", 2: [3]},
     [{"nested": {None: 1, True: 2, 1.5: 3}}],
+    # lists of dicts: only a run of records with one key list, in one order,
+    # takes the records path
+    pytest.param([{"a": 1, "b": 2}, {"b": 2, "a": 1}], id="records-keys-reordered"),
+    pytest.param([{"a": 1, "b": 2}, {"a": 1}], id="records-later-key-missing"),
+    pytest.param([{"a": 1}, {"a": 1, "b": 2}], id="records-later-key-extra"),
+    pytest.param([{}, {"a": 1}], id="records-empty-first"),
+    pytest.param([{"a": 1}, {1: 2}], id="records-later-int-key"),
+    pytest.param([{"a": 1, "b": "x"}], id="records-one"),
+    pytest.param([{"a": [1, True]}, {"a": {"b": []}}], id="records-container-values"),
+    # True == 1 and they hash alike, so a bool must never read an int's text
+    pytest.param([[1, 1], [1, True]], id="int-row-then-bool"),
+    pytest.param([[True, False], [1, 0]], id="bool-row-then-ints"),
+    pytest.param([{"a": 1}, {"a": True}], id="records-int-then-bool"),
+    pytest.param([{"a": False}, {"a": 0}], id="records-bool-then-int"),
+    pytest.param([[-0, 0, 2**64, -(10**25)], [2**64, -(10**25), -0], [1, 1.0, 2**64, float(2**64)]],
+                 id="ints-the-table-must-keep-apart"),
 ]
 
 
@@ -53,16 +69,49 @@ def test_writer_matches_json_dumps_on_fixed_cases(obj):
     assert cli._dump_json(obj) == oracle(obj)
 
 
-def test_writer_matches_json_dumps_on_generated_values():
+def test_writer_matches_json_dumps_on_generated_values(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     scalars = st.none() | st.booleans() | st.integers() | st.text() | st.floats()
+
+    def records(inner):
+        """Lists of dicts on one key list, some in another order and some missing a key."""
+
+        def on_keys(keys):
+            def record(values, change):
+                d = dict(zip(keys, values))
+                if change == "rotated":
+                    d = {k: d[k] for k in keys[1:] + keys[:1]}
+                elif change == "dropped" and d:
+                    d.popitem()
+                return d
+
+            one = st.builds(
+                record,
+                st.lists(inner, min_size=len(keys), max_size=len(keys)),
+                st.sampled_from(("same", "same", "rotated", "dropped")),
+            )
+            return st.lists(one, min_size=1, max_size=5)
+
+        return st.lists(st.text(max_size=3), max_size=4, unique=True).flatmap(on_keys)
+
     values = st.recursive(
         scalars,
-        lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+        lambda inner: st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner)
+        | records(inner),
         max_leaves=40,
     )
+    laid_out = []
+    layout_records = cli._layout_records
+
+    def spy(dicts, *rest):
+        laid_out.append(dicts)
+        return layout_records(dicts, *rest)
+
+    monkeypatch.setattr(cli, "_layout_records", spy)
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=100)
     @hypothesis.given(values)
@@ -70,6 +119,13 @@ def test_writer_matches_json_dumps_on_generated_values():
         assert cli._dump_json(obj) == oracle(obj)
 
     check()
+    # the records path ran, so the comparison above covered it
+    assert laid_out
+
+
+def test_no_int_text_outlives_a_dump():
+    assert cli._dump_json([1]) == oracle([1])
+    assert cli._dump_json([True]) == oracle([True])
 
 
 COMMANDS = [
